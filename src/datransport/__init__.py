@@ -14,6 +14,7 @@ from .errors import (
     InfeasiblePreconditionError,
     MassMismatchError,
     MixtureError,
+    NonFiniteError,
     NonIncreasingTimesError,
     NonProbabilityError,
     PlanTooLargeError,
@@ -106,5 +107,5 @@ __all__ = [
     "TransportError", "BadParamError", "NonProbabilityError", "MixtureError",
     "GridMismatchError", "MassMismatchError", "BrokenPathError", "BadEndpointError",
     "InfeasiblePreconditionError", "NonIncreasingTimesError", "UnreachableMassError",
-    "PlanTooLargeError", "SizeCapError", "ScenarioFormatError",
+    "PlanTooLargeError", "SizeCapError", "ScenarioFormatError", "NonFiniteError",
 ]

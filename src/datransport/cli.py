@@ -2,7 +2,7 @@
 
 Exit codes: 0 success/converged, 2 invalid input (scenario, run dir, or
 infeasible verdict from the feasibility subcommand), 3 solver did not
-converge, 4 target mass proved unreachable.
+converge or stopped on a non-finite value, 4 target mass proved unreachable.
 
 All data files are written deterministically (header row, '.' decimal,
 LF line endings, UTF-8, shortest round-trip float formatting); wall time
@@ -20,6 +20,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import (
+    NonFiniteError,
     PlanTooLargeError,
     SizeCapError,
     TransportError,
@@ -185,6 +186,9 @@ def _cmd_solve(args) -> int:
     except UnreachableMassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     wall = time.perf_counter() - start
     _write_run(outdir, built, state, report, wall)
     final = report.e0[-1] + report.et[-1] + report.v[-1]
@@ -212,6 +216,9 @@ def _cmd_extract_plan(args) -> int:
     except UnreachableMassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNREACHABLE
+    except NonFiniteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     outdir = FsPath(args.output) if args.output else FsPath(f"{FsPath(args.scenario).stem}_plan")
     outdir.mkdir(parents=True, exist_ok=True)
     indices = range(len(built.paths)) if args.path_index is None else [args.path_index]

@@ -64,3 +64,7 @@ class SizeCapError(TransportError):
 
 class ScenarioFormatError(TransportError):
     code = "BAD_SCENARIO"
+
+
+class NonFiniteError(TransportError):
+    code = "NON_FINITE"

@@ -10,19 +10,22 @@ that excludes the node's own scaling (so the constraint holds to round-off
 immediately after the update).
 
 Message passing runs either in the linear domain (plain mat-vec products)
-or the log domain (log-sum-exp), selected by config or by the underflow
-heuristic in :mod:`datransport.kernels`.
+or the log domain (log-sum-exp on one working array per step), selected by
+config or by the underflow heuristic in :mod:`datransport.kernels`.
+
+An independent-mode Gauss-Seidel sweep over an order-compatible path
+family costs one backward-only message pass; the primal transport cost is
+computed on demand, never per sweep.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import BadParamError, PlanTooLargeError, UnreachableMassError
+from .errors import BadParamError, NonFiniteError, PlanTooLargeError, UnreachableMassError
 from .grid_measures import JointMeasure, Measure
 from .kernels import PairKernel, build_pair_kernel, use_log_domain
 from .network import Path, TransportNetwork, path_cost_terms, validate_paths
@@ -98,6 +101,14 @@ class SinkhornState:
         return self._linear(self.lam[pair])
 
 
+class _NoForward:
+    """``ChainMessages.fwd`` of a backward-only message pass."""
+
+    def __getitem__(self, p_idx):
+        raise BadParamError("backward-only messages carry no forward half; "
+                            "use compute_messages(state)")
+
+
 @dataclass(eq=False)
 class ChainMessages:
     """Per-path forward/backward vectors (independent mode).
@@ -106,10 +117,11 @@ class ChainMessages:
     including the scalings of nodes 0..l-1; ``bwd[p][l]`` symmetrically
     over suffixes with the scalings of nodes l+1 onward.  The product
     fwd*own scaling*bwd summed over the grid is the path's total mass,
-    identical at every node of the path.
+    identical at every node of the path.  A backward-only pass leaves a
+    placeholder in ``fwd`` that raises on any read.
     """
 
-    fwd: list[list[np.ndarray]]
+    fwd: list[list[np.ndarray]] | _NoForward
     bwd: list[list[np.ndarray]]
     log_domain: bool
 
@@ -145,8 +157,6 @@ class ConvergenceReport:
     et: np.ndarray
     v: np.ndarray
     objective: np.ndarray  # dual objective trace
-    cost: np.ndarray  # transport cost trace
-    elapsed: np.ndarray  # cumulative seconds at each iteration
     converged: bool
     iterations: int
     tol: float
@@ -177,15 +187,13 @@ class PlanCells:
 
 
 def _lse_reduce(a: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp along one axis of a 2-D array; -inf slices stay -inf."""
-    amax = np.max(a, axis=axis)
-    out = np.full(amax.shape, -np.inf)
-    ok = np.isfinite(amax)
-    if np.any(ok):
-        sel = a[:, ok] if axis == 0 else a[ok, :]
-        ref = amax[ok][None, :] if axis == 0 else amax[ok][:, None]
-        out[ok] = amax[ok] + np.log(np.exp(sel - ref).sum(axis=axis))
-    return out
+    """Log-sum-exp along one axis of a 2-D array, overwriting ``a``; -inf slices stay -inf."""
+    amax = np.max(a, axis=axis, keepdims=True)
+    amax[~np.isfinite(amax)] = 0.0
+    a -= amax
+    np.exp(a, out=a)
+    with np.errstate(divide="ignore"):
+        return np.log(a.sum(axis=axis)) + amax.squeeze(axis)
 
 
 def _lse_cols(logk: np.ndarray, lv: np.ndarray) -> np.ndarray:
@@ -196,6 +204,13 @@ def _lse_cols(logk: np.ndarray, lv: np.ndarray) -> np.ndarray:
 def _lse_rows(logk: np.ndarray, lv: np.ndarray) -> np.ndarray:
     """out[s] = LSE_t(logk[s, t] + lv[t])."""
     return _lse_reduce(logk + lv[None, :], axis=1)
+
+
+def _forward_step(kern: PairKernel, f: np.ndarray, s: np.ndarray, log_domain: bool) -> np.ndarray:
+    """Forward message across one edge from message ``f`` and scaling ``s`` at its tail."""
+    if log_domain:
+        return _lse_cols(kern.logK, f + s)
+    return kern.K.T @ (f * s)
 
 
 def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -230,7 +245,9 @@ class PathSystem:
 
         self.source_order = [s for s in net.sources if s in used_sources]
         self.sink_order = [s for s in net.sinks if s in used_sinks]
-        self.interior_order, self._order_compatible = self._interior_topo_order()
+        self.interior_order, order_compatible = self._interior_topo_order()
+        # the exact single-pass sweep reads only backward messages
+        self._backward_only = mode == INDEPENDENT and config.sweep == GAUSS_SEIDEL and order_compatible
 
         # node -> [(path index, position)]
         self.positions: dict[str, list[tuple[int, int]]] = {}
@@ -339,24 +356,27 @@ class PathSystem:
         if not epsilon > 0:
             raise BadParamError(f"epsilon must be positive, got {epsilon}")
         ratio = self.epsilon / epsilon
+        if state is not None:
+            with np.errstate(over="ignore"):
+                banks = [{key: x * ratio if state.log_domain else x ** ratio
+                          for key, x in bank.items()}
+                         for bank in (state.u, state.v, state.w, state.lam)]
+            # -inf is a dead bin in the log domain; +inf and NaN are overflow
+            bad = [key for bank in banks for key, x in bank.items() if not np.all(x < np.inf)]
+            if bad:
+                raise NonFiniteError(f"scalings of {bad} overflow when epsilon goes "
+                                     f"{self.epsilon!r} -> {epsilon!r}")
+            state.u, state.v, state.w, state.lam = banks
+            state.epsilon = epsilon
         self.epsilon = epsilon
         self._rebuild_kernels()
-        if state is not None:
-            for d in (state.u, state.v, state.w, state.lam):
-                for key in d:
-                    if state.log_domain:
-                        d[key] = d[key] * ratio
-                    else:
-                        with np.errstate(divide="ignore"):
-                            d[key] = d[key] ** ratio
-            state.epsilon = epsilon
 
     # ------------------------------------------------------------------
     # state
 
     def initial_state(self) -> SinkhornState:
         n = self.n_t
-        one = np.zeros(n) if self.log_domain else np.ones(n)
+        one = self._unit(self.log_domain)
         one_mat = np.zeros((n, n)) if self.log_domain else np.ones((n, n))
         u = {s: one.copy() for s in self.source_order} if self.mode == INDEPENDENT else {}
         v = {s: one.copy() for s in self.sink_order} if self.mode == INDEPENDENT else {}
@@ -367,47 +387,40 @@ class PathSystem:
 
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Active-domain scaling vector of the node at ``pos`` (neutral at coupled boundaries)."""
-        node = path.nodes[pos]
-        if pos == 0:
-            if self.mode == COUPLED:
-                return np.zeros(self.n_t) if state.log_domain else np.ones(self.n_t)
-            return state.u[node]
-        if pos == path.n_p - 1:
-            if self.mode == COUPLED:
-                return np.zeros(self.n_t) if state.log_domain else np.ones(self.n_t)
-            return state.v[node]
-        return state.w[node]
+        if self.mode == COUPLED and pos in (0, path.n_p - 1):
+            return self._unit(state.log_domain)
+        bank = state.u if pos == 0 else state.v if pos == path.n_p - 1 else state.w
+        return bank[path.nodes[pos]]
 
     # ------------------------------------------------------------------
     # messages
 
-    def compute_messages(self, state: SinkhornState):
+    def compute_messages(self, state: SinkhornState, backward_only: bool = False):
+        """Chain messages; ``backward_only`` skips the forward half (independent mode)."""
         if self.mode == COUPLED:
             return self._coupled_messages(state)
-        fwd, bwd = [], []
+        log = state.log_domain
+        fwd = _NoForward() if backward_only else []
+        bwd = []
         for p_idx, path in enumerate(self.paths):
             m = path.n_edges
             svecs = [self._scaling_at(state, path, pos) for pos in range(m + 1)]
             kernels = self.path_kernels[p_idx]
-            if state.log_domain:
-                f = [np.zeros(self.n_t)]
+            if not backward_only:
+                f = [self._unit(log)]
                 for l in range(1, m + 1):
-                    f.append(_lse_cols(kernels[l - 1].logK, f[l - 1] + svecs[l - 1]))
-                b: list[np.ndarray] = [np.empty(0)] * (m + 1)
-                b[m] = np.zeros(self.n_t)
-                for l in range(m - 1, -1, -1):
-                    b[l] = _lse_rows(kernels[l].logK, b[l + 1] + svecs[l + 1])
-            else:
-                f = [np.ones(self.n_t)]
-                for l in range(1, m + 1):
-                    f.append(kernels[l - 1].K.T @ (f[l - 1] * svecs[l - 1]))
-                b = [np.empty(0)] * (m + 1)
-                b[m] = np.ones(self.n_t)
-                for l in range(m - 1, -1, -1):
-                    b[l] = kernels[l].K @ (b[l + 1] * svecs[l + 1])
-            fwd.append(f)
+                    f.append(_forward_step(kernels[l - 1], f[l - 1], svecs[l - 1], log))
+                fwd.append(f)
+            b = [self._unit(log)] * (m + 1)
+            for l in range(m - 1, -1, -1):
+                b[l] = (_lse_rows(kernels[l].logK, b[l + 1] + svecs[l + 1]) if log
+                        else kernels[l].K @ (b[l + 1] * svecs[l + 1]))
             bwd.append(b)
-        return ChainMessages(fwd=fwd, bwd=bwd, log_domain=state.log_domain)
+        return ChainMessages(fwd=fwd, bwd=bwd, log_domain=log)
+
+    def _unit(self, log_domain: bool) -> np.ndarray:
+        """Neutral message or scaling vector of the active domain."""
+        return np.zeros(self.n_t) if log_domain else np.ones(self.n_t)
 
     def _coupled_messages(self, state: SinkhornState) -> CoupledMessages:
         n = self.n_t
@@ -691,7 +704,7 @@ class PathSystem:
             state.lam.update(new_lam)
             state.w.update(new_w)
             return e0, et, v
-        if self.mode == INDEPENDENT and self._order_compatible:
+        if self._backward_only:
             return self._fast_gauss_seidel_sweep(state, messages)
         e0 = et = v = 0.0
         if self.mode == COUPLED:
@@ -719,15 +732,16 @@ class PathSystem:
         still current (nodes after the block come later in the sweep), while
         forward messages are extended lazily and therefore already include
         every scaling updated earlier in the sweep.  This makes each block
-        update the exact constraint projection at a single message-pass cost.
+        update the exact constraint projection at a single message-pass cost;
+        ``messages`` may be backward-only.
         """
         if messages is None:
-            messages = self.compute_messages(state)
+            messages = self.compute_messages(state, backward_only=True)
         bwd = messages.bwd
         log = state.log_domain
         n_paths = len(self.paths)
         frontier = [0] * n_paths
-        fvec = [messages.fwd[p][0] for p in range(n_paths)]
+        fvec = [self._unit(log) for _ in range(n_paths)]
 
         def advance(p_idx: int, pos: int) -> None:
             path = self.paths[p_idx]
@@ -735,10 +749,7 @@ class PathSystem:
             while frontier[p_idx] < pos:
                 l = frontier[p_idx]
                 s = self._scaling_at(state, path, l)
-                if log:
-                    fvec[p_idx] = _lse_cols(kernels[l].logK, fvec[p_idx] + s)
-                else:
-                    fvec[p_idx] = kernels[l].K.T @ (fvec[p_idx] * s)
+                fvec[p_idx] = _forward_step(kernels[l], fvec[p_idx], s, log)
                 frontier[p_idx] += 1
 
         def aggregate(node: str) -> np.ndarray:
@@ -771,27 +782,21 @@ class PathSystem:
     # diagnostics
 
     def path_masses(self, state: SinkhornState, messages=None) -> np.ndarray:
-        """Total model mass per path."""
+        """Total model mass per path (independent mode: read at the source end)."""
         if messages is None:
-            messages = self.compute_messages(state)
+            messages = self.compute_messages(state, backward_only=True)
         out = np.empty(len(self.paths))
         for p_idx, path in enumerate(self.paths):
-            last = path.n_edges
             if self.mode == COUPLED:
-                pair = (path.source, path.sink)
-                chain = messages.fwd[p_idx][last]
-                lam = state.lam[pair]
-                if state.log_domain:
-                    out[p_idx] = np.exp(logsumexp(chain + lam))
-                else:
-                    out[p_idx] = float((chain * lam).sum())
+                chain = messages.fwd[p_idx][path.n_edges]
+                scaling = state.lam[(path.source, path.sink)]
             else:
-                s_last = self._scaling_at(state, path, last)
-                f = messages.fwd[p_idx][last]
-                if state.log_domain:
-                    out[p_idx] = np.exp(logsumexp(f + s_last))
-                else:
-                    out[p_idx] = float((f * s_last).sum())
+                chain = messages.bwd[p_idx][0]
+                scaling = state.u[path.source]
+            if state.log_domain:
+                out[p_idx] = np.exp(logsumexp(chain + scaling))
+            else:
+                out[p_idx] = float((chain * scaling).sum())
         return out
 
     def _edge_pair_marginal(self, state: SinkhornState, messages, p_idx: int,
@@ -838,8 +843,6 @@ class PathSystem:
 
     def dual_objective(self, state: SinkhornState, messages=None) -> float:
         """Entropic dual value; each block update maximizes it exactly."""
-        if messages is None:
-            messages = self.compute_messages(state)
         mass = float(self.path_masses(state, messages).sum())
         return self.epsilon * (self._dual_scaling_terms(state) - mass)
 
@@ -972,7 +975,7 @@ class _AndersonMixer:
         # a live bin that overflows or underflows in the linear domain is not finite here
         if np.all(np.isfinite(self.pack(trial)[live])):
             with np.errstate(over="ignore", invalid="ignore"):
-                messages = system.compute_messages(trial)
+                messages = system.compute_messages(trial, backward_only=system._backward_only)
                 value = system.dual_objective(trial, messages)
         if not value >= system._swept_dual_objective(state):
             self.reset()
@@ -1029,9 +1032,10 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
     Each iteration executes one full sweep; its E0/ET/V row records every
     constraint's violation as seen just before that constraint's own block
     update, so all three diagnostics stay informative under Gauss-Seidel.
-    The dual objective and transport cost are evaluated on the state
-    entering the iteration.  The returned state is the output of the final
-    sweep.
+    The dual objective is evaluated on the state entering the iteration, from
+    the messages its sweep uses.  The returned state is the output of the
+    final sweep.  A non-finite E0+ET+V row, or an overflow when annealing,
+    raises ``NonFiniteError``.
 
     Independent-mode Gauss-Seidel solves are Anderson-accelerated once
     ``ANDERSON_WARMUP`` plain sweeps have run; Jacobi sweeps and coupled
@@ -1059,22 +1063,18 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
     ets: list[float] = []
     vs: list[float] = []
     objs: list[float] = []
-    costs: list[float] = []
-    elapsed: list[float] = []
     annealed = False
     converged = False
     mixed_messages = None
-    start = time.perf_counter()
     for _ in range(config.max_iter):
         # the previous iteration's messages stay referenced until replaced:
         # freeing them first lets the allocator hand the pages back and
         # fault them in again on every iteration
         if mixed_messages is None:
-            messages = system.compute_messages(state)
+            messages = system.compute_messages(state, backward_only=system._backward_only)
         else:
             messages, mixed_messages = mixed_messages, None
         objs.append(system.dual_objective(state, messages))
-        costs.append(system.transport_cost(state, messages))
         mixing = mixer is not None and state.iteration >= ANDERSON_WARMUP
         x_prev = mixer.pack(state) if mixing else None
         e0, et, v = system.sweep(state, messages)
@@ -1082,7 +1082,8 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
         e0s.append(e0)
         ets.append(et)
         vs.append(v)
-        elapsed.append(time.perf_counter() - start)
+        if not np.isfinite(e0 + et + v):
+            raise NonFiniteError(f"E0+ET+V is not finite at sweep {state.iteration}")
         if e0 + et + v <= config.tol:
             converged = True
             break
@@ -1096,8 +1097,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
             mixed_messages = mixer.step(state, x_prev)
     report = ConvergenceReport(
         e0=np.array(e0s), et=np.array(ets), v=np.array(vs),
-        objective=np.array(objs), cost=np.array(costs), elapsed=np.array(elapsed),
-        converged=converged, iterations=len(e0s), tol=config.tol,
+        objective=np.array(objs), converged=converged, iterations=len(e0s), tol=config.tol,
         epsilon_final=system.epsilon, annealed=annealed)
     return state, report
 

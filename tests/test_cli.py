@@ -113,6 +113,18 @@ class TestSolveCommand:
         s2.pop("wall_time_s")
         assert s1 == s2
 
+    @pytest.mark.parametrize("command", ["solve", "extract-plan"])
+    def test_non_finite_exit(self, command, tmp_path, capsys):
+        # linear-domain scalings of scenario_61 overflow at the first anneal
+        p = tmp_path / "s61.json"
+        assert main(["scenario", "61", "--emit", str(p)]) == 0
+        data = json.loads(p.read_text())
+        data["solver"].update(log_domain=False, anneal_every=300, tol=0.0, max_iter=400)
+        p.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, str(p), "--output", str(tmp_path / "out")]) == 3
+        assert "overflow" in capsys.readouterr().err
+
     def test_check_properties_flag(self, tmp_path, capsys):
         data = dict(TINY)
         data["expected_properties"] = [

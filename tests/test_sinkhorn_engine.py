@@ -1,7 +1,9 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import make_line_net, ordered_random_pair
 
@@ -22,15 +24,56 @@ from datransport import (
     flux_profile,
     solve,
 )
-from datransport.errors import BadParamError, PlanTooLargeError, UnreachableMassError
+from datransport.errors import (
+    BadParamError,
+    NonFiniteError,
+    PlanTooLargeError,
+    UnreachableMassError,
+)
+from datransport.kernels import build_pair_kernel
 from datransport.reference_oracle import dense_coupled_sinkhorn
 from datransport.scenarios import scenario_61
-from datransport.sinkhorn_engine import ANDERSON_WARMUP, PathSystem, SolverConfig
+from datransport.sinkhorn_engine import (
+    ANDERSON_WARMUP,
+    PathSystem,
+    SolverConfig,
+    _lse_cols,
+    _lse_rows,
+)
 
 
 def fixed_sweeps(n):
     """Config that runs exactly n update sweeps (tol 0 never triggers)."""
     return dict(tol=0.0, max_iter=n)
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("case", ["kernel", "scattered", "finite"])
+    def test_matches_scipy(self, case):
+        rng = np.random.default_rng(31)
+        n = 24
+        lv = rng.normal(scale=3.0, size=n)
+        if case == "kernel":
+            # strict time ordering: all -inf below the diagonal, so the
+            # first column and the last row are all -inf
+            logk = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.5).logK
+            lv[[2, 9]] = -np.inf
+        else:
+            logk = rng.normal(scale=5.0, size=(n, n))
+        if case == "scattered":
+            logk[rng.random((n, n)) < 0.3] = -np.inf
+            logk[3, :] = -np.inf
+            logk[:, 5] = -np.inf
+            lv[7] = -np.inf
+        kept = logk.copy()
+        for ours, ref in ((_lse_cols(logk, lv), logsumexp(logk + lv[:, None], axis=0)),
+                          (_lse_rows(logk, lv), logsumexp(logk + lv[None, :], axis=1))):
+            dead = np.isneginf(ref)
+            assert np.array_equal(np.isneginf(ours), dead)
+            assert np.all(np.isfinite(ours[~dead]))
+            assert np.max(np.abs(ours[~dead] - ref[~dead])) <= 1e-13
+            assert dead.any() == (case != "finite")
+        assert np.array_equal(logk, kept)
 
 
 class TestFluxProfile:
@@ -441,6 +484,88 @@ class TestSolve:
             system.sweep(state)
             assert system._swept_dual_objective(state) == pytest.approx(
                 system.dual_objective(state), rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_one_message_pass_per_sweep(self, grid16, log_domain, monkeypatch):
+        # the exact Gauss-Seidel solve pays one backward-only message pass per
+        # sweep and never the primal cost; the traced dual is still the full one
+        rng = np.random.default_rng(23)
+        mu0, muT = ordered_random_pair(grid16, rng, 2)
+        net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT,
+                                  caps={"n1": np.full(16, 0.12)})
+        cfg = SolverConfig(epsilon=0.3, log_domain=log_domain,
+                           **fixed_sweeps(ANDERSON_WARMUP))
+        calls = []
+        compute_messages = PathSystem.compute_messages
+
+        def counted(self, state, **kwargs):
+            calls.append(kwargs)
+            return compute_messages(self, state, **kwargs)
+
+        def no_cost(self, *args, **kwargs):
+            raise AssertionError("transport_cost ran inside solve()")
+
+        monkeypatch.setattr(PathSystem, "compute_messages", counted)
+        monkeypatch.setattr(PathSystem, "transport_cost", no_cost)
+        _, report = solve(net, [path], config=cfg)
+        monkeypatch.undo()
+        assert len(calls) == ANDERSON_WARMUP
+        assert all(kwargs == {"backward_only": True} for kwargs in calls)
+        system = PathSystem(net, [path], config=cfg)
+        state = system.initial_state()
+        for i in range(ANDERSON_WARMUP):
+            full = system.compute_messages(state)
+            assert report.objective[i] == pytest.approx(
+                system.dual_objective(state, full), rel=1e-12)
+            system.sweep(state)
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_backward_only_messages(self, grid10, log_domain):
+        rng = np.random.default_rng(24)
+        mu0, muT = ordered_random_pair(grid10, rng, 2)
+        net, path = make_line_net(grid10, [1.0, 2.0], mu0, muT,
+                                  caps={"n1": np.full(10, 0.3)})
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4, log_domain=log_domain))
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        full = system.compute_messages(state)
+        half = system.compute_messages(state, backward_only=True)
+        for b_half, b_full in zip(half.bwd[0], full.bwd[0]):
+            assert np.array_equal(b_half, b_full)
+        # the path mass read at the source end is the one seen at the sink end
+        at_sink = float((flux_profile(state, 0, "n2", full) * state.v_linear("n2")).sum())
+        assert system.path_masses(state, half)[0] == pytest.approx(at_sink, rel=1e-12)
+        for reader in (lambda m: system.model_marginals(state, m),
+                       lambda m: flux_profile(state, 0, "n1", m),
+                       lambda m: system.transport_cost(state, m)):
+            with pytest.raises(BadParamError, match="backward-only"):
+                reader(half)
+
+    def test_linear_anneal_overflow_raises(self):
+        # halving epsilon squares the linear scalings of scenario_61, which
+        # overflow at its first anneal (sweep 300) instead of going NaN
+        built = scenario_61().build()
+        cfg = replace(built.config, log_domain=False, anneal_every=300, tol=0.0, max_iter=400)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteError, match="overflow"):
+                solve(built.net, built.paths, mode=built.mode, config=cfg)
+
+    def test_non_finite_row_raises(self, grid10, monkeypatch):
+        rng = np.random.default_rng(25)
+        mu0, muT = ordered_random_pair(grid10, rng, 2)
+        net, path = make_line_net(grid10, [1.0, 1.0], mu0, muT)
+        sweep = PathSystem.sweep
+
+        def poisoned(self, state, messages=None):
+            e0, et, v = sweep(self, state, messages)
+            return (np.nan if state.iteration == 2 else e0), et, v
+
+        monkeypatch.setattr(PathSystem, "sweep", poisoned)
+        cfg = SolverConfig(epsilon=0.4, log_domain=False, **fixed_sweeps(10))
+        with pytest.raises(NonFiniteError, match="sweep 3"):
+            solve(net, [path], config=cfg)
 
     def test_annealing_flagged(self, grid10):
         rng = np.random.default_rng(14)
