@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -66,17 +67,12 @@ def _load_scenario(path: str) -> tuple[ScenarioSpec, BuiltScenario] | None:
 
 
 def _apply_overrides(built: BuiltScenario, args) -> None:
-    cfg = built.config
-    if args.epsilon is not None:
-        cfg.epsilon = args.epsilon
-    if args.tol is not None:
-        cfg.tol = args.tol
-    if args.max_iter is not None:
-        cfg.max_iter = args.max_iter
-    if args.sweep is not None:
-        cfg.sweep = args.sweep
+    """Replace the scenario's solver config by one with the CLI overrides, validated."""
+    changes = {name: getattr(args, name) for name in ("epsilon", "tol", "max_iter", "sweep")
+               if getattr(args, name) is not None}
     if args.log_domain is not None:
-        cfg.log_domain = {"auto": None, "on": True, "off": False}[args.log_domain]
+        changes["log_domain"] = {"auto": None, "on": True, "off": False}[args.log_domain]
+    built.config = replace(built.config, **changes)
 
 
 def _node_role(built: BuiltScenario, node: str) -> str:

@@ -6,16 +6,20 @@ all paths through it.  In coupled mode the boundary pair (source, sink)
 carries a joint matrix Lambda instead of u and v.  Model marginals are
 assembled from forward/backward chain messages per path; each block update
 is the exact projection for its constraint, computed from an aggregate
-that excludes the node's own scaling (so the constraint holds to round-off
-immediately after the update).
+that excludes the block's own scaling (so the constraint holds to
+round-off immediately after the update).
 
 Message passing runs either in the linear domain (plain mat-vec products)
 or the log domain (log-sum-exp on one working array per step), selected by
 config or by the underflow heuristic in :mod:`datransport.kernels`.
 
-An independent-mode Gauss-Seidel sweep over an order-compatible path
-family costs one backward-only message pass; the primal transport cost is
-computed on demand, never per sweep.
+A sweep is one loop over the blocks in sweep order, each projected from
+the backward messages of the sweep's entering state and a forward frontier
+extended block by block.  Jacobi and Gauss-Seidel, independent and coupled
+mode all cost one message pass per sweep (backward-only in independent
+mode); only a Gauss-Seidel sweep over a cyclic path family refreshes the
+messages before each block.  The primal transport cost is computed on
+demand, never per sweep.
 """
 
 from __future__ import annotations
@@ -97,9 +101,6 @@ class SinkhornState:
     def w_linear(self, node: str) -> np.ndarray:
         return self._linear(self.w[node])
 
-    def lam_linear(self, pair: tuple[str, str]) -> np.ndarray:
-        return self._linear(self.lam[pair])
-
 
 class _NoForward:
     """``ChainMessages.fwd`` of a backward-only message pass."""
@@ -111,32 +112,22 @@ class _NoForward:
 
 @dataclass(eq=False)
 class ChainMessages:
-    """Per-path forward/backward vectors (independent mode).
+    """Per-path forward/backward messages.
 
-    ``fwd[p][l]`` sums kernel chains over all prefixes ending at node l,
-    including the scalings of nodes 0..l-1; ``bwd[p][l]`` symmetrically
-    over suffixes with the scalings of nodes l+1 onward.  The product
-    fwd*own scaling*bwd summed over the grid is the path's total mass,
-    identical at every node of the path.  A backward-only pass leaves a
-    placeholder in ``fwd`` that raises on any read.
+    Independent mode: ``fwd[p][l]`` sums kernel chains over all prefixes
+    ending at node l, including the scalings of nodes 0..l-1; ``bwd[p][l]``
+    symmetrically over suffixes with the scalings of nodes l+1 onward.  The
+    product fwd*own scaling*bwd summed over the grid is the path's total
+    mass, identical at every node of the path.  A backward-only pass leaves
+    a placeholder in ``fwd`` that raises on any read.
+
+    Coupled mode: the messages are matrices conditioned on the boundary
+    bins, ``fwd[p][l][i, t]`` from departure bin i to node l at bin t and
+    ``bwd[p][l][t, j]`` toward arrival bin j; ``fwd[p][-1]`` is the
+    interior chain matrix of the path (all interior multipliers, no Lambda).
     """
 
     fwd: list[list[np.ndarray]] | _NoForward
-    bwd: list[list[np.ndarray]]
-    log_domain: bool
-
-
-@dataclass(eq=False)
-class CoupledMessages:
-    """Per-path forward/backward matrices conditioned on the boundary bins.
-
-    ``fwd[p][l][i, t]`` aggregates chains from departure bin i to node l at
-    bin t (scalings of interior nodes 1..l-1 included); ``bwd[p][l][t, j]``
-    the mirror image toward arrival bin j.  ``fwd[p][-1]`` is the interior
-    chain matrix of the path (all interior multipliers, no Lambda).
-    """
-
-    fwd: list[list[np.ndarray]]
     bwd: list[list[np.ndarray]]
     log_domain: bool
 
@@ -206,16 +197,53 @@ def _lse_rows(logk: np.ndarray, lv: np.ndarray) -> np.ndarray:
     return _lse_reduce(logk + lv[None, :], axis=1)
 
 
+def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[i, j] = LSE_k(a[i, k] + b[k, j])."""
+    return logsumexp(a[:, :, None] + b[None, :, :], axis=1)
+
+
 def _forward_step(kern: PairKernel, f: np.ndarray, s: np.ndarray, log_domain: bool) -> np.ndarray:
     """Forward message across one edge from message ``f`` and scaling ``s`` at its tail."""
+    if f.ndim == 2:  # coupled: one row per departure bin
+        return _lse_matmul(f + s[None, :], kern.logK) if log_domain else (f * s[None, :]) @ kern.K
     if log_domain:
         return _lse_cols(kern.logK, f + s)
     return kern.K.T @ (f * s)
 
 
-def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j] = LSE_k(a[i, k] + b[k, j])."""
-    return logsumexp(a[:, :, None] + b[None, :, :], axis=1)
+def _backward_step(kern: PairKernel, b: np.ndarray, s: np.ndarray, log_domain: bool) -> np.ndarray:
+    """Backward message across one edge from message ``b`` and scaling ``s`` at its head."""
+    if b.ndim == 2:  # coupled: one column per arrival bin
+        return _lse_matmul(kern.logK + s[None, :], b) if log_domain else (kern.K * s[None, :]) @ b
+    if log_domain:
+        return _lse_rows(kern.logK, b + s)
+    return kern.K @ (b * s)
+
+
+class _Forward:
+    """Forward messages per path, built on demand from the scalings current at each read.
+
+    ``frontier(p_idx, pos)`` extends path ``p_idx``'s list up to ``pos`` and
+    returns its entry there; entries built earlier are returned as they are.
+    A Gauss-Seidel sweep in a path-compatible order reads each path forward
+    only, so every read sees the scalings updated earlier in the sweep; a
+    Jacobi sweep leaves the state alone until its end.
+    """
+
+    def __init__(self, system: "PathSystem", state: SinkhornState):
+        self.system = system
+        self.state = state
+        self.fwd = [[system._start(state.log_domain)] for _ in system.paths]
+
+    def __call__(self, p_idx: int, pos: int) -> np.ndarray:
+        f = self.fwd[p_idx]
+        path = self.system.paths[p_idx]
+        kernels = self.system.path_kernels[p_idx]
+        while len(f) <= pos:
+            l = len(f) - 1
+            s = self.system._scaling_at(self.state, path, l)
+            f.append(_forward_step(kernels[l], f[l], s, self.state.log_domain))
+        return f[pos]
 
 
 class PathSystem:
@@ -245,9 +273,7 @@ class PathSystem:
 
         self.source_order = [s for s in net.sources if s in used_sources]
         self.sink_order = [s for s in net.sinks if s in used_sinks]
-        self.interior_order, order_compatible = self._interior_topo_order()
-        # the exact single-pass sweep reads only backward messages
-        self._backward_only = mode == INDEPENDENT and config.sweep == GAUSS_SEIDEL and order_compatible
+        self.interior_order, self._order_follows_paths = self._interior_topo_order()
 
         # node -> [(path index, position)]
         self.positions: dict[str, list[tuple[int, int]]] = {}
@@ -288,6 +314,12 @@ class PathSystem:
         self.pair_paths = {pair: [i for i, p in enumerate(self.paths)
                                   if (p.source, p.sink) == pair]
                            for pair in self.pairs}
+        # sweep order; the slot is where a block's violation is summed: E0, ET or V
+        first = self.pairs if mode == COUPLED else self.source_order
+        last = [] if mode == COUPLED else self.sink_order
+        self._blocks = ([(b, 0) for b in first] + [(n, 2) for n in self.interior_order]
+                        + [(n, 1) for n in last])
+        self._targets = {**self.mu0, **self.muT, **self.joints}
 
         self.epsilon = config.epsilon
         self._kernel_cache: dict[float, PairKernel] = {}
@@ -299,8 +331,8 @@ class PathSystem:
         When the precedence relation induced by the paths is acyclic (it is
         for any DAG-like path family), the returned order visits each path's
         interior nodes in path order, which allows the single-pass exact
-        sweep.  A cyclic relation falls back to plain first-appearance order
-        with per-block message recomputation.
+        sweep.  A cyclic relation falls back to plain first-appearance order,
+        and Gauss-Seidel then refreshes the messages before every block.
         """
         first_seen: dict[str, int] = {}
         succ: dict[str, set[str]] = {}
@@ -392,162 +424,112 @@ class PathSystem:
         bank = state.u if pos == 0 else state.v if pos == path.n_p - 1 else state.w
         return bank[path.nodes[pos]]
 
+    def _bank(self, state: SinkhornState, block) -> dict:
+        """The scaling dict of ``state`` that holds ``block``."""
+        if block in self.joints:
+            return state.lam
+        return state.u if block in self.mu0 else state.v if block in self.muT else state.w
+
     # ------------------------------------------------------------------
     # messages
 
-    def compute_messages(self, state: SinkhornState, backward_only: bool = False):
-        """Chain messages; ``backward_only`` skips the forward half (independent mode)."""
-        if self.mode == COUPLED:
-            return self._coupled_messages(state)
+    def compute_messages(self, state: SinkhornState, backward_only: bool = False) -> ChainMessages:
+        """Chain messages of ``state``.
+
+        ``backward_only`` skips the forward half in independent mode.  Coupled
+        messages are always full: the joint blocks and the dual objective read
+        the interior chains ``fwd[p][-1]``.
+        """
         log = state.log_domain
-        fwd = _NoForward() if backward_only else []
         bwd = []
         for p_idx, path in enumerate(self.paths):
-            m = path.n_edges
-            svecs = [self._scaling_at(state, path, pos) for pos in range(m + 1)]
             kernels = self.path_kernels[p_idx]
-            if not backward_only:
-                f = [self._unit(log)]
-                for l in range(1, m + 1):
-                    f.append(_forward_step(kernels[l - 1], f[l - 1], svecs[l - 1], log))
-                fwd.append(f)
-            b = [self._unit(log)] * (m + 1)
-            for l in range(m - 1, -1, -1):
-                b[l] = (_lse_rows(kernels[l].logK, b[l + 1] + svecs[l + 1]) if log
-                        else kernels[l].K @ (b[l + 1] * svecs[l + 1]))
+            b = [self._start(log)] * path.n_p
+            for l in range(path.n_edges - 1, -1, -1):
+                s = self._scaling_at(state, path, l + 1)
+                b[l] = _backward_step(kernels[l], b[l + 1], s, log)
             bwd.append(b)
-        return ChainMessages(fwd=fwd, bwd=bwd, log_domain=log)
+        if backward_only and self.mode == INDEPENDENT:
+            return ChainMessages(fwd=_NoForward(), bwd=bwd, log_domain=log)
+        frontier = _Forward(self, state)
+        for p_idx, path in enumerate(self.paths):
+            frontier(p_idx, path.n_edges)
+        return ChainMessages(fwd=frontier.fwd, bwd=bwd, log_domain=log)
 
     def _unit(self, log_domain: bool) -> np.ndarray:
-        """Neutral message or scaling vector of the active domain."""
+        """Neutral scaling vector of the active domain."""
         return np.zeros(self.n_t) if log_domain else np.ones(self.n_t)
 
-    def _coupled_messages(self, state: SinkhornState) -> CoupledMessages:
-        n = self.n_t
-        if state.log_domain:
-            eye = np.full((n, n), -np.inf)
-            np.fill_diagonal(eye, 0.0)
-        else:
-            eye = np.eye(n)
-        fwd, bwd = [], []
-        for p_idx, path in enumerate(self.paths):
-            m = path.n_edges
-            svecs = [self._scaling_at(state, path, pos) for pos in range(m + 1)]
-            kernels = self.path_kernels[p_idx]
-            if state.log_domain:
-                f = [eye.copy()]
-                for l in range(1, m + 1):
-                    f.append(_lse_matmul(f[l - 1] + svecs[l - 1][None, :], kernels[l - 1].logK))
-                b: list[np.ndarray] = [np.empty(0)] * (m + 1)
-                b[m] = eye.copy()
-                for l in range(m - 1, -1, -1):
-                    b[l] = _lse_matmul(kernels[l].logK + svecs[l + 1][None, :], b[l + 1])
-            else:
-                f = [eye.copy()]
-                for l in range(1, m + 1):
-                    f.append((f[l - 1] * svecs[l - 1][None, :]) @ kernels[l - 1].K)
-                b = [np.empty(0)] * (m + 1)
-                b[m] = eye.copy()
-                for l in range(m - 1, -1, -1):
-                    b[l] = (kernels[l].K * svecs[l + 1][None, :]) @ b[l + 1]
-            fwd.append(f)
-            bwd.append(b)
-        return CoupledMessages(fwd=fwd, bwd=bwd, log_domain=state.log_domain)
+    def _start(self, log_domain: bool) -> np.ndarray:
+        """Neutral message: a unit vector, or in coupled mode the identity on boundary bins."""
+        if self.mode == INDEPENDENT:
+            return self._unit(log_domain)
+        if not log_domain:
+            return np.eye(self.n_t)
+        eye = np.full((self.n_t, self.n_t), -np.inf)
+        np.fill_diagonal(eye, 0.0)
+        return eye
 
     # ------------------------------------------------------------------
     # aggregates and marginals
 
-    def _node_aggregate(self, state: SinkhornState, messages, node: str) -> np.ndarray:
-        """Active-domain aggregate over paths through ``node``, excluding its scaling."""
-        if self.mode == COUPLED and node not in self.interior_order:
-            raise BadParamError(f"{node} is a boundary node; coupled mode aggregates the joint instead")
-        if state.log_domain:
-            acc = np.full(self.n_t, -np.inf)
-        else:
-            acc = np.zeros(self.n_t)
-        for p_idx, pos in self.positions[node]:
-            if self.mode == COUPLED:
-                contrib = self._coupled_interior_term(state, messages, p_idx, pos)
-            elif state.log_domain:
-                contrib = messages.fwd[p_idx][pos] + messages.bwd[p_idx][pos]
-            else:
-                contrib = messages.fwd[p_idx][pos] * messages.bwd[p_idx][pos]
-            acc = np.logaddexp(acc, contrib) if state.log_domain else acc + contrib
-        return acc
-
-    def _coupled_interior_term(self, state: SinkhornState, messages: CoupledMessages,
-                               p_idx: int, pos: int) -> np.ndarray:
-        pair = (self.paths[p_idx].source, self.paths[p_idx].sink)
-        lam = state.lam[pair]
-        f = messages.fwd[p_idx][pos]
-        b = messages.bwd[p_idx][pos]
+    def _path_term(self, state: SinkhornState, p_idx: int, f: np.ndarray,
+                   b: np.ndarray) -> np.ndarray:
+        """Active-domain contribution of one path to a node aggregate, from its messages there."""
+        if self.mode == INDEPENDENT:
+            return f + b if state.log_domain else f * b
+        lam = state.lam[(self.paths[p_idx].source, self.paths[p_idx].sink)]
         if state.log_domain:
             # g[i, t] = LSE_j(lam[i, j] + b[t, j]); out[t] = LSE_i(f[i, t] + g[i, t])
-            g = _lse_matmul(lam, b.T)
-            return logsumexp(f + g, axis=0)
+            return logsumexp(f + _lse_matmul(lam, b.T), axis=0)
         return np.einsum("ij,it,tj->t", lam, f, b, optimize=True)
 
-    def _pair_aggregate(self, state: SinkhornState, messages: CoupledMessages,
-                        pair: tuple[str, str]) -> np.ndarray:
-        """Sum of interior chain matrices over the pair's paths (excludes Lambda)."""
-        if state.log_domain:
-            acc = np.full((self.n_t, self.n_t), -np.inf)
+    def _aggregate(self, state: SinkhornState, block, messages: ChainMessages,
+                   frontier: _Forward | None = None) -> np.ndarray:
+        """Active-domain aggregate of one block, excluding the block's own scaling.
+
+        A joint block sums the interior chain matrices of its paths, which
+        leave Lambda out.  A node block sums its paths' terms from the
+        backward messages and the forward ones, read from ``frontier`` when
+        given, else from ``messages``.
+        """
+        if block in self.joints:
+            terms = [messages.fwd[p][self.paths[p].n_edges] for p in self.pair_paths[block]]
         else:
-            acc = np.zeros((self.n_t, self.n_t))
-        for p_idx in self.pair_paths[pair]:
-            last = self.paths[p_idx].n_edges
-            chain = messages.fwd[p_idx][last]
-            acc = np.logaddexp(acc, chain) if state.log_domain else acc + chain
+            fwd = frontier or (lambda p, pos: messages.fwd[p][pos])
+            terms = [self._path_term(state, p, fwd(p, pos), messages.bwd[p][pos])
+                     for p, pos in self.positions[block]]
+        log = state.log_domain
+        acc = np.full_like(terms[0], -np.inf) if log else np.zeros_like(terms[0])
+        for term in terms:
+            acc = np.logaddexp(acc, term) if log else acc + term
         return acc
 
     def model_marginals(self, state: SinkhornState, messages=None) -> ModelMarginals:
         if messages is None:
             messages = self.compute_messages(state)
-        m: dict[str, np.ndarray] = {}
-        a: dict[str, np.ndarray] = {}
-        joint_m: dict[tuple[str, str], np.ndarray] = {}
-        joint_a: dict[tuple[str, str], np.ndarray] = {}
-        boundary = [] if self.mode == COUPLED else self.source_order + self.sink_order
+        mm = ModelMarginals(m={}, a={}, joint_m={}, joint_a={})
         with np.errstate(over="ignore"):
-            for node in boundary + self.interior_order:
-                agg = self._node_aggregate(state, messages, node)
-                if node in self.mu0:
-                    own = state.u[node]
-                elif node in self.muT:
-                    own = state.v[node]
-                else:
-                    own = state.w[node]
-                if state.log_domain:
-                    a[node] = np.exp(agg)
-                    m[node] = np.exp(agg + own)
-                else:
-                    a[node] = agg
-                    m[node] = agg * own
-            for pair in self.pairs:
-                agg = self._pair_aggregate(state, messages, pair)
-                lam = state.lam[pair]
-                if state.log_domain:
-                    joint_a[pair] = np.exp(agg)
-                    joint_m[pair] = np.exp(agg + lam)
-                else:
-                    joint_a[pair] = agg
-                    joint_m[pair] = agg * lam
-        return ModelMarginals(m=m, a=a, joint_m=joint_m, joint_a=joint_a)
+            for block, _ in self._blocks:
+                agg = self._aggregate(state, block, messages)
+                m, a = (mm.joint_m, mm.joint_a) if block in self.joints else (mm.m, mm.a)
+                a[block] = np.exp(agg) if state.log_domain else agg
+                m[block] = self._model_from(self._bank(state, block)[block], agg, state.log_domain)
+        return mm
 
     def violations(self, mm: ModelMarginals) -> tuple[float, float, float]:
         """L1 source error E0, sink error ET, capacity excess V."""
-        if self.mode == COUPLED:
-            e0 = sum(float(np.abs(mm.joint_m[pair] - self.joints[pair]).sum())
-                     for pair in self.pairs)
-            et = 0.0
-        else:
-            e0 = sum(float(np.abs(mm.m[s] - self.mu0[s]).sum()) for s in self.source_order)
-            et = sum(float(np.abs(mm.m[s] - self.muT[s]).sum()) for s in self.sink_order)
-        v = 0.0
-        for node in self.interior_order:
-            excess = mm.m[node] - self.caps[node]
-            v += float(np.maximum(excess, 0.0).sum())
-        return e0, et, v
+        totals = [0.0, 0.0, 0.0]
+        for block, slot in self._blocks:
+            model = mm.joint_m[block] if block in self.joints else mm.m[block]
+            totals[slot] += self._violation(block, model)
+        return tuple(totals)
+
+    def _violation(self, block, model: np.ndarray) -> float:
+        """L1 violation of one block's constraint (the cap excess for a capacity block)."""
+        if block in self.caps:
+            return float(np.maximum(model - self.caps[block], 0.0).sum())
+        return float(np.abs(model - self._targets[block]).sum())
 
     # ------------------------------------------------------------------
     # block updates
@@ -589,194 +571,95 @@ class PathSystem:
         np.divide(cap, agg, out=ratio, where=agg > 0)
         return np.minimum(ratio, 1.0)
 
-    def _model_from(self, own: np.ndarray, agg: np.ndarray, log_domain: bool) -> np.ndarray:
+    @staticmethod
+    def _model_from(own: np.ndarray, agg: np.ndarray, log_domain: bool) -> np.ndarray:
         if log_domain:
             with np.errstate(over="ignore"):
                 return np.exp(own + agg)
         return own * agg
 
-    def _apply_boundary(self, state: SinkhornState, node: str, messages) -> float:
-        """Update one boundary block; returns its pre-update L1 violation."""
-        agg = self._node_aggregate(state, messages, node)
-        if node in self.mu0:
-            target, bank = self.mu0[node], state.u
-        elif node in self.muT:
-            target, bank = self.muT[node], state.v
-        else:
-            raise BadParamError(f"{node} is not a boundary node")
-        before = self._model_from(bank[node], agg, state.log_domain)
-        bank[node] = self._target_over_aggregate(target, agg, state.log_domain, node)
-        return float(np.abs(before - target).sum())
+    def _project(self, state: SinkhornState, block, agg: np.ndarray) -> tuple[np.ndarray, float]:
+        """Exact projection of one block from its aggregate.
 
-    def _apply_capacity(self, state: SinkhornState, node: str, messages) -> float:
-        """Update one capacity block; returns its pre-update L1 cap excess."""
-        if node not in self.caps:
-            raise BadParamError(f"{node} is not an interior node")
-        agg = self._node_aggregate(state, messages, node)
-        before = self._model_from(state.w[node], agg, state.log_domain)
-        state.w[node] = self._cap_over_aggregate(self.caps[node], agg, state.log_domain)
-        return float(np.maximum(before - self.caps[node], 0.0).sum())
+        Returns the block's new active-domain scaling and its L1 violation
+        before the update (the cap excess for a capacity block).
+        """
+        log = state.log_domain
+        model = self._model_from(self._bank(state, block)[block], agg, log)
+        violation = self._violation(block, model)
+        if block in self.caps:
+            return self._cap_over_aggregate(self.caps[block], agg, log), violation
+        label = f"pair {block}" if block in self.joints else block
+        return self._target_over_aggregate(self._targets[block], agg, log, label), violation
 
-    def _apply_coupled_boundary(self, state: SinkhornState, pair: tuple[str, str],
-                                messages) -> float:
-        """Update one joint block; returns its pre-update L1 violation."""
-        agg = self._pair_aggregate(state, messages, pair)
-        before = self._model_from(state.lam[pair], agg, state.log_domain)
-        state.lam[pair] = self._target_over_aggregate(self.joints[pair], agg,
-                                                      state.log_domain, f"pair {pair}")
-        return float(np.abs(before - self.joints[pair]).sum())
+    def _update_block(self, state: SinkhornState, block, messages) -> np.ndarray:
+        """Project one block from full messages of ``state``; returns its new linear scaling."""
+        if messages is None:
+            messages = self.compute_messages(state)
+        bank = self._bank(state, block)
+        bank[block], _ = self._project(state, block, self._aggregate(state, block, messages))
+        return state._linear(bank[block])
 
     def boundary_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
         """Match the node's marginal target exactly; returns the new linear scaling."""
         if self.mode == COUPLED:
             raise BadParamError("coupled mode updates the joint via coupled_boundary_update")
-        if messages is None:
-            messages = self.compute_messages(state)
-        self._apply_boundary(state, node, messages)
-        bank = state.u if node in self.mu0 else state.v
-        return state._linear(bank[node])
+        if node not in self.mu0 and node not in self.muT:
+            raise BadParamError(f"{node} is not a boundary node")
+        return self._update_block(state, node, messages)
 
     def capacity_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
         """Clip the node's marginal to its cap; returns the new linear scaling."""
-        if messages is None:
-            messages = self.compute_messages(state)
-        self._apply_capacity(state, node, messages)
-        return state._linear(state.w[node])
+        if node not in self.caps:
+            raise BadParamError(f"{node} is not an interior node")
+        return self._update_block(state, node, messages)
 
     def coupled_boundary_update(self, state: SinkhornState, pair: tuple[str, str],
                                 messages=None) -> np.ndarray:
         """Match the joint boundary law exactly; returns the new linear Lambda."""
         if self.mode != COUPLED:
             raise BadParamError("coupled_boundary_update requires coupled mode")
-        if messages is None:
-            messages = self.compute_messages(state)
-        self._apply_coupled_boundary(state, pair, messages)
-        return state._linear(state.lam[pair])
+        return self._update_block(state, pair, messages)
 
     # ------------------------------------------------------------------
     # sweeps
 
     def sweep(self, state: SinkhornState, messages=None) -> tuple[float, float, float]:
-        """One full block pass: boundaries (or joint), then interior capacities.
+        """One pass over the blocks: sources (or joint pairs), interior nodes, sinks.
 
         Returns the iteration diagnostics (E0, ET, V): each constraint's L1
         violation measured from the model marginal seen just before its own
-        block update.  Gauss-Seidel refreshes messages before every block
-        (exact block coordinate ascent); a ``messages`` argument, when given,
-        is trusted to describe the incoming state and serves the first block.
-        Jacobi computes every new scaling from one message pass and assigns
-        them together.
+        block update.  Every block is projected from the backward messages
+        of the entering state and a forward frontier: the backward messages
+        at a block depend only on nodes that come later in the sweep, and
+        joint blocks, which come first, read the interior chains (they leave
+        Lambda out).  Gauss-Seidel assigns each new scaling at once, so every
+        block update is the exact projection (block coordinate ascent);
+        over a cyclic path family it refreshes the messages before every
+        block.  Jacobi assigns all new scalings together at the end, so
+        every block sees the entering state.  A ``messages`` argument is
+        trusted to describe the entering state and may be backward-only in
+        independent mode.
         """
-        if self.config.sweep == JACOBI:
-            if messages is None:
-                messages = self.compute_messages(state)
-            e0 = et = v = 0.0
-            new_u = {}
-            new_v = {}
-            new_lam = {}
-            new_w = {}
-            log = state.log_domain
-            if self.mode == COUPLED:
-                for pair in self.pairs:
-                    agg = self._pair_aggregate(state, messages, pair)
-                    e0 += float(np.abs(self._model_from(state.lam[pair], agg, log)
-                                       - self.joints[pair]).sum())
-                    new_lam[pair] = self._target_over_aggregate(
-                        self.joints[pair], agg, log, f"pair {pair}")
+        jacobi = self.config.sweep == JACOBI
+        refresh = not (jacobi or self._order_follows_paths)
+        totals = [0.0, 0.0, 0.0]
+        pending = []
+        for i, (block, slot) in enumerate(self._blocks):
+            if i == 0 or refresh:
+                if messages is None or i:
+                    messages = self.compute_messages(state, backward_only=True)
+                frontier = _Forward(self, state)
+            scaling, violation = self._project(
+                state, block, self._aggregate(state, block, messages, frontier))
+            totals[slot] += violation
+            if jacobi:
+                pending.append((block, scaling))
             else:
-                for node in self.source_order:
-                    agg = self._node_aggregate(state, messages, node)
-                    e0 += float(np.abs(self._model_from(state.u[node], agg, log)
-                                       - self.mu0[node]).sum())
-                    new_u[node] = self._target_over_aggregate(self.mu0[node], agg, log, node)
-                for node in self.sink_order:
-                    agg = self._node_aggregate(state, messages, node)
-                    et += float(np.abs(self._model_from(state.v[node], agg, log)
-                                       - self.muT[node]).sum())
-                    new_v[node] = self._target_over_aggregate(self.muT[node], agg, log, node)
-            for node in self.interior_order:
-                agg = self._node_aggregate(state, messages, node)
-                v += float(np.maximum(self._model_from(state.w[node], agg, log)
-                                      - self.caps[node], 0.0).sum())
-                new_w[node] = self._cap_over_aggregate(self.caps[node], agg, log)
-            state.u.update(new_u)
-            state.v.update(new_v)
-            state.lam.update(new_lam)
-            state.w.update(new_w)
-            return e0, et, v
-        if self._backward_only:
-            return self._fast_gauss_seidel_sweep(state, messages)
-        e0 = et = v = 0.0
-        if self.mode == COUPLED:
-            for pair in self.pairs:
-                e0 += self._apply_coupled_boundary(state, pair,
-                                                   messages or self.compute_messages(state))
-                messages = None
-        else:
-            for node in self.source_order:
-                e0 += self._apply_boundary(state, node, messages or self.compute_messages(state))
-                messages = None
-        for node in self.interior_order:
-            v += self._apply_capacity(state, node, messages or self.compute_messages(state))
-            messages = None
-        if self.mode == INDEPENDENT:
-            for node in self.sink_order:
-                et += self._apply_boundary(state, node, self.compute_messages(state))
-        return e0, et, v
-
-    def _fast_gauss_seidel_sweep(self, state: SinkhornState,
-                                 messages=None) -> tuple[float, float, float]:
-        """Exact Gauss-Seidel in one backward pass plus a forward frontier.
-
-        At each block, backward messages built from the incoming state are
-        still current (nodes after the block come later in the sweep), while
-        forward messages are extended lazily and therefore already include
-        every scaling updated earlier in the sweep.  This makes each block
-        update the exact constraint projection at a single message-pass cost;
-        ``messages`` may be backward-only.
-        """
-        if messages is None:
-            messages = self.compute_messages(state, backward_only=True)
-        bwd = messages.bwd
-        log = state.log_domain
-        n_paths = len(self.paths)
-        frontier = [0] * n_paths
-        fvec = [self._unit(log) for _ in range(n_paths)]
-
-        def advance(p_idx: int, pos: int) -> None:
-            path = self.paths[p_idx]
-            kernels = self.path_kernels[p_idx]
-            while frontier[p_idx] < pos:
-                l = frontier[p_idx]
-                s = self._scaling_at(state, path, l)
-                fvec[p_idx] = _forward_step(kernels[l], fvec[p_idx], s, log)
-                frontier[p_idx] += 1
-
-        def aggregate(node: str) -> np.ndarray:
-            acc = np.full(self.n_t, -np.inf) if log else np.zeros(self.n_t)
-            for p_idx, pos in self.positions[node]:
-                advance(p_idx, pos)
-                if log:
-                    acc = np.logaddexp(acc, fvec[p_idx] + bwd[p_idx][pos])
-                else:
-                    acc = acc + fvec[p_idx] * bwd[p_idx][pos]
-            return acc
-
-        e0 = et = v = 0.0
-        for node in self.source_order:
-            agg = aggregate(node)
-            e0 += float(np.abs(self._model_from(state.u[node], agg, log) - self.mu0[node]).sum())
-            state.u[node] = self._target_over_aggregate(self.mu0[node], agg, log, node)
-        for node in self.interior_order:
-            agg = aggregate(node)
-            v += float(np.maximum(self._model_from(state.w[node], agg, log)
-                                  - self.caps[node], 0.0).sum())
-            state.w[node] = self._cap_over_aggregate(self.caps[node], agg, log)
-        for node in self.sink_order:
-            agg = aggregate(node)
-            et += float(np.abs(self._model_from(state.v[node], agg, log) - self.muT[node]).sum())
-            state.v[node] = self._target_over_aggregate(self.muT[node], agg, log, node)
-        return e0, et, v
+                self._bank(state, block)[block] = scaling
+        for block, scaling in pending:
+            self._bank(state, block)[block] = scaling
+        return tuple(totals)
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -806,11 +689,10 @@ class PathSystem:
         s_prev = self._scaling_at(state, path, l - 1)
         s_next = self._scaling_at(state, path, l)
         kern = self.path_kernels[p_idx][l - 1]
+        f = messages.fwd[p_idx][l - 1]
+        b = messages.bwd[p_idx][l]
         if self.mode == COUPLED:
-            pair = (path.source, path.sink)
-            lam = state.lam[pair]
-            f = messages.fwd[p_idx][l - 1]
-            b = messages.bwd[p_idx][l]
+            lam = state.lam[(path.source, path.sink)]
             if state.log_domain:
                 g = _lse_matmul(lam, b.T)  # g[i, t]
                 left = logsumexp(f[:, :, None] + g[:, None, :], axis=0)  # left[s, t]
@@ -818,8 +700,6 @@ class PathSystem:
             g = np.einsum("ij,tj->it", lam, b, optimize=True)
             left = f.T @ g  # left[s, t]
             return left * s_prev[:, None] * kern.K * s_next[None, :]
-        f = messages.fwd[p_idx][l - 1]
-        b = messages.bwd[p_idx][l]
         if state.log_domain:
             with np.errstate(over="ignore"):
                 return np.exp((f + s_prev)[:, None] + kern.logK + (s_next + b)[None, :])
@@ -910,11 +790,9 @@ class _AndersonMixer:
         self.system = system
         n_src = len(system.source_order) * system.n_t
         self._w_block = slice(n_src, n_src + len(system.interior_order) * system.n_t)
-        targets = ([system.mu0[s] for s in system.source_order]
-                   + [np.where(np.isfinite(system.caps[n]), system.caps[n], 0.0)
-                      for n in system.interior_order]
-                   + [system.muT[s] for s in system.sink_order])
-        self._sqrt_mass = np.sqrt(np.concatenate(targets))
+        targets = np.concatenate([system.caps[b] if b in system.caps else system._targets[b]
+                                  for b, _ in system._blocks])
+        self._sqrt_mass = np.sqrt(np.where(np.isfinite(targets), targets, 0.0))
         self.reset()
 
     def reset(self) -> None:
@@ -923,11 +801,9 @@ class _AndersonMixer:
         self._live: np.ndarray | None = None
 
     def pack(self, state: SinkhornState) -> np.ndarray:
-        """The state's log-scalings, stacked as sources, interior nodes, sinks."""
+        """The state's log-scalings, stacked in sweep order: sources, interior nodes, sinks."""
         system = self.system
-        x = np.concatenate([state.u[s] for s in system.source_order]
-                           + [state.w[n] for n in system.interior_order]
-                           + [state.v[s] for s in system.sink_order])
+        x = np.concatenate([system._bank(state, b)[b] for b, _ in system._blocks])
         if state.log_domain:
             return x
         with np.errstate(divide="ignore"):
@@ -938,11 +814,10 @@ class _AndersonMixer:
         if not state.log_domain:
             with np.errstate(over="ignore"):
                 x = np.exp(x)
-        chunks = iter(np.split(x, len(x) // system.n_t))
-        return replace(state,
-                       u={s: next(chunks) for s in system.source_order},
-                       w={n: next(chunks) for n in system.interior_order},
-                       v={s: next(chunks) for s in system.sink_order})
+        trial = replace(state, u={}, w={}, v={})
+        for (block, _), chunk in zip(system._blocks, np.split(x, len(system._blocks))):
+            system._bank(trial, block)[block] = chunk
+        return trial
 
     def step(self, state: SinkhornState, x_prev: np.ndarray):
         """Mix after the plain sweep that took the log-scalings ``x_prev`` to ``state``.
@@ -975,7 +850,7 @@ class _AndersonMixer:
         # a live bin that overflows or underflows in the linear domain is not finite here
         if np.all(np.isfinite(self.pack(trial)[live])):
             with np.errstate(over="ignore", invalid="ignore"):
-                messages = system.compute_messages(trial, backward_only=system._backward_only)
+                messages = system.compute_messages(trial, backward_only=True)
                 value = system.dual_objective(trial, messages)
         if not value >= system._swept_dual_objective(state):
             self.reset()
@@ -997,14 +872,11 @@ def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None
     pos = path.nodes.index(node)
     if messages is None:
         messages = system.compute_messages(state)
-    if system.mode == COUPLED:
-        if pos in (0, path.n_p - 1):
-            raise BadParamError("boundary flux is a joint matrix in coupled mode")
-        term = system._coupled_interior_term(state, messages, path_index, pos)
-        return np.exp(term) if state.log_domain else term
-    if state.log_domain:
-        return np.exp(messages.fwd[path_index][pos] + messages.bwd[path_index][pos])
-    return messages.fwd[path_index][pos] * messages.bwd[path_index][pos]
+    if system.mode == COUPLED and pos in (0, path.n_p - 1):
+        raise BadParamError("boundary flux is a joint matrix in coupled mode")
+    term = system._path_term(state, path_index, messages.fwd[path_index][pos],
+                             messages.bwd[path_index][pos])
+    return np.exp(term) if state.log_domain else term
 
 
 def aggregate_marginals(state: SinkhornState, messages=None) -> ModelMarginals:
@@ -1071,7 +943,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
         # freeing them first lets the allocator hand the pages back and
         # fault them in again on every iteration
         if mixed_messages is None:
-            messages = system.compute_messages(state, backward_only=system._backward_only)
+            messages = system.compute_messages(state, backward_only=True)
         else:
             messages, mixed_messages = mixed_messages, None
         objs.append(system.dual_objective(state, messages))
@@ -1118,46 +990,24 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     shape = (n_t,) * path.n_p
     m = path.n_edges
     kernels = system.path_kernels[path_index]
-    svecs = [system._scaling_at(state, path, pos) for pos in range(m + 1)]
+    log = state.log_domain
+    combine = np.add if log else np.multiply
 
-    def axis_view(vec: np.ndarray, axis: int) -> np.ndarray:
+    def view(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
         s = [1] * path.n_p
-        s[axis] = n_t
-        return vec.reshape(s)
+        for axis in axes:
+            s[axis] = n_t
+        return arr.reshape(s)
 
-    def pair_view(mat: np.ndarray, axis: int) -> np.ndarray:
-        s = [1] * path.n_p
-        s[axis] = n_t
-        s[axis + 1] = n_t
-        return mat.reshape(s)
-
-    if state.log_domain:
-        logplan = np.zeros(shape)
-        for pos in range(m + 1):
-            logplan = logplan + axis_view(svecs[pos], pos)
-        for l in range(m):
-            logplan = logplan + pair_view(kernels[l].logK, l)
-        if system.mode == COUPLED:
-            pair = (path.source, path.sink)
-            lam = state.lam[pair]
-            s = [1] * path.n_p
-            s[0] = n_t
-            s[-1] = n_t
-            logplan = logplan + lam.reshape(s)
-        plan = np.exp(logplan)
-    else:
-        plan = np.ones(shape)
-        for pos in range(m + 1):
-            plan = plan * axis_view(svecs[pos], pos)
-        for l in range(m):
-            plan = plan * pair_view(kernels[l].K, l)
-        if system.mode == COUPLED:
-            pair = (path.source, path.sink)
-            lam = state.lam[pair]
-            s = [1] * path.n_p
-            s[0] = n_t
-            s[-1] = n_t
-            plan = plan * lam.reshape(s)
+    plan = np.zeros(shape) if log else np.ones(shape)
+    for pos in range(m + 1):
+        plan = combine(plan, view(system._scaling_at(state, path, pos), (pos,)))
+    for l in range(m):
+        plan = combine(plan, view(kernels[l].logK if log else kernels[l].K, (l, l + 1)))
+    if system.mode == COUPLED:
+        plan = combine(plan, view(state.lam[(path.source, path.sink)], (0, m)))
+    if log:
+        plan = np.exp(plan)
 
     flat = plan.ravel()
     total_mass = float(flat.sum())

@@ -125,6 +125,19 @@ class TestSolveCommand:
         assert main([command, str(p), "--output", str(tmp_path / "out")]) == 3
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [["--max-iter", "0"], ["--tol", "-1"]])
+    @pytest.mark.parametrize("command", ["solve", "extract-plan"])
+    def test_invalid_override_exit(self, command, override, tmp_path, capsys):
+        # overrides go through SolverConfig validation before anything is solved
+        p = tmp_path / "s61.json"
+        assert main(["scenario", "61", "--emit", str(p)]) == 0
+        capsys.readouterr()
+        outdir = tmp_path / "out"
+        assert main([command, str(p), "--output", str(outdir), *override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and override[0][2:].replace("-", "_") in err
+        assert not outdir.exists()
+
     def test_check_properties_flag(self, tmp_path, capsys):
         data = dict(TINY)
         data["expected_properties"] = [

@@ -352,35 +352,40 @@ class TestSolve:
                 assert now >= last - 1e-9
                 last = now
 
-    def test_jacobi_updates_from_one_message_pass(self, grid10):
+    @pytest.mark.parametrize("mode", ["independent", "coupled"])
+    def test_jacobi_updates_from_one_message_pass(self, grid10, mode):
         # every jacobi block must be computed from the same incoming state
         rng = np.random.default_rng(8)
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(10, 0.3)})
         cfg = SolverConfig(epsilon=0.4, sweep="jacobi", log_domain=False)
-        system = PathSystem(net, [path], config=cfg)
+        joint = np.outer(mu0, muT) * np.triu(np.ones((10, 10)), 3)
+        joint /= joint.sum()
+        joints = {("n0", "n2"): JointMeasure(grid10, joint)} if mode == "coupled" else None
+        system = PathSystem(net, [path], mode=mode, config=cfg, joints=joints)
         state = system.initial_state()
         for _ in range(3):
             system.sweep(state)
         # expected scalings: per-block projections all measured on a frozen copy
         frozen = system.initial_state()
-        frozen.u = {k: v.copy() for k, v in state.u.items()}
-        frozen.v = {k: v.copy() for k, v in state.v.items()}
-        frozen.w = {k: v.copy() for k, v in state.w.items()}
+        for bank in ("u", "v", "w", "lam"):
+            setattr(frozen, bank, {k: v.copy() for k, v in getattr(state, bank).items()})
         msgs = system.compute_messages(frozen)
+        targets = {"n0": mu0, "n2": muT, ("n0", "n2"): joint}
         expect = {}
-        for node, kind in (("n0", "b"), ("n1", "c"), ("n2", "b")):
-            agg = system._node_aggregate(frozen, msgs, node)
-            if kind == "b":
-                target = mu0 if node == "n0" else muT
-                expect[node] = system._target_over_aggregate(target, agg, False, node)
+        for block in [*frozen.u, *frozen.v, *frozen.lam, *frozen.w]:
+            agg = system._aggregate(frozen, block, msgs)
+            if block == "n1":
+                expect[block] = system._cap_over_aggregate(system.caps[block], agg, False)
             else:
-                expect[node] = system._cap_over_aggregate(system.caps[node], agg, False)
+                expect[block] = system._target_over_aggregate(targets[block], agg, False,
+                                                              str(block))
+        assert len(expect) == (3 if mode == "independent" else 2)
         system.sweep(state)
-        assert np.allclose(state.u["n0"], expect["n0"], rtol=0, atol=0)
-        assert np.allclose(state.w["n1"], expect["n1"], rtol=0, atol=0)
-        assert np.allclose(state.v["n2"], expect["n2"], rtol=0, atol=0)
+        for bank in (state.u, state.v, state.lam, state.w):
+            for block, scaling in bank.items():
+                assert np.allclose(scaling, expect[block], rtol=0, atol=0)
 
     def test_jacobi_carries_no_guarantee_but_reports_honestly(self, grid10):
         # simultaneous boundary updates settle into a gauge-mismatched cycle;
@@ -696,22 +701,8 @@ class TestSharedNodeNetwork:
         # split/merge topology at small size: shared nodes see the sum
         rng = np.random.default_rng(17)
         mu0, muT = ordered_random_pair(grid16, rng, 5)
-        nodes = ("v0", "v1", "v2", "v3", "v4", "v5", "v6", "vT")
-        edges = {("v0", "v1"): 1.0, ("v0", "v2"): 1.0,
-                 ("v1", "v3"): 1.0, ("v2", "v3"): 1.0,
-                 ("v3", "v4"): 1.0,
-                 ("v4", "v5"): 1.0, ("v4", "v6"): 1.0,
-                 ("v5", "vT"): 1.0, ("v6", "vT"): 1.0}
         cap = np.full(16, 0.15)
-        net = TransportNetwork(
-            grid=grid16, nodes=nodes, edges=edges,
-            sources={"v0": Measure(grid16, mu0)},
-            sinks={"vT": Measure(grid16, muT)},
-            capacities={v: CapacityProfile(grid16, cap) for v in
-                        ("v1", "v2", "v3", "v4", "v5", "v6")})
-        paths = [Path(("v0", "v2", "v3", "v4", "v6", "vT")),
-                 Path(("v0", "v1", "v3", "v4", "v5", "vT")),
-                 Path(("v0", "v2", "v3", "v4", "v5", "vT"))]
+        net, paths = _three_route_network(grid16, mu0, muT, cap)
         cfg = SolverConfig(epsilon=0.3, tol=1e-9, max_iter=6000, log_domain=True)
         state, report = solve(net, paths, config=cfg)
         assert report.converged
@@ -726,3 +717,138 @@ class TestSharedNodeNetwork:
         assert np.max(mm.m["v4"] - cap) <= 1e-8
         delivered = mm.m["vT"].sum()
         assert delivered == pytest.approx(1.0, abs=1e-8)
+
+
+def _pinning_instance(kind, grid, log_domain):
+    """Small instance of each sweep shape, as (system, mode)."""
+    rng = np.random.default_rng(51)
+    cfg = SolverConfig(epsilon=0.3, log_domain=log_domain)
+    if kind == "line":
+        mu0, muT = ordered_random_pair(grid, rng, 3)
+        caps = {"n1": np.full(grid.n_t, 0.2), "n2": np.full(grid.n_t, 0.18)}
+        net, path = make_line_net(grid, [1.0, 0.7, 1.2], mu0, muT, caps=caps)
+        return PathSystem(net, [path], config=cfg)
+    if kind == "shared":
+        mu0, muT = ordered_random_pair(grid, rng, 5)
+        net, paths = _three_route_network(grid, mu0, muT, np.full(grid.n_t, 0.15))
+        return PathSystem(net, paths, config=cfg)
+    if kind == "cyclic":
+        net, paths = _cyclic_family(grid, rng)
+        return PathSystem(net, paths, config=cfg)
+    joint = np.zeros((grid.n_t, grid.n_t))
+    for i in range(grid.n_t - 4):
+        joint[i, i + 4:] = rng.uniform(0.1, 1.0, grid.n_t - 4 - i)
+    joint /= joint.sum()
+    cap = CapacityProfile(grid, np.full(grid.n_t, 0.12))
+    net = TransportNetwork(
+        grid=grid, nodes=("s", "a", "b", "t"),
+        edges={("s", "a"): 1.0, ("a", "t"): 1.0, ("s", "b"): 1.2, ("b", "t"): 1.2},
+        sources={"s": Measure(grid, joint.sum(axis=1))},
+        sinks={"t": Measure(grid, joint.sum(axis=0))},
+        capacities={"a": cap, "b": cap})
+    return PathSystem(net, [Path(("s", "a", "t")), Path(("s", "b", "t"))], mode="coupled",
+                      config=cfg, joints={("s", "t"): JointMeasure(grid, joint)})
+
+
+def _three_route_network(grid, mu0, muT, cap):
+    """Split/merge topology: three routes share v3 and v4; all interior nodes capped."""
+    nodes = ("v0", "v1", "v2", "v3", "v4", "v5", "v6", "vT")
+    edges = {("v0", "v1"): 1.0, ("v0", "v2"): 1.0,
+             ("v1", "v3"): 1.0, ("v2", "v3"): 1.0,
+             ("v3", "v4"): 1.0,
+             ("v4", "v5"): 1.0, ("v4", "v6"): 1.0,
+             ("v5", "vT"): 1.0, ("v6", "vT"): 1.0}
+    net = TransportNetwork(
+        grid=grid, nodes=nodes, edges=edges,
+        sources={"v0": Measure(grid, mu0)},
+        sinks={"vT": Measure(grid, muT)},
+        capacities={v: CapacityProfile(grid, cap) for v in
+                    ("v1", "v2", "v3", "v4", "v5", "v6")})
+    paths = [Path(("v0", "v2", "v3", "v4", "v6", "vT")),
+             Path(("v0", "v1", "v3", "v4", "v5", "vT")),
+             Path(("v0", "v2", "v3", "v4", "v5", "vT"))]
+    return net, paths
+
+
+def _cyclic_family(grid, rng):
+    """Two routes that cross a and b in opposite orders, both capped: no path-compatible order."""
+    mu0, muT = ordered_random_pair(grid, rng, 3)
+    cap = CapacityProfile(grid, np.full(grid.n_t, 0.12))
+    net = TransportNetwork(
+        grid=grid, nodes=("s", "a", "b", "t"),
+        edges={("s", "a"): 1.0, ("a", "b"): 1.0, ("b", "t"): 1.0,
+               ("s", "b"): 1.0, ("b", "a"): 1.0, ("a", "t"): 1.0},
+        sources={"s": Measure(grid, mu0)}, sinks={"t": Measure(grid, muT)},
+        capacities={"a": cap, "b": cap})
+    return net, [Path(("s", "a", "b", "t")), Path(("s", "b", "a", "t"))]
+
+
+def _count_message_passes(monkeypatch):
+    """Record the keyword arguments of every ``PathSystem.compute_messages`` call."""
+    calls = []
+    compute_messages = PathSystem.compute_messages
+
+    def counted(self, state, **kwargs):
+        calls.append(kwargs)
+        return compute_messages(self, state, **kwargs)
+
+    monkeypatch.setattr(PathSystem, "compute_messages", counted)
+    return calls
+
+
+class TestSweepPinning:
+    @pytest.mark.parametrize("log_domain", [False, True])
+    @pytest.mark.parametrize("kind", ["line", "shared", "cyclic", "coupled"])
+    def test_sweep_is_exact_gauss_seidel(self, grid16, kind, log_domain):
+        # a sweep is, bit for bit, the public block updates in sweep order,
+        # each of them computed from full messages of the current state
+        system = _pinning_instance(kind, grid16, log_domain)
+        swept = system.initial_state()
+        blocks = system.initial_state()
+        for _ in range(5):
+            system.sweep(swept)
+            if system.mode == "coupled":
+                for pair in system.pairs:
+                    coupled_boundary_update(blocks, pair)
+            else:
+                for node in system.source_order:
+                    boundary_update(blocks, node)
+            for node in system.interior_order:
+                capacity_update(blocks, node)
+            if system.mode == "independent":
+                for node in system.sink_order:
+                    boundary_update(blocks, node)
+        for bank in ("u", "v", "w", "lam"):
+            ours, ref = getattr(swept, bank), getattr(blocks, bank)
+            assert ours.keys() == ref.keys()
+            for key in ours:
+                assert np.array_equal(ours[key], ref[key])
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_coupled_solve_one_message_pass_per_sweep(self, grid16, log_domain, monkeypatch):
+        system = _pinning_instance("coupled", grid16, log_domain)
+        assert len(system.interior_order) == 2
+        calls = _count_message_passes(monkeypatch)
+        cfg = replace(system.config, **fixed_sweeps(20))
+        joints = {pair: JointMeasure(grid16, mass) for pair, mass in system.joints.items()}
+        _, report = solve(system.net, system.paths, mode="coupled", config=cfg, joints=joints)
+        assert report.iterations == 20
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_cyclic_family_converges(self, grid16, log_domain, monkeypatch):
+        # the cyclic family has no path-compatible order, so its sweeps
+        # refresh the messages before every block
+        net, paths = _cyclic_family(grid16, np.random.default_rng(51))
+        cfg = SolverConfig(epsilon=0.3, tol=1e-9, max_iter=3000, log_domain=log_domain)
+        system = PathSystem(net, paths, config=cfg)
+        calls = _count_message_passes(monkeypatch)
+        system.sweep(system.initial_state())
+        monkeypatch.undo()
+        assert len(calls) == len(system.source_order + system.interior_order
+                                 + system.sink_order) == 4
+        state, report = solve(net, paths, config=cfg)
+        assert report.converged
+        assert np.all(np.diff(report.objective) >= -1e-9)
+        mm = aggregate_marginals(state)
+        assert max(np.max(mm.m[n] - 0.12) for n in ("a", "b")) <= 1e-9
