@@ -10,6 +10,7 @@ diverges as the gap closes, so the limit is zero mass).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,14 +32,20 @@ class PairKernel:
 
     ``K[s, t] = exp(-w / (eps * (t_t - t_s)))`` for index ``t > s`` and 0
     elsewhere; ``logK`` holds the exponent with -inf on and below the
-    diagonal.
+    diagonal.  ``K`` is built from ``logK`` on first use, so a log-domain
+    solve never holds it.
     """
 
     grid: TimeGrid
     w: float
     epsilon: float
-    K: np.ndarray
     logK: np.ndarray
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        k = np.exp(self.logK)
+        k.flags.writeable = False
+        return k
 
 
 def build_pair_kernel(grid: TimeGrid, w: float, epsilon: float) -> PairKernel:
@@ -51,11 +58,8 @@ def build_pair_kernel(grid: TimeGrid, w: float, epsilon: float) -> PairKernel:
     logk = np.full((grid.n_t, grid.n_t), -np.inf)
     upper = gap > 0
     logk[upper] = -w / (epsilon * gap[upper])
-    k = np.zeros_like(logk)
-    k[upper] = np.exp(logk[upper])
-    k.flags.writeable = False
     logk.flags.writeable = False
-    return PairKernel(grid=grid, w=w, epsilon=epsilon, K=k, logK=logk)
+    return PairKernel(grid=grid, w=w, epsilon=epsilon, logK=logk)
 
 
 def path_cost(weights, times) -> float:

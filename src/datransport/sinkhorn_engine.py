@@ -10,8 +10,11 @@ that excludes the block's own scaling (so the constraint holds to
 round-off immediately after the update).
 
 Message passing runs either in the linear domain (plain mat-vec products)
-or the log domain (log-sum-exp on one working array per step), selected by
-config or by the underflow heuristic in :mod:`datransport.kernels`.
+or the log domain, selected by config or by the underflow heuristic in
+:mod:`datransport.kernels`.  A log-domain vector step is a BLAS mat-vec on
+a cached kernel with its last input absorbed (``_AbsorbedStep``); it pays
+a full log-sum-exp only when it re-absorbs, after its input drifted more
+than ``ABSORB_BAND`` or a bin died or revived.
 
 A sweep is one loop over the blocks in sweep order, each projected from
 the backward messages of the sweep's entering state and a forward frontier
@@ -48,6 +51,13 @@ COUPLED = "coupled"
 # sweeps before the first mixing step, and past iterates kept for mixing.
 ANDERSON_WARMUP = 100
 ANDERSON_MEMORY = 5
+
+# A cached log-domain message step serves inputs within this many log units
+# of its absorption point on every live bin (see ``_AbsorbedStep``).
+ABSORB_BAND = 50.0
+
+# Elements of the n_t**3 temporary that ``_lse_matmul`` reduces at a time.
+_LSE_MATMUL_BLOCK = 1 << 20
 
 
 @dataclass
@@ -178,7 +188,10 @@ class PlanCells:
 
 
 def _lse_reduce(a: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp along one axis of a 2-D array, overwriting ``a``; -inf slices stay -inf."""
+    """Log-sum-exp along one axis of a 2-D array; -inf slices stay -inf.
+
+    ``a`` is left holding exp(a - max) per slice, with max = 0 on -inf slices.
+    """
     amax = np.max(a, axis=axis, keepdims=True)
     amax[~np.isfinite(amax)] = 0.0
     a -= amax
@@ -187,36 +200,110 @@ def _lse_reduce(a: np.ndarray, axis: int) -> np.ndarray:
         return np.log(a.sum(axis=axis)) + amax.squeeze(axis)
 
 
-def _lse_cols(logk: np.ndarray, lv: np.ndarray) -> np.ndarray:
-    """out[t] = LSE_s(logk[s, t] + lv[s])."""
-    return _lse_reduce(logk + lv[:, None], axis=0)
+def _lse_cols(logk: np.ndarray, lv: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """out[t] = LSE_s(logk[s, t] + lv[s]), in ``work`` when given."""
+    return _lse_reduce(np.add(logk, lv[:, None], out=work), axis=0)
 
 
-def _lse_rows(logk: np.ndarray, lv: np.ndarray) -> np.ndarray:
-    """out[s] = LSE_t(logk[s, t] + lv[t])."""
-    return _lse_reduce(logk + lv[None, :], axis=1)
+def _lse_rows(logk: np.ndarray, lv: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+    """out[s] = LSE_t(logk[s, t] + lv[t]), in ``work`` when given."""
+    return _lse_reduce(np.add(logk, lv[None, :], out=work), axis=1)
 
 
 def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i, j] = LSE_k(a[i, k] + b[k, j])."""
-    return logsumexp(a[:, :, None] + b[None, :, :], axis=1)
+    """out[i, j] = LSE_k(a[i, k] + b[k, j]), a block of rows at a time.
+
+    Each block's temporary holds at most about ``_LSE_MATMUL_BLOCK``
+    elements; every output element is reduced exactly as in one call.
+    """
+    rows = max(1, _LSE_MATMUL_BLOCK // (a.shape[1] * b.shape[1]))
+    out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        out[i:i + rows] = logsumexp(a[i:i + rows, :, None] + b[None, :, :], axis=1)
+    return out
 
 
-def _forward_step(kern: PairKernel, f: np.ndarray, s: np.ndarray, log_domain: bool) -> np.ndarray:
-    """Forward message across one edge from message ``f`` and scaling ``s`` at its tail."""
+class _AbsorbedStep:
+    """One log-domain message step across one edge, in one direction.
+
+    ``axis`` 0 is the forward step, out[t] = LSE_s(logK[s, t] + x[s]); axis
+    1 the backward one, out[s] = LSE_t(logK[s, t] + x[t]).  The input x is
+    a message plus a scaling, in log units.
+
+    Absorbing x as r runs the plain log-sum-exp in place in the persistent
+    buffer ``kt`` and returns its output unchanged.  It then scales every
+    reduced slice of ``kt`` to sum 1 and keeps the output as the offsets
+    ``c`` (-inf on all--inf slices, which stay -inf).  A later input with
+    exactly r's dead (-inf) bins and within ``ABSORB_BAND`` of r on the
+    live ones is served by one mat-vec, c + log(kt.T @ exp(x - r)) (``kt @``
+    backward).  Each live slice then sums to between exp(-band) and
+    exp(band), so the entries that underflowed in ``kt`` weigh nothing
+    against it and the step matches the log-sum-exp to round-off
+    (Schmitzer, SIAM J. Sci. Comput. 2019).  Any other input re-absorbs.
+    A bin that dies must re-absorb too: the slices it dominated may keep
+    nothing but underflowed entries.
+    """
+
+    def __init__(self, logk: np.ndarray, axis: int):
+        self.logk = logk
+        self.axis = axis
+        self.kt: np.ndarray | None = None
+        self.r: np.ndarray | None = None  # absorbed input, 0 on dead bins; None re-absorbs
+        self.dead: np.ndarray | None = None
+        self.c: np.ndarray | None = None
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        dead = x == -np.inf
+        if self.r is not None and (dead == self.dead).all():
+            d = x - self.r  # -inf on dead bins; NaN fails both tests
+            if d.max() <= ABSORB_BAND and np.where(dead, 0.0, d).min() >= -ABSORB_BAND:
+                np.exp(d, out=d)
+                y = self.kt.T @ d if self.axis == 0 else self.kt @ d
+                with np.errstate(divide="ignore"):
+                    return self.c + np.log(y)
+        return self._absorb(x, dead)
+
+    def _absorb(self, x: np.ndarray, dead: np.ndarray) -> np.ndarray:
+        if self.kt is None:
+            self.kt = np.empty_like(self.logk)
+        out = (_lse_cols if self.axis == 0 else _lse_rows)(self.logk, x, self.kt)
+        total = self.kt.sum(axis=self.axis)
+        scale = np.where(total > 0, total, 1.0)  # all--inf slices stay 0
+        self.kt /= scale[None, :] if self.axis == 0 else scale[:, None]
+        # subnormal entries weigh nothing against a slice of sum 1, but slow
+        # the mat-vec down many times over
+        self.kt[self.kt < np.finfo(float).tiny] = 0.0
+        self.c = out
+        r = np.where(dead, 0.0, x)
+        # a NaN or +inf input is never served from the cache
+        self.r = r if np.all(np.isfinite(r)) else None
+        self.dead = dead
+        return out
+
+
+def _forward_step(kern: PairKernel, f: np.ndarray, s: np.ndarray, log_domain: bool,
+                  absorbed: _AbsorbedStep) -> np.ndarray:
+    """Forward message across one edge from message ``f`` and scaling ``s`` at its tail.
+
+    ``absorbed`` is the edge's forward step; it serves the log-domain vector case.
+    """
     if f.ndim == 2:  # coupled: one row per departure bin
         return _lse_matmul(f + s[None, :], kern.logK) if log_domain else (f * s[None, :]) @ kern.K
     if log_domain:
-        return _lse_cols(kern.logK, f + s)
+        return absorbed(f + s)
     return kern.K.T @ (f * s)
 
 
-def _backward_step(kern: PairKernel, b: np.ndarray, s: np.ndarray, log_domain: bool) -> np.ndarray:
-    """Backward message across one edge from message ``b`` and scaling ``s`` at its head."""
+def _backward_step(kern: PairKernel, b: np.ndarray, s: np.ndarray, log_domain: bool,
+                   absorbed: _AbsorbedStep) -> np.ndarray:
+    """Backward message across one edge from message ``b`` and scaling ``s`` at its head.
+
+    ``absorbed`` is the edge's backward step; it serves the log-domain vector case.
+    """
     if b.ndim == 2:  # coupled: one column per arrival bin
         return _lse_matmul(kern.logK + s[None, :], b) if log_domain else (kern.K * s[None, :]) @ b
     if log_domain:
-        return _lse_rows(kern.logK, b + s)
+        return absorbed(b + s)
     return kern.K @ (b * s)
 
 
@@ -233,16 +320,23 @@ class _Forward:
     def __init__(self, system: "PathSystem", state: SinkhornState):
         self.system = system
         self.state = state
-        self.fwd = [[system._start(state.log_domain)] for _ in system.paths]
+        log = state.log_domain
+        if system.mode == COUPLED:
+            # the source scaling is neutral: the first step is the kernel itself
+            self.fwd = [[system._start(log), system._kernel(kernels[0], log)]
+                        for kernels in system.path_kernels]
+        else:
+            self.fwd = [[system._start(log)] for _ in system.paths]
 
     def __call__(self, p_idx: int, pos: int) -> np.ndarray:
         f = self.fwd[p_idx]
         path = self.system.paths[p_idx]
         kernels = self.system.path_kernels[p_idx]
+        steps = self.system._steps[p_idx]
         while len(f) <= pos:
             l = len(f) - 1
             s = self.system._scaling_at(self.state, path, l)
-            f.append(_forward_step(kernels[l], f[l], s, self.state.log_domain))
+            f.append(_forward_step(kernels[l], f[l], s, self.state.log_domain, steps[l][0]))
         return f[pos]
 
 
@@ -323,6 +417,7 @@ class PathSystem:
 
         self.epsilon = config.epsilon
         self._kernel_cache: dict[float, PairKernel] = {}
+        self._cost_mats: dict[float, np.ndarray] = {}  # built by transport_cost
         self._rebuild_kernels()
 
     def _interior_topo_order(self) -> tuple[list[str], bool]:
@@ -368,20 +463,27 @@ class PathSystem:
 
     def _rebuild_kernels(self) -> None:
         self._kernel_cache = {}
-        t = self.grid.centers
-        gap = t[None, :] - t[:, None]
-        ok = gap > 0
-        self._cost_mats: dict[float, np.ndarray] = {}
         for weights in self.path_weights:
             for w in weights:
                 key = float(w)
                 if key not in self._kernel_cache:
                     self._kernel_cache[key] = build_pair_kernel(self.grid, key, self.epsilon)
-                    cost_mat = np.zeros_like(gap)
-                    cost_mat[ok] = key / gap[ok]
-                    self._cost_mats[key] = cost_mat
         self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
                              for weights in self.path_weights]
+        # log-domain vector steps per path and edge: (forward, backward)
+        self._steps = [[(_AbsorbedStep(k.logK, 0), _AbsorbedStep(k.logK, 1)) for k in kernels]
+                       for kernels in self.path_kernels]
+
+    def _cost_mat(self, w: float) -> np.ndarray:
+        """Transit cost w / (t - s) of one edge weight on the grid, 0 where t <= s."""
+        if w not in self._cost_mats:
+            t = self.grid.centers
+            gap = t[None, :] - t[:, None]
+            ok = gap > 0
+            cost_mat = np.zeros_like(gap)
+            cost_mat[ok] = w / gap[ok]
+            self._cost_mats[w] = cost_mat
+        return self._cost_mats[w]
 
     def set_epsilon(self, epsilon: float, state: SinkhornState | None = None) -> None:
         """Change the regularization, keeping dual variables (warm start)."""
@@ -445,9 +547,14 @@ class PathSystem:
         for p_idx, path in enumerate(self.paths):
             kernels = self.path_kernels[p_idx]
             b = [self._start(log)] * path.n_p
-            for l in range(path.n_edges - 1, -1, -1):
+            last = path.n_edges - 1
+            if self.mode == COUPLED:
+                # the sink scaling is neutral: the last step is the kernel itself
+                b[last] = self._kernel(kernels[last], log)
+                last -= 1
+            for l in range(last, -1, -1):
                 s = self._scaling_at(state, path, l + 1)
-                b[l] = _backward_step(kernels[l], b[l + 1], s, log)
+                b[l] = _backward_step(kernels[l], b[l + 1], s, log, self._steps[p_idx][l][1])
             bwd.append(b)
         if backward_only and self.mode == INDEPENDENT:
             return ChainMessages(fwd=_NoForward(), bwd=bwd, log_domain=log)
@@ -459,6 +566,11 @@ class PathSystem:
     def _unit(self, log_domain: bool) -> np.ndarray:
         """Neutral scaling vector of the active domain."""
         return np.zeros(self.n_t) if log_domain else np.ones(self.n_t)
+
+    @staticmethod
+    def _kernel(kern: PairKernel, log_domain: bool) -> np.ndarray:
+        """The edge's kernel matrix in the active domain."""
+        return kern.logK if log_domain else kern.K
 
     def _start(self, log_domain: bool) -> np.ndarray:
         """Neutral message: a unit vector, or in coupled mode the identity on boundary bins."""
@@ -482,7 +594,7 @@ class PathSystem:
         if state.log_domain:
             # g[i, t] = LSE_j(lam[i, j] + b[t, j]); out[t] = LSE_i(f[i, t] + g[i, t])
             return logsumexp(f + _lse_matmul(lam, b.T), axis=0)
-        return np.einsum("ij,it,tj->t", lam, f, b, optimize=True)
+        return (f * (lam @ b.T)).sum(axis=0)
 
     def _aggregate(self, state: SinkhornState, block, messages: ChainMessages,
                    frontier: _Forward | None = None) -> np.ndarray:
@@ -697,7 +809,7 @@ class PathSystem:
                 g = _lse_matmul(lam, b.T)  # g[i, t]
                 left = logsumexp(f[:, :, None] + g[:, None, :], axis=0)  # left[s, t]
                 return np.exp(left + s_prev[:, None] + kern.logK + s_next[None, :])
-            g = np.einsum("ij,tj->it", lam, b, optimize=True)
+            g = lam @ b.T
             left = f.T @ g  # left[s, t]
             return left * s_prev[:, None] * kern.K * s_next[None, :]
         if state.log_domain:
@@ -717,7 +829,7 @@ class PathSystem:
         for p_idx, path in enumerate(self.paths):
             for l in range(1, path.n_p):
                 pm = self._edge_pair_marginal(state, messages, p_idx, l)
-                cost_mat = self._cost_mats[float(self.path_weights[p_idx][l - 1])]
+                cost_mat = self._cost_mat(float(self.path_weights[p_idx][l - 1]))
                 total += float((pm * cost_mat).sum())
         return total
 
@@ -1003,7 +1115,7 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     for pos in range(m + 1):
         plan = combine(plan, view(system._scaling_at(state, path, pos), (pos,)))
     for l in range(m):
-        plan = combine(plan, view(kernels[l].logK if log else kernels[l].K, (l, l + 1)))
+        plan = combine(plan, view(system._kernel(kernels[l], log), (l, l + 1)))
     if system.mode == COUPLED:
         plan = combine(plan, view(state.lam[(path.source, path.sink)], (0, m)))
     if log:

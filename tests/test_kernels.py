@@ -46,6 +46,16 @@ class TestPairKernel:
         assert np.all(k.K[np.triu_indices(8, 1)] > 0)
         assert np.all(k.K[np.triu_indices(8, 1)] <= 1.0)
 
+    def test_linear_kernel_built_on_first_use(self):
+        k = build_pair_kernel(TimeGrid(t_f=1.0, n_t=50), 1.3, 0.07)
+        assert "K" not in vars(k)
+        upper = np.isfinite(k.logK)
+        ref = np.zeros_like(k.logK)
+        ref[upper] = np.exp(k.logK[upper])
+        assert k.K.tobytes() == ref.tobytes()
+        assert k.K is k.K
+        assert not k.K.flags.writeable and not k.logK.flags.writeable
+
     def test_bad_params(self, grid8):
         with pytest.raises(BadParamError):
             build_pair_kernel(grid8, 1.0, 0.0)

@@ -24,6 +24,7 @@ from datransport import (
     flux_profile,
     solve,
 )
+from datransport import sinkhorn_engine
 from datransport.errors import (
     BadParamError,
     NonFiniteError,
@@ -34,10 +35,15 @@ from datransport.kernels import build_pair_kernel
 from datransport.reference_oracle import dense_coupled_sinkhorn
 from datransport.scenarios import scenario_61
 from datransport.sinkhorn_engine import (
+    ABSORB_BAND,
     ANDERSON_WARMUP,
     PathSystem,
     SolverConfig,
+    _AbsorbedStep,
+    _backward_step,
+    _forward_step,
     _lse_cols,
+    _lse_matmul,
     _lse_rows,
 )
 
@@ -74,6 +80,138 @@ class TestLogSumExp:
             assert np.max(np.abs(ours[~dead] - ref[~dead])) <= 1e-13
             assert dead.any() == (case != "finite")
         assert np.array_equal(logk, kept)
+
+    def test_matmul_blocks_match_one_reduction(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        a = rng.normal(scale=4.0, size=(7, 13))
+        b = rng.normal(scale=4.0, size=(13, 11))
+        a[rng.random(a.shape) < 0.3] = -np.inf
+        b[rng.random(b.shape) < 0.3] = -np.inf
+        a[2, :] = -np.inf
+        b[:, 4] = -np.inf
+        ref = logsumexp(a[:, :, None] + b[None, :, :], axis=1)
+        assert np.isneginf(ref).any() and np.isfinite(ref).any()
+        # 3 rows per block: blocks of 3, 3 and 1 rows, then one block
+        for block in (3 * 13 * 11, 2 ** 20):
+            monkeypatch.setattr(sinkhorn_engine, "_LSE_MATMUL_BLOCK", block)
+            assert np.array_equal(_lse_matmul(a, b), ref)
+
+
+def _absorbed_reference(logk, x, axis):
+    return logsumexp(logk + (x[:, None] if axis == 0 else x[None, :]), axis=axis)
+
+
+def _count_absorptions(monkeypatch):
+    """Count ``_AbsorbedStep`` calls and the absorptions among them: [calls, absorptions]."""
+    counts = [0, 0]
+    call, absorb = _AbsorbedStep.__call__, _AbsorbedStep._absorb
+
+    def counted_call(self, x):
+        counts[0] += 1
+        return call(self, x)
+
+    def counted_absorb(self, x, dead):
+        counts[1] += 1
+        return absorb(self, x, dead)
+
+    monkeypatch.setattr(_AbsorbedStep, "__call__", counted_call)
+    monkeypatch.setattr(_AbsorbedStep, "_absorb", counted_absorb)
+    return counts
+
+
+class TestAbsorbedStep:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_scipy(self, axis, monkeypatch):
+        # random walks of the input: drift up to the band, bins dying and
+        # bins reviving; the kernel at epsilon 0.01 spans thousands of log
+        # units, so most of it underflows in the absorbed buffer
+        rng = np.random.default_rng(41)
+        n = 40
+        logk = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.01).logK
+        counts = _count_absorptions(monkeypatch)
+        step = _AbsorbedStep(logk, axis)
+        x = rng.normal(scale=20.0, size=n)
+        x[rng.random(n) < 0.1] = -np.inf
+        changed = {"died": 0, "revived": 0}
+        for _ in range(600):
+            u, i = rng.random(), rng.integers(n)
+            if u < 0.05 and np.isfinite(x[i]):
+                x[i] = -np.inf
+                changed["died"] += 1
+            elif u < 0.1 and np.isneginf(x[i]):
+                x[i] = rng.normal(scale=20.0)
+                changed["revived"] += 1
+            live = np.isfinite(x)
+            x[live] += rng.uniform(-1.0, 1.0, live.sum()) * rng.uniform(0.0, 0.3 * ABSORB_BAND)
+            ours = step(x.copy())
+            ref = _absorbed_reference(logk, x, axis)
+            dead = np.isneginf(ref)
+            assert np.array_equal(np.isneginf(ours), dead)
+            err = np.abs(ours[~dead] - ref[~dead])
+            assert np.all(err <= 1e-13 * np.maximum(np.abs(ref[~dead]), 1.0))
+        assert min(changed.values()) >= 5
+        # most calls are served from the cache, and some re-absorb
+        assert 0 < counts[1] < counts[0] / 2
+
+    def test_band_edge_is_served(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        n = 24
+        logk = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.02).logK
+        counts = _count_absorptions(monkeypatch)
+        step = _AbsorbedStep(logk, 0)
+        x = rng.normal(scale=5.0, size=n)
+        step(x)
+        # every live bin drifts to just inside the band, then just past it
+        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        ours = step(x + sign * (ABSORB_BAND - 1e-9))
+        assert counts == [2, 1]
+        ref = _absorbed_reference(logk, x + sign * (ABSORB_BAND - 1e-9), 0)
+        dead = np.isneginf(ref)
+        assert np.array_equal(np.isneginf(ours), dead)
+        err = np.abs(ours[~dead] - ref[~dead])
+        assert np.all(err <= 1e-13 * np.maximum(np.abs(ref[~dead]), 1.0))
+        step(x + sign * (ABSORB_BAND + 1e-9))
+        assert counts == [3, 2]
+
+    def test_dying_bins_reabsorb(self):
+        # live bins 20-25 feed column 26; bin 20's entry dominates it and
+        # bin 25's underflows in the absorbed buffer, so once bins 20-24
+        # die, column 26 is exact only after re-absorbing
+        n = 32
+        logk = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.01).logK
+        step = _AbsorbedStep(logk, 0)
+        x = np.full(n, -np.inf)
+        x[20:26] = 0.0
+        step(x)
+        assert step.kt[25, 26] == 0.0
+        x[20:25] = -np.inf
+        ours = step(x)
+        ref = _absorbed_reference(logk, x, 0)
+        assert np.isfinite(ours[26])
+        assert ours[26] == pytest.approx(ref[26], rel=1e-13)
+        assert ours[26] < -1000.0
+
+    def test_log_domain_builds_no_linear_matrices(self, grid16):
+        # linear kernels and cost matrices are built on first use only
+        system = _pinning_instance("shared", grid16, True)
+        state, _ = solve(system.net, system.paths, config=replace(system.config,
+                                                                  **fixed_sweeps(5)))
+        aggregate_marginals(state)
+        system = state.system
+        assert not any("K" in vars(k) for k in system._kernel_cache.values())
+        assert not system._cost_mats
+        assert system.transport_cost(state) > 0
+        assert len(system._cost_mats) == 1
+
+    def test_solve_rarely_reabsorbs(self, monkeypatch):
+        spec = scenario_61()
+        built = spec.build()
+        cfg = replace(built.config, log_domain=True, **fixed_sweeps(200))
+        counts = _count_absorptions(monkeypatch)
+        _, report = solve(built.net, built.paths, config=cfg)
+        assert report.iterations == 200
+        assert counts[0] >= 200 * 2 * built.paths[0].n_edges
+        assert counts[1] < 0.1 * counts[0]
 
 
 class TestFluxProfile:
@@ -659,6 +797,48 @@ class TestCoupledMode:
         assert np.abs(mm.joint_m[("n0", "n2")] - joint_mass).max() <= 1e-10
 
 
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_chains_start_from_the_kernels(self, grid16, log_domain):
+        # the boundary scalings are neutral in coupled mode, so the first
+        # forward and the last backward message of a path are its end
+        # kernels: exactly the steps from the identity, without the product
+        system = _pinning_instance("coupled", grid16, log_domain)
+        state = system.initial_state()
+        system.sweep(state)
+        msgs = system.compute_messages(state)
+        eye, unit = system._start(log_domain), system._unit(log_domain)
+        for p_idx, path in enumerate(system.paths):
+            kernels, steps = system.path_kernels[p_idx], system._steps[p_idx]
+            first = system._kernel(kernels[0], log_domain)
+            last = system._kernel(kernels[-1], log_domain)
+            assert msgs.fwd[p_idx][1] is first
+            assert msgs.bwd[p_idx][path.n_edges - 1] is last
+            assert np.array_equal(
+                first, _forward_step(kernels[0], eye, unit, log_domain, steps[0][0]))
+            assert np.array_equal(
+                last, _backward_step(kernels[-1], eye, unit, log_domain, steps[-1][1]))
+
+    def test_linear_contractions_match_einsum(self, grid16):
+        system = _pinning_instance("coupled", grid16, False)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        msgs = system.compute_messages(state)
+        lam = state.lam[("s", "t")]
+        for p_idx, path in enumerate(system.paths):
+            for pos in range(1, path.n_edges):
+                f, b = msgs.fwd[p_idx][pos], msgs.bwd[p_idx][pos]
+                np.testing.assert_allclose(system._path_term(state, p_idx, f, b),
+                                           np.einsum("ij,it,tj->t", lam, f, b), rtol=1e-12)
+            for l in range(1, path.n_p):
+                s_prev = system._scaling_at(state, path, l - 1)
+                s_next = system._scaling_at(state, path, l)
+                left = msgs.fwd[p_idx][l - 1].T @ np.einsum("ij,tj->it", lam, msgs.bwd[p_idx][l])
+                ref = left * s_prev[:, None] * system.path_kernels[p_idx][l - 1].K * s_next
+                np.testing.assert_allclose(system._edge_pair_marginal(state, msgs, p_idx, l),
+                                           ref, rtol=1e-12)
+
+
 class TestExtractPlan:
     def test_full_enumeration_matches_marginals(self, grid8):
         rng = np.random.default_rng(12)
@@ -799,30 +979,43 @@ def _count_message_passes(monkeypatch):
 class TestSweepPinning:
     @pytest.mark.parametrize("log_domain", [False, True])
     @pytest.mark.parametrize("kind", ["line", "shared", "cyclic", "coupled"])
-    def test_sweep_is_exact_gauss_seidel(self, grid16, kind, log_domain):
+    def test_sweep_is_exact_gauss_seidel(self, grid16, kind, log_domain, monkeypatch):
         # a sweep is, bit for bit, the public block updates in sweep order,
-        # each of them computed from full messages of the current state
-        system = _pinning_instance(kind, grid16, log_domain)
-        swept = system.initial_state()
-        blocks = system.initial_state()
-        for _ in range(5):
-            system.sweep(swept)
-            if system.mode == "coupled":
-                for pair in system.pairs:
-                    coupled_boundary_update(blocks, pair)
-            else:
-                for node in system.source_order:
-                    boundary_update(blocks, node)
-            for node in system.interior_order:
-                capacity_update(blocks, node)
-            if system.mode == "independent":
-                for node in system.sink_order:
-                    boundary_update(blocks, node)
-        for bank in ("u", "v", "w", "lam"):
-            ours, ref = getattr(swept, bank), getattr(blocks, bank)
-            assert ours.keys() == ref.keys()
-            for key in ours:
-                assert np.array_equal(ours[key], ref[key])
+        # each of them computed from full messages of the current state.
+        # A cached log-domain step rounds according to its last absorption
+        # point, so the bitwise comparison makes every step absorb, which
+        # is the plain log-sum-exp; with the cache the two agree to 1e-12.
+
+        def sweeps_and_block_updates():
+            system = _pinning_instance(kind, grid16, log_domain)
+            swept = system.initial_state()
+            blocks = system.initial_state()
+            for _ in range(5):
+                system.sweep(swept)
+                if system.mode == "coupled":
+                    for pair in system.pairs:
+                        coupled_boundary_update(blocks, pair)
+                else:
+                    for node in system.source_order:
+                        boundary_update(blocks, node)
+                for node in system.interior_order:
+                    capacity_update(blocks, node)
+                if system.mode == "independent":
+                    for node in system.sink_order:
+                        boundary_update(blocks, node)
+            for bank in ("u", "v", "w", "lam"):
+                ours, ref = getattr(swept, bank), getattr(blocks, bank)
+                assert ours.keys() == ref.keys()
+                for key in ours:
+                    yield ours[key], ref[key]
+
+        with monkeypatch.context() as patch:
+            if log_domain:
+                patch.setattr(sinkhorn_engine, "ABSORB_BAND", -1.0)
+            for ours, ref in sweeps_and_block_updates():
+                assert np.array_equal(ours, ref)
+        for ours, ref in sweeps_and_block_updates():
+            np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("log_domain", [False, True])
     def test_coupled_solve_one_message_pass_per_sweep(self, grid16, log_domain, monkeypatch):
