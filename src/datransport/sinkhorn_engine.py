@@ -11,10 +11,11 @@ round-off immediately after the update).
 
 Message passing runs either in the linear domain (plain mat-vec products)
 or the log domain, selected by config or by the underflow heuristic in
-:mod:`datransport.kernels`.  A log-domain vector step is a BLAS mat-vec on
-a cached kernel with its last input absorbed (``_AbsorbedStep``); it pays
-a full log-sum-exp only when it re-absorbs, after its input drifted more
-than ``ABSORB_BAND`` or a bin died or revived.
+:mod:`datransport.kernels`.  Every log-sum-exp is one reduction,
+``_lse_reduce``, so the engine needs numpy only.  A log-domain vector step
+is a BLAS mat-vec on a cached kernel with its last input absorbed
+(``_AbsorbedStep``); it pays a full log-sum-exp only when it re-absorbs,
+after its input drifted more than ``ABSORB_BAND`` or a bin died or revived.
 
 A sweep is one loop over the blocks in sweep order, each projected from
 the backward messages of the sweep's entering state and a forward frontier
@@ -30,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import BadParamError, NonFiniteError, PlanTooLargeError, UnreachableMassError
 from .grid_measures import JointMeasure, Measure
@@ -188,15 +188,16 @@ class PlanCells:
 
 
 def _lse_reduce(a: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp along one axis of a 2-D array; -inf slices stay -inf.
+    """Log-sum-exp along one axis of an array; +inf and NaN propagate, -inf slices stay -inf.
 
-    ``a`` is left holding exp(a - max) per slice, with max = 0 on -inf slices.
+    ``a`` is left holding exp(a - max) per slice, with max = 0 on slices whose
+    max is not finite; exp overflows only in +inf slices, and silently.
     """
     amax = np.max(a, axis=axis, keepdims=True)
     amax[~np.isfinite(amax)] = 0.0
     a -= amax
-    np.exp(a, out=a)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
+        np.exp(a, out=a)
         return np.log(a.sum(axis=axis)) + amax.squeeze(axis)
 
 
@@ -219,7 +220,7 @@ def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows = max(1, _LSE_MATMUL_BLOCK // (a.shape[1] * b.shape[1]))
     out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], rows):
-        out[i:i + rows] = logsumexp(a[i:i + rows, :, None] + b[None, :, :], axis=1)
+        out[i:i + rows] = _lse_reduce(a[i:i + rows, :, None] + b[None, :, :], axis=1)
     return out
 
 
@@ -593,7 +594,7 @@ class PathSystem:
         lam = state.lam[(self.paths[p_idx].source, self.paths[p_idx].sink)]
         if state.log_domain:
             # g[i, t] = LSE_j(lam[i, j] + b[t, j]); out[t] = LSE_i(f[i, t] + g[i, t])
-            return logsumexp(f + _lse_matmul(lam, b.T), axis=0)
+            return _lse_reduce(f + _lse_matmul(lam, b.T), axis=0)
         return (f * (lam @ b.T)).sum(axis=0)
 
     def _aggregate(self, state: SinkhornState, block, messages: ChainMessages,
@@ -789,7 +790,7 @@ class PathSystem:
                 chain = messages.bwd[p_idx][0]
                 scaling = state.u[path.source]
             if state.log_domain:
-                out[p_idx] = np.exp(logsumexp(chain + scaling))
+                out[p_idx] = np.exp(_lse_reduce((chain + scaling).ravel(), axis=0))
             else:
                 out[p_idx] = float((chain * scaling).sum())
         return out
@@ -806,8 +807,7 @@ class PathSystem:
         if self.mode == COUPLED:
             lam = state.lam[(path.source, path.sink)]
             if state.log_domain:
-                g = _lse_matmul(lam, b.T)  # g[i, t]
-                left = logsumexp(f[:, :, None] + g[:, None, :], axis=0)  # left[s, t]
+                left = _lse_matmul(f.T, _lse_matmul(lam, b.T))  # left[s, t]
                 return np.exp(left + s_prev[:, None] + kern.logK + s_next[None, :])
             g = lam @ b.T
             left = f.T @ g  # left[s, t]

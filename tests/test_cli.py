@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -202,3 +205,17 @@ class TestHiddenCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "s_center,t_center,k,log_k"
         assert len(out) == 1 + 16
+
+
+class TestColdStart:
+    def test_no_scipy_on_the_import_path(self):
+        # every `datransport` command is a fresh process that pays its
+        # imports, and scipy alone took longer to import than numpy and the
+        # package together.  Any future runtime use of scipy, such as a
+        # HiGHS LP, imports it inside the function that needs it.
+        src = FsPath(__file__).resolve().parents[1] / "src"
+        code = ("import sys, datransport, datransport.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+        assert done.stdout.strip() == "[]"

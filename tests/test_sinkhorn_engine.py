@@ -44,6 +44,7 @@ from datransport.sinkhorn_engine import (
     _forward_step,
     _lse_cols,
     _lse_matmul,
+    _lse_reduce,
     _lse_rows,
 )
 
@@ -89,12 +90,49 @@ class TestLogSumExp:
         b[rng.random(b.shape) < 0.3] = -np.inf
         a[2, :] = -np.inf
         b[:, 4] = -np.inf
-        ref = logsumexp(a[:, :, None] + b[None, :, :], axis=1)
+        # a block above the array's size: one reduction over the whole array
+        monkeypatch.setattr(sinkhorn_engine, "_LSE_MATMUL_BLOCK", a.size * b.size)
+        ref = _lse_matmul(a, b)
         assert np.isneginf(ref).any() and np.isfinite(ref).any()
         # 3 rows per block: blocks of 3, 3 and 1 rows, then one block
         for block in (3 * 13 * 11, 2 ** 20):
             monkeypatch.setattr(sinkhorn_engine, "_LSE_MATMUL_BLOCK", block)
             assert np.array_equal(_lse_matmul(a, b), ref)
+        # and the one reduction is the standard log-sum-exp
+        sci = logsumexp(a[:, :, None] + b[None, :, :], axis=1)
+        dead = np.isneginf(sci)
+        assert np.array_equal(np.isneginf(ref), dead)
+        assert np.max(np.abs(ref[~dead] - sci[~dead])) <= 1e-13
+
+    @pytest.mark.parametrize("shape, axis", [((9,), 0), ((9, 6), 0), ((6, 9), 1),
+                                             ((9, 4, 5), 0), ((4, 9, 5), 1)])
+    def test_non_finite_slices_match_scipy(self, shape, axis):
+        # the shapes and axes the engine reduces: path masses (1-D), message
+        # steps (2-D) and the blocks of _lse_matmul and the coupled terms (3-D)
+        rng = np.random.default_rng(33)
+        n = shape[axis]
+        big = rng.uniform(710.0, 900.0, n)  # exp overflows beyond about 709.8
+        slices = [np.full(n, -np.inf),
+                  np.where(np.arange(n) == 1, np.inf, big),
+                  np.where(np.arange(n) == 2, np.inf, -np.inf),
+                  np.where(np.arange(n) == 3, np.nan, big),
+                  big]
+        if len(shape) == 1:
+            arrays = slices
+        else:
+            a = rng.normal(scale=5.0, size=shape)
+            lanes = np.moveaxis(a, axis, -1)  # a view: lanes[idx] is one reduced slice
+            for k, lane in enumerate(slices):
+                lanes[np.unravel_index(k, lanes.shape[:-1])] = lane
+            arrays = [a]
+        for a in arrays:
+            ref = np.asarray(logsumexp(a, axis=axis))
+            ours = np.asarray(_lse_reduce(a.copy(), axis))
+            for pattern in (np.isposinf, np.isneginf, np.isnan):
+                assert np.array_equal(pattern(ours), pattern(ref))
+            live = np.isfinite(ref)
+            err = np.abs(ours[live] - ref[live])
+            assert np.all(err <= 1e-13 * np.maximum(np.abs(ref[live]), 1.0))
 
 
 def _absorbed_reference(logk, x, axis):
@@ -837,6 +875,39 @@ class TestCoupledMode:
                 ref = left * s_prev[:, None] * system.path_kernels[p_idx][l - 1].K * s_next
                 np.testing.assert_allclose(system._edge_pair_marginal(state, msgs, p_idx, l),
                                            ref, rtol=1e-12)
+
+    def test_log_contractions_match_one_piece(self, grid16):
+        # the reference reduces one n_t**3 temporary per contraction; the
+        # engine's pair marginal is two blocked _lse_matmul calls instead
+        system = _pinning_instance("coupled", grid16, True)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        msgs = system.compute_messages(state)
+        lam = state.lam[("s", "t")]
+        cost = 0.0
+        for p_idx, path in enumerate(system.paths):
+            for pos in range(1, path.n_edges):
+                f, b = msgs.fwd[p_idx][pos], msgs.bwd[p_idx][pos]
+                g = logsumexp(lam[:, None, :] + b[None, :, :], axis=2)  # g[i, t]
+                ref = logsumexp(f + g, axis=0)
+                ours = system._path_term(state, p_idx, f, b)
+                dead = np.isneginf(ref)
+                assert np.array_equal(np.isneginf(ours), dead) and dead.any()
+                np.testing.assert_allclose(ours[~dead], ref[~dead], rtol=1e-13)
+            for l in range(1, path.n_p):
+                f, b = msgs.fwd[p_idx][l - 1], msgs.bwd[p_idx][l]
+                g = logsumexp(lam[:, None, :] + b[None, :, :], axis=2)
+                left = logsumexp(f[:, :, None] + g[:, None, :], axis=0)  # left[s, t]
+                s_prev = system._scaling_at(state, path, l - 1)
+                s_next = system._scaling_at(state, path, l)
+                logk = system.path_kernels[p_idx][l - 1].logK
+                ref = np.exp(left + s_prev[:, None] + logk + s_next[None, :])
+                np.testing.assert_allclose(system._edge_pair_marginal(state, msgs, p_idx, l),
+                                           ref, rtol=1e-13, atol=0.0)
+                weight = float(system.path_weights[p_idx][l - 1])
+                cost += float((ref * system._cost_mat(weight)).sum())
+        assert system.transport_cost(state, msgs) == pytest.approx(cost, rel=1e-12, abs=0.0)
 
 
 class TestExtractPlan:
