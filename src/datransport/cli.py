@@ -68,7 +68,7 @@ def _load_scenario(path: str) -> tuple[ScenarioSpec, BuiltScenario] | None:
 
 def _apply_overrides(built: BuiltScenario, args) -> None:
     """Replace the scenario's solver config by one with the CLI overrides, validated."""
-    changes = {name: getattr(args, name) for name in ("epsilon", "tol", "max_iter", "sweep")
+    changes = {name: getattr(args, name) for name in ("epsilon", "tol", "max_iter")
                if getattr(args, name) is not None}
     if args.log_domain is not None:
         changes["log_domain"] = {"auto": None, "on": True, "off": False}[args.log_domain]
@@ -116,17 +116,12 @@ def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float)
             "epsilon": built.config.epsilon,
             "tol": built.config.tol,
             "max_iter": built.config.max_iter,
-            "sweep": built.config.sweep,
             "log_domain": state.log_domain,
-            "anneal_every": built.config.anneal_every,
-            "epsilon_min": built.config.epsilon_min,
         },
         "final": {"E0": float(report.e0[-1]), "ET": float(report.et[-1]),
                   "V": float(report.v[-1])},
         "iterations": report.iterations,
         "converged": report.converged,
-        "annealed": report.annealed,
-        "epsilon_final": report.epsilon_final,
         "wall_time_s": wall,
         "nodes": nodes_manifest,
         "files": sorted([f"{n}.csv" for n in path_nodes] + ["trace.csv", "summary.json"]),
@@ -303,7 +298,6 @@ def _add_solver_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=None, help="override regularization")
     p.add_argument("--tol", type=float, default=None, help="override stopping tolerance")
     p.add_argument("--max-iter", type=int, default=None, help="override iteration budget")
-    p.add_argument("--sweep", choices=["gauss-seidel", "jacobi"], default=None)
     p.add_argument("--log-domain", choices=["auto", "on", "off"], default=None)
 
 

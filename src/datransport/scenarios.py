@@ -11,7 +11,7 @@ the emitted JSON so they can be overridden.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -28,9 +28,6 @@ from .sinkhorn_engine import (
     extract_plan,
     node_marginals,
 )
-
-_SOLVER_KEYS = {"epsilon", "tol", "max_iter", "sweep", "log_domain",
-                "anneal_every", "epsilon_min"}
 
 
 @dataclass(eq=False)
@@ -117,7 +114,16 @@ class ScenarioSpec:
         paths = [Path(tuple(p)) for p in d["paths"]]
         validate_paths(net, paths)
 
-        solver = {k: v for k, v in d.get("solver", {}).items() if k in _SOLVER_KEYS}
+        solver = dict(d.get("solver", {}))
+        # files written while the sweep was a choice may still name it
+        if solver.pop("sweep", "gauss-seidel") != "gauss-seidel":
+            raise ScenarioFormatError('Jacobi sweeps were retired; solver "sweep" may only '
+                                      'be "gauss-seidel"')
+        known = {f.name for f in fields(SolverConfig)}
+        unknown = sorted(set(solver) - known)
+        if unknown:
+            raise ScenarioFormatError(f"unknown solver keys {unknown}; "
+                                      f"known keys are {sorted(known)}")
         config = SolverConfig(**solver)
         delta = d.get("delta")
         expected = list(d.get("expected_properties", []))
@@ -189,8 +195,7 @@ def scenario_61() -> ScenarioSpec:
         "sinks": [{"node": "vT", "marginal": _mixture([(1.0, 0.8, 0.05)])}],
         "capacities": {"v1": 2.0},
         "paths": [["v0", "v1", "vT"]],
-        "solver": {"epsilon": 0.02, "tol": 1e-9, "max_iter": 5000,
-                   "sweep": "gauss-seidel", "log_domain": None},
+        "solver": {"epsilon": 0.02, "tol": 1e-9, "max_iter": 5000, "log_domain": None},
         "mode": "independent",
         "expected_properties": [
             {"kind": "capacity_satisfied", "tol": 1e-8},
@@ -221,8 +226,7 @@ def scenario_62_line() -> ScenarioSpec:
         "sinks": [{"node": "vT", "marginal": _mixture([(1.0, 0.85, 0.05)])}],
         "capacities": capacities,
         "paths": [nodes],
-        "solver": {"epsilon": 0.05, "tol": 1e-8, "max_iter": 20000,
-                   "sweep": "gauss-seidel", "log_domain": True},
+        "solver": {"epsilon": 0.05, "tol": 1e-8, "max_iter": 20000, "log_domain": True},
         "mode": "independent",
         "expected_properties": [
             {"kind": "capacity_satisfied", "tol": 1e-8},
@@ -264,8 +268,7 @@ def scenario_63_network() -> ScenarioSpec:
     """Three admissible routes sharing two middle nodes, uniform rate cap."""
     data = _grid_network_63()
     data["name"] = "scenario_63_network"
-    data["solver"] = {"epsilon": 0.2, "tol": 1e-8, "max_iter": 40000,
-                      "sweep": "gauss-seidel", "log_domain": True}
+    data["solver"] = {"epsilon": 0.2, "tol": 1e-8, "max_iter": 40000, "log_domain": True}
     data["expected_properties"] = [
         {"kind": "capacity_satisfied", "tol": 1e-8},
         {"kind": "mass_delivered", "tol": 1e-8},
@@ -278,8 +281,7 @@ def scenario_64_convergence() -> ScenarioSpec:
     """Same topology as the three-route network, run for a fixed 1500 sweeps."""
     data = _grid_network_63()
     data["name"] = "scenario_64_convergence"
-    data["solver"] = {"epsilon": 0.2, "tol": 0.0, "max_iter": 1500,
-                      "sweep": "gauss-seidel", "log_domain": True}
+    data["solver"] = {"epsilon": 0.2, "tol": 0.0, "max_iter": 1500, "log_domain": True}
     data["expected_properties"] = [
         {"kind": "trace_length", "length": 1500},
         {"kind": "linear_convergence", "start": 200, "min_r2": 0.95},

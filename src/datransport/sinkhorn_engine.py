@@ -17,17 +17,18 @@ is a BLAS mat-vec on a cached kernel with its last input absorbed
 (``_AbsorbedStep``); it pays a full log-sum-exp only when it re-absorbs,
 after its input drifted more than ``ABSORB_BAND`` or a bin died or revived.
 
-A sweep is one loop over the blocks in sweep order, each projected from
+A solve runs at the one configured epsilon.  Each sweep is one cyclic
+(Gauss-Seidel) pass over the blocks in sweep order, each projected from
 the backward messages of the sweep's entering state and a forward frontier
-extended block by block.  Jacobi and Gauss-Seidel, independent and coupled
-mode all cost one message pass per sweep (backward-only in independent
-mode); only a Gauss-Seidel sweep over a cyclic path family refreshes the
-messages before each block.  The primal transport cost is computed on
-demand, never per sweep.
+extended block by block.  Independent and coupled mode both cost one
+message pass per sweep (backward-only in independent mode); only a sweep
+over a cyclic path family refreshes the messages before each block.  The
+primal transport cost is computed on demand, never per sweep.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,9 +41,6 @@ from .network import Path, TransportNetwork, path_cost_terms, validate_paths
 # Target mass on structurally unreachable bins below this threshold is
 # dropped (scaling zero); above it, the instance is reported infeasible.
 NEGLIGIBLE_MASS = 1e-12
-
-GAUSS_SEIDEL = "gauss-seidel"
-JACOBI = "jacobi"
 
 INDEPENDENT = "independent"
 COUPLED = "coupled"
@@ -65,20 +63,22 @@ class SolverConfig:
     epsilon: float = 0.05
     tol: float = 1e-6
     max_iter: int = 5000
-    sweep: str = GAUSS_SEIDEL
     log_domain: bool | None = None  # None = auto heuristic
-    anneal_every: int | None = None  # halve epsilon every N sweeps when set
-    epsilon_min: float = 1e-3
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise BadParamError(f"epsilon must be positive, got {self.epsilon}")
         if self.tol < 0:
             raise BadParamError(f"tol must be nonnegative, got {self.tol}")
+        try:
+            self.max_iter = operator.index(self.max_iter)  # numpy integers pass
+        except TypeError:
+            raise BadParamError(f"max_iter must be an integer, got {self.max_iter!r}") from None
         if self.max_iter < 1:
             raise BadParamError(f"max_iter must be positive, got {self.max_iter}")
-        if self.sweep not in (GAUSS_SEIDEL, JACOBI):
-            raise BadParamError(f"sweep must be {GAUSS_SEIDEL!r} or {JACOBI!r}")
+        if not (self.log_domain is None or isinstance(self.log_domain, bool)):
+            raise BadParamError(f"log_domain must be null, true or false, "
+                                f"got {self.log_domain!r}")
 
 
 @dataclass(eq=False)
@@ -86,7 +86,6 @@ class SinkhornState:
     """Scalings of one solve; vectors live in the active (log or linear) domain."""
 
     system: "PathSystem"
-    epsilon: float
     log_domain: bool
     mode: str
     u: dict[str, np.ndarray]
@@ -139,7 +138,6 @@ class ChainMessages:
 
     fwd: list[list[np.ndarray]] | _NoForward
     bwd: list[list[np.ndarray]]
-    log_domain: bool
 
 
 @dataclass(eq=False)
@@ -161,8 +159,6 @@ class ConvergenceReport:
     converged: bool
     iterations: int
     tol: float
-    epsilon_final: float
-    annealed: bool = False
 
     @property
     def total(self) -> np.ndarray:
@@ -314,8 +310,7 @@ class _Forward:
     ``frontier(p_idx, pos)`` extends path ``p_idx``'s list up to ``pos`` and
     returns its entry there; entries built earlier are returned as they are.
     A Gauss-Seidel sweep in a path-compatible order reads each path forward
-    only, so every read sees the scalings updated earlier in the sweep; a
-    Jacobi sweep leaves the state alone until its end.
+    only, so every read sees the scalings updated earlier in the sweep.
     """
 
     def __init__(self, system: "PathSystem", state: SinkhornState):
@@ -378,13 +373,10 @@ class PathSystem:
 
         self.path_weights = [path_cost_terms(net, p) for p in self.paths]
         w_max = max(float(w.max()) for w in self.path_weights)
-        eps_floor = config.epsilon
-        if config.anneal_every:
-            eps_floor = min(eps_floor, config.epsilon_min)
         if config.log_domain is None:
-            self.log_domain = use_log_domain(eps_floor, w_max, self.grid.t_f)
+            self.log_domain = use_log_domain(config.epsilon, w_max, self.grid.t_f)
         else:
-            self.log_domain = bool(config.log_domain)
+            self.log_domain = config.log_domain
 
         self.mu0 = {s: net.sources[s].mass for s in self.source_order}
         self.muT = {s: net.sinks[s].mass for s in self.sink_order}
@@ -417,9 +409,18 @@ class PathSystem:
         self._targets = {**self.mu0, **self.muT, **self.joints}
 
         self.epsilon = config.epsilon
-        self._kernel_cache: dict[float, PairKernel] = {}
         self._cost_mats: dict[float, np.ndarray] = {}  # built by transport_cost
-        self._rebuild_kernels()
+        self._kernel_cache: dict[float, PairKernel] = {}
+        for weights in self.path_weights:
+            for w in weights:
+                key = float(w)
+                if key not in self._kernel_cache:
+                    self._kernel_cache[key] = build_pair_kernel(self.grid, key, self.epsilon)
+        self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
+                             for weights in self.path_weights]
+        # log-domain vector steps per path and edge: (forward, backward)
+        self._steps = [[(_AbsorbedStep(k.logK, 0), _AbsorbedStep(k.logK, 1)) for k in kernels]
+                       for kernels in self.path_kernels]
 
     def _interior_topo_order(self) -> tuple[list[str], bool]:
         """Interior sweep order: topological in path precedence, first-appearance ties.
@@ -460,20 +461,7 @@ class PathSystem:
         return sorted(first_seen, key=first_seen.get), False
 
     # ------------------------------------------------------------------
-    # kernels / epsilon schedule
-
-    def _rebuild_kernels(self) -> None:
-        self._kernel_cache = {}
-        for weights in self.path_weights:
-            for w in weights:
-                key = float(w)
-                if key not in self._kernel_cache:
-                    self._kernel_cache[key] = build_pair_kernel(self.grid, key, self.epsilon)
-        self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
-                             for weights in self.path_weights]
-        # log-domain vector steps per path and edge: (forward, backward)
-        self._steps = [[(_AbsorbedStep(k.logK, 0), _AbsorbedStep(k.logK, 1)) for k in kernels]
-                       for kernels in self.path_kernels]
+    # costs
 
     def _cost_mat(self, w: float) -> np.ndarray:
         """Transit cost w / (t - s) of one edge weight on the grid, 0 where t <= s."""
@@ -486,26 +474,6 @@ class PathSystem:
             self._cost_mats[w] = cost_mat
         return self._cost_mats[w]
 
-    def set_epsilon(self, epsilon: float, state: SinkhornState | None = None) -> None:
-        """Change the regularization, keeping dual variables (warm start)."""
-        if not epsilon > 0:
-            raise BadParamError(f"epsilon must be positive, got {epsilon}")
-        ratio = self.epsilon / epsilon
-        if state is not None:
-            with np.errstate(over="ignore"):
-                banks = [{key: x * ratio if state.log_domain else x ** ratio
-                          for key, x in bank.items()}
-                         for bank in (state.u, state.v, state.w, state.lam)]
-            # -inf is a dead bin in the log domain; +inf and NaN are overflow
-            bad = [key for bank in banks for key, x in bank.items() if not np.all(x < np.inf)]
-            if bad:
-                raise NonFiniteError(f"scalings of {bad} overflow when epsilon goes "
-                                     f"{self.epsilon!r} -> {epsilon!r}")
-            state.u, state.v, state.w, state.lam = banks
-            state.epsilon = epsilon
-        self.epsilon = epsilon
-        self._rebuild_kernels()
-
     # ------------------------------------------------------------------
     # state
 
@@ -517,8 +485,8 @@ class PathSystem:
         v = {s: one.copy() for s in self.sink_order} if self.mode == INDEPENDENT else {}
         lam = {pair: one_mat.copy() for pair in self.pairs}
         w = {node: one.copy() for node in self.interior_order}
-        return SinkhornState(system=self, epsilon=self.epsilon, log_domain=self.log_domain,
-                             mode=self.mode, u=u, v=v, lam=lam, w=w)
+        return SinkhornState(system=self, log_domain=self.log_domain, mode=self.mode,
+                             u=u, v=v, lam=lam, w=w)
 
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Active-domain scaling vector of the node at ``pos`` (neutral at coupled boundaries)."""
@@ -558,11 +526,11 @@ class PathSystem:
                 b[l] = _backward_step(kernels[l], b[l + 1], s, log, self._steps[p_idx][l][1])
             bwd.append(b)
         if backward_only and self.mode == INDEPENDENT:
-            return ChainMessages(fwd=_NoForward(), bwd=bwd, log_domain=log)
+            return ChainMessages(fwd=_NoForward(), bwd=bwd)
         frontier = _Forward(self, state)
         for p_idx, path in enumerate(self.paths):
             frontier(p_idx, path.n_edges)
-        return ChainMessages(fwd=frontier.fwd, bwd=bwd, log_domain=log)
+        return ChainMessages(fwd=frontier.fwd, bwd=bwd)
 
     def _unit(self, log_domain: bool) -> np.ndarray:
         """Neutral scaling vector of the active domain."""
@@ -746,18 +714,14 @@ class PathSystem:
         of the entering state and a forward frontier: the backward messages
         at a block depend only on nodes that come later in the sweep, and
         joint blocks, which come first, read the interior chains (they leave
-        Lambda out).  Gauss-Seidel assigns each new scaling at once, so every
-        block update is the exact projection (block coordinate ascent);
-        over a cyclic path family it refreshes the messages before every
-        block.  Jacobi assigns all new scalings together at the end, so
-        every block sees the entering state.  A ``messages`` argument is
-        trusted to describe the entering state and may be backward-only in
-        independent mode.
+        Lambda out).  Each new scaling is assigned at once (Gauss-Seidel),
+        so every block update is the exact projection (block coordinate
+        ascent); over a cyclic path family the messages are refreshed before
+        every block.  A ``messages`` argument is trusted to describe the
+        entering state and may be backward-only in independent mode.
         """
-        jacobi = self.config.sweep == JACOBI
-        refresh = not (jacobi or self._order_follows_paths)
+        refresh = not self._order_follows_paths
         totals = [0.0, 0.0, 0.0]
-        pending = []
         for i, (block, slot) in enumerate(self._blocks):
             if i == 0 or refresh:
                 if messages is None or i:
@@ -766,11 +730,6 @@ class PathSystem:
             scaling, violation = self._project(
                 state, block, self._aggregate(state, block, messages, frontier))
             totals[slot] += violation
-            if jacobi:
-                pending.append((block, scaling))
-            else:
-                self._bank(state, block)[block] = scaling
-        for block, scaling in pending:
             self._bank(state, block)[block] = scaling
         return tuple(totals)
 
@@ -1011,19 +970,19 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
           config: SolverConfig | None = None,
           joints: dict[tuple[str, str], JointMeasure] | None = None
           ) -> tuple[SinkhornState, ConvergenceReport]:
-    """Run block sweeps until E0 + ET + V <= tol or the iteration budget ends.
+    """Run Gauss-Seidel sweeps at ``config.epsilon`` until E0 + ET + V <= tol or the budget ends.
 
-    Each iteration executes one full sweep; its E0/ET/V row records every
-    constraint's violation as seen just before that constraint's own block
-    update, so all three diagnostics stay informative under Gauss-Seidel.
-    The dual objective is evaluated on the state entering the iteration, from
-    the messages its sweep uses.  The returned state is the output of the
-    final sweep.  A non-finite E0+ET+V row, or an overflow when annealing,
-    raises ``NonFiniteError``.
+    Each iteration computes the messages of its entering state, evaluates
+    the dual objective from them, runs one exact sweep on them, tests the
+    stopping rule and, past the warm-up, takes an Anderson step.  Its E0/ET/V
+    row records every constraint's violation as seen just before that
+    constraint's own block update, so all three diagnostics stay
+    informative.  The returned state is the output of the final sweep.  A
+    non-finite E0+ET+V row raises ``NonFiniteError``.
 
-    Independent-mode Gauss-Seidel solves are Anderson-accelerated once
-    ``ANDERSON_WARMUP`` plain sweeps have run; Jacobi sweeps and coupled
-    mode are never mixed.  Contract:
+    Independent-mode solves are Anderson-accelerated once
+    ``ANDERSON_WARMUP`` plain sweeps have run; coupled mode is never mixed.
+    Contract:
 
     - a solve of at most ``ANDERSON_WARMUP`` sweeps is exactly the plain
       iteration, so equal-sweep comparisons with a dense oracle hold there
@@ -1034,20 +993,16 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
       at least that of the plain sweep output it replaces, so the dual
       trace stays nondecreasing; the iteration's E0/ET/V row then measures
       the violations of the sweep started from the mixed point;
-    - ``set_epsilon`` (annealing) restarts the mixing history, and no
-      mixing follows the final sweep.
+    - no mixing follows the final sweep.
     """
     config = config or SolverConfig()
     system = PathSystem(net, paths, mode=mode, config=config, joints=joints)
     state = system.initial_state()
-    mixer = None
-    if mode == INDEPENDENT and config.sweep == GAUSS_SEIDEL:
-        mixer = _AndersonMixer(system)
+    mixer = _AndersonMixer(system) if mode == INDEPENDENT else None
     e0s: list[float] = []
     ets: list[float] = []
     vs: list[float] = []
     objs: list[float] = []
-    annealed = False
     converged = False
     mixed_messages = None
     for _ in range(config.max_iter):
@@ -1071,18 +1026,11 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
         if e0 + et + v <= config.tol:
             converged = True
             break
-        if (config.anneal_every and state.iteration % config.anneal_every == 0
-                and system.epsilon > config.epsilon_min):
-            system.set_epsilon(max(system.epsilon / 2.0, config.epsilon_min), state)
-            annealed = True
-            if mixer is not None:
-                mixer.reset()
-        elif mixing and state.iteration < config.max_iter:
+        if mixing and state.iteration < config.max_iter:
             mixed_messages = mixer.step(state, x_prev)
     report = ConvergenceReport(
         e0=np.array(e0s), et=np.array(ets), v=np.array(vs),
-        objective=np.array(objs), converged=converged, iterations=len(e0s), tol=config.tol,
-        epsilon_final=system.epsilon, annealed=annealed)
+        objective=np.array(objs), converged=converged, iterations=len(e0s), tol=config.tol)
     return state, report
 
 

@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
 
-from datransport.cli import main
+from datransport.cli import _add_solver_overrides, main
+from datransport.sinkhorn_engine import PathSystem, SolverConfig
 
 TINY = {
     "name": "tiny-line",
@@ -117,16 +120,16 @@ class TestSolveCommand:
         assert s1 == s2
 
     @pytest.mark.parametrize("command", ["solve", "extract-plan"])
-    def test_non_finite_exit(self, command, tmp_path, capsys):
-        # linear-domain scalings of scenario_61 overflow at the first anneal
-        p = tmp_path / "s61.json"
-        assert main(["scenario", "61", "--emit", str(p)]) == 0
-        data = json.loads(p.read_text())
-        data["solver"].update(log_domain=False, anneal_every=300, tol=0.0, max_iter=400)
-        p.write_text(json.dumps(data), encoding="utf-8")
-        capsys.readouterr()
-        assert main([command, str(p), "--output", str(tmp_path / "out")]) == 3
-        assert "overflow" in capsys.readouterr().err
+    def test_non_finite_exit(self, command, tiny_scenario, tmp_path, capsys, monkeypatch):
+        sweep = PathSystem.sweep
+
+        def poisoned(self, state, messages=None):
+            e0, et, v = sweep(self, state, messages)
+            return (np.nan if state.iteration == 2 else e0), et, v
+
+        monkeypatch.setattr(PathSystem, "sweep", poisoned)
+        assert main([command, str(tiny_scenario), "--output", str(tmp_path / "out")]) == 3
+        assert "error: E0+ET+V is not finite at sweep 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [["--max-iter", "0"], ["--tol", "-1"]])
     @pytest.mark.parametrize("command", ["solve", "extract-plan"])
@@ -141,6 +144,38 @@ class TestSolveCommand:
         assert err.startswith("error: ") and override[0][2:].replace("-", "_") in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("solver", [
+        {"max_iters": 3},  # misspelt: used to run the default budget
+        {"anneal_every": 300},
+        {"epsilon_min": 0.001},
+        {"sweep": "jacobi"},
+        {"log_domain": "off"},  # used to run the log domain: bool("off") is true
+        {"max_iter": 3.0},  # used to die with a TypeError traceback
+    ])
+    def test_invalid_solver_block_exit(self, solver, tmp_path, capsys):
+        data = json.loads(json.dumps(TINY))
+        data["solver"].update(solver)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        outdir = tmp_path / "out"
+        assert main(["solve", str(p), "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid scenario") and next(iter(solver)) in err
+        assert not outdir.exists()
+
+    def test_sweep_flag_is_gone(self, tiny_scenario, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(tiny_scenario), "--sweep", "jacobi"])
+        assert exc.value.code == 2
+        assert "--sweep" in capsys.readouterr().err
+
+    def test_summary_config_is_the_solver_config(self, tiny_scenario, tmp_path):
+        outdir = tmp_path / "run"
+        assert main(["solve", str(tiny_scenario), "--output", str(outdir)]) == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert set(summary["config"]) == {f.name for f in fields(SolverConfig)}
+        assert not {"annealed", "epsilon_final"} & set(summary)
+
     def test_check_properties_flag(self, tmp_path, capsys):
         data = dict(TINY)
         data["expected_properties"] = [
@@ -153,6 +188,18 @@ class TestSolveCommand:
                      "--check-properties"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 2
+
+
+class TestSolverKnobs:
+    def test_knob_count(self):
+        # every solver knob doubles the configurations to test: adding one
+        # must change this test on purpose
+        knobs = {f.name for f in fields(SolverConfig)}
+        assert knobs == {"epsilon", "tol", "max_iter", "log_domain"}
+        parser = argparse.ArgumentParser()
+        _add_solver_overrides(parser)
+        flags = {action.dest for action in parser._actions} - {"help"}
+        assert flags == knobs
 
 
 class TestExtractPlanCommand:

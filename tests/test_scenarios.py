@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from datransport import TimeGrid, check_da_feasibility
-from datransport.errors import ScenarioFormatError
+from datransport.errors import BadParamError, ScenarioFormatError
 from datransport.scenarios import (
     GENERATORS,
     ScenarioSpec,
@@ -112,6 +112,39 @@ class TestScenarioPlumbing:
             ScenarioSpec.from_json("{not json")
         with pytest.raises(ScenarioFormatError):
             ScenarioSpec.from_dict({"grid": {"t_f": 1, "n_t": 4}})
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_iters", 3), ("anneal_every", 300), ("epsilon_min", 1e-3), ("jacobi", True)])
+    def test_unknown_solver_key_rejected(self, key, value):
+        spec = scenario_61()
+        spec.data["solver"][key] = value
+        with pytest.raises(ScenarioFormatError, match=f"unknown solver keys \\['{key}'\\]"):
+            spec.build()
+
+    def test_sweep_key(self):
+        # only the one sweep there is may be named
+        spec = scenario_61()
+        spec.data["solver"]["sweep"] = "gauss-seidel"
+        assert spec.build().config == scenario_61().build().config
+        spec.data["solver"]["sweep"] = "jacobi"
+        with pytest.raises(ScenarioFormatError, match="Jacobi sweeps were retired"):
+            spec.build()
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("log_domain", "off", "log_domain must be null, true or false"),
+        ("log_domain", 0, "log_domain must be null, true or false"),
+        ("max_iter", 3.0, "max_iter must be an integer"),
+        ("max_iter", "3", "max_iter must be an integer"),
+    ])
+    def test_solver_values_type_checked(self, key, value, message):
+        spec = scenario_61()
+        spec.data["solver"][key] = value
+        with pytest.raises(BadParamError, match=message):
+            spec.build()
+
+    def test_numpy_integer_budget_accepted(self):
+        config = SolverConfig(max_iter=np.int64(7))
+        assert config.max_iter == 7 and type(config.max_iter) is int
 
     def test_mass_vector_marginals(self, grid8):
         data = {

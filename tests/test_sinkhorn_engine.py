@@ -528,53 +528,6 @@ class TestSolve:
                 assert now >= last - 1e-9
                 last = now
 
-    @pytest.mark.parametrize("mode", ["independent", "coupled"])
-    def test_jacobi_updates_from_one_message_pass(self, grid10, mode):
-        # every jacobi block must be computed from the same incoming state
-        rng = np.random.default_rng(8)
-        mu0, muT = ordered_random_pair(grid10, rng, 2)
-        net, path = make_line_net(grid10, [1.0, 1.0], mu0, muT,
-                                  caps={"n1": np.full(10, 0.3)})
-        cfg = SolverConfig(epsilon=0.4, sweep="jacobi", log_domain=False)
-        joint = np.outer(mu0, muT) * np.triu(np.ones((10, 10)), 3)
-        joint /= joint.sum()
-        joints = {("n0", "n2"): JointMeasure(grid10, joint)} if mode == "coupled" else None
-        system = PathSystem(net, [path], mode=mode, config=cfg, joints=joints)
-        state = system.initial_state()
-        for _ in range(3):
-            system.sweep(state)
-        # expected scalings: per-block projections all measured on a frozen copy
-        frozen = system.initial_state()
-        for bank in ("u", "v", "w", "lam"):
-            setattr(frozen, bank, {k: v.copy() for k, v in getattr(state, bank).items()})
-        msgs = system.compute_messages(frozen)
-        targets = {"n0": mu0, "n2": muT, ("n0", "n2"): joint}
-        expect = {}
-        for block in [*frozen.u, *frozen.v, *frozen.lam, *frozen.w]:
-            agg = system._aggregate(frozen, block, msgs)
-            if block == "n1":
-                expect[block] = system._cap_over_aggregate(system.caps[block], agg, False)
-            else:
-                expect[block] = system._target_over_aggregate(targets[block], agg, False,
-                                                              str(block))
-        assert len(expect) == (3 if mode == "independent" else 2)
-        system.sweep(state)
-        for bank in (state.u, state.v, state.lam, state.w):
-            for block, scaling in bank.items():
-                assert np.allclose(scaling, expect[block], rtol=0, atol=0)
-
-    def test_jacobi_carries_no_guarantee_but_reports_honestly(self, grid10):
-        # simultaneous boundary updates settle into a gauge-mismatched cycle;
-        # the diagnostics must expose the residual instead of hiding it
-        rng = np.random.default_rng(8)
-        mu0, muT = ordered_random_pair(grid10, rng, 1)
-        net, path = make_line_net(grid10, [1.0], mu0, muT)
-        cfg = SolverConfig(epsilon=0.5, tol=1e-12, max_iter=400,
-                           sweep="jacobi", log_domain=False)
-        state, report = solve(net, [path], config=cfg)
-        assert np.all(np.isfinite(report.e0))
-        assert report.e0[-1] < report.e0[0]
-
     def test_determinism(self, grid10):
         rng = np.random.default_rng(4)
         mu0, muT = ordered_random_pair(grid10, rng, 2)
@@ -604,20 +557,6 @@ class TestSolve:
         assert np.array_equal(state.u["n0"], plain.u["n0"])
         assert np.array_equal(state.w["n1"], plain.w["n1"])
         assert np.array_equal(state.v["n2"], plain.v["n2"])
-
-    def test_jacobi_is_never_mixed(self, grid10):
-        rng = np.random.default_rng(8)
-        mu0, muT = ordered_random_pair(grid10, rng, 1)
-        net, path = make_line_net(grid10, [1.0], mu0, muT)
-        cfg = SolverConfig(epsilon=0.5, sweep="jacobi", log_domain=False,
-                           **fixed_sweeps(ANDERSON_WARMUP + 20))
-        state, _ = solve(net, [path], config=cfg)
-        system = PathSystem(net, [path], config=cfg)
-        plain = system.initial_state()
-        for _ in range(ANDERSON_WARMUP + 20):
-            system.sweep(plain)
-        assert np.array_equal(state.u["n0"], plain.u["n0"])
-        assert np.array_equal(state.v["n1"], plain.v["n1"])
 
     def test_mixed_solve_keeps_dual_ascent(self):
         # scenario_61 runs well past the warm-up before it meets its tol
@@ -723,16 +662,6 @@ class TestSolve:
             with pytest.raises(BadParamError, match="backward-only"):
                 reader(half)
 
-    def test_linear_anneal_overflow_raises(self):
-        # halving epsilon squares the linear scalings of scenario_61, which
-        # overflow at its first anneal (sweep 300) instead of going NaN
-        built = scenario_61().build()
-        cfg = replace(built.config, log_domain=False, anneal_every=300, tol=0.0, max_iter=400)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(NonFiniteError, match="overflow"):
-                solve(built.net, built.paths, mode=built.mode, config=cfg)
-
     def test_non_finite_row_raises(self, grid10, monkeypatch):
         rng = np.random.default_rng(25)
         mu0, muT = ordered_random_pair(grid10, rng, 2)
@@ -747,17 +676,6 @@ class TestSolve:
         cfg = SolverConfig(epsilon=0.4, log_domain=False, **fixed_sweeps(10))
         with pytest.raises(NonFiniteError, match="sweep 3"):
             solve(net, [path], config=cfg)
-
-    def test_annealing_flagged(self, grid10):
-        rng = np.random.default_rng(14)
-        mu0, muT = ordered_random_pair(grid10, rng, 2)
-        net, path = make_line_net(grid10, [1.0, 1.0], mu0, muT)
-        cfg = SolverConfig(epsilon=0.4, tol=0.0, max_iter=40, anneal_every=10,
-                           epsilon_min=0.1, log_domain=True)
-        state, report = solve(net, [path], config=cfg)
-        assert report.annealed
-        assert report.epsilon_final == pytest.approx(0.1)
-        assert state.epsilon == pytest.approx(0.1)
 
     def test_mass_conserved_after_boundary_updates(self, grid10):
         rng = np.random.default_rng(19)
