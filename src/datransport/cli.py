@@ -20,13 +20,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import (
-    NonFiniteError,
-    PlanTooLargeError,
-    SizeCapError,
-    TransportError,
-    UnreachableMassError,
-)
+from .errors import NonFiniteError, SizeCapError, TransportError, UnreachableMassError
 from .feasibility import check_da_feasibility
 from .grid_measures import TimeGrid
 from .kernels import build_pair_kernel
@@ -38,7 +32,7 @@ from .scenarios import (
     check_property,
     min_travel_delta,
 )
-from .sinkhorn_engine import aggregate_marginals, extract_plan, solve
+from .sinkhorn_engine import extract_plan, node_marginals, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -70,8 +64,6 @@ def _apply_overrides(built: BuiltScenario, args) -> None:
     """Replace the scenario's solver config by one with the CLI overrides, validated."""
     changes = {name: getattr(args, name) for name in ("epsilon", "tol", "max_iter")
                if getattr(args, name) is not None}
-    if args.log_domain is not None:
-        changes["log_domain"] = {"auto": None, "on": True, "off": False}[args.log_domain]
     built.config = replace(built.config, **changes)
 
 
@@ -91,12 +83,7 @@ def _run_solver(built: BuiltScenario):
 def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     centers = built.net.grid.centers
-    mm = aggregate_marginals(state)
-    marginals = dict(mm.m)
-    if built.mode == "coupled":
-        from .sinkhorn_engine import node_marginals
-
-        marginals = node_marginals(state)
+    marginals = node_marginals(state)
     nodes_manifest = {}
     path_nodes = {n for p in built.paths for n in p.nodes}
     for node in sorted(path_nodes):
@@ -116,8 +103,8 @@ def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float)
             "epsilon": built.config.epsilon,
             "tol": built.config.tol,
             "max_iter": built.config.max_iter,
-            "log_domain": state.log_domain,
         },
+        "log_domain": state.log_domain,
         "final": {"E0": float(report.e0[-1]), "ET": float(report.et[-1]),
                   "V": float(report.v[-1])},
         "iterations": report.iterations,
@@ -126,8 +113,8 @@ def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float)
         "nodes": nodes_manifest,
         "files": sorted([f"{n}.csv" for n in path_nodes] + ["trace.csv", "summary.json"]),
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                                         encoding="utf-8")
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    (outdir / "summary.json").write_text(text + "\n", encoding="utf-8")
     return summary
 
 
@@ -172,14 +159,7 @@ def _cmd_solve(args) -> int:
     _apply_overrides(built, args)
     outdir = FsPath(args.output) if args.output else FsPath(f"{FsPath(args.scenario).stem}_out")
     start = time.perf_counter()
-    try:
-        state, report = _run_solver(built)
-    except UnreachableMassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    state, report = _run_solver(built)
     wall = time.perf_counter() - start
     _write_run(outdir, built, state, report, wall)
     final = report.e0[-1] + report.et[-1] + report.v[-1]
@@ -202,24 +182,13 @@ def _cmd_extract_plan(args) -> int:
         return EXIT_INVALID
     _, built = loaded
     _apply_overrides(built, args)
-    try:
-        state, report = _run_solver(built)
-    except UnreachableMassError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNREACHABLE
-    except NonFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+    state, report = _run_solver(built)
     outdir = FsPath(args.output) if args.output else FsPath(f"{FsPath(args.scenario).stem}_plan")
     outdir.mkdir(parents=True, exist_ok=True)
     indices = range(len(built.paths)) if args.path_index is None else [args.path_index]
     for p_idx in indices:
-        try:
-            cells = extract_plan(state, p_idx, max_cells=args.max_cells,
-                                 top_k=args.top_k, min_mass=args.min_mass)
-        except PlanTooLargeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+        cells = extract_plan(state, p_idx, max_cells=args.max_cells,
+                             top_k=args.top_k, min_mass=args.min_mass)
         header = [f"t{k}" for k in range(cells.path.n_p)] + ["mass"]
         rows = ([*(cells.times[i]), cells.mass[i]] for i in range(len(cells.mass)))
         _write_csv(outdir / f"plan_p{p_idx}.csv", header, rows)
@@ -298,7 +267,6 @@ def _add_solver_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=None, help="override regularization")
     p.add_argument("--tol", type=float, default=None, help="override stopping tolerance")
     p.add_argument("--max-iter", type=int, default=None, help="override iteration budget")
-    p.add_argument("--log-domain", choices=["auto", "on", "off"], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,16 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each error a command lets through; any other TransportError is invalid input
+_EXIT_CODES = {NonFiniteError: EXIT_NOT_CONVERGED, UnreachableMassError: EXIT_UNREACHABLE}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except TransportError as exc:
-        if isinstance(exc, UnreachableMassError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_UNREACHABLE
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _EXIT_CODES.get(type(exc), EXIT_INVALID)
 
 
 if __name__ == "__main__":

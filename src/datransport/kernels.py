@@ -17,12 +17,13 @@ import numpy as np
 from .errors import BadParamError, NonIncreasingTimesError
 from .grid_measures import TimeGrid
 
-# Log-domain message passing engages below this epsilon (underflow guard).
+# Coupled-mode message passing runs in the log domain below this epsilon
+# (underflow guard); independent mode always does.
 LOG_DOMAIN_FACTOR = 0.05
 
 
 def use_log_domain(epsilon: float, w_max: float, t_f: float) -> bool:
-    """Heuristic: run log-sum-exp messages when epsilon is small."""
+    """Coupled-mode heuristic: run log-sum-exp messages when epsilon is small."""
     return epsilon < LOG_DOMAIN_FACTOR * w_max * t_f
 
 

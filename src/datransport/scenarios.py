@@ -119,6 +119,13 @@ class ScenarioSpec:
         if solver.pop("sweep", "gauss-seidel") != "gauss-seidel":
             raise ScenarioFormatError('Jacobi sweeps were retired; solver "sweep" may only '
                                       'be "gauss-seidel"')
+        # ... or the numeric domain, which the engine now picks: always log in
+        # independent mode, by epsilon in coupled mode
+        log_domain = solver.pop("log_domain", None)
+        if not (log_domain is None or (log_domain is True and mode == "independent")):
+            raise ScenarioFormatError(
+                f'solver "log_domain" may only be null, or true in independent mode: the '
+                f'engine picks the numeric domain (got {log_domain!r} in {mode} mode)')
         known = {f.name for f in fields(SolverConfig)}
         unknown = sorted(set(solver) - known)
         if unknown:
@@ -195,7 +202,7 @@ def scenario_61() -> ScenarioSpec:
         "sinks": [{"node": "vT", "marginal": _mixture([(1.0, 0.8, 0.05)])}],
         "capacities": {"v1": 2.0},
         "paths": [["v0", "v1", "vT"]],
-        "solver": {"epsilon": 0.02, "tol": 1e-9, "max_iter": 5000, "log_domain": None},
+        "solver": {"epsilon": 0.02, "tol": 1e-9, "max_iter": 5000},
         "mode": "independent",
         "expected_properties": [
             {"kind": "capacity_satisfied", "tol": 1e-8},
@@ -226,7 +233,7 @@ def scenario_62_line() -> ScenarioSpec:
         "sinks": [{"node": "vT", "marginal": _mixture([(1.0, 0.85, 0.05)])}],
         "capacities": capacities,
         "paths": [nodes],
-        "solver": {"epsilon": 0.05, "tol": 1e-8, "max_iter": 20000, "log_domain": True},
+        "solver": {"epsilon": 0.05, "tol": 1e-8, "max_iter": 20000},
         "mode": "independent",
         "expected_properties": [
             {"kind": "capacity_satisfied", "tol": 1e-8},
@@ -268,7 +275,7 @@ def scenario_63_network() -> ScenarioSpec:
     """Three admissible routes sharing two middle nodes, uniform rate cap."""
     data = _grid_network_63()
     data["name"] = "scenario_63_network"
-    data["solver"] = {"epsilon": 0.2, "tol": 1e-8, "max_iter": 40000, "log_domain": True}
+    data["solver"] = {"epsilon": 0.2, "tol": 1e-8, "max_iter": 40000}
     data["expected_properties"] = [
         {"kind": "capacity_satisfied", "tol": 1e-8},
         {"kind": "mass_delivered", "tol": 1e-8},
@@ -281,7 +288,7 @@ def scenario_64_convergence() -> ScenarioSpec:
     """Same topology as the three-route network, run for a fixed 1500 sweeps."""
     data = _grid_network_63()
     data["name"] = "scenario_64_convergence"
-    data["solver"] = {"epsilon": 0.2, "tol": 0.0, "max_iter": 1500, "log_domain": True}
+    data["solver"] = {"epsilon": 0.2, "tol": 0.0, "max_iter": 1500}
     data["expected_properties"] = [
         {"kind": "trace_length", "length": 1500},
         {"kind": "linear_convergence", "start": 200, "min_r2": 0.95},

@@ -9,10 +9,11 @@ is the exact projection for its constraint, computed from an aggregate
 that excludes the block's own scaling (so the constraint holds to
 round-off immediately after the update).
 
-Message passing runs either in the linear domain (plain mat-vec products)
-or the log domain, selected by config or by the underflow heuristic in
-:mod:`datransport.kernels`.  Every log-sum-exp is one reduction,
-``_lse_reduce``, so the engine needs numpy only.  A log-domain vector step
+The engine picks the numeric domain.  Independent mode always passes its
+vector messages in the log domain; coupled mode passes matrix messages in
+the log domain or the linear one (plain BLAS products), as the underflow
+rule in :mod:`datransport.kernels` decides.  Every log-sum-exp is one
+reduction, ``_lse_reduce``, so the engine needs numpy only.  A vector step
 is a BLAS mat-vec on a cached kernel with its last input absorbed
 (``_AbsorbedStep``); it pays a full log-sum-exp only when it re-absorbs,
 after its input drifted more than ``ABSORB_BAND`` or a bin died or revived.
@@ -28,6 +29,7 @@ primal transport cost is computed on demand, never per sweep.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, replace
 
@@ -58,32 +60,44 @@ ABSORB_BAND = 50.0
 _LSE_MATMUL_BLOCK = 1 << 20
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; bools and non-real values raise ``BadParamError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadParamError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy integers pass); bools and non-integers raise ``BadParamError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParamError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     epsilon: float = 0.05
     tol: float = 1e-6
     max_iter: int = 5000
-    log_domain: bool | None = None  # None = auto heuristic
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise BadParamError(f"epsilon must be positive, got {self.epsilon}")
-        if self.tol < 0:
-            raise BadParamError(f"tol must be nonnegative, got {self.tol}")
-        try:
-            self.max_iter = operator.index(self.max_iter)  # numpy integers pass
-        except TypeError:
-            raise BadParamError(f"max_iter must be an integer, got {self.max_iter!r}") from None
+        self.epsilon = _real("epsilon", self.epsilon)
+        if not 0 < self.epsilon < np.inf:
+            raise BadParamError(f"epsilon must be finite and positive, got {self.epsilon}")
+        self.tol = _real("tol", self.tol)
+        if not 0 <= self.tol < np.inf:  # summary.json holds no NaN or inf
+            raise BadParamError(f"tol must be finite and nonnegative, got {self.tol}")
+        self.max_iter = _integer("max_iter", self.max_iter)
         if self.max_iter < 1:
             raise BadParamError(f"max_iter must be positive, got {self.max_iter}")
-        if not (self.log_domain is None or isinstance(self.log_domain, bool)):
-            raise BadParamError(f"log_domain must be null, true or false, "
-                                f"got {self.log_domain!r}")
 
 
 @dataclass(eq=False)
 class SinkhornState:
-    """Scalings of one solve; vectors live in the active (log or linear) domain."""
+    """Scalings of one solve, in the system's domain (always log in independent mode)."""
 
     system: "PathSystem"
     log_domain: bool
@@ -282,26 +296,24 @@ def _forward_step(kern: PairKernel, f: np.ndarray, s: np.ndarray, log_domain: bo
                   absorbed: _AbsorbedStep) -> np.ndarray:
     """Forward message across one edge from message ``f`` and scaling ``s`` at its tail.
 
-    ``absorbed`` is the edge's forward step; it serves the log-domain vector case.
+    ``absorbed`` is the edge's forward step; it serves the (log-domain) vector case.
     """
-    if f.ndim == 2:  # coupled: one row per departure bin
-        return _lse_matmul(f + s[None, :], kern.logK) if log_domain else (f * s[None, :]) @ kern.K
-    if log_domain:
+    if f.ndim == 1:
         return absorbed(f + s)
-    return kern.K.T @ (f * s)
+    # coupled: one row per departure bin
+    return _lse_matmul(f + s[None, :], kern.logK) if log_domain else (f * s[None, :]) @ kern.K
 
 
 def _backward_step(kern: PairKernel, b: np.ndarray, s: np.ndarray, log_domain: bool,
                    absorbed: _AbsorbedStep) -> np.ndarray:
     """Backward message across one edge from message ``b`` and scaling ``s`` at its head.
 
-    ``absorbed`` is the edge's backward step; it serves the log-domain vector case.
+    ``absorbed`` is the edge's backward step; it serves the (log-domain) vector case.
     """
-    if b.ndim == 2:  # coupled: one column per arrival bin
-        return _lse_matmul(kern.logK + s[None, :], b) if log_domain else (kern.K * s[None, :]) @ b
-    if log_domain:
+    if b.ndim == 1:
         return absorbed(b + s)
-    return kern.K @ (b * s)
+    # coupled: one column per arrival bin
+    return _lse_matmul(kern.logK + s[None, :], b) if log_domain else (kern.K * s[None, :]) @ b
 
 
 class _Forward:
@@ -373,10 +385,8 @@ class PathSystem:
 
         self.path_weights = [path_cost_terms(net, p) for p in self.paths]
         w_max = max(float(w.max()) for w in self.path_weights)
-        if config.log_domain is None:
-            self.log_domain = use_log_domain(config.epsilon, w_max, self.grid.t_f)
-        else:
-            self.log_domain = config.log_domain
+        self.log_domain = mode == INDEPENDENT or use_log_domain(config.epsilon, w_max,
+                                                                self.grid.t_f)
 
         self.mu0 = {s: net.sources[s].mass for s in self.source_order}
         self.muT = {s: net.sinks[s].mass for s in self.sink_order}
@@ -418,7 +428,7 @@ class PathSystem:
                     self._kernel_cache[key] = build_pair_kernel(self.grid, key, self.epsilon)
         self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
                              for weights in self.path_weights]
-        # log-domain vector steps per path and edge: (forward, backward)
+        # vector message steps per path and edge: (forward, backward)
         self._steps = [[(_AbsorbedStep(k.logK, 0), _AbsorbedStep(k.logK, 1)) for k in kernels]
                        for kernels in self.path_kernels]
 
@@ -558,7 +568,7 @@ class PathSystem:
                    b: np.ndarray) -> np.ndarray:
         """Active-domain contribution of one path to a node aggregate, from its messages there."""
         if self.mode == INDEPENDENT:
-            return f + b if state.log_domain else f * b
+            return f + b
         lam = state.lam[(self.paths[p_idx].source, self.paths[p_idx].sink)]
         if state.log_domain:
             # g[i, t] = LSE_j(lam[i, j] + b[t, j]); out[t] = LSE_i(f[i, t] + g[i, t])
@@ -771,14 +781,8 @@ class PathSystem:
             g = lam @ b.T
             left = f.T @ g  # left[s, t]
             return left * s_prev[:, None] * kern.K * s_next[None, :]
-        if state.log_domain:
-            with np.errstate(over="ignore"):
-                return np.exp((f + s_prev)[:, None] + kern.logK + (s_next + b)[None, :])
-        # fold the kernel in before the outer product: huge scalings at
-        # near-empty bins would otherwise overflow even though the marginal
-        # itself is tame
-        left = kern.K * (f * s_prev)[:, None]
-        return left * (s_next * b)[None, :]
+        with np.errstate(over="ignore"):
+            return np.exp((f + s_prev)[:, None] + kern.logK + (s_next + b)[None, :])
 
     def transport_cost(self, state: SinkhornState, messages=None) -> float:
         """<c, pi> summed over paths (forbidden transitions carry no mass)."""
@@ -803,8 +807,7 @@ class PathSystem:
         The sink blocks come last, so every path then carries exactly the
         target mass of its sink on the bins the sink scaling keeps alive.
         """
-        dead = -np.inf if state.log_domain else 0.0
-        mass = sum(float(self.muT[s][state.v[s] > dead].sum()) for s in self.sink_order)
+        mass = sum(float(self.muT[s][state.v[s] > -np.inf].sum()) for s in self.sink_order)
         return self.epsilon * (self._dual_scaling_terms(state) - mass)
 
     def _dual_scaling_terms(self, state: SinkhornState) -> float:
@@ -853,7 +856,7 @@ class _AndersonMixer:
     curvature in the log-scalings.  Capacity multipliers are clipped back to
     w <= 1.  A mixed point replaces the plain one only if it is finite and
     its dual value is at least the plain point's; otherwise the plain point
-    stands and the history restarts.  Dead bins (zero scaling) take no part
+    stands and the history restarts.  Dead bins (log-scaling -inf) take no part
     in the mixing and stay dead.
     """
 
@@ -874,17 +877,10 @@ class _AndersonMixer:
     def pack(self, state: SinkhornState) -> np.ndarray:
         """The state's log-scalings, stacked in sweep order: sources, interior nodes, sinks."""
         system = self.system
-        x = np.concatenate([system._bank(state, b)[b] for b, _ in system._blocks])
-        if state.log_domain:
-            return x
-        with np.errstate(divide="ignore"):
-            return np.log(x)
+        return np.concatenate([system._bank(state, b)[b] for b, _ in system._blocks])
 
     def _unpack(self, state: SinkhornState, x: np.ndarray) -> SinkhornState:
         system = self.system
-        if not state.log_domain:
-            with np.errstate(over="ignore"):
-                x = np.exp(x)
         trial = replace(state, u={}, w={}, v={})
         for (block, _), chunk in zip(system._blocks, np.split(x, len(system._blocks))):
             system._bank(trial, block)[block] = chunk
@@ -918,8 +914,7 @@ class _AndersonMixer:
         np.minimum(mixed[self._w_block], 0.0, out=mixed[self._w_block])
         trial = self._unpack(state, mixed)
         value = -np.inf
-        # a live bin that overflows or underflows in the linear domain is not finite here
-        if np.all(np.isfinite(self.pack(trial)[live])):
+        if np.all(np.isfinite(mixed[live])):
             with np.errstate(over="ignore", invalid="ignore"):
                 messages = system.compute_messages(trial, backward_only=True)
                 value = system.dual_objective(trial, messages)

@@ -35,6 +35,24 @@ def make_line_net(grid, weights, mu0, muT, caps=None, node_names=None):
         capacities=capacities), Path(tuple(names))
 
 
+def coupled_tiny_scenario(solver: dict) -> dict:
+    """Scenario dict of a coupled three-node line on 8 bins; boundary laws come from its joint."""
+    joint = np.zeros((8, 8))
+    joint[0, 4] = joint[2, 7] = 0.5
+    return {
+        "name": "coupled-tiny",
+        "grid": {"t_f": 1.0, "n_t": 8},
+        "nodes": ["a", "m", "b"],
+        "edges": [["a", "m", 1.0], ["m", "b", 1.0]],
+        "sources": [{"node": "a"}],
+        "sinks": [{"node": "b"}],
+        "paths": [["a", "m", "b"]],
+        "mode": "coupled",
+        "joints": [{"source": "a", "sink": "b", "mass": joint.tolist()}],
+        "solver": solver,
+    }
+
+
 def ordered_random_pair(grid, rng, n_edges, slack=3):
     """Feasible boundary pair: the arrival law is a shifted departure law.
 

@@ -174,7 +174,7 @@ def test_criterion_6_coupled_exactness():
     path = Path(("a", "m", "b"))
     joints = {("a", "b"): JointMeasure(grid, joint_mass)}
     sweeps = 60
-    cfg = SolverConfig(epsilon=0.3, tol=0.0, max_iter=sweeps, log_domain=False)
+    cfg = SolverConfig(epsilon=0.3, tol=0.0, max_iter=sweeps)
     system = PathSystem(net, [path], mode="coupled", config=cfg, joints=joints)
     state = system.initial_state()
     for _ in range(sweeps):

@@ -9,6 +9,8 @@ from pathlib import Path as FsPath
 import numpy as np
 import pytest
 
+from conftest import coupled_tiny_scenario
+
 from datransport.cli import _add_solver_overrides, main
 from datransport.sinkhorn_engine import PathSystem, SolverConfig
 
@@ -21,7 +23,7 @@ TINY = {
     "sinks": [{"node": "t", "marginal": {"mixture": [[1.0, 0.75, 0.08]]}}],
     "capacities": {"m": 2.5},
     "paths": [["s", "m", "t"]],
-    "solver": {"epsilon": 0.15, "tol": 1e-8, "max_iter": 4000, "log_domain": True},
+    "solver": {"epsilon": 0.15, "tol": 1e-8, "max_iter": 4000},
 }
 
 
@@ -131,7 +133,8 @@ class TestSolveCommand:
         assert main([command, str(tiny_scenario), "--output", str(tmp_path / "out")]) == 3
         assert "error: E0+ET+V is not finite at sweep 3" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", [["--max-iter", "0"], ["--tol", "-1"]])
+    @pytest.mark.parametrize("override", [["--max-iter", "0"], ["--tol", "-1"],
+                                          ["--tol", "nan"], ["--epsilon", "inf"]])
     @pytest.mark.parametrize("command", ["solve", "extract-plan"])
     def test_invalid_override_exit(self, command, override, tmp_path, capsys):
         # overrides go through SolverConfig validation before anything is solved
@@ -151,6 +154,9 @@ class TestSolveCommand:
         {"sweep": "jacobi"},
         {"log_domain": "off"},  # used to run the log domain: bool("off") is true
         {"max_iter": 3.0},  # used to die with a TypeError traceback
+        {"log_domain": False},  # the engine picks the domain
+        {"epsilon": True},  # used to run at epsilon 1
+        {"tol": "1e-8"},
     ])
     def test_invalid_solver_block_exit(self, solver, tmp_path, capsys):
         data = json.loads(json.dumps(TINY))
@@ -163,11 +169,26 @@ class TestSolveCommand:
         assert err.startswith("error: invalid scenario") and next(iter(solver)) in err
         assert not outdir.exists()
 
-    def test_sweep_flag_is_gone(self, tiny_scenario, capsys):
+    @pytest.mark.parametrize("flag, value", [("--sweep", "jacobi"), ("--log-domain", "on")])
+    def test_retired_flag_is_gone(self, flag, value, tiny_scenario, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", str(tiny_scenario), "--sweep", "jacobi"])
+            main(["solve", str(tiny_scenario), flag, value])
         assert exc.value.code == 2
-        assert "--sweep" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["62_line", "63_network", "64_convergence"])
+    def test_default_domain_is_not_infeasible(self, name, tmp_path, capsys):
+        # with the domain left to a rule that picked linear, these stopped at
+        # once on a false "target mass ... zero aggregate flux" (exit 4)
+        p = tmp_path / "s.json"
+        assert main(["scenario", name, "--emit", str(p)]) == 0
+        data = json.loads(p.read_text())
+        data["solver"].pop("log_domain", None)
+        p.write_text(json.dumps(data), encoding="utf-8")
+        outdir = tmp_path / "out"
+        assert main(["solve", str(p), "--output", str(outdir), "--max-iter", "5"]) == 3
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["log_domain"] is True and summary["iterations"] == 5
 
     def test_summary_config_is_the_solver_config(self, tiny_scenario, tmp_path):
         outdir = tmp_path / "run"
@@ -175,6 +196,24 @@ class TestSolveCommand:
         summary = json.loads((outdir / "summary.json").read_text())
         assert set(summary["config"]) == {f.name for f in fields(SolverConfig)}
         assert not {"annealed", "epsilon_final"} & set(summary)
+        assert summary["log_domain"] is True  # the domain the solve ran in
+
+    def test_coupled_run_writes_marginals_from_one_message_pass(self, tmp_path, monkeypatch):
+        data = coupled_tiny_scenario({"epsilon": 0.3, "tol": 0.0, "max_iter": 3})
+        p = tmp_path / "coupled.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        calls = []
+        compute_messages = PathSystem.compute_messages
+
+        def counted(self, state, **kwargs):
+            calls.append(kwargs)
+            return compute_messages(self, state, **kwargs)
+
+        monkeypatch.setattr(PathSystem, "compute_messages", counted)
+        assert main(["solve", str(p), "--output", str(tmp_path / "out")]) == 3
+        assert len(calls) == 3 + 1  # one per sweep, one for the node marginals
+        masses = (tmp_path / "out" / "a.csv").read_text().splitlines()[1:]
+        assert sum(float(row.split(",")[1]) for row in masses) == pytest.approx(1.0)
 
     def test_check_properties_flag(self, tmp_path, capsys):
         data = dict(TINY)
@@ -195,7 +234,7 @@ class TestSolverKnobs:
         # every solver knob doubles the configurations to test: adding one
         # must change this test on purpose
         knobs = {f.name for f in fields(SolverConfig)}
-        assert knobs == {"epsilon", "tol", "max_iter", "log_domain"}
+        assert knobs == {"epsilon", "tol", "max_iter"}
         parser = argparse.ArgumentParser()
         _add_solver_overrides(parser)
         flags = {action.dest for action in parser._actions} - {"help"}

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import coupled_tiny_scenario
+
 from datransport import TimeGrid, check_da_feasibility
 from datransport.errors import BadParamError, ScenarioFormatError
 from datransport.scenarios import (
@@ -17,6 +19,13 @@ from datransport.scenarios import (
     scenario_64_convergence,
 )
 from datransport.sinkhorn_engine import SolverConfig, solve
+
+
+def _small_scenario(mode: str) -> ScenarioSpec:
+    """scenario_61 in independent mode, the tiny coupled line in coupled mode."""
+    if mode == "independent":
+        return scenario_61()
+    return ScenarioSpec.from_dict(coupled_tiny_scenario({}))
 
 
 class TestScenario61:
@@ -100,6 +109,7 @@ class TestScenarioPlumbing:
         assert again.data == spec.data
         built = again.build()  # validates network, paths, config
         assert built.name == name
+        assert "log_domain" not in spec.data["solver"]  # the engine picks the domain
 
     @pytest.mark.parametrize("name", sorted(GENERATORS))
     def test_feasibility_precheck_passes(self, name):
@@ -131,15 +141,40 @@ class TestScenarioPlumbing:
             spec.build()
 
     @pytest.mark.parametrize("key, value, message", [
-        ("log_domain", "off", "log_domain must be null, true or false"),
-        ("log_domain", 0, "log_domain must be null, true or false"),
         ("max_iter", 3.0, "max_iter must be an integer"),
         ("max_iter", "3", "max_iter must be an integer"),
+        ("max_iter", True, "max_iter must be an integer"),  # used to run 1 sweep
+        ("epsilon", "0.1", "epsilon must be a real number"),  # used to be a bare TypeError
+        ("epsilon", True, "epsilon must be a real number"),  # used to run at epsilon 1
+        ("epsilon", np.inf, "epsilon must be finite and positive"),
+        ("epsilon", np.nan, "epsilon must be finite and positive"),
+        ("tol", "1e-8", "tol must be a real number"),  # used to be a bare TypeError
+        ("tol", np.nan, "tol must be finite and nonnegative"),  # used to run the whole budget
+        ("tol", np.inf, "tol must be finite and nonnegative"),
     ])
     def test_solver_values_type_checked(self, key, value, message):
         spec = scenario_61()
         spec.data["solver"][key] = value
         with pytest.raises(BadParamError, match=message):
+            spec.build()
+
+    @pytest.mark.parametrize("mode, value", [
+        ("independent", None), ("independent", True), ("coupled", None)])
+    def test_log_domain_key_accepted(self, mode, value):
+        # files written while the domain was a choice may still name it where
+        # the engine picks the same: the log domain in independent mode
+        spec = _small_scenario(mode)
+        plain = spec.build()
+        spec.data["solver"]["log_domain"] = value
+        assert spec.build().config == plain.config
+
+    @pytest.mark.parametrize("mode, value", [
+        ("independent", False), ("independent", "off"), ("independent", 1),
+        ("coupled", True), ("coupled", False)])
+    def test_log_domain_key_rejected(self, mode, value):
+        spec = _small_scenario(mode)
+        spec.data["solver"]["log_domain"] = value
+        with pytest.raises(ScenarioFormatError, match="the engine picks the numeric domain"):
             spec.build()
 
     def test_numpy_integer_budget_accepted(self):
@@ -161,27 +196,12 @@ class TestScenarioPlumbing:
         assert built.net.sinks["b"].mass[7] == 0.5
 
     def test_coupled_scenario_derives_boundaries(self):
-        joint = np.zeros((8, 8))
-        joint[0, 4] = 0.5
-        joint[2, 7] = 0.5
-        data = {
-            "name": "coupled-tiny",
-            "grid": {"t_f": 1.0, "n_t": 8},
-            "nodes": ["a", "m", "b"],
-            "edges": [["a", "m", 1.0], ["m", "b", 1.0]],
-            "sources": [{"node": "a"}],
-            "sinks": [{"node": "b"}],
-            "paths": [["a", "m", "b"]],
-            "mode": "coupled",
-            "joints": [{"source": "a", "sink": "b", "mass": joint.tolist()}],
-        }
-        built = ScenarioSpec.from_dict(data).build()
+        built = _small_scenario("coupled").build()
         assert built.mode == "coupled"
         assert built.net.sources["a"].mass[0] == 0.5
         assert built.net.sinks["b"].mass[4] == 0.5
         state, report = solve(built.net, built.paths, mode="coupled",
-                              config=SolverConfig(epsilon=0.3, tol=1e-10, max_iter=500,
-                                                  log_domain=False),
+                              config=SolverConfig(epsilon=0.3, tol=1e-10, max_iter=500),
                               joints=built.joints)
         assert report.converged
 
@@ -193,8 +213,7 @@ class TestPropertyChecks:
         d = spec.data
         d["grid"]["n_t"] = 24
         d["capacities"]["v1"] = 1.6
-        d["solver"].update({"epsilon": 0.15, "tol": 1e-9, "max_iter": 4000,
-                            "log_domain": True})
+        d["solver"].update({"epsilon": 0.15, "tol": 1e-9, "max_iter": 4000})
         built = ScenarioSpec.from_dict(d).build()
         state, report = solve(built.net, built.paths, mode=built.mode,
                               config=built.config)

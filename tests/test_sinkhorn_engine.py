@@ -231,7 +231,7 @@ class TestAbsorbedStep:
 
     def test_log_domain_builds_no_linear_matrices(self, grid16):
         # linear kernels and cost matrices are built on first use only
-        system = _pinning_instance("shared", grid16, True)
+        system = _pinning_instance("shared", grid16)
         state, _ = solve(system.net, system.paths, config=replace(system.config,
                                                                   **fixed_sweeps(5)))
         aggregate_marginals(state)
@@ -244,7 +244,7 @@ class TestAbsorbedStep:
     def test_solve_rarely_reabsorbs(self, monkeypatch):
         spec = scenario_61()
         built = spec.build()
-        cfg = replace(built.config, log_domain=True, **fixed_sweeps(200))
+        cfg = replace(built.config, **fixed_sweeps(200))
         counts = _count_absorptions(monkeypatch)
         _, report = solve(built.net, built.paths, config=cfg)
         assert report.iterations == 200
@@ -260,7 +260,7 @@ class TestFluxProfile:
         # limit with a vanishing one
         mu0, muT = np.full(8, 0.125), np.full(8, 0.125)
         net, path = make_line_net(grid8, [1e-9, 1e-9], mu0, muT)
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=1.0, log_domain=False))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=1.0))
         state = system.initial_state()
         prof = flux_profile(state, 0, "n1")
         expect = np.array([k * (7 - k) for k in range(8)], dtype=float)
@@ -270,26 +270,24 @@ class TestFluxProfile:
         rng = np.random.default_rng(3)
         mu0, muT = ordered_random_pair(grid10, rng, 3)
         net, path = make_line_net(grid10, [1.0, 0.5, 2.0], mu0, muT)
-        for log_domain in (False, True):
-            system = PathSystem(net, [path],
-                                config=SolverConfig(epsilon=0.3, log_domain=log_domain))
-            state = system.initial_state()
-            for _ in range(3):
-                system.sweep(state)
-            totals = []
-            for pos, node in enumerate(path.nodes):
-                prof = flux_profile(state, 0, node)
-                own = (state.u_linear(node) if pos == 0
-                       else state.v_linear(node) if pos == path.n_p - 1
-                       else state.w_linear(node))
-                totals.append(float((prof * own).sum()))
-            assert np.allclose(totals, totals[0], rtol=1e-10)
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.3))
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        totals = []
+        for pos, node in enumerate(path.nodes):
+            prof = flux_profile(state, 0, node)
+            own = (state.u_linear(node) if pos == 0
+                   else state.v_linear(node) if pos == path.n_p - 1
+                   else state.w_linear(node))
+            totals.append(float((prof * own).sum()))
+        assert np.allclose(totals, totals[0], rtol=1e-10)
 
     def test_matches_dense_contraction(self, grid8):
         rng = np.random.default_rng(7)
         mu0, muT = ordered_random_pair(grid8, rng, 2)
         net, path = make_line_net(grid8, [1.0, 1.5], mu0, muT)
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4, log_domain=False))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4))
         state = system.initial_state()
         for _ in range(4):
             system.sweep(state)
@@ -311,7 +309,7 @@ class TestAggregation:
     def test_single_path_identity_scalings(self, grid8):
         mu0, muT = np.full(8, 0.125), np.full(8, 0.125)
         net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5, log_domain=False))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5))
         state = system.initial_state()
         mm = aggregate_marginals(state)
         for node in path.nodes:
@@ -329,13 +327,13 @@ class TestAggregation:
                    ("s", "m2"): 1.0, ("m2", "t"): 1.0},
             sources={"s": Measure(grid, mu0)}, sinks={"t": Measure(grid, muT)})
         paths2 = [Path(("s", "m1", "t")), Path(("s", "m2", "t"))]
-        system2 = PathSystem(net2, paths2, config=SolverConfig(epsilon=0.5, log_domain=False))
+        system2 = PathSystem(net2, paths2, config=SolverConfig(epsilon=0.5))
         state2 = system2.initial_state()
         mm2 = aggregate_marginals(state2)
 
         net1, path1 = make_line_net(grid, [1.0, 1.0], mu0, muT,
                                     node_names=["s", "m1", "t"])
-        system1 = PathSystem(net1, [path1], config=SolverConfig(epsilon=0.5, log_domain=False))
+        system1 = PathSystem(net1, [path1], config=SolverConfig(epsilon=0.5))
         mm1 = aggregate_marginals(system1.initial_state())
         assert np.allclose(mm2.m["s"], 2 * mm1.m["s"])
         assert np.allclose(mm2.m["t"], 2 * mm1.m["t"])
@@ -343,13 +341,11 @@ class TestAggregation:
 
 
 class TestBlockUpdates:
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_boundary_update_exact(self, grid16, log_domain):
+    def test_boundary_update_exact(self, grid16):
         rng = np.random.default_rng(11)
         mu0, muT = ordered_random_pair(grid16, rng, 2)
         net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT)
-        system = PathSystem(net, [path],
-                            config=SolverConfig(epsilon=0.3, log_domain=log_domain))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.3))
         state = system.initial_state()
         for _ in range(2):
             system.sweep(state)
@@ -361,7 +357,7 @@ class TestBlockUpdates:
         rng = np.random.default_rng(41)
         mu0, muT = ordered_random_pair(grid8, rng, 2)
         net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5, log_domain=False))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5))
         state = system.initial_state()
         for _ in range(80):
             system.sweep(state)
@@ -375,18 +371,16 @@ class TestBlockUpdates:
         muT = np.eye(8)[7] * 0
         muT[6] = 1.0
         net, path = make_line_net(grid8, [1.0], mu0, muT)
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5, log_domain=False))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5))
         state = system.initial_state()
         with pytest.raises(UnreachableMassError):
             boundary_update(state, "n0")
 
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_capacity_update(self, grid8, log_domain):
+    def test_capacity_update(self, grid8):
         mu0, muT = np.full(8, 0.125), np.full(8, 0.125)
         slack = {"n1": np.full(8, 1e6)}
         net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT, caps=slack)
-        system = PathSystem(net, [path],
-                            config=SolverConfig(epsilon=0.5, log_domain=log_domain))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5))
         state = system.initial_state()
         capacity_update(state, "n1")
         assert np.allclose(state.w_linear("n1"), 1.0)
@@ -396,8 +390,7 @@ class TestBlockUpdates:
         agg = mm.a["n1"]
         cap = np.where(agg > 0, agg * 0.5, 1.0)
         net2, path2 = make_line_net(grid8, [1.0, 1.0], mu0, muT, caps={"n1": cap})
-        system2 = PathSystem(net2, [path2],
-                             config=SolverConfig(epsilon=0.5, log_domain=log_domain))
+        system2 = PathSystem(net2, [path2], config=SolverConfig(epsilon=0.5))
         state2 = system2.initial_state()
         capacity_update(state2, "n1")
         w = state2.w_linear("n1")
@@ -409,7 +402,7 @@ class TestBlockUpdates:
     def test_wrong_node_kind_rejected(self, grid8):
         mu0, muT = np.full(8, 0.125), np.full(8, 0.125)
         net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
-        system = PathSystem(net, [path], config=SolverConfig(log_domain=False))
+        system = PathSystem(net, [path], config=SolverConfig())
         state = system.initial_state()
         with pytest.raises(BadParamError):
             capacity_update(state, "n0")
@@ -425,7 +418,7 @@ class TestClassicReduction:
         mu0, muT = ordered_random_pair(grid16, rng, 1)
         net, path = make_line_net(grid16, [1.3], mu0, muT)
         sweeps = 30
-        cfg = SolverConfig(epsilon=0.4, log_domain=False, **fixed_sweeps(sweeps))
+        cfg = SolverConfig(epsilon=0.4, **fixed_sweeps(sweeps))
         state, report = solve(net, [path], config=cfg)
 
         t = grid16.centers
@@ -451,14 +444,13 @@ class TestClassicReduction:
 
 
 class TestDenseOracleEquivalence:
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_three_node_capped(self, grid8, log_domain):
+    def test_three_node_capped(self, grid8):
         rng = np.random.default_rng(5)
         mu0, muT = ordered_random_pair(grid8, rng, 2)
         cap = np.full(8, 0.22)
         net, path = make_line_net(grid8, [1.0, 1.5], mu0, muT, caps={"n1": cap})
         sweeps = 25
-        cfg = SolverConfig(epsilon=0.2, log_domain=log_domain, **fixed_sweeps(sweeps))
+        cfg = SolverConfig(epsilon=0.2, **fixed_sweeps(sweeps))
         state, _ = solve(net, [path], config=cfg)
         cost = chain_cost_tensor(grid8.centers, [1.0, 1.5])
         res = dense_sinkhorn(cost, [("eq", mu0), ("ub", cap), ("eq", muT)], 0.2, sweeps)
@@ -473,7 +465,7 @@ class TestDenseOracleEquivalence:
         caps = {"n1": np.full(8, 0.3), "n2": np.full(8, 0.25)}
         net, path = make_line_net(grid8, [1.0, 0.7, 1.2], mu0, muT, caps=caps)
         sweeps = 20
-        cfg = SolverConfig(epsilon=0.3, log_domain=False, **fixed_sweeps(sweeps))
+        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(sweeps))
         state, _ = solve(net, [path], config=cfg)
         cost = chain_cost_tensor(grid8.centers, [1.0, 0.7, 1.2])
         res = dense_sinkhorn(cost, [("eq", mu0), ("ub", caps["n1"]),
@@ -490,7 +482,7 @@ class TestSolve:
         mu0, muT = ordered_random_pair(grid16, rng, 2)
         net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(16, 0.2)})
-        cfg = SolverConfig(epsilon=0.3, tol=1e-10, max_iter=2000, log_domain=False)
+        cfg = SolverConfig(epsilon=0.3, tol=1e-10, max_iter=2000)
         state, report = solve(net, [path], config=cfg)
         assert report.converged
         assert report.e0[-1] + report.et[-1] + report.v[-1] <= 1e-10
@@ -505,7 +497,7 @@ class TestSolve:
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(10, 0.25)})
-        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(120), log_domain=False)
+        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(120))
         _, report = solve(net, [path], config=cfg)
         assert np.all(np.diff(report.objective) >= -1e-9)
 
@@ -515,7 +507,7 @@ class TestSolve:
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 2.0], mu0, muT,
                                   caps={"n1": np.full(10, 0.3)})
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4, log_domain=False))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4))
         state = system.initial_state()
         last = system.dual_objective(state)
         for _ in range(15):
@@ -533,7 +525,7 @@ class TestSolve:
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(10, 0.2)})
-        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(50), log_domain=False)
+        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(50))
         s1, r1 = solve(net, [path], config=cfg)
         s2, r2 = solve(net, [path], config=cfg)
         assert np.array_equal(r1.e0, r2.e0)
@@ -548,7 +540,7 @@ class TestSolve:
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(10, 0.2)})
-        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(ANDERSON_WARMUP), log_domain=False)
+        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(ANDERSON_WARMUP))
         state, _ = solve(net, [path], config=cfg)
         system = PathSystem(net, [path], config=cfg)
         plain = system.initial_state()
@@ -566,16 +558,14 @@ class TestSolve:
         assert report.iterations > ANDERSON_WARMUP
         assert np.all(np.diff(report.objective) >= -1e-9)
 
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_mixing_keeps_dead_bins_dead(self, grid16, log_domain):
-        # zero-mass boundary bins carry dead scalings (0, or -inf in the log
-        # domain); the solve runs past the warm-up and on into round-off
+    def test_mixing_keeps_dead_bins_dead(self, grid16):
+        # zero-mass boundary bins carry dead scalings (log-scaling -inf); the
+        # solve runs past the warm-up and on into round-off
         rng = np.random.default_rng(21)
         mu0, muT = ordered_random_pair(grid16, rng, 2)
         net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(16, 0.12)})
-        cfg = SolverConfig(epsilon=0.3, log_domain=log_domain,
-                           **fixed_sweeps(ANDERSON_WARMUP + 100))
+        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(ANDERSON_WARMUP + 100))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             state, report = solve(net, [path], config=cfg)
@@ -590,31 +580,28 @@ class TestSolve:
         assert np.all(mm.m["n0"][mu0 == 0] == 0)
         assert np.all(mm.m["n2"][muT == 0] == 0)
 
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_swept_dual_needs_no_messages(self, grid16, log_domain):
+    def test_swept_dual_needs_no_messages(self, grid16):
         # right after a sweep the sinks are matched, so the dual's mass term
         # is the sink target mass on live bins
         rng = np.random.default_rng(22)
         mu0, muT = ordered_random_pair(grid16, rng, 2)
         net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(16, 0.12)})
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.3, log_domain=log_domain))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.3))
         state = system.initial_state()
         for _ in range(5):
             system.sweep(state)
             assert system._swept_dual_objective(state) == pytest.approx(
                 system.dual_objective(state), rel=1e-12, abs=1e-14)
 
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_one_message_pass_per_sweep(self, grid16, log_domain, monkeypatch):
+    def test_one_message_pass_per_sweep(self, grid16, monkeypatch):
         # the exact Gauss-Seidel solve pays one backward-only message pass per
         # sweep and never the primal cost; the traced dual is still the full one
         rng = np.random.default_rng(23)
         mu0, muT = ordered_random_pair(grid16, rng, 2)
         net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(16, 0.12)})
-        cfg = SolverConfig(epsilon=0.3, log_domain=log_domain,
-                           **fixed_sweeps(ANDERSON_WARMUP))
+        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(ANDERSON_WARMUP))
         calls = []
         compute_messages = PathSystem.compute_messages
 
@@ -639,13 +626,12 @@ class TestSolve:
                 system.dual_objective(state, full), rel=1e-12)
             system.sweep(state)
 
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_backward_only_messages(self, grid10, log_domain):
+    def test_backward_only_messages(self, grid10):
         rng = np.random.default_rng(24)
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 2.0], mu0, muT,
                                   caps={"n1": np.full(10, 0.3)})
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4, log_domain=log_domain))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4))
         state = system.initial_state()
         for _ in range(3):
             system.sweep(state)
@@ -673,7 +659,7 @@ class TestSolve:
             return (np.nan if state.iteration == 2 else e0), et, v
 
         monkeypatch.setattr(PathSystem, "sweep", poisoned)
-        cfg = SolverConfig(epsilon=0.4, log_domain=False, **fixed_sweeps(10))
+        cfg = SolverConfig(epsilon=0.4, **fixed_sweeps(10))
         with pytest.raises(NonFiniteError, match="sweep 3"):
             solve(net, [path], config=cfg)
 
@@ -682,7 +668,7 @@ class TestSolve:
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(10, 0.3)})
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4, log_domain=False))
+        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.4))
         state = system.initial_state()
         for _ in range(3):
             system.sweep(state)
@@ -691,13 +677,13 @@ class TestSolve:
 
 
 class TestCoupledMode:
-    def make_coupled(self, grid, joint_mass, cap=None, log_domain=False, epsilon=0.3):
+    def make_coupled(self, grid, joint_mass, cap=None, epsilon=0.3):
         joint = JointMeasure(grid, joint_mass)
         mu0 = joint_mass.sum(axis=1)
         muT = joint_mass.sum(axis=0)
         caps = {"n1": cap} if cap is not None else None
         net, path = make_line_net(grid, [1.0, 1.0], mu0, muT, caps=caps)
-        cfg = SolverConfig(epsilon=epsilon, log_domain=log_domain, tol=0.0, max_iter=1)
+        cfg = SolverConfig(epsilon=epsilon, tol=0.0, max_iter=1)
         system = PathSystem(net, [path], mode="coupled", config=cfg,
                             joints={("n0", "n2"): joint})
         return system, joint
@@ -725,7 +711,7 @@ class TestCoupledMode:
             coupled_boundary_update(state, ("n0", "n2"))
 
     @pytest.mark.parametrize("log_domain", [False, True])
-    def test_matches_dense_coupled_oracle(self, grid8, log_domain):
+    def test_matches_dense_coupled_oracle(self, grid8, log_domain, monkeypatch):
         rng = np.random.default_rng(31)
         joint_mass = np.zeros((8, 8))
         for i in range(5):
@@ -733,8 +719,9 @@ class TestCoupledMode:
                 joint_mass[i, j] = rng.uniform(0.1, 1.0)
         joint_mass /= joint_mass.sum()
         cap = np.full(8, 0.3)
-        system, joint = self.make_coupled(grid8, joint_mass, cap=cap,
-                                          log_domain=log_domain)
+        _pick_domain(monkeypatch, log_domain)
+        system, joint = self.make_coupled(grid8, joint_mass, cap=cap)
+        assert system.log_domain is log_domain
         state = system.initial_state()
         sweeps = 40
         for _ in range(sweeps):
@@ -754,11 +741,12 @@ class TestCoupledMode:
 
 
     @pytest.mark.parametrize("log_domain", [False, True])
-    def test_chains_start_from_the_kernels(self, grid16, log_domain):
+    def test_chains_start_from_the_kernels(self, grid16, log_domain, monkeypatch):
         # the boundary scalings are neutral in coupled mode, so the first
         # forward and the last backward message of a path are its end
         # kernels: exactly the steps from the identity, without the product
-        system = _pinning_instance("coupled", grid16, log_domain)
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance("coupled", grid16)
         state = system.initial_state()
         system.sweep(state)
         msgs = system.compute_messages(state)
@@ -775,7 +763,8 @@ class TestCoupledMode:
                 last, _backward_step(kernels[-1], eye, unit, log_domain, steps[-1][1]))
 
     def test_linear_contractions_match_einsum(self, grid16):
-        system = _pinning_instance("coupled", grid16, False)
+        system = _pinning_instance("coupled", grid16)
+        assert not system.log_domain  # the rule's pick at epsilon 0.3
         state = system.initial_state()
         for _ in range(3):
             system.sweep(state)
@@ -794,10 +783,11 @@ class TestCoupledMode:
                 np.testing.assert_allclose(system._edge_pair_marginal(state, msgs, p_idx, l),
                                            ref, rtol=1e-12)
 
-    def test_log_contractions_match_one_piece(self, grid16):
+    def test_log_contractions_match_one_piece(self, grid16, monkeypatch):
         # the reference reduces one n_t**3 temporary per contraction; the
         # engine's pair marginal is two blocked _lse_matmul calls instead
-        system = _pinning_instance("coupled", grid16, True)
+        _pick_domain(monkeypatch, True)
+        system = _pinning_instance("coupled", grid16)
         state = system.initial_state()
         for _ in range(3):
             system.sweep(state)
@@ -834,7 +824,7 @@ class TestExtractPlan:
         mu0, muT = ordered_random_pair(grid8, rng, 2)
         net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(8, 0.3)})
-        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(30), log_domain=False)
+        cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(30))
         state, _ = solve(net, [path], config=cfg)
         cells = extract_plan(state, 0)
         assert len(cells.mass) <= 8 ** 3
@@ -846,7 +836,7 @@ class TestExtractPlan:
         rng = np.random.default_rng(3)
         mu0, muT = ordered_random_pair(grid8, rng, 2)
         net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
-        cfg = SolverConfig(epsilon=0.5, **fixed_sweeps(10), log_domain=False)
+        cfg = SolverConfig(epsilon=0.5, **fixed_sweeps(10))
         state, _ = solve(net, [path], config=cfg)
         top = extract_plan(state, 0, top_k=5)
         assert len(top.mass) == 5
@@ -859,7 +849,7 @@ class TestExtractPlan:
         rng = np.random.default_rng(4)
         mu0, muT = ordered_random_pair(grid8, rng, 2)
         net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
-        cfg = SolverConfig(epsilon=0.5, **fixed_sweeps(2), log_domain=False)
+        cfg = SolverConfig(epsilon=0.5, **fixed_sweeps(2))
         state, _ = solve(net, [path], config=cfg)
         with pytest.raises(PlanTooLargeError):
             extract_plan(state, 0, max_cells=100)
@@ -872,7 +862,7 @@ class TestSharedNodeNetwork:
         mu0, muT = ordered_random_pair(grid16, rng, 5)
         cap = np.full(16, 0.15)
         net, paths = _three_route_network(grid16, mu0, muT, cap)
-        cfg = SolverConfig(epsilon=0.3, tol=1e-9, max_iter=6000, log_domain=True)
+        cfg = SolverConfig(epsilon=0.3, tol=1e-9, max_iter=6000)
         state, report = solve(net, paths, config=cfg)
         assert report.converged
         msgs = state.system.compute_messages(state)
@@ -888,10 +878,15 @@ class TestSharedNodeNetwork:
         assert delivered == pytest.approx(1.0, abs=1e-8)
 
 
-def _pinning_instance(kind, grid, log_domain):
-    """Small instance of each sweep shape, as (system, mode)."""
+def _pick_domain(monkeypatch, log_domain):
+    """Make the coupled-mode domain rule pick ``log_domain``."""
+    monkeypatch.setattr(sinkhorn_engine, "use_log_domain", lambda *args: log_domain)
+
+
+def _pinning_instance(kind, grid):
+    """Small ``PathSystem`` of each sweep shape."""
     rng = np.random.default_rng(51)
-    cfg = SolverConfig(epsilon=0.3, log_domain=log_domain)
+    cfg = SolverConfig(epsilon=0.3)
     if kind == "line":
         mu0, muT = ordered_random_pair(grid, rng, 3)
         caps = {"n1": np.full(grid.n_t, 0.2), "n2": np.full(grid.n_t, 0.18)}
@@ -965,9 +960,22 @@ def _count_message_passes(monkeypatch):
     return calls
 
 
-class TestSweepPinning:
-    @pytest.mark.parametrize("log_domain", [False, True])
+class TestNumericDomain:
     @pytest.mark.parametrize("kind", ["line", "shared", "cyclic", "coupled"])
+    def test_engine_picks_the_domain(self, grid16, kind, monkeypatch):
+        # independent mode runs the log domain whatever the rule says;
+        # coupled mode follows the rule, which picks linear at epsilon 0.3
+        assert _pinning_instance(kind, grid16).log_domain is (kind != "coupled")
+        for rule in (False, True):
+            _pick_domain(monkeypatch, rule)
+            system = _pinning_instance(kind, grid16)
+            assert system.log_domain is (rule or kind != "coupled")
+            assert system.initial_state().log_domain is system.log_domain
+
+
+class TestSweepPinning:
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("shared", True), ("cyclic", True), ("coupled", False), ("coupled", True)])
     def test_sweep_is_exact_gauss_seidel(self, grid16, kind, log_domain, monkeypatch):
         # a sweep is, bit for bit, the public block updates in sweep order,
         # each of them computed from full messages of the current state.
@@ -975,8 +983,11 @@ class TestSweepPinning:
         # point, so the bitwise comparison makes every step absorb, which
         # is the plain log-sum-exp; with the cache the two agree to 1e-12.
 
+        _pick_domain(monkeypatch, log_domain)
+
         def sweeps_and_block_updates():
-            system = _pinning_instance(kind, grid16, log_domain)
+            system = _pinning_instance(kind, grid16)
+            assert system.log_domain is log_domain
             swept = system.initial_state()
             blocks = system.initial_state()
             for _ in range(5):
@@ -1008,7 +1019,8 @@ class TestSweepPinning:
 
     @pytest.mark.parametrize("log_domain", [False, True])
     def test_coupled_solve_one_message_pass_per_sweep(self, grid16, log_domain, monkeypatch):
-        system = _pinning_instance("coupled", grid16, log_domain)
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance("coupled", grid16)
         assert len(system.interior_order) == 2
         calls = _count_message_passes(monkeypatch)
         cfg = replace(system.config, **fixed_sweeps(20))
@@ -1017,12 +1029,11 @@ class TestSweepPinning:
         assert report.iterations == 20
         assert len(calls) == 20
 
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_cyclic_family_converges(self, grid16, log_domain, monkeypatch):
+    def test_cyclic_family_converges(self, grid16, monkeypatch):
         # the cyclic family has no path-compatible order, so its sweeps
         # refresh the messages before every block
         net, paths = _cyclic_family(grid16, np.random.default_rng(51))
-        cfg = SolverConfig(epsilon=0.3, tol=1e-9, max_iter=3000, log_domain=log_domain)
+        cfg = SolverConfig(epsilon=0.3, tol=1e-9, max_iter=3000)
         system = PathSystem(net, paths, config=cfg)
         calls = _count_message_passes(monkeypatch)
         system.sweep(system.initial_state())
