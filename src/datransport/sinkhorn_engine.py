@@ -21,10 +21,11 @@ after its input drifted more than ``ABSORB_BAND`` or a bin died or revived.
 A solve runs at the one configured epsilon.  Each sweep is one cyclic
 (Gauss-Seidel) pass over the blocks in sweep order, each projected from
 the backward messages of the sweep's entering state and a forward frontier
-extended block by block.  Independent and coupled mode both cost one
-message pass per sweep (backward-only in independent mode); only a sweep
-over a cyclic path family refreshes the messages before each block.  The
-primal transport cost is computed on demand, never per sweep.
+extended block by block.  A sweep costs one backward-only message pass
+in either mode; only a sweep over a cyclic path family refreshes the
+messages before each block.  Past a warm-up, both modes mix the sweeps
+(safeguarded Anderson mixing, ``_AndersonMixer``).  The primal transport
+cost is computed on demand, never per sweep.
 """
 
 from __future__ import annotations
@@ -141,13 +142,18 @@ class ChainMessages:
     ending at node l, including the scalings of nodes 0..l-1; ``bwd[p][l]``
     symmetrically over suffixes with the scalings of nodes l+1 onward.  The
     product fwd*own scaling*bwd summed over the grid is the path's total
-    mass, identical at every node of the path.  A backward-only pass leaves
-    a placeholder in ``fwd`` that raises on any read.
+    mass, identical at every node of the path.
 
     Coupled mode: the messages are matrices conditioned on the boundary
     bins, ``fwd[p][l][i, t]`` from departure bin i to node l at bin t and
-    ``bwd[p][l][t, j]`` toward arrival bin j; ``fwd[p][-1]`` is the
-    interior chain matrix of the path (all interior multipliers, no Lambda).
+    ``bwd[p][l][t, j]`` toward arrival bin j.  ``bwd[p][0]`` (equally
+    ``fwd[p][-1]``) is the interior chain matrix of the path, departure to
+    arrival: all interior multipliers, no Lambda.
+
+    Both modes read path masses and joint aggregates from ``bwd[p][0]``, so
+    a sweep and the dual objective need the backward half only.  A
+    backward-only pass leaves a placeholder in ``fwd`` that raises on any
+    read.
     """
 
     fwd: list[list[np.ndarray]] | _NoForward
@@ -328,13 +334,12 @@ class _Forward:
     def __init__(self, system: "PathSystem", state: SinkhornState):
         self.system = system
         self.state = state
-        log = state.log_domain
         if system.mode == COUPLED:
             # the source scaling is neutral: the first step is the kernel itself
-            self.fwd = [[system._start(log), system._kernel(kernels[0], log)]
+            self.fwd = [[system._start, system._kernel(kernels[0], state.log_domain)]
                         for kernels in system.path_kernels]
         else:
-            self.fwd = [[system._start(log)] for _ in system.paths]
+            self.fwd = [[system._start] for _ in system.paths]
 
     def __call__(self, p_idx: int, pos: int) -> np.ndarray:
         f = self.fwd[p_idx]
@@ -417,6 +422,32 @@ class PathSystem:
         self._blocks = ([(b, 0) for b in first] + [(n, 2) for n in self.interior_order]
                         + [(n, 1) for n in last])
         self._targets = {**self.mu0, **self.muT, **self.joints}
+        # the dual's <log scaling, target> terms, boundary blocks first:
+        # (block, mask, masked target).  Sub-threshold target mass on dead
+        # bins is dropped by the updates, so the dual leaves it out as well;
+        # uncapped and zero-cap bins add nothing.
+        self._dual_terms = []
+        for block in first + last:
+            mask = self._targets[block] > NEGLIGIBLE_MASS
+            self._dual_terms.append((block, mask, self._targets[block][mask]))
+        for node in self.interior_order:
+            cap = self.caps[node]
+            mask = np.isfinite(cap) & (cap > 0)
+            self._dual_terms.append((node, mask, cap[mask]))
+
+        # neutral scaling vector and neutral message (the identity on the
+        # boundary bins in coupled mode) of the system's domain, shared by
+        # every path and state, so read-only
+        self._unit = np.zeros(self.n_t) if self.log_domain else np.ones(self.n_t)
+        if mode == INDEPENDENT:
+            self._start = self._unit
+        elif self.log_domain:
+            self._start = np.full((self.n_t, self.n_t), -np.inf)
+            np.fill_diagonal(self._start, 0.0)
+        else:
+            self._start = np.eye(self.n_t)
+        self._unit.flags.writeable = False
+        self._start.flags.writeable = False
 
         self.epsilon = config.epsilon
         self._cost_mats: dict[float, np.ndarray] = {}  # built by transport_cost
@@ -489,7 +520,7 @@ class PathSystem:
 
     def initial_state(self) -> SinkhornState:
         n = self.n_t
-        one = self._unit(self.log_domain)
+        one = self._unit
         one_mat = np.zeros((n, n)) if self.log_domain else np.ones((n, n))
         u = {s: one.copy() for s in self.source_order} if self.mode == INDEPENDENT else {}
         v = {s: one.copy() for s in self.sink_order} if self.mode == INDEPENDENT else {}
@@ -501,7 +532,7 @@ class PathSystem:
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Active-domain scaling vector of the node at ``pos`` (neutral at coupled boundaries)."""
         if self.mode == COUPLED and pos in (0, path.n_p - 1):
-            return self._unit(state.log_domain)
+            return self._unit
         bank = state.u if pos == 0 else state.v if pos == path.n_p - 1 else state.w
         return bank[path.nodes[pos]]
 
@@ -515,17 +546,12 @@ class PathSystem:
     # messages
 
     def compute_messages(self, state: SinkhornState, backward_only: bool = False) -> ChainMessages:
-        """Chain messages of ``state``.
-
-        ``backward_only`` skips the forward half in independent mode.  Coupled
-        messages are always full: the joint blocks and the dual objective read
-        the interior chains ``fwd[p][-1]``.
-        """
+        """Chain messages of ``state``; ``backward_only`` skips the forward half."""
         log = state.log_domain
         bwd = []
         for p_idx, path in enumerate(self.paths):
             kernels = self.path_kernels[p_idx]
-            b = [self._start(log)] * path.n_p
+            b = [self._start] * path.n_p
             last = path.n_edges - 1
             if self.mode == COUPLED:
                 # the sink scaling is neutral: the last step is the kernel itself
@@ -535,31 +561,17 @@ class PathSystem:
                 s = self._scaling_at(state, path, l + 1)
                 b[l] = _backward_step(kernels[l], b[l + 1], s, log, self._steps[p_idx][l][1])
             bwd.append(b)
-        if backward_only and self.mode == INDEPENDENT:
+        if backward_only:
             return ChainMessages(fwd=_NoForward(), bwd=bwd)
         frontier = _Forward(self, state)
         for p_idx, path in enumerate(self.paths):
             frontier(p_idx, path.n_edges)
         return ChainMessages(fwd=frontier.fwd, bwd=bwd)
 
-    def _unit(self, log_domain: bool) -> np.ndarray:
-        """Neutral scaling vector of the active domain."""
-        return np.zeros(self.n_t) if log_domain else np.ones(self.n_t)
-
     @staticmethod
     def _kernel(kern: PairKernel, log_domain: bool) -> np.ndarray:
         """The edge's kernel matrix in the active domain."""
         return kern.logK if log_domain else kern.K
-
-    def _start(self, log_domain: bool) -> np.ndarray:
-        """Neutral message: a unit vector, or in coupled mode the identity on boundary bins."""
-        if self.mode == INDEPENDENT:
-            return self._unit(log_domain)
-        if not log_domain:
-            return np.eye(self.n_t)
-        eye = np.full((self.n_t, self.n_t), -np.inf)
-        np.fill_diagonal(eye, 0.0)
-        return eye
 
     # ------------------------------------------------------------------
     # aggregates and marginals
@@ -579,13 +591,13 @@ class PathSystem:
                    frontier: _Forward | None = None) -> np.ndarray:
         """Active-domain aggregate of one block, excluding the block's own scaling.
 
-        A joint block sums the interior chain matrices of its paths, which
-        leave Lambda out.  A node block sums its paths' terms from the
-        backward messages and the forward ones, read from ``frontier`` when
-        given, else from ``messages``.
+        A joint block sums the interior chain matrices ``bwd[p][0]`` of its
+        paths, which leave Lambda out.  A node block sums its paths' terms
+        from the backward messages and the forward ones, read from
+        ``frontier`` when given, else from ``messages``.
         """
         if block in self.joints:
-            terms = [messages.fwd[p][self.paths[p].n_edges] for p in self.pair_paths[block]]
+            terms = [messages.bwd[p][0] for p in self.pair_paths[block]]
         else:
             fwd = frontier or (lambda p, pos: messages.fwd[p][pos])
             terms = [self._path_term(state, p, fwd(p, pos), messages.bwd[p][pos])
@@ -723,12 +735,12 @@ class PathSystem:
         block update.  Every block is projected from the backward messages
         of the entering state and a forward frontier: the backward messages
         at a block depend only on nodes that come later in the sweep, and
-        joint blocks, which come first, read the interior chains (they leave
-        Lambda out).  Each new scaling is assigned at once (Gauss-Seidel),
-        so every block update is the exact projection (block coordinate
-        ascent); over a cyclic path family the messages are refreshed before
-        every block.  A ``messages`` argument is trusted to describe the
-        entering state and may be backward-only in independent mode.
+        joint blocks, which come first, read the interior chains
+        ``bwd[p][0]`` (they leave Lambda out).  Each new scaling is assigned
+        at once (Gauss-Seidel), so every block update is the exact
+        projection (block coordinate ascent); over a cyclic path family the
+        messages are refreshed before every block.  A ``messages`` argument
+        is trusted to describe the entering state and may be backward-only.
         """
         refresh = not self._order_follows_paths
         totals = [0.0, 0.0, 0.0]
@@ -747,16 +759,15 @@ class PathSystem:
     # diagnostics
 
     def path_masses(self, state: SinkhornState, messages=None) -> np.ndarray:
-        """Total model mass per path (independent mode: read at the source end)."""
+        """Total model mass per path, read at the source end from the backward messages."""
         if messages is None:
             messages = self.compute_messages(state, backward_only=True)
         out = np.empty(len(self.paths))
         for p_idx, path in enumerate(self.paths):
+            chain = messages.bwd[p_idx][0]
             if self.mode == COUPLED:
-                chain = messages.fwd[p_idx][path.n_edges]
                 scaling = state.lam[(path.source, path.sink)]
             else:
-                chain = messages.bwd[p_idx][0]
                 scaling = state.u[path.source]
             if state.log_domain:
                 out[p_idx] = np.exp(_lse_reduce((chain + scaling).ravel(), axis=0))
@@ -812,60 +823,46 @@ class PathSystem:
 
     def _dual_scaling_terms(self, state: SinkhornState) -> float:
         """Sum of <log scaling, target> over all blocks (the dual without its mass term)."""
-
-        def log_scale(vec: np.ndarray) -> np.ndarray:
-            if state.log_domain:
-                return vec
-            with np.errstate(divide="ignore"):
-                return np.log(vec)
-
-        def masked_dot(lscale: np.ndarray, target: np.ndarray) -> float:
-            # sub-threshold target mass on dead bins is dropped by the
-            # updates, so it is excluded here as well
-            mask = target > NEGLIGIBLE_MASS
-            if np.any(np.isneginf(lscale[mask])):
-                return -np.inf
-            return float(np.dot(lscale[mask], target[mask]))
-
         total = 0.0
-        if self.mode == COUPLED:
-            for pair in self.pairs:
-                total += masked_dot(log_scale(state.lam[pair]).ravel(),
-                                    self.joints[pair].ravel())
-        else:
-            for node in self.source_order:
-                total += masked_dot(log_scale(state.u[node]), self.mu0[node])
-            for node in self.sink_order:
-                total += masked_dot(log_scale(state.v[node]), self.muT[node])
-        for node in self.interior_order:
-            cap = self.caps[node]
-            gamma = log_scale(state.w[node])
-            mask = np.isfinite(cap) & (cap > 0)
-            total += float(np.dot(gamma[mask], cap[mask]))
+        for block, mask, target in self._dual_terms:
+            lscale = self._bank(state, block)[block][mask]
+            if not state.log_domain:
+                with np.errstate(divide="ignore"):
+                    lscale = np.log(lscale)
+            if np.any(np.isneginf(lscale)):
+                return -np.inf
+            total += float(np.dot(lscale, target))
         return total
 
 
 class _AndersonMixer:
-    """Safeguarded Anderson mixing of the independent-mode Gauss-Seidel sweep.
+    """Safeguarded Anderson mixing of the Gauss-Seidel sweep, in either mode.
 
     Type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011)
-    of the fixed point x = G(x), where x stacks the log-scalings (u, w, v)
-    and G is one plain sweep.  The mixed point combines the last few G(x)
-    with weights that minimise the combined residual G(x) - x in the
-    target-weighted norm sum(target * r**2), the diagonal of the dual's
-    curvature in the log-scalings.  Capacity multipliers are clipped back to
-    w <= 1.  A mixed point replaces the plain one only if it is finite and
-    its dual value is at least the plain point's; otherwise the plain point
-    stands and the history restarts.  Dead bins (log-scaling -inf) take no part
-    in the mixing and stay dead.
+    of the fixed point x = G(x), where x stacks the log-scalings of the
+    blocks in sweep order ((u, w, v), or in coupled mode (Lambda, w) with
+    each joint Lambda raveled) and G is one plain sweep.  The mixed point
+    combines the last few G(x) with weights that minimise the combined
+    residual G(x) - x in the target-weighted norm sum(target * r**2), the
+    diagonal of the dual's curvature in the log-scalings.  Capacity
+    multipliers are clipped back to w <= 1.  A mixed point replaces the
+    plain one only if it is finite and its dual value is at least the plain
+    point's; otherwise the plain point stands and the history restarts.
+    Dead bins (log-scaling -inf, a zero scaling in the linear domain, such
+    as a Lambda cell of zero target) take no part in the mixing and stay
+    dead.
     """
 
     def __init__(self, system: PathSystem):
         self.system = system
-        n_src = len(system.source_order) * system.n_t
-        self._w_block = slice(n_src, n_src + len(system.interior_order) * system.n_t)
-        targets = np.concatenate([system.caps[b] if b in system.caps else system._targets[b]
-                                  for b, _ in system._blocks])
+        targets = [system.caps[b] if b in system.caps else system._targets[b]
+                   for b, _ in system._blocks]
+        self._shapes = [t.shape for t in targets]
+        bounds = np.cumsum([0] + [t.size for t in targets])
+        self._splits = bounds[1:-1]
+        n_first = sum(slot == 0 for _, slot in system._blocks)  # sources or joint pairs
+        self._w_block = slice(bounds[n_first], bounds[n_first + len(system.interior_order)])
+        targets = np.concatenate([t.ravel() for t in targets])
         self._sqrt_mass = np.sqrt(np.where(np.isfinite(targets), targets, 0.0))
         self.reset()
 
@@ -875,22 +872,31 @@ class _AndersonMixer:
         self._live: np.ndarray | None = None
 
     def pack(self, state: SinkhornState) -> np.ndarray:
-        """The state's log-scalings, stacked in sweep order: sources, interior nodes, sinks."""
+        """The state's log-scalings, raveled and stacked in sweep order."""
         system = self.system
-        return np.concatenate([system._bank(state, b)[b] for b, _ in system._blocks])
+        x = np.concatenate([system._bank(state, b)[b].ravel() for b, _ in system._blocks])
+        if state.log_domain:
+            return x
+        with np.errstate(divide="ignore"):
+            return np.log(x)
 
     def _unpack(self, state: SinkhornState, x: np.ndarray) -> SinkhornState:
         system = self.system
-        trial = replace(state, u={}, w={}, v={})
-        for (block, _), chunk in zip(system._blocks, np.split(x, len(system._blocks))):
-            system._bank(trial, block)[block] = chunk
+        if not state.log_domain:
+            x = np.exp(x)
+        trial = replace(state, u={}, w={}, v={}, lam={})
+        for (block, _), chunk, shape in zip(system._blocks, np.split(x, self._splits),
+                                            self._shapes):
+            system._bank(trial, block)[block] = chunk.reshape(shape)
         return trial
 
     def step(self, state: SinkhornState, x_prev: np.ndarray):
         """Mix after the plain sweep that took the log-scalings ``x_prev`` to ``state``.
 
-        Returns the messages of the mixed point when it replaces the plain
-        point in ``state``, else None.
+        Returns backward-only messages of the point ``state`` holds on
+        return, when the step computed them, else None: those of the mixed
+        point when it replaces the plain one, and in coupled mode those of
+        the plain point when it stands.
         """
         system = self.system
         g = self.pack(state)
@@ -912,16 +918,25 @@ class _AndersonMixer:
         mixed = g.copy()
         mixed[live] = g_live - d_g @ gamma
         np.minimum(mixed[self._w_block], 0.0, out=mixed[self._w_block])
-        trial = self._unpack(state, mixed)
-        value = -np.inf
-        if np.all(np.isfinite(mixed[live])):
-            with np.errstate(over="ignore", invalid="ignore"):
-                messages = system.compute_messages(trial, backward_only=True)
-                value = system.dual_objective(trial, messages)
-        if not value >= system._swept_dual_objective(state):
+        if not np.all(np.isfinite(mixed[live])):
             self.reset()
             return None
-        state.u, state.w, state.v = trial.u, trial.w, trial.v
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = self._unpack(state, mixed)
+            messages = system.compute_messages(trial, backward_only=True)
+            value = system.dual_objective(trial, messages)
+        if system.mode == INDEPENDENT:
+            plain, plain_messages = system._swept_dual_objective(state), None
+        else:
+            # a coupled sweep ends on the cap blocks, so the plain point's
+            # dual needs its own message pass, which serves the next sweep
+            # if the plain point stands
+            plain_messages = system.compute_messages(state, backward_only=True)
+            plain = system.dual_objective(state, plain_messages)
+        if not value >= plain:
+            self.reset()
+            return plain_messages
+        state.u, state.w, state.v, state.lam = trial.u, trial.w, trial.v, trial.lam
         return messages
 
 
@@ -975,41 +990,41 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
     informative.  The returned state is the output of the final sweep.  A
     non-finite E0+ET+V row raises ``NonFiniteError``.
 
-    Independent-mode solves are Anderson-accelerated once
-    ``ANDERSON_WARMUP`` plain sweeps have run; coupled mode is never mixed.
-    Contract:
+    Both modes are Anderson-accelerated once ``ANDERSON_WARMUP`` plain
+    sweeps have run.  Contract:
 
     - a solve of at most ``ANDERSON_WARMUP`` sweeps is exactly the plain
       iteration, so equal-sweep comparisons with a dense oracle hold there
       and only there; past the warm-up the iterates differ from the plain
       ones;
     - after the warm-up, the state entering an iteration may be a mixed
-      point (see ``_AndersonMixer``).  It is kept only if its dual value is
-      at least that of the plain sweep output it replaces, so the dual
-      trace stays nondecreasing; the iteration's E0/ET/V row then measures
-      the violations of the sweep started from the mixed point;
+      point (see ``_AndersonMixer``).  It is kept only if it is finite and
+      its dual value is at least that of the plain sweep output it
+      replaces, so the dual trace stays nondecreasing; the iteration's
+      E0/ET/V row then measures the violations of the sweep started from
+      the mixed point;
     - no mixing follows the final sweep.
     """
     config = config or SolverConfig()
     system = PathSystem(net, paths, mode=mode, config=config, joints=joints)
     state = system.initial_state()
-    mixer = _AndersonMixer(system) if mode == INDEPENDENT else None
+    mixer = _AndersonMixer(system)
     e0s: list[float] = []
     ets: list[float] = []
     vs: list[float] = []
     objs: list[float] = []
     converged = False
-    mixed_messages = None
+    next_messages = None
     for _ in range(config.max_iter):
         # the previous iteration's messages stay referenced until replaced:
         # freeing them first lets the allocator hand the pages back and
         # fault them in again on every iteration
-        if mixed_messages is None:
+        if next_messages is None:
             messages = system.compute_messages(state, backward_only=True)
         else:
-            messages, mixed_messages = mixed_messages, None
+            messages, next_messages = next_messages, None
         objs.append(system.dual_objective(state, messages))
-        mixing = mixer is not None and state.iteration >= ANDERSON_WARMUP
+        mixing = state.iteration >= ANDERSON_WARMUP
         x_prev = mixer.pack(state) if mixing else None
         e0, et, v = system.sweep(state, messages)
         state.iteration += 1
@@ -1022,7 +1037,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
             converged = True
             break
         if mixing and state.iteration < config.max_iter:
-            mixed_messages = mixer.step(state, x_prev)
+            next_messages = mixer.step(state, x_prev)
     report = ConvergenceReport(
         e0=np.array(e0s), et=np.array(ets), v=np.array(vs),
         objective=np.array(objs), converged=converged, iterations=len(e0s), tol=config.tol)

@@ -750,7 +750,7 @@ class TestCoupledMode:
         state = system.initial_state()
         system.sweep(state)
         msgs = system.compute_messages(state)
-        eye, unit = system._start(log_domain), system._unit(log_domain)
+        eye, unit = system._start, system._unit
         for p_idx, path in enumerate(system.paths):
             kernels, steps = system.path_kernels[p_idx], system._steps[p_idx]
             first = system._kernel(kernels[0], log_domain)
@@ -1045,3 +1045,82 @@ class TestSweepPinning:
         assert np.all(np.diff(report.objective) >= -1e-9)
         mm = aggregate_marginals(state)
         assert max(np.max(mm.m[n] - 0.12) for n in ("a", "b")) <= 1e-9
+
+
+def _coupled_solve(system, **config):
+    """``solve()`` on the problem of a coupled ``PathSystem``."""
+    joints = {pair: JointMeasure(system.grid, mass) for pair, mass in system.joints.items()}
+    return solve(system.net, system.paths, mode="coupled",
+                 config=replace(system.config, **config), joints=joints)
+
+
+class TestCoupledMixing:
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_warmup_is_the_plain_iteration(self, grid16, log_domain, monkeypatch):
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance("coupled", grid16)
+        state, _ = _coupled_solve(system, **fixed_sweeps(ANDERSON_WARMUP))
+        plain = system.initial_state()
+        for _ in range(ANDERSON_WARMUP):
+            system.sweep(plain)
+        for bank in ("lam", "w"):
+            ours, ref = getattr(state, bank), getattr(plain, bank)
+            assert ours.keys() == ref.keys()
+            for key in ours:
+                assert np.array_equal(ours[key], ref[key])
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    @pytest.mark.parametrize("epsilon", [0.3, 0.1])
+    def test_mixed_solve_converges_with_dual_ascent(self, grid16, log_domain, epsilon,
+                                                    monkeypatch):
+        # at epsilon 0.1 the safeguard rejects some mixed points; taking
+        # them would lower the dual by up to about 1e-9
+        _pick_domain(monkeypatch, log_domain)
+        pinned = _pinning_instance("coupled", grid16)
+        tol = 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state, report = _coupled_solve(pinned, epsilon=epsilon, tol=tol, max_iter=1000)
+        assert report.converged
+        assert report.iterations > ANDERSON_WARMUP
+        assert np.all(np.diff(report.objective) >= -1e-12)
+        # zero-target joint cells stay dead, and capacity multipliers stay <= 1
+        system = state.system
+        lam, target = state.lam[("s", "t")], system.joints[("s", "t")]
+        dead = -np.inf if log_domain else 0.0
+        assert (target == 0).any() and np.all(lam[target == 0] == dead)
+        for node in system.interior_order:
+            assert np.all(state.w_linear(node) <= 1.0)
+        plain = system.initial_state()
+        plain_sweeps = 1
+        while sum(system.sweep(plain)) > tol:
+            plain_sweeps += 1
+            assert plain_sweeps < 1000
+        assert report.iterations < plain_sweeps
+
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_backward_only_messages(self, grid16, log_domain, monkeypatch):
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance("coupled", grid16)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        full = system.compute_messages(state)
+        half = system.compute_messages(state, backward_only=True)
+        assert isinstance(half.fwd, sinkhorn_engine._NoForward)
+        for p_idx, path in enumerate(system.paths):
+            # bwd[p][0] is the interior chain, departure to arrival
+            chain, ref = half.bwd[p_idx][0], full.fwd[p_idx][path.n_edges]
+            live = np.isfinite(ref)
+            assert np.array_equal(np.isfinite(chain), live)
+            np.testing.assert_allclose(chain[live], ref[live], rtol=1e-12, atol=0)
+        assert np.array_equal(system.path_masses(state, half), system.path_masses(state, full))
+
+    @pytest.mark.parametrize("kind", ["line", "coupled"])
+    def test_neutral_arrays_are_read_only(self, grid16, kind):
+        system = _pinning_instance(kind, grid16)
+        messages = system.compute_messages(system.initial_state())
+        assert messages.bwd[0][-1] is system._start
+        for neutral in (system._unit, system._start):
+            with pytest.raises(ValueError, match="read-only"):
+                neutral[0] = 1.0
