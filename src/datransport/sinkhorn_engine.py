@@ -60,6 +60,9 @@ ABSORB_BAND = 50.0
 # Elements of the n_t**3 temporary that ``_lse_matmul`` reduces at a time.
 _LSE_MATMUL_BLOCK = 1 << 20
 
+# Cells of a path plan that ``extract_plan`` builds at a time.
+_PLAN_SLAB = 1 << 16
+
 
 def _real(name: str, value) -> float:
     """``value`` as a float; bools and non-real values raise ``BadParamError``."""
@@ -187,7 +190,7 @@ class ConvergenceReport:
 
 @dataclass(eq=False)
 class PlanCells:
-    """Sparse extraction of one path plan: heaviest cells first."""
+    """Sparse extraction of one path plan: mass descending, ties by flat index ascending."""
 
     path: Path
     indices: np.ndarray  # (N, n_p) bin indices
@@ -893,10 +896,10 @@ class _AndersonMixer:
     def step(self, state: SinkhornState, x_prev: np.ndarray):
         """Mix after the plain sweep that took the log-scalings ``x_prev`` to ``state``.
 
-        Returns backward-only messages of the point ``state`` holds on
-        return, when the step computed them, else None: those of the mixed
-        point when it replaces the plain one, and in coupled mode those of
-        the plain point when it stands.
+        Returns backward-only messages and the dual value of the point
+        ``state`` holds on return, when the step computed them, else None:
+        those of the mixed point when it replaces the plain one, and in
+        coupled mode those of the plain point when it stands.
         """
         system = self.system
         g = self.pack(state)
@@ -926,18 +929,19 @@ class _AndersonMixer:
             messages = system.compute_messages(trial, backward_only=True)
             value = system.dual_objective(trial, messages)
         if system.mode == INDEPENDENT:
-            plain, plain_messages = system._swept_dual_objective(state), None
+            plain, plain_point = system._swept_dual_objective(state), None
         else:
             # a coupled sweep ends on the cap blocks, so the plain point's
             # dual needs its own message pass, which serves the next sweep
             # if the plain point stands
             plain_messages = system.compute_messages(state, backward_only=True)
             plain = system.dual_objective(state, plain_messages)
+            plain_point = plain_messages, plain
         if not value >= plain:
             self.reset()
-            return plain_messages
+            return plain_point
         state.u, state.w, state.v, state.lam = trial.u, trial.w, trial.v, trial.lam
-        return messages
+        return messages, value
 
 
 # ----------------------------------------------------------------------
@@ -982,12 +986,12 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
           ) -> tuple[SinkhornState, ConvergenceReport]:
     """Run Gauss-Seidel sweeps at ``config.epsilon`` until E0 + ET + V <= tol or the budget ends.
 
-    Each iteration computes the messages of its entering state, evaluates
-    the dual objective from them, runs one exact sweep on them, tests the
-    stopping rule and, past the warm-up, takes an Anderson step.  Its E0/ET/V
-    row records every constraint's violation as seen just before that
-    constraint's own block update, so all three diagnostics stay
-    informative.  The returned state is the output of the final sweep.  A
+    Each iteration computes the messages of its entering state and the dual
+    objective from them, unless the previous Anderson step already did,
+    runs one exact sweep on them, tests the stopping rule and, past the
+    warm-up, takes an Anderson step.  Its E0/ET/V row records every
+    constraint's violation as seen just before that constraint's own block
+    update, so all three diagnostics stay informative.  The returned state is the output of the final sweep.  A
     non-finite E0+ET+V row raises ``NonFiniteError``.
 
     Both modes are Anderson-accelerated once ``ANDERSON_WARMUP`` plain
@@ -1014,16 +1018,16 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
     vs: list[float] = []
     objs: list[float] = []
     converged = False
-    next_messages = None
+    next_point = None
     for _ in range(config.max_iter):
         # the previous iteration's messages stay referenced until replaced:
         # freeing them first lets the allocator hand the pages back and
         # fault them in again on every iteration
-        if next_messages is None:
+        if next_point is None:
             messages = system.compute_messages(state, backward_only=True)
-        else:
-            messages, next_messages = next_messages, None
-        objs.append(system.dual_objective(state, messages))
+            next_point = messages, system.dual_objective(state, messages)
+        (messages, value), next_point = next_point, None
+        objs.append(value)
         mixing = state.iteration >= ANDERSON_WARMUP
         x_prev = mixer.pack(state) if mixing else None
         e0, et, v = system.sweep(state, messages)
@@ -1037,7 +1041,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
             converged = True
             break
         if mixing and state.iteration < config.max_iter:
-            next_messages = mixer.step(state, x_prev)
+            next_point = mixer.step(state, x_prev)
     report = ConvergenceReport(
         e0=np.array(e0s), et=np.array(ets), v=np.array(vs),
         objective=np.array(objs), converged=converged, iterations=len(e0s), tol=config.tol)
@@ -1046,10 +1050,13 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
 
 def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_000,
                  top_k: int | None = None, min_mass: float = 0.0) -> PlanCells:
-    """Enumerate one path plan's cells, heaviest first.
+    """Enumerate one path plan's cells above ``min_mass``, heaviest first.
 
-    The full tensor has ``n_t ** n_p`` cells and must fit under
-    ``max_cells``; use ``top_k`` or ``min_mass`` to truncate the result.
+    ``max_cells`` bounds the ``n_t ** n_p`` cells visited.  The plan is
+    built a slab of departure bins at a time in one buffer of about
+    ``_PLAN_SLAB`` cells, so memory is one slab plus the kept cells; with
+    ``top_k``, only the ``top_k`` heaviest are kept.  Cells are ranked by
+    mass descending, then flat index ascending, also at the ``top_k`` cut.
     """
     system = state.system
     path = system.paths[path_index]
@@ -1064,34 +1071,49 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     combine = np.add if log else np.multiply
 
     def view(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        s = [1] * path.n_p
-        for axis in axes:
-            s[axis] = n_t
-        return arr.reshape(s)
+        return arr.reshape([n_t if axis in axes else 1 for axis in range(path.n_p)])
 
-    plan = np.zeros(shape) if log else np.ones(shape)
-    for pos in range(m + 1):
-        plan = combine(plan, view(system._scaling_at(state, path, pos), (pos,)))
-    for l in range(m):
-        plan = combine(plan, view(system._kernel(kernels[l], log), (l, l + 1)))
+    factors = [view(system._scaling_at(state, path, pos), (pos,)) for pos in range(m + 1)]
+    factors += [view(system._kernel(kernels[l], log), (l, l + 1)) for l in range(m)]
     if system.mode == COUPLED:
-        plan = combine(plan, view(state.lam[(path.source, path.sink)], (0, m)))
-    if log:
-        plan = np.exp(plan)
+        factors.append(view(state.lam[(path.source, path.sink)], (0, m)))
 
-    flat = plan.ravel()
-    total_mass = float(flat.sum())
-    keep = np.flatnonzero(flat > min_mass)
-    if top_k is not None and keep.size > top_k:
-        part = np.argpartition(-flat[keep], top_k - 1)[:top_k]
-        keep = keep[part]
-    # deterministic ordering: mass descending, flat index as tie-break
-    order = np.lexsort((keep, -flat[keep]))
-    keep = keep[order]
+    row = n_cells // n_t
+    rows = max(1, _PLAN_SLAB // row)
+    buf = np.empty(rows * row)
+    total_mass = 0.0
+    kept = []  # (flat indices, masses), indices ascending
+    for lo in range(0, n_t, rows):
+        slab = buf[:min(rows, n_t - lo) * row].reshape((-1,) + shape[1:])
+        slab.fill(0.0 if log else 1.0)
+        for f in factors:
+            combine(slab, f[lo:lo + rows] if f.shape[0] == n_t else f, out=slab)
+        if log:
+            np.exp(slab, out=slab)
+        flat = slab.ravel()
+        total_mass += float(flat.sum())
+        local = np.flatnonzero(flat > min_mass)
+        kept.append((local + lo * row, flat[local]))
+        if top_k is not None:
+            kept = [_heaviest(*map(np.concatenate, zip(*kept)), top_k)]
+    keep, mass = map(np.concatenate, zip(*kept))
+    order = np.lexsort((keep, -mass))
+    keep, mass = keep[order], mass[order]
     indices = np.stack(np.unravel_index(keep, shape), axis=1).astype(np.int64)
     times = system.grid.centers[indices]
     return PlanCells(path=path, indices=indices, times=times,
-                     mass=flat[keep], total_mass=total_mass)
+                     mass=mass, total_mass=total_mass)
+
+
+def _heaviest(keep: np.ndarray, mass: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` heaviest cells, ties to the lower index; ``keep`` ascends and stays in order."""
+    if mass.size <= k:
+        return keep, mass
+    cut = np.partition(mass, mass.size - k)[mass.size - k] if k > 0 else np.inf  # k-th largest
+    chosen = mass > cut
+    ties = np.flatnonzero(mass == cut)
+    chosen[ties[:k - np.count_nonzero(chosen)]] = True
+    return keep[chosen], mass[chosen]
 
 
 def node_marginals(state: SinkhornState) -> dict[str, np.ndarray]:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -854,6 +855,75 @@ class TestExtractPlan:
         with pytest.raises(PlanTooLargeError):
             extract_plan(state, 0, max_cells=100)
 
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("coupled", False), ("coupled", True)])
+    def test_slabs_match_the_dense_plan(self, grid16, kind, log_domain, monkeypatch):
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(5):
+            system.sweep(state)
+        masses = system.path_masses(state)
+        for p_idx, path in enumerate(system.paths):
+            # three departure bins per slab: 16 rows split as 5 x 3 + 1
+            row = 16 ** (path.n_p - 1)
+            monkeypatch.setattr(sinkhorn_engine, "_PLAN_SLAB", 3 * row + 5)
+            plan = _dense_plan(state, p_idx)
+            heaviest = plan.max()
+            for kwargs in ({}, {"min_mass": 0.01 * heaviest}, {"top_k": 50},
+                           {"top_k": 7, "min_mass": 0.05 * heaviest}):
+                cells = extract_plan(state, p_idx, **kwargs)
+                keep, mass = _dense_cells(plan, kwargs.get("min_mass", 0.0))
+                k = kwargs.get("top_k", keep.size)
+                assert 0 < k <= keep.size and (k < keep.size) == ("top_k" in kwargs)
+                assert np.array_equal(np.ravel_multi_index(cells.indices.T, plan.shape), keep[:k])
+                assert np.array_equal(cells.mass, mass[:k])
+                assert cells.total_mass == pytest.approx(masses[p_idx], rel=1e-12, abs=0.0)
+
+    def test_top_k_breaks_ties_by_index(self, grid16, monkeypatch):
+        # neutral scalings on an equal-weight line: a cell's mass depends
+        # only on its two bin gaps, so many cells tie
+        rng = np.random.default_rng(5)
+        mu0, muT = ordered_random_pair(grid16, rng, 2)
+        net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT)
+        state = PathSystem(net, [path]).initial_state()
+        monkeypatch.setattr(sinkhorn_engine, "_PLAN_SLAB", 3 * 16 ** 2)
+        keep, mass = _dense_cells(_dense_plan(state, 0))
+        for k in (5, 20, 60):
+            assert mass[k - 1] == mass[k]  # the cut falls inside a tie
+            cells = extract_plan(state, 0, top_k=k)
+            assert np.array_equal(np.ravel_multi_index(cells.indices.T, (16,) * 3), keep[:k])
+            assert np.array_equal(cells.mass, mass[:k])
+
+    def test_top_k_beyond_the_cells_kept(self, grid16):
+        system = _pinning_instance("line", grid16)
+        state = system.initial_state()
+        for _ in range(5):
+            system.sweep(state)
+        kept = extract_plan(state, 0, min_mass=1e-4)
+        assert 0 < kept.mass.size < 16 ** 4
+        for top_k in (kept.mass.size, kept.mass.size + 10):
+            top = extract_plan(state, 0, top_k=top_k, min_mass=1e-4)
+            assert np.array_equal(top.indices, kept.indices)
+            assert np.array_equal(top.mass, kept.mass)
+        assert extract_plan(state, 0, top_k=0).mass.size == 0
+
+    def test_memory_is_one_slab_not_the_plan(self):
+        grid = TimeGrid(t_f=1.0, n_t=128)
+        mu0, muT = ordered_random_pair(grid, np.random.default_rng(6), 2)
+        net, path = make_line_net(grid, [1.0, 1.0], mu0, muT)
+        state = PathSystem(net, [path]).initial_state()
+        dense_bytes = 8 * 128 ** 3
+        assert dense_bytes >= 8 * 2 ** 20
+        tracemalloc.start()
+        try:
+            cells = extract_plan(state, 0, top_k=500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cells.mass.size == 500
+        assert peak < dense_bytes / 4
+
 
 class TestSharedNodeNetwork:
     def test_three_route_aggregation(self, grid16):
@@ -960,6 +1030,47 @@ def _count_message_passes(monkeypatch):
     return calls
 
 
+def _dense_plan(state, p_idx):
+    """Whole plan tensor of one path, its factors combined in the engine's order."""
+    system = state.system
+    path = system.paths[p_idx]
+    n_t, n_p, log = system.n_t, path.n_p, state.log_domain
+    combine = np.add if log else np.multiply
+
+    def view(arr, axes):
+        return arr.reshape([n_t if axis in axes else 1 for axis in range(n_p)])
+
+    plan = np.full((n_t,) * n_p, 0.0 if log else 1.0)
+    for pos in range(n_p):
+        plan = combine(plan, view(system._scaling_at(state, path, pos), (pos,)))
+    for l, kern in enumerate(system.path_kernels[p_idx]):
+        plan = combine(plan, view(kern.logK if log else kern.K, (l, l + 1)))
+    if system.mode == "coupled":
+        plan = combine(plan, view(state.lam[(path.source, path.sink)], (0, n_p - 1)))
+    return np.exp(plan) if log else plan
+
+
+def _dense_cells(plan, min_mass=0.0):
+    """Flat indices and masses of the cells above ``min_mass``: mass descending, index ascending."""
+    flat = plan.ravel()
+    keep = np.flatnonzero(flat > min_mass)
+    keep = keep[np.lexsort((keep, -flat[keep]))]
+    return keep, flat[keep]
+
+
+def _record_dual_evaluations(monkeypatch, record):
+    """Append ``record(state)`` for every state ``PathSystem.dual_objective`` evaluates."""
+    seen = []
+    dual_objective = PathSystem.dual_objective
+
+    def recorded(self, state, messages=None):
+        seen.append(record(state))
+        return dual_objective(self, state, messages)
+
+    monkeypatch.setattr(PathSystem, "dual_objective", recorded)
+    return seen
+
+
 class TestNumericDomain:
     @pytest.mark.parametrize("kind", ["line", "shared", "cyclic", "coupled"])
     def test_engine_picks_the_domain(self, grid16, kind, monkeypatch):
@@ -1047,10 +1158,10 @@ class TestSweepPinning:
         assert max(np.max(mm.m[n] - 0.12) for n in ("a", "b")) <= 1e-9
 
 
-def _coupled_solve(system, **config):
-    """``solve()`` on the problem of a coupled ``PathSystem``."""
+def _solve_system(system, **config):
+    """``solve()`` on the problem of a ``PathSystem``."""
     joints = {pair: JointMeasure(system.grid, mass) for pair, mass in system.joints.items()}
-    return solve(system.net, system.paths, mode="coupled",
+    return solve(system.net, system.paths, mode=system.mode,
                  config=replace(system.config, **config), joints=joints)
 
 
@@ -1059,7 +1170,7 @@ class TestCoupledMixing:
     def test_warmup_is_the_plain_iteration(self, grid16, log_domain, monkeypatch):
         _pick_domain(monkeypatch, log_domain)
         system = _pinning_instance("coupled", grid16)
-        state, _ = _coupled_solve(system, **fixed_sweeps(ANDERSON_WARMUP))
+        state, _ = _solve_system(system, **fixed_sweeps(ANDERSON_WARMUP))
         plain = system.initial_state()
         for _ in range(ANDERSON_WARMUP):
             system.sweep(plain)
@@ -1080,7 +1191,7 @@ class TestCoupledMixing:
         tol = 1e-10
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            state, report = _coupled_solve(pinned, epsilon=epsilon, tol=tol, max_iter=1000)
+            state, report = _solve_system(pinned, epsilon=epsilon, tol=tol, max_iter=1000)
         assert report.converged
         assert report.iterations > ANDERSON_WARMUP
         assert np.all(np.diff(report.objective) >= -1e-12)
@@ -1124,3 +1235,44 @@ class TestCoupledMixing:
         for neutral in (system._unit, system._start):
             with pytest.raises(ValueError, match="read-only"):
                 neutral[0] = 1.0
+
+
+class TestAndersonStep:
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("shared", True), ("coupled", False), ("coupled", True)])
+    def test_no_state_is_evaluated_twice(self, grid16, kind, log_domain, monkeypatch):
+        # the Anderson step hands its dual value to the next iteration
+        # together with its messages; the scalings of every evaluated state
+        # stay referenced, so equal ids mean the same state
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        seen = _record_dual_evaluations(monkeypatch, lambda state: [
+            arr for bank in (state.u, state.v, state.lam, state.w) for arr in bank.values()])
+        _, report = _solve_system(system, **fixed_sweeps(ANDERSON_WARMUP + 30))
+        assert report.iterations == ANDERSON_WARMUP + 30
+        keys = [tuple(map(id, arrays)) for arrays in seen]
+        assert len(set(keys)) == len(keys) > report.iterations
+
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("coupled", False), ("coupled", True)])
+    def test_capacity_multipliers_stay_clipped(self, grid16, kind, log_domain, monkeypatch):
+        # residuals that halve along x - up, x, toward x + up: the mixed
+        # point extrapolates to x + up, which lifts slack log-multipliers
+        # (0) above 0, so only the clip keeps the trial point's w <= 1
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(5):
+            system.sweep(state)
+        mixer = sinkhorn_engine._AndersonMixer(system)
+        x = mixer.pack(state)
+        up = np.zeros_like(x)
+        up[mixer._w_block] = 1.0
+        assert x[mixer._w_block].max() > -1.0
+        assert mixer.step(mixer._unpack(state, x - up), x) is None
+        evaluated = _record_dual_evaluations(monkeypatch, lambda st: [
+            st.w_linear(node) for node in system.interior_order])
+        mixer.step(state, x + 0.5 * up)
+        assert evaluated
+        for w in evaluated + [[state.w_linear(node) for node in system.interior_order]]:
+            assert max(arr.max() for arr in w) <= 1.0
