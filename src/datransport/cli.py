@@ -20,7 +20,8 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import NonFiniteError, SizeCapError, TransportError, UnreachableMassError
+from .errors import (BadParamError, NonFiniteError, SizeCapError, TransportError,
+                     UnreachableMassError)
 from .feasibility import check_da_feasibility
 from .grid_measures import TimeGrid
 from .kernels import build_pair_kernel
@@ -104,7 +105,7 @@ def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float)
             "tol": built.config.tol,
             "max_iter": built.config.max_iter,
         },
-        "log_domain": state.log_domain,
+        "log_domain": state.system.log_domain,
         "final": {"E0": float(report.e0[-1]), "ET": float(report.et[-1]),
                   "V": float(report.v[-1])},
         "iterations": report.iterations,
@@ -182,6 +183,8 @@ def _cmd_extract_plan(args) -> int:
         return EXIT_INVALID
     _, built = loaded
     _apply_overrides(built, args)
+    if args.top_k is not None and args.top_k < 0:  # rejected before solving, like the overrides
+        raise BadParamError(f"top_k must be nonnegative, got {args.top_k}")
     state, report = _run_solver(built)
     outdir = FsPath(args.output) if args.output else FsPath(f"{FsPath(args.scenario).stem}_plan")
     outdir.mkdir(parents=True, exist_ok=True)

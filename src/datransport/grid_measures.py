@@ -69,9 +69,6 @@ class Measure:
     def total(self) -> float:
         return float(self.mass.sum())
 
-    def is_probability(self, tol: float = 1e-12) -> bool:
-        return abs(self.total - 1.0) <= tol
-
     def normalized(self) -> "Measure":
         if not self.total > 0:
             raise NonProbabilityError("cannot normalize a zero measure")
@@ -130,11 +127,6 @@ def quantile(m: Measure, u: float) -> float:
     k = int(np.searchsorted(f, u, side="left"))
     k = min(k, m.grid.n_t - 1)
     return float(m.grid.centers[k])
-
-
-def quantile_bin(m: Measure, u: float) -> int:
-    """Bin index of :func:`quantile`."""
-    return m.grid.bin_of(quantile(m, u))
 
 
 def gaussian_mixture(grid: TimeGrid, components) -> Measure:

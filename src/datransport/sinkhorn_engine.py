@@ -3,18 +3,23 @@
 Every source carries one positive scaling vector u, every sink one vector
 v, and every interior node one capacity multiplier w in (0, 1] shared by
 all paths through it.  In coupled mode the boundary pair (source, sink)
-carries a joint matrix Lambda instead of u and v.  Model marginals are
-assembled from forward/backward chain messages per path; each block update
-is the exact projection for its constraint, computed from an aggregate
-that excludes the block's own scaling (so the constraint holds to
-round-off immediately after the update).
+carries a joint matrix Lambda instead of u and v.  A solve's state is one
+flat array of log-scalings, the blocks stacked in sweep order (0 neutral,
+-inf dead).  Model marginals are assembled from forward/backward chain
+messages per path; each block update is the exact projection for its
+constraint, computed from an aggregate that excludes the block's own
+scaling (so the constraint holds to round-off immediately after the
+update).
 
-The engine picks the numeric domain.  Independent mode always passes its
-vector messages in the log domain; coupled mode passes matrix messages in
-the log domain or the linear one (plain BLAS products), as the underflow
-rule in :mod:`datransport.kernels` decides.  Every log-sum-exp is one
-reduction, ``_lse_reduce``, so the engine needs numpy only.  A vector step
-is a BLAS mat-vec on a cached kernel with its last input absorbed
+Above the messages everything is in log units: aggregates, projections,
+violations, the dual and the mixing.  The engine picks the domain of the
+messages.  Independent mode always passes its vector messages in the log
+domain; coupled mode passes matrix messages in the log domain or the
+linear one (plain BLAS products, on the exp of the state's views), as the
+underflow rule in :mod:`datransport.kernels` and the neutral-chain floor
+``LINEAR_CHAIN_FLOOR`` decide.  Every log-sum-exp is one reduction,
+``_lse_reduce``, so the engine needs numpy only.  A vector step is a BLAS
+mat-vec on a cached kernel with its last input absorbed
 (``_AbsorbedStep``); it pays a full log-sum-exp only when it re-absorbs,
 after its input drifted more than ``ABSORB_BAND`` or a bin died or revived.
 
@@ -32,7 +37,9 @@ from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,6 +51,12 @@ from .network import Path, TransportNetwork, path_cost_terms, validate_paths
 # Target mass on structurally unreachable bins below this threshold is
 # dropped (scaling zero); above it, the instance is reported infeasible.
 NEGLIGIBLE_MASS = 1e-12
+
+# Coupled matrix messages run in the linear domain only if every pair's
+# neutral chain (see ``PathSystem._neutral_chain_underflows``) is at least
+# this on the cells that carry target mass: its scalings then keep about
+# 100 decades before a chain product leaves the normal range.
+LINEAR_CHAIN_FLOOR = 1e-200
 
 INDEPENDENT = "independent"
 COUPLED = "coupled"
@@ -101,32 +114,38 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SinkhornState:
-    """Scalings of one solve, in the system's domain (always log in independent mode)."""
+    """Log-scalings of one solve, in one flat array ``x``.
+
+    The blocks are stacked in sweep order, each raveled at the slice the
+    system's layout (``PathSystem._layout``) gives it; 0 is neutral and
+    -inf is dead.  ``u``, ``v``, ``w`` and ``lam`` map each block to a view
+    into ``x``, so ``x`` is only ever written in place.
+    """
 
     system: "PathSystem"
-    log_domain: bool
-    mode: str
-    u: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    lam: dict[tuple[str, str], np.ndarray]
-    w: dict[str, np.ndarray]
+    x: np.ndarray
     iteration: int = 0
 
-    def _linear(self, x: np.ndarray) -> np.ndarray:
-        if self.log_domain:
-            # extreme duals may overflow exp; inf entries are an honest view
-            with np.errstate(over="ignore"):
-                return np.exp(x)
-        return x.copy()
+    def __post_init__(self):
+        self._views = {block: self.x[part].reshape(shape)
+                       for block, (part, shape) in self.system._layout.items()}
+
+        def views(blocks) -> MappingProxyType:
+            return MappingProxyType({b: self._views[b] for b in blocks if b in self._views})
+
+        self.u = views(self.system.mu0)
+        self.v = views(self.system.muT)
+        self.w = views(self.system.caps)
+        self.lam = views(self.system.joints)
 
     def u_linear(self, node: str) -> np.ndarray:
-        return self._linear(self.u[node])
+        return _masked_exp(self.u[node])
 
     def v_linear(self, node: str) -> np.ndarray:
-        return self._linear(self.v[node])
+        return _masked_exp(self.v[node])
 
     def w_linear(self, node: str) -> np.ndarray:
-        return self._linear(self.w[node])
+        return _masked_exp(self.w[node])
 
 
 class _NoForward:
@@ -204,6 +223,13 @@ class PlanCells:
 
     def coordinate_sum(self, pos: int, n_t: int) -> np.ndarray:
         return np.bincount(self.indices[:, pos], weights=self.mass, minlength=n_t)
+
+
+def _masked_exp(x: np.ndarray) -> np.ndarray:
+    """exp(x), skipping -inf entries (exp 0); an overflow is an honest inf, without a warning."""
+    out = np.zeros_like(x)
+    with np.errstate(over="ignore"):
+        return np.exp(x, out=out, where=x != -np.inf)
 
 
 def _lse_reduce(a: np.ndarray, axis: int) -> np.ndarray:
@@ -339,7 +365,7 @@ class _Forward:
         self.state = state
         if system.mode == COUPLED:
             # the source scaling is neutral: the first step is the kernel itself
-            self.fwd = [[system._start, system._kernel(kernels[0], state.log_domain)]
+            self.fwd = [[system._start, system._kernel(kernels[0], system.log_domain)]
                         for kernels in system.path_kernels]
         else:
             self.fwd = [[system._start] for _ in system.paths]
@@ -352,12 +378,12 @@ class _Forward:
         while len(f) <= pos:
             l = len(f) - 1
             s = self.system._scaling_at(self.state, path, l)
-            f.append(_forward_step(kernels[l], f[l], s, self.state.log_domain, steps[l][0]))
+            f.append(_forward_step(kernels[l], f[l], s, self.system.log_domain, steps[l][0]))
         return f[pos]
 
 
 class PathSystem:
-    """Compiled problem: grid, paths, kernels, targets, caps, incidence."""
+    """Compiled problem: grid, paths, kernels, targets, caps, incidence, state layout."""
 
     def __init__(self, net: TransportNetwork, paths, mode: str = INDEPENDENT,
                  config: SolverConfig | None = None,
@@ -392,9 +418,6 @@ class PathSystem:
                 self.positions.setdefault(node, []).append((p_idx, pos))
 
         self.path_weights = [path_cost_terms(net, p) for p in self.paths]
-        w_max = max(float(w.max()) for w in self.path_weights)
-        self.log_domain = mode == INDEPENDENT or use_log_domain(config.epsilon, w_max,
-                                                                self.grid.t_f)
 
         self.mu0 = {s: net.sources[s].mass for s in self.source_order}
         self.muT = {s: net.sinks[s].mass for s in self.sink_order}
@@ -425,6 +448,19 @@ class PathSystem:
         self._blocks = ([(b, 0) for b in first] + [(n, 2) for n in self.interior_order]
                         + [(n, 1) for n in last])
         self._targets = {**self.mu0, **self.muT, **self.joints}
+        # the state's layout: each block's slice of the flat log-scalings, and its shape
+        self._layout: dict = {}
+        size = 0
+        for block, _ in self._blocks:
+            shape = self._targets[block].shape if block in self._targets else (self.n_t,)
+            self._layout[block] = (slice(size, size + int(np.prod(shape))), shape)
+            size += int(np.prod(shape))
+        self._size = size
+        # log of each block's target (or cap), for its projection
+        with np.errstate(divide="ignore"):
+            self._log_bounds = {block: np.log(self.caps[block] if block in self.caps
+                                              else self._targets[block])
+                                for block, _ in self._blocks}
         # the dual's <log scaling, target> terms, boundary blocks first:
         # (block, mask, masked target).  Sub-threshold target mass on dead
         # bins is dropped by the updates, so the dual leaves it out as well;
@@ -438,8 +474,24 @@ class PathSystem:
             mask = np.isfinite(cap) & (cap > 0)
             self._dual_terms.append((node, mask, cap[mask]))
 
+        self.epsilon = config.epsilon
+        self._cost_mats: dict[float, np.ndarray] = {}  # built by transport_cost
+        self._kernel_cache: dict[float, PairKernel] = {}
+        for weights in self.path_weights:
+            for w in weights:
+                key = float(w)
+                if key not in self._kernel_cache:
+                    self._kernel_cache[key] = build_pair_kernel(self.grid, key, self.epsilon)
+        self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
+                             for weights in self.path_weights]
+
+        # the domain of the messages; the state is in log units either way
+        w_max = max(float(w.max()) for w in self.path_weights)
+        self.log_domain = (mode == INDEPENDENT
+                           or use_log_domain(config.epsilon, w_max, self.grid.t_f)
+                           or self._neutral_chain_underflows())
         # neutral scaling vector and neutral message (the identity on the
-        # boundary bins in coupled mode) of the system's domain, shared by
+        # boundary bins in coupled mode) of the message domain, shared by
         # every path and state, so read-only
         self._unit = np.zeros(self.n_t) if self.log_domain else np.ones(self.n_t)
         if mode == INDEPENDENT:
@@ -451,20 +503,25 @@ class PathSystem:
             self._start = np.eye(self.n_t)
         self._unit.flags.writeable = False
         self._start.flags.writeable = False
-
-        self.epsilon = config.epsilon
-        self._cost_mats: dict[float, np.ndarray] = {}  # built by transport_cost
-        self._kernel_cache: dict[float, PairKernel] = {}
-        for weights in self.path_weights:
-            for w in weights:
-                key = float(w)
-                if key not in self._kernel_cache:
-                    self._kernel_cache[key] = build_pair_kernel(self.grid, key, self.epsilon)
-        self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
-                             for weights in self.path_weights]
         # vector message steps per path and edge: (forward, backward)
         self._steps = [[(_AbsorbedStep(k.logK, 0), _AbsorbedStep(k.logK, 1)) for k in kernels]
                        for kernels in self.path_kernels]
+
+    def _neutral_chain_underflows(self) -> bool:
+        """Whether a pair's neutral chain is below ``LINEAR_CHAIN_FLOOR`` on a target cell.
+
+        The neutral chain of a pair is the sum over its paths of the linear
+        kernel products K_0 K_1 ... (every w = 1), the largest chain a
+        linear solve can reach.  Where it underflows, the linear domain
+        would call reachable target mass unreachable.
+        """
+        linear = {w: np.exp(kern.logK) for w, kern in self._kernel_cache.items()}
+        for pair, p_ids in self.pair_paths.items():
+            chain = sum(reduce(np.matmul, [linear[float(w)] for w in self.path_weights[p]])
+                        for p in p_ids)
+            if np.any(chain[self.joints[pair] > NEGLIGIBLE_MASS] < LINEAR_CHAIN_FLOOR):
+                return True
+        return False
 
     def _interior_topo_order(self) -> tuple[list[str], bool]:
         """Interior sweep order: topological in path precedence, first-appearance ties.
@@ -522,35 +579,24 @@ class PathSystem:
     # state
 
     def initial_state(self) -> SinkhornState:
-        n = self.n_t
-        one = self._unit
-        one_mat = np.zeros((n, n)) if self.log_domain else np.ones((n, n))
-        u = {s: one.copy() for s in self.source_order} if self.mode == INDEPENDENT else {}
-        v = {s: one.copy() for s in self.sink_order} if self.mode == INDEPENDENT else {}
-        lam = {pair: one_mat.copy() for pair in self.pairs}
-        w = {node: one.copy() for node in self.interior_order}
-        return SinkhornState(system=self, log_domain=self.log_domain, mode=self.mode,
-                             u=u, v=v, lam=lam, w=w)
+        return SinkhornState(self, np.zeros(self._size))
+
+    def _message_scaling(self, logs: np.ndarray) -> np.ndarray:
+        """A log-scaling as the messages read it: itself in the log domain, else its exp."""
+        return logs if self.log_domain else _masked_exp(logs)
 
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
-        """Active-domain scaling vector of the node at ``pos`` (neutral at coupled boundaries)."""
+        """Message-domain scaling vector of the node at ``pos`` (neutral at coupled boundaries)."""
         if self.mode == COUPLED and pos in (0, path.n_p - 1):
             return self._unit
-        bank = state.u if pos == 0 else state.v if pos == path.n_p - 1 else state.w
-        return bank[path.nodes[pos]]
-
-    def _bank(self, state: SinkhornState, block) -> dict:
-        """The scaling dict of ``state`` that holds ``block``."""
-        if block in self.joints:
-            return state.lam
-        return state.u if block in self.mu0 else state.v if block in self.muT else state.w
+        return self._message_scaling(state._views[path.nodes[pos]])
 
     # ------------------------------------------------------------------
     # messages
 
     def compute_messages(self, state: SinkhornState, backward_only: bool = False) -> ChainMessages:
         """Chain messages of ``state``; ``backward_only`` skips the forward half."""
-        log = state.log_domain
+        log = self.log_domain
         bwd = []
         for p_idx, path in enumerate(self.paths):
             kernels = self.path_kernels[p_idx]
@@ -573,7 +619,7 @@ class PathSystem:
 
     @staticmethod
     def _kernel(kern: PairKernel, log_domain: bool) -> np.ndarray:
-        """The edge's kernel matrix in the active domain."""
+        """The edge's kernel matrix in the message domain."""
         return kern.logK if log_domain else kern.K
 
     # ------------------------------------------------------------------
@@ -581,23 +627,24 @@ class PathSystem:
 
     def _path_term(self, state: SinkhornState, p_idx: int, f: np.ndarray,
                    b: np.ndarray) -> np.ndarray:
-        """Active-domain contribution of one path to a node aggregate, from its messages there."""
+        """Message-domain contribution of one path to a node aggregate, from its messages there."""
         if self.mode == INDEPENDENT:
             return f + b
         lam = state.lam[(self.paths[p_idx].source, self.paths[p_idx].sink)]
-        if state.log_domain:
+        if self.log_domain:
             # g[i, t] = LSE_j(lam[i, j] + b[t, j]); out[t] = LSE_i(f[i, t] + g[i, t])
             return _lse_reduce(f + _lse_matmul(lam, b.T), axis=0)
-        return (f * (lam @ b.T)).sum(axis=0)
+        return (f * (_masked_exp(lam) @ b.T)).sum(axis=0)
 
     def _aggregate(self, state: SinkhornState, block, messages: ChainMessages,
                    frontier: _Forward | None = None) -> np.ndarray:
-        """Active-domain aggregate of one block, excluding the block's own scaling.
+        """Log aggregate of one block, excluding the block's own scaling.
 
         A joint block sums the interior chain matrices ``bwd[p][0]`` of its
         paths, which leave Lambda out.  A node block sums its paths' terms
         from the backward messages and the forward ones, read from
-        ``frontier`` when given, else from ``messages``.
+        ``frontier`` when given, else from ``messages``.  Linear messages
+        are summed, then take one log.
         """
         if block in self.joints:
             terms = [messages.bwd[p][0] for p in self.pair_paths[block]]
@@ -605,10 +652,12 @@ class PathSystem:
             fwd = frontier or (lambda p, pos: messages.fwd[p][pos])
             terms = [self._path_term(state, p, fwd(p, pos), messages.bwd[p][pos])
                      for p, pos in self.positions[block]]
-        log = state.log_domain
-        acc = np.full_like(terms[0], -np.inf) if log else np.zeros_like(terms[0])
+        if not self.log_domain:
+            acc = sum(terms[1:], terms[0])
+            return np.log(acc, out=np.full_like(acc, -np.inf), where=acc != 0)
+        acc = np.full_like(terms[0], -np.inf)
         for term in terms:
-            acc = np.logaddexp(acc, term) if log else acc + term
+            acc = np.logaddexp(acc, term)
         return acc
 
     def model_marginals(self, state: SinkhornState, messages=None) -> ModelMarginals:
@@ -619,8 +668,8 @@ class PathSystem:
             for block, _ in self._blocks:
                 agg = self._aggregate(state, block, messages)
                 m, a = (mm.joint_m, mm.joint_a) if block in self.joints else (mm.m, mm.a)
-                a[block] = np.exp(agg) if state.log_domain else agg
-                m[block] = self._model_from(self._bank(state, block)[block], agg, state.log_domain)
+                a[block] = np.exp(agg)
+                m[block] = _masked_exp(state._views[block] + agg)
         return mm
 
     def violations(self, mm: ModelMarginals) -> tuple[float, float, float]:
@@ -641,70 +690,43 @@ class PathSystem:
     # block updates
 
     @staticmethod
-    def _target_over_aggregate(target: np.ndarray, agg: np.ndarray, log_domain: bool,
+    def _target_over_aggregate(target: np.ndarray, log_target: np.ndarray, agg: np.ndarray,
                                label: str) -> np.ndarray:
-        """Exact equality projection target/aggregate with 0/0 = 0.
+        """Exact equality projection, log target minus log aggregate, with 0/0 = 0.
 
         Material target mass on zero-aggregate bins means the ordering
         structure cannot place it there at all: hard infeasibility.
         """
-        if log_domain:
-            dead = np.isneginf(agg)
-        else:
-            dead = agg <= 0
+        dead = np.isneginf(agg)
         if np.any(dead & (target > NEGLIGIBLE_MASS)):
             raise UnreachableMassError(f"target mass at {label} sits on bins with zero aggregate flux")
-        if log_domain:
-            with np.errstate(divide="ignore"):
-                lt = np.log(target)
-            out = np.full_like(agg, -np.inf)
-            ok = ~dead
-            out[ok] = lt[ok] - agg[ok]
-            return out
-        out = np.zeros_like(target)
-        np.divide(target, agg, out=out, where=~dead)
-        return out
+        return np.subtract(log_target, agg, out=np.full_like(agg, -np.inf), where=~dead)
 
     @staticmethod
-    def _cap_over_aggregate(cap: np.ndarray, agg: np.ndarray, log_domain: bool) -> np.ndarray:
-        """Clipped capacity projection min(cap/aggregate, 1); slack bins get 1."""
-        if log_domain:
-            dead = np.isneginf(agg)
-            with np.errstate(divide="ignore"):
-                lcap = np.log(cap)
-            return np.where(dead, 0.0, np.minimum(lcap - agg, 0.0))
-        ratio = np.full_like(agg, np.inf)
-        np.divide(cap, agg, out=ratio, where=agg > 0)
-        return np.minimum(ratio, 1.0)
-
-    @staticmethod
-    def _model_from(own: np.ndarray, agg: np.ndarray, log_domain: bool) -> np.ndarray:
-        if log_domain:
-            with np.errstate(over="ignore"):
-                return np.exp(own + agg)
-        return own * agg
+    def _cap_over_aggregate(log_cap: np.ndarray, agg: np.ndarray) -> np.ndarray:
+        """Clipped capacity projection min(log cap - log aggregate, 0); slack bins get 0."""
+        return np.where(np.isneginf(agg), 0.0, np.minimum(log_cap - agg, 0.0))
 
     def _project(self, state: SinkhornState, block, agg: np.ndarray) -> tuple[np.ndarray, float]:
-        """Exact projection of one block from its aggregate.
+        """Exact projection of one block from its log aggregate.
 
-        Returns the block's new active-domain scaling and its L1 violation
-        before the update (the cap excess for a capacity block).
+        Returns the block's new log-scaling and its L1 violation before the
+        update (the cap excess for a capacity block).
         """
-        log = state.log_domain
-        model = self._model_from(self._bank(state, block)[block], agg, log)
-        violation = self._violation(block, model)
+        violation = self._violation(block, _masked_exp(state._views[block] + agg))
         if block in self.caps:
-            return self._cap_over_aggregate(self.caps[block], agg, log), violation
+            return self._cap_over_aggregate(self._log_bounds[block], agg), violation
         label = f"pair {block}" if block in self.joints else block
-        return self._target_over_aggregate(self._targets[block], agg, log, label), violation
+        return self._target_over_aggregate(self._targets[block], self._log_bounds[block],
+                                           agg, label), violation
 
     def _update_block(self, state: SinkhornState, block, messages) -> np.ndarray:
         """Project one block from full messages of ``state``; returns its new linear scaling."""
         if messages is None:
             messages = self.compute_messages(state)
-        bank = self._bank(state, block)
-        bank[block], _ = self._project(state, block, self._aggregate(state, block, messages))
-        return state._linear(bank[block])
+        scaling = state._views[block]
+        scaling[...], _ = self._project(state, block, self._aggregate(state, block, messages))
+        return _masked_exp(scaling)
 
     def boundary_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
         """Match the node's marginal target exactly; returns the new linear scaling."""
@@ -755,7 +777,7 @@ class PathSystem:
             scaling, violation = self._project(
                 state, block, self._aggregate(state, block, messages, frontier))
             totals[slot] += violation
-            self._bank(state, block)[block] = scaling
+            state._views[block][...] = scaling
         return tuple(totals)
 
     # ------------------------------------------------------------------
@@ -766,13 +788,14 @@ class PathSystem:
         if messages is None:
             messages = self.compute_messages(state, backward_only=True)
         out = np.empty(len(self.paths))
+        scalings = {}  # paths of one source (or pair) share its scaling
         for p_idx, path in enumerate(self.paths):
             chain = messages.bwd[p_idx][0]
-            if self.mode == COUPLED:
-                scaling = state.lam[(path.source, path.sink)]
-            else:
-                scaling = state.u[path.source]
-            if state.log_domain:
+            block = (path.source, path.sink) if self.mode == COUPLED else path.source
+            if block not in scalings:
+                scalings[block] = self._message_scaling(state._views[block])
+            scaling = scalings[block]
+            if self.log_domain:
                 out[p_idx] = np.exp(_lse_reduce((chain + scaling).ravel(), axis=0))
             else:
                 out[p_idx] = float((chain * scaling).sum())
@@ -788,8 +811,8 @@ class PathSystem:
         f = messages.fwd[p_idx][l - 1]
         b = messages.bwd[p_idx][l]
         if self.mode == COUPLED:
-            lam = state.lam[(path.source, path.sink)]
-            if state.log_domain:
+            lam = self._message_scaling(state.lam[(path.source, path.sink)])
+            if self.log_domain:
                 left = _lse_matmul(f.T, _lse_matmul(lam, b.T))  # left[s, t]
                 return np.exp(left + s_prev[:, None] + kern.logK + s_next[None, :])
             g = lam @ b.T
@@ -828,10 +851,7 @@ class PathSystem:
         """Sum of <log scaling, target> over all blocks (the dual without its mass term)."""
         total = 0.0
         for block, mask, target in self._dual_terms:
-            lscale = self._bank(state, block)[block][mask]
-            if not state.log_domain:
-                with np.errstate(divide="ignore"):
-                    lscale = np.log(lscale)
+            lscale = state._views[block][mask]
             if np.any(np.isneginf(lscale)):
                 return -np.inf
             total += float(np.dot(lscale, target))
@@ -842,56 +862,31 @@ class _AndersonMixer:
     """Safeguarded Anderson mixing of the Gauss-Seidel sweep, in either mode.
 
     Type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 2011)
-    of the fixed point x = G(x), where x stacks the log-scalings of the
-    blocks in sweep order ((u, w, v), or in coupled mode (Lambda, w) with
-    each joint Lambda raveled) and G is one plain sweep.  The mixed point
-    combines the last few G(x) with weights that minimise the combined
-    residual G(x) - x in the target-weighted norm sum(target * r**2), the
-    diagonal of the dual's curvature in the log-scalings.  Capacity
-    multipliers are clipped back to w <= 1.  A mixed point replaces the
-    plain one only if it is finite and its dual value is at least the plain
-    point's; otherwise the plain point stands and the history restarts.
-    Dead bins (log-scaling -inf, a zero scaling in the linear domain, such
-    as a Lambda cell of zero target) take no part in the mixing and stay
-    dead.
+    of the fixed point x = G(x), where x is the state's flat array of
+    log-scalings and G is one plain sweep.  The mixed point combines the
+    last few G(x) with weights that minimise the combined residual
+    G(x) - x in the target-weighted norm sum(target * r**2), the diagonal
+    of the dual's curvature in the log-scalings.  Capacity multipliers are
+    clipped back to w <= 1.  A mixed point replaces the plain one only if
+    it is finite and its dual value is at least the plain point's;
+    otherwise the plain point stands and the history restarts.  Dead bins
+    (log-scaling -inf, such as a Lambda cell of zero target) take no part
+    in the mixing and stay dead.
     """
 
     def __init__(self, system: PathSystem):
         self.system = system
-        targets = [system.caps[b] if b in system.caps else system._targets[b]
-                   for b, _ in system._blocks]
-        self._shapes = [t.shape for t in targets]
-        bounds = np.cumsum([0] + [t.size for t in targets])
-        self._splits = bounds[1:-1]
-        n_first = sum(slot == 0 for _, slot in system._blocks)  # sources or joint pairs
-        self._w_block = slice(bounds[n_first], bounds[n_first + len(system.interior_order)])
-        targets = np.concatenate([t.ravel() for t in targets])
-        self._sqrt_mass = np.sqrt(np.where(np.isfinite(targets), targets, 0.0))
+        mass = np.concatenate([(system.caps[b] if b in system.caps else system._targets[b]).ravel()
+                               for b, _ in system._blocks])
+        self._sqrt_mass = np.sqrt(np.where(np.isfinite(mass), mass, 0.0))
+        w = [system._layout[node][0] for node in system.interior_order] or [slice(0, 0)]
+        self._w_block = slice(w[0].start, w[-1].stop)
         self.reset()
 
     def reset(self) -> None:
         self._f: list[np.ndarray] = []  # residuals G(x) - x on live bins
         self._g: list[np.ndarray] = []  # plain points G(x) on live bins
         self._live: np.ndarray | None = None
-
-    def pack(self, state: SinkhornState) -> np.ndarray:
-        """The state's log-scalings, raveled and stacked in sweep order."""
-        system = self.system
-        x = np.concatenate([system._bank(state, b)[b].ravel() for b, _ in system._blocks])
-        if state.log_domain:
-            return x
-        with np.errstate(divide="ignore"):
-            return np.log(x)
-
-    def _unpack(self, state: SinkhornState, x: np.ndarray) -> SinkhornState:
-        system = self.system
-        if not state.log_domain:
-            x = np.exp(x)
-        trial = replace(state, u={}, w={}, v={}, lam={})
-        for (block, _), chunk, shape in zip(system._blocks, np.split(x, self._splits),
-                                            self._shapes):
-            system._bank(trial, block)[block] = chunk.reshape(shape)
-        return trial
 
     def step(self, state: SinkhornState, x_prev: np.ndarray):
         """Mix after the plain sweep that took the log-scalings ``x_prev`` to ``state``.
@@ -902,7 +897,7 @@ class _AndersonMixer:
         coupled mode those of the plain point when it stands.
         """
         system = self.system
-        g = self.pack(state)
+        g = state.x
         live = np.isfinite(g) & np.isfinite(x_prev)
         if self._live is None or not np.array_equal(live, self._live):
             self.reset()
@@ -925,7 +920,7 @@ class _AndersonMixer:
             self.reset()
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            trial = self._unpack(state, mixed)
+            trial = SinkhornState(system, mixed)
             messages = system.compute_messages(trial, backward_only=True)
             value = system.dual_objective(trial, messages)
         if system.mode == INDEPENDENT:
@@ -940,7 +935,7 @@ class _AndersonMixer:
         if not value >= plain:
             self.reset()
             return plain_point
-        state.u, state.w, state.v, state.lam = trial.u, trial.w, trial.v, trial.lam
+        state.x[...] = mixed
         return messages, value
 
 
@@ -961,7 +956,7 @@ def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None
         raise BadParamError("boundary flux is a joint matrix in coupled mode")
     term = system._path_term(state, path_index, messages.fwd[path_index][pos],
                              messages.bwd[path_index][pos])
-    return np.exp(term) if state.log_domain else term
+    return np.exp(term) if system.log_domain else term
 
 
 def aggregate_marginals(state: SinkhornState, messages=None) -> ModelMarginals:
@@ -1029,7 +1024,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
         (messages, value), next_point = next_point, None
         objs.append(value)
         mixing = state.iteration >= ANDERSON_WARMUP
-        x_prev = mixer.pack(state) if mixing else None
+        x_prev = state.x.copy() if mixing else None
         e0, et, v = system.sweep(state, messages)
         state.iteration += 1
         e0s.append(e0)
@@ -1058,6 +1053,8 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     ``top_k``, only the ``top_k`` heaviest are kept.  Cells are ranked by
     mass descending, then flat index ascending, also at the ``top_k`` cut.
     """
+    if top_k is not None and _integer("top_k", top_k) < 0:
+        raise BadParamError(f"top_k must be nonnegative, got {top_k}")
     system = state.system
     path = system.paths[path_index]
     n_t = system.n_t
@@ -1067,7 +1064,7 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     shape = (n_t,) * path.n_p
     m = path.n_edges
     kernels = system.path_kernels[path_index]
-    log = state.log_domain
+    log = system.log_domain
     combine = np.add if log else np.multiply
 
     def view(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
@@ -1076,7 +1073,8 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     factors = [view(system._scaling_at(state, path, pos), (pos,)) for pos in range(m + 1)]
     factors += [view(system._kernel(kernels[l], log), (l, l + 1)) for l in range(m)]
     if system.mode == COUPLED:
-        factors.append(view(state.lam[(path.source, path.sink)], (0, m)))
+        factors.append(view(system._message_scaling(state.lam[(path.source, path.sink)]),
+                            (0, m)))
 
     row = n_cells // n_t
     rows = max(1, _PLAN_SLAB // row)
@@ -1120,7 +1118,7 @@ def node_marginals(state: SinkhornState) -> dict[str, np.ndarray]:
     """Convenience: current model marginal per node (linear)."""
     mm = aggregate_marginals(state)
     out = dict(mm.m)
-    if state.mode == COUPLED:
+    if state.system.mode == COUPLED:
         for pair, mat in mm.joint_m.items():
             src, snk = pair
             out.setdefault(src, np.zeros(state.system.n_t))

@@ -252,6 +252,14 @@ class TestExtractPlanCommand:
         masses = [float(ln.split(",")[-1]) for ln in lines[1:]]
         assert masses == sorted(masses, reverse=True)
 
+    def test_negative_top_k_exit(self, tiny_scenario, tmp_path, capsys):
+        outdir = tmp_path / "plan"
+        assert main(["extract-plan", str(tiny_scenario), "--output", str(outdir),
+                     "--top-k", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "top_k" in err
+        assert not outdir.exists()
+
 
 class TestPlotdataCommand:
     def test_long_format(self, tiny_scenario, tmp_path, capsys):

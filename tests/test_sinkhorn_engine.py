@@ -770,7 +770,7 @@ class TestCoupledMode:
         for _ in range(3):
             system.sweep(state)
         msgs = system.compute_messages(state)
-        lam = state.lam[("s", "t")]
+        lam = np.exp(state.lam[("s", "t")])  # the state holds log-scalings in either domain
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
                 f, b = msgs.fwd[p_idx][pos], msgs.bwd[p_idx][pos]
@@ -854,6 +854,15 @@ class TestExtractPlan:
         state, _ = solve(net, [path], config=cfg)
         with pytest.raises(PlanTooLargeError):
             extract_plan(state, 0, max_cells=100)
+
+    def test_negative_top_k_rejected(self, grid8):
+        rng = np.random.default_rng(4)
+        mu0, muT = ordered_random_pair(grid8, rng, 2)
+        net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
+        state = PathSystem(net, [path]).initial_state()
+        for top_k in (-1, -3):
+            with pytest.raises(BadParamError, match="top_k"):
+                extract_plan(state, 0, top_k=top_k)
 
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
@@ -949,8 +958,9 @@ class TestSharedNodeNetwork:
 
 
 def _pick_domain(monkeypatch, log_domain):
-    """Make the coupled-mode domain rule pick ``log_domain``."""
+    """Make the coupled-mode domain rule pick ``log_domain``, whatever the neutral chains."""
     monkeypatch.setattr(sinkhorn_engine, "use_log_domain", lambda *args: log_domain)
+    monkeypatch.setattr(PathSystem, "_neutral_chain_underflows", lambda self: False)
 
 
 def _pinning_instance(kind, grid):
@@ -1034,7 +1044,7 @@ def _dense_plan(state, p_idx):
     """Whole plan tensor of one path, its factors combined in the engine's order."""
     system = state.system
     path = system.paths[p_idx]
-    n_t, n_p, log = system.n_t, path.n_p, state.log_domain
+    n_t, n_p, log = system.n_t, path.n_p, system.log_domain
     combine = np.add if log else np.multiply
 
     def view(arr, axes):
@@ -1046,7 +1056,8 @@ def _dense_plan(state, p_idx):
     for l, kern in enumerate(system.path_kernels[p_idx]):
         plan = combine(plan, view(kern.logK if log else kern.K, (l, l + 1)))
     if system.mode == "coupled":
-        plan = combine(plan, view(state.lam[(path.source, path.sink)], (0, n_p - 1)))
+        lam = state.lam[(path.source, path.sink)]
+        plan = combine(plan, view(lam if log else np.exp(lam), (0, n_p - 1)))
     return np.exp(plan) if log else plan
 
 
@@ -1081,7 +1092,63 @@ class TestNumericDomain:
             _pick_domain(monkeypatch, rule)
             system = _pinning_instance(kind, grid16)
             assert system.log_domain is (rule or kind != "coupled")
-            assert system.initial_state().log_domain is system.log_domain
+
+    @pytest.mark.parametrize("n_edges", [3, 5])
+    def test_underflowing_neutral_chain_picks_log(self, n_edges):
+        # at epsilon 0.06 the rule picks linear, but every target cell's
+        # neutral chain is a product of n_edges kernel entries near e^-667:
+        # linear messages underflow to 0 there and call the mass unreachable
+        grid = TimeGrid(t_f=1.0, n_t=40)
+        joint = np.triu(np.ones((40, 40)), k=n_edges)
+        joint /= joint.sum()
+        net, path = make_line_net(grid, [1.0] * n_edges, joint.sum(axis=1), joint.sum(axis=0))
+        cfg = SolverConfig(epsilon=0.06, tol=1e-10, max_iter=50)
+        joints = {(path.source, path.sink): JointMeasure(grid, joint)}
+        assert not sinkhorn_engine.use_log_domain(cfg.epsilon, 1.0, grid.t_f)
+        assert PathSystem(net, [path], mode="coupled", config=cfg, joints=joints).log_domain
+        state, report = solve(net, [path], mode="coupled", config=cfg, joints=joints)
+        assert report.converged
+        mm = aggregate_marginals(state)
+        assert np.abs(mm.joint_m[(path.source, path.sink)] - joint).sum() <= 1e-10
+
+
+class TestFlatState:
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("shared", True), ("coupled", False), ("coupled", True)])
+    def test_views_share_the_flat_array(self, grid16, kind, log_domain, monkeypatch):
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        assert state.x.shape == (system._size,) and not np.any(state.x)
+        views = [view for bank in (state.u, state.v, state.w, state.lam)
+                 for view in bank.values()]
+        assert len(views) == len(system._blocks)
+        assert sum(view.size for view in views) == state.x.size
+        for view in views:
+            assert np.shares_memory(view, state.x)
+        with pytest.raises(TypeError):
+            state.w[system.interior_order[0]] = np.zeros(16)
+
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("coupled", False), ("coupled", True)])
+    def test_accepted_mixing_writes_in_place(self, grid16, kind, log_domain, monkeypatch):
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        x = state.x
+        mixer = sinkhorn_engine._AndersonMixer(system)
+        accepted = 0
+        for _ in range(10):
+            x_prev = state.x.copy()
+            system.sweep(state)
+            plain = state.x.copy()
+            mixer.step(state, x_prev)
+            accepted += not np.array_equal(state.x, plain)
+        assert accepted and state.x is x
+        views = {**state.u, **state.v, **state.w, **state.lam}
+        for block, (part, shape) in system._layout.items():
+            assert np.shares_memory(views[block], x)
+            assert np.array_equal(views[block], x[part].reshape(shape))
 
 
 class TestSweepPinning:
@@ -1198,8 +1265,7 @@ class TestCoupledMixing:
         # zero-target joint cells stay dead, and capacity multipliers stay <= 1
         system = state.system
         lam, target = state.lam[("s", "t")], system.joints[("s", "t")]
-        dead = -np.inf if log_domain else 0.0
-        assert (target == 0).any() and np.all(lam[target == 0] == dead)
+        assert (target == 0).any() and np.all(lam[target == 0] == -np.inf)
         for node in system.interior_order:
             assert np.all(state.w_linear(node) <= 1.0)
         plain = system.initial_state()
@@ -1242,16 +1308,24 @@ class TestAndersonStep:
         ("line", True), ("shared", True), ("coupled", False), ("coupled", True)])
     def test_no_state_is_evaluated_twice(self, grid16, kind, log_domain, monkeypatch):
         # the Anderson step hands its dual value to the next iteration
-        # together with its messages; the scalings of every evaluated state
-        # stay referenced, so equal ids mean the same state
+        # together with its messages.  A solve's state is written in place,
+        # so an evaluation is told apart by its log-scalings and the sweeps
+        # run before it (a sweep may return its entering point exactly)
         _pick_domain(monkeypatch, log_domain)
         system = _pinning_instance(kind, grid16)
-        seen = _record_dual_evaluations(monkeypatch, lambda state: [
-            arr for bank in (state.u, state.v, state.lam, state.w) for arr in bank.values()])
+        sweeps = []
+        sweep = PathSystem.sweep
+
+        def counted(self, state, messages=None):
+            sweeps.append(None)
+            return sweep(self, state, messages)
+
+        monkeypatch.setattr(PathSystem, "sweep", counted)
+        seen = _record_dual_evaluations(monkeypatch,
+                                        lambda state: (len(sweeps), state.x.tobytes()))
         _, report = _solve_system(system, **fixed_sweeps(ANDERSON_WARMUP + 30))
         assert report.iterations == ANDERSON_WARMUP + 30
-        keys = [tuple(map(id, arrays)) for arrays in seen]
-        assert len(set(keys)) == len(keys) > report.iterations
+        assert len(set(seen)) == len(seen) > report.iterations
 
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
@@ -1265,11 +1339,11 @@ class TestAndersonStep:
         for _ in range(5):
             system.sweep(state)
         mixer = sinkhorn_engine._AndersonMixer(system)
-        x = mixer.pack(state)
+        x = state.x.copy()
         up = np.zeros_like(x)
         up[mixer._w_block] = 1.0
         assert x[mixer._w_block].max() > -1.0
-        assert mixer.step(mixer._unpack(state, x - up), x) is None
+        assert mixer.step(sinkhorn_engine.SinkhornState(system, x - up), x) is None
         evaluated = _record_dual_evaluations(monkeypatch, lambda st: [
             st.w_linear(node) for node in system.interior_order])
         mixer.step(state, x + 0.5 * up)
