@@ -20,8 +20,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import (BadParamError, NonFiniteError, SizeCapError, TransportError,
-                     UnreachableMassError)
+from .errors import NonFiniteError, SizeCapError, TransportError, UnreachableMassError
 from .feasibility import check_da_feasibility
 from .grid_measures import TimeGrid
 from .kernels import build_pair_kernel
@@ -33,7 +32,8 @@ from .scenarios import (
     check_property,
     min_travel_delta,
 )
-from .sinkhorn_engine import extract_plan, node_marginals, solve
+from .sinkhorn_engine import (check_path_index, check_plan_options, extract_plan,
+                              node_marginals, solve)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -183,8 +183,10 @@ def _cmd_extract_plan(args) -> int:
         return EXIT_INVALID
     _, built = loaded
     _apply_overrides(built, args)
-    if args.top_k is not None and args.top_k < 0:  # rejected before solving, like the overrides
-        raise BadParamError(f"top_k must be nonnegative, got {args.top_k}")
+    # the plan options are rejected before solving, like the overrides
+    check_plan_options(args.max_cells, args.top_k, args.min_mass)
+    if args.path_index is not None:
+        check_path_index(args.path_index, len(built.paths))
     state, report = _run_solver(built)
     outdir = FsPath(args.output) if args.output else FsPath(f"{FsPath(args.scenario).stem}_plan")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -230,7 +232,7 @@ def _cmd_oracle(args) -> int:
     if loaded is None:
         return EXIT_INVALID
     _, built = loaded
-    path = built.paths[args.path_index]
+    path = built.paths[check_path_index(args.path_index, len(built.paths))]
     grid = built.net.grid
     weights = [built.net.weight(t, h) for t, h in zip(path.nodes[:-1], path.nodes[1:])]
     try:

@@ -18,9 +18,11 @@ domain; coupled mode passes matrix messages in the log domain or the
 linear one (plain BLAS products, on the exp of the state's views), as the
 underflow rule in :mod:`datransport.kernels` and the neutral-chain floor
 ``LINEAR_CHAIN_FLOOR`` decide.  Every log-sum-exp is one reduction,
-``_lse_reduce``, so the engine needs numpy only.  A vector step is a BLAS
-mat-vec on a cached kernel with its last input absorbed
-(``_AbsorbedStep``); it pays a full log-sum-exp only when it re-absorbs,
+``_lse_reduce``, so the engine needs numpy only.  A vector step is one
+BLAS mat-vec per block of a cached kernel with its last input absorbed
+(``_AbsorbedStep``); the blocks hold only the kernel's causal support (a
+particle arrives strictly after it departs), a little over half of its
+n_t**2 entries.  A step pays a full log-sum-exp only when it re-absorbs,
 after its input drifted more than ``ABSORB_BAND`` or a bin died or revived.
 
 A solve runs at the one configured epsilon.  Each sweep is one cyclic
@@ -75,6 +77,11 @@ _LSE_MATMUL_BLOCK = 1 << 20
 
 # Cells of a path plan that ``extract_plan`` builds at a time.
 _PLAN_SLAB = 1 << 16
+
+# Output bins per block of an absorbed message step: n_t // _ABSORB_ROWS
+# blocks of equal size (within one bin), so a grid of fewer than twice this
+# many bins is one block (see ``_causal_windows``).
+_ABSORB_ROWS = 64
 
 
 def _real(name: str, value) -> float:
@@ -269,6 +276,28 @@ def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _causal_windows(logk: np.ndarray, axis: int) -> list[tuple[slice, slice]]:
+    """(output, input) ranges of the blocks of an absorbed step along ``axis``.
+
+    The output axis is cut into ``n_t // _ABSORB_ROWS`` equal blocks; each
+    takes the span of the kernel's finite entries on its outputs as its
+    input range, and a block with none (outputs -inf whatever the input) is
+    left out.  A single block keeps the whole kernel.
+    """
+    n = logk.shape[1 - axis]
+    k = max(1, n // _ABSORB_ROWS)
+    if k == 1:
+        return [(slice(0, n), slice(0, logk.shape[axis]))]
+    reach = np.isfinite(logk.T if axis == 0 else logk)  # reach[output, input]
+    bounds = [n * j // k for j in range(k + 1)]
+    windows = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        inputs = np.flatnonzero(reach[lo:hi].any(axis=0))
+        if inputs.size:
+            windows.append((slice(lo, hi), slice(inputs[0], inputs[-1] + 1)))
+    return windows
+
+
 class _AbsorbedStep:
     """One log-domain message step across one edge, in one direction.
 
@@ -276,24 +305,33 @@ class _AbsorbedStep:
     1 the backward one, out[s] = LSE_t(logK[s, t] + x[t]).  The input x is
     a message plus a scaling, in log units.
 
-    Absorbing x as r runs the plain log-sum-exp in place in the persistent
-    buffer ``kt`` and returns its output unchanged.  It then scales every
-    reduced slice of ``kt`` to sum 1 and keeps the output as the offsets
-    ``c`` (-inf on all--inf slices, which stay -inf).  A later input with
-    exactly r's dead (-inf) bins and within ``ABSORB_BAND`` of r on the
-    live ones is served by one mat-vec, c + log(kt.T @ exp(x - r)) (``kt @``
-    backward).  Each live slice then sums to between exp(-band) and
-    exp(band), so the entries that underflowed in ``kt`` weigh nothing
+    The step keeps the kernel in blocks along its output axis, each holding
+    only the input range its outputs can reach (``windows``, from
+    ``_causal_windows``), in ``logK``'s orientation.  Since the kernel is
+    -inf on and below its diagonal, the blocks hold a little over half of
+    its n_t**2 entries.
+
+    Absorbing x as r runs the plain log-sum-exp of each block in place in
+    that block's own buffer and returns the outputs unchanged.  It then
+    scales every reduced slice to sum 1 and keeps the outputs as the
+    offsets ``c`` (-inf on all--inf slices, which stay -inf).  A later
+    input with exactly r's dead (-inf) bins and within ``ABSORB_BAND`` of r
+    on the live ones is served by one exp and one mat-vec per block, c +
+    log(block.T @ exp(x - r)) (``block @`` backward) on the block's slice
+    of the outputs.  Each live slice then sums to between exp(-band) and
+    exp(band), so the entries that underflowed in a block weigh nothing
     against it and the step matches the log-sum-exp to round-off
     (Schmitzer, SIAM J. Sci. Comput. 2019).  Any other input re-absorbs.
     A bin that dies must re-absorb too: the slices it dominated may keep
     nothing but underflowed entries.
     """
 
-    def __init__(self, logk: np.ndarray, axis: int):
+    def __init__(self, logk: np.ndarray, axis: int, windows: list[tuple[slice, slice]]):
         self.logk = logk
         self.axis = axis
-        self.kt: np.ndarray | None = None
+        self.windows = windows
+        self.blocks: list[np.ndarray] | None = None
+        self.y: np.ndarray | None = None
         self.r: np.ndarray | None = None  # absorbed input, 0 on dead bins; None re-absorbs
         self.dead: np.ndarray | None = None
         self.c: np.ndarray | None = None
@@ -304,34 +342,46 @@ class _AbsorbedStep:
             d = x - self.r  # -inf on dead bins; NaN fails both tests
             if d.max() <= ABSORB_BAND and np.where(dead, 0.0, d).min() >= -ABSORB_BAND:
                 np.exp(d, out=d)
-                y = self.kt.T @ d if self.axis == 0 else self.kt @ d
+                for (out, inp), block in zip(self.windows, self.blocks):
+                    np.matmul(block.T if self.axis == 0 else block, d[inp], out=self.y[out])
                 with np.errstate(divide="ignore"):
-                    return self.c + np.log(y)
+                    return self.c + np.log(self.y)
         return self._absorb(x, dead)
 
     def _absorb(self, x: np.ndarray, dead: np.ndarray) -> np.ndarray:
-        if self.kt is None:
-            self.kt = np.empty_like(self.logk)
-        out = (_lse_cols if self.axis == 0 else _lse_rows)(self.logk, x, self.kt)
-        total = self.kt.sum(axis=self.axis)
-        scale = np.where(total > 0, total, 1.0)  # all--inf slices stay 0
-        self.kt /= scale[None, :] if self.axis == 0 else scale[:, None]
-        # subnormal entries weigh nothing against a slice of sum 1, but slow
-        # the mat-vec down many times over
-        self.kt[self.kt < np.finfo(float).tiny] = 0.0
-        self.c = out
+        if self.blocks is None:
+            self.blocks = [np.empty(self._kernel_block(out, inp).shape)
+                           for out, inp in self.windows]
+            # the mat-vecs' output; outputs of no block stay 0, so -inf
+            self.y = np.zeros(self.logk.shape[1 - self.axis])
+        c = np.full(self.logk.shape[1 - self.axis], -np.inf)
+        lse = _lse_cols if self.axis == 0 else _lse_rows
+        for (out, inp), block in zip(self.windows, self.blocks):
+            c[out] = lse(self._kernel_block(out, inp), x[inp], block)
+            total = block.sum(axis=self.axis)
+            scale = np.where(total > 0, total, 1.0)  # all--inf slices stay 0
+            block /= scale[None, :] if self.axis == 0 else scale[:, None]
+            # subnormal entries weigh nothing against a slice of sum 1, but
+            # slow the mat-vec down many times over
+            block[block < np.finfo(float).tiny] = 0.0
+        self.c = c
         r = np.where(dead, 0.0, x)
         # a NaN or +inf input is never served from the cache
         self.r = r if np.all(np.isfinite(r)) else None
         self.dead = dead
-        return out
+        return c
+
+    def _kernel_block(self, out: slice, inp: slice) -> np.ndarray:
+        """The part of ``logK`` a block covers, in ``logK``'s orientation."""
+        return self.logk[inp, out] if self.axis == 0 else self.logk[out, inp]
 
 
 def _forward_step(kern: PairKernel, f: np.ndarray, s: np.ndarray, log_domain: bool,
                   absorbed: _AbsorbedStep) -> np.ndarray:
     """Forward message across one edge from message ``f`` and scaling ``s`` at its tail.
 
-    ``absorbed`` is the edge's forward step; it serves the (log-domain) vector case.
+    ``absorbed`` is the edge's forward step; it serves the (log-domain) vector case,
+    and is None in coupled mode.
     """
     if f.ndim == 1:
         return absorbed(f + s)
@@ -343,7 +393,8 @@ def _backward_step(kern: PairKernel, b: np.ndarray, s: np.ndarray, log_domain: b
                    absorbed: _AbsorbedStep) -> np.ndarray:
     """Backward message across one edge from message ``b`` and scaling ``s`` at its head.
 
-    ``absorbed`` is the edge's backward step; it serves the (log-domain) vector case.
+    ``absorbed`` is the edge's backward step; it serves the (log-domain) vector case,
+    and is None in coupled mode.
     """
     if b.ndim == 1:
         return absorbed(b + s)
@@ -503,9 +554,17 @@ class PathSystem:
             self._start = np.eye(self.n_t)
         self._unit.flags.writeable = False
         self._start.flags.writeable = False
-        # vector message steps per path and edge: (forward, backward)
-        self._steps = [[(_AbsorbedStep(k.logK, 0), _AbsorbedStep(k.logK, 1)) for k in kernels]
-                       for kernels in self.path_kernels]
+        # vector message steps per path and edge: (forward, backward); the
+        # block windows are taken once per kernel, and coupled mode, whose
+        # messages are matrices, builds no steps
+        if mode == INDEPENDENT:
+            windows = {w: [_causal_windows(k.logK, axis) for axis in (0, 1)]
+                       for w, k in self._kernel_cache.items()}
+            self._steps = [[tuple(_AbsorbedStep(k.logK, axis, windows[k.w][axis])
+                                  for axis in (0, 1)) for k in kernels]
+                           for kernels in self.path_kernels]
+        else:
+            self._steps = [[(None, None)] * len(kernels) for kernels in self.path_kernels]
 
     def _neutral_chain_underflows(self) -> bool:
         """Whether a pair's neutral chain is below ``LINEAR_CHAIN_FLOOR`` on a target cell.
@@ -943,10 +1002,32 @@ class _AndersonMixer:
 # module-level operations
 
 
+def check_path_index(path_index, n_paths: int) -> int:
+    """``path_index`` as an int in [0, n_paths); anything else raises ``BadParamError``."""
+    index = _integer("path_index", path_index)
+    if not 0 <= index < n_paths:
+        raise BadParamError(f"path_index must be in [0, {n_paths}), got {path_index}")
+    return index
+
+
+def check_plan_options(max_cells, top_k, min_mass) -> None:
+    """``extract_plan``'s options, checked; a bad one raises ``BadParamError``.
+
+    ``max_cells`` is an integer >= 1, ``top_k`` an integer >= 0 or None and
+    ``min_mass`` a finite real >= 0.
+    """
+    if _integer("max_cells", max_cells) < 1:
+        raise BadParamError(f"max_cells must be positive, got {max_cells}")
+    if top_k is not None and _integer("top_k", top_k) < 0:
+        raise BadParamError(f"top_k must be nonnegative, got {top_k}")
+    if not 0 <= _real("min_mass", min_mass) < np.inf:
+        raise BadParamError(f"min_mass must be finite and nonnegative, got {min_mass}")
+
+
 def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None) -> np.ndarray:
     """Linear partial contraction at ``node`` for one path, excluding its own scaling."""
     system = state.system
-    path = system.paths[path_index]
+    path = system.paths[check_path_index(path_index, len(system.paths))]
     if node not in path.nodes:
         raise BadParamError(f"{node} not on path {path}")
     pos = path.nodes.index(node)
@@ -1053,10 +1134,9 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     ``top_k``, only the ``top_k`` heaviest are kept.  Cells are ranked by
     mass descending, then flat index ascending, also at the ``top_k`` cut.
     """
-    if top_k is not None and _integer("top_k", top_k) < 0:
-        raise BadParamError(f"top_k must be nonnegative, got {top_k}")
+    check_plan_options(max_cells, top_k, min_mass)
     system = state.system
-    path = system.paths[path_index]
+    path = system.paths[check_path_index(path_index, len(system.paths))]
     n_t = system.n_t
     n_cells = n_t ** path.n_p
     if n_cells > max_cells:

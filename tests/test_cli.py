@@ -11,6 +11,7 @@ import pytest
 
 from conftest import coupled_tiny_scenario
 
+from datransport import cli
 from datransport.cli import _add_solver_overrides, main
 from datransport.sinkhorn_engine import PathSystem, SolverConfig
 
@@ -260,6 +261,23 @@ class TestExtractPlanCommand:
         assert err.startswith("error: ") and "top_k" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("option, value, name", [
+        ("--path-index", "5", "path_index"), ("--path-index", "-1", "path_index"),
+        ("--min-mass", "nan", "min_mass"), ("--min-mass", "-1", "min_mass"),
+        ("--min-mass", "inf", "min_mass"), ("--max-cells", "0", "max_cells")])
+    def test_bad_option_exits_before_solving(self, tiny_scenario, tmp_path, capsys,
+                                             monkeypatch, option, value, name):
+        def no_solve(built):
+            raise AssertionError("solved before checking the options")
+
+        monkeypatch.setattr(cli, "_run_solver", no_solve)
+        outdir = tmp_path / "plan"
+        assert main(["extract-plan", str(tiny_scenario), "--output", str(outdir),
+                     option, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert not outdir.exists()
+
 
 class TestPlotdataCommand:
     def test_long_format(self, tiny_scenario, tmp_path, capsys):
@@ -285,6 +303,13 @@ class TestHiddenCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "node,bin_center,mass"
         assert len(out) == 1 + 3 * 16
+
+    @pytest.mark.parametrize("index", ["1", "-1"])
+    def test_oracle_bad_path_index(self, tiny_scenario, capsys, index):
+        assert main(["oracle", str(tiny_scenario), "--path-index", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "path_index" in captured.err
+        assert captured.out == ""
 
     def test_oracle_size_cap(self, tmp_path, capsys):
         big = dict(TINY)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -42,6 +43,7 @@ from datransport.sinkhorn_engine import (
     SolverConfig,
     _AbsorbedStep,
     _backward_step,
+    _causal_windows,
     _forward_step,
     _lse_cols,
     _lse_matmul,
@@ -140,6 +142,26 @@ def _absorbed_reference(logk, x, axis):
     return logsumexp(logk + (x[:, None] if axis == 0 else x[None, :]), axis=axis)
 
 
+def _absorbed_step(logk, axis):
+    return _AbsorbedStep(logk, axis, _causal_windows(logk, axis))
+
+
+def _absorbed_entry(step, s, t):
+    """Entry (s, t) of the step's absorbed kernel, read from the block that stores it."""
+    o, i = (t, s) if step.axis == 0 else (s, t)
+    for (out, inp), block in zip(step.windows, step.blocks):
+        if out.start <= o < out.stop:
+            assert inp.start <= i < inp.stop
+            rows, cols = (inp, out) if step.axis == 0 else (out, inp)
+            return block[s - rows.start, t - cols.start]
+    raise AssertionError(f"no block stores ({s}, {t})")
+
+
+# rows per block: the default (one block on these small grids) and a few
+# rows, so that every test runs across several blocks as well
+ABSORB_ROWS = [sinkhorn_engine._ABSORB_ROWS, 5]
+
+
 def _count_absorptions(monkeypatch):
     """Count ``_AbsorbedStep`` calls and the absorptions among them: [calls, absorptions]."""
     counts = [0, 0]
@@ -163,72 +185,107 @@ class TestAbsorbedStep:
     def test_matches_scipy(self, axis, monkeypatch):
         # random walks of the input: drift up to the band, bins dying and
         # bins reviving; the kernel at epsilon 0.01 spans thousands of log
-        # units, so most of it underflows in the absorbed buffer
-        rng = np.random.default_rng(41)
+        # units, so most of it underflows in the absorbed blocks
         n = 40
         logk = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.01).logK
         counts = _count_absorptions(monkeypatch)
-        step = _AbsorbedStep(logk, axis)
-        x = rng.normal(scale=20.0, size=n)
-        x[rng.random(n) < 0.1] = -np.inf
-        changed = {"died": 0, "revived": 0}
-        for _ in range(600):
-            u, i = rng.random(), rng.integers(n)
-            if u < 0.05 and np.isfinite(x[i]):
-                x[i] = -np.inf
-                changed["died"] += 1
-            elif u < 0.1 and np.isneginf(x[i]):
-                x[i] = rng.normal(scale=20.0)
-                changed["revived"] += 1
-            live = np.isfinite(x)
-            x[live] += rng.uniform(-1.0, 1.0, live.sum()) * rng.uniform(0.0, 0.3 * ABSORB_BAND)
-            ours = step(x.copy())
-            ref = _absorbed_reference(logk, x, axis)
+        for rows, blocks in zip(ABSORB_ROWS, (1, 8)):
+            monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
+            rng = np.random.default_rng(41)
+            counts[:] = [0, 0]
+            step = _absorbed_step(logk, axis)
+            assert len(step.windows) == blocks
+            x = rng.normal(scale=20.0, size=n)
+            x[rng.random(n) < 0.1] = -np.inf
+            changed = {"died": 0, "revived": 0}
+            for _ in range(600):
+                u, i = rng.random(), rng.integers(n)
+                if u < 0.05 and np.isfinite(x[i]):
+                    x[i] = -np.inf
+                    changed["died"] += 1
+                elif u < 0.1 and np.isneginf(x[i]):
+                    x[i] = rng.normal(scale=20.0)
+                    changed["revived"] += 1
+                live = np.isfinite(x)
+                x[live] += rng.uniform(-1.0, 1.0, live.sum()) * rng.uniform(0.0, 0.3 * ABSORB_BAND)
+                ours = step(x.copy())
+                ref = _absorbed_reference(logk, x, axis)
+                dead = np.isneginf(ref)
+                assert np.array_equal(np.isneginf(ours), dead)
+                err = np.abs(ours[~dead] - ref[~dead])
+                assert np.all(err <= 1e-13 * np.maximum(np.abs(ref[~dead]), 1.0))
+            assert min(changed.values()) >= 5
+            # most calls are served from the cache, and some re-absorb
+            assert 0 < counts[1] < counts[0] / 2
+
+    def test_band_edge_is_served(self, monkeypatch):
+        n = 24
+        logk = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.02).logK
+        counts = _count_absorptions(monkeypatch)
+        for rows, axis in itertools.product(ABSORB_ROWS, (0, 1)):
+            monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
+            rng = np.random.default_rng(42)
+            counts[:] = [0, 0]
+            step = _absorbed_step(logk, axis)
+            x = rng.normal(scale=5.0, size=n)
+            step(x)
+            # every live bin drifts to just inside the band, then just past it
+            sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            ours = step(x + sign * (ABSORB_BAND - 1e-9))
+            assert counts == [2, 1]
+            ref = _absorbed_reference(logk, x + sign * (ABSORB_BAND - 1e-9), axis)
             dead = np.isneginf(ref)
             assert np.array_equal(np.isneginf(ours), dead)
             err = np.abs(ours[~dead] - ref[~dead])
             assert np.all(err <= 1e-13 * np.maximum(np.abs(ref[~dead]), 1.0))
-        assert min(changed.values()) >= 5
-        # most calls are served from the cache, and some re-absorb
-        assert 0 < counts[1] < counts[0] / 2
+            step(x + sign * (ABSORB_BAND + 1e-9))
+            assert counts == [3, 2]
 
-    def test_band_edge_is_served(self, monkeypatch):
-        rng = np.random.default_rng(42)
-        n = 24
-        logk = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.02).logK
-        counts = _count_absorptions(monkeypatch)
-        step = _AbsorbedStep(logk, 0)
-        x = rng.normal(scale=5.0, size=n)
-        step(x)
-        # every live bin drifts to just inside the band, then just past it
-        sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        ours = step(x + sign * (ABSORB_BAND - 1e-9))
-        assert counts == [2, 1]
-        ref = _absorbed_reference(logk, x + sign * (ABSORB_BAND - 1e-9), 0)
-        dead = np.isneginf(ref)
-        assert np.array_equal(np.isneginf(ours), dead)
-        err = np.abs(ours[~dead] - ref[~dead])
-        assert np.all(err <= 1e-13 * np.maximum(np.abs(ref[~dead]), 1.0))
-        step(x + sign * (ABSORB_BAND + 1e-9))
-        assert counts == [3, 2]
-
-    def test_dying_bins_reabsorb(self):
-        # live bins 20-25 feed column 26; bin 20's entry dominates it and
-        # bin 25's underflows in the absorbed buffer, so once bins 20-24
-        # die, column 26 is exact only after re-absorbing
+    def test_dying_bins_reabsorb(self, monkeypatch):
+        # forward, live bins 20-25 feed output 26; bin 20's entry dominates
+        # it and bin 25's underflows in the absorbed block, so once bins
+        # 20-24 die, output 26 is exact only after re-absorbing.  Backward
+        # is the mirror image: bins 6-11 feed output 5, and 7-11 die.
         n = 32
         logk = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.01).logK
-        step = _AbsorbedStep(logk, 0)
-        x = np.full(n, -np.inf)
-        x[20:26] = 0.0
-        step(x)
-        assert step.kt[25, 26] == 0.0
-        x[20:25] = -np.inf
-        ours = step(x)
-        ref = _absorbed_reference(logk, x, 0)
-        assert np.isfinite(ours[26])
-        assert ours[26] == pytest.approx(ref[26], rel=1e-13)
-        assert ours[26] < -1000.0
+        for rows, axis in itertools.product(ABSORB_ROWS, (0, 1)):
+            monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
+            mirror = (lambda k: k) if axis == 0 else (lambda k: n - 1 - k)
+            step = _absorbed_step(logk, axis)
+            x = np.full(n, -np.inf)
+            x[[mirror(k) for k in range(20, 26)]] = 0.0
+            step(x)
+            weak, out = mirror(25), mirror(26)
+            assert _absorbed_entry(step, *sorted((weak, out))) == 0.0
+            x[[mirror(k) for k in range(20, 25)]] = -np.inf
+            ours = step(x)
+            ref = _absorbed_reference(logk, x, axis)
+            assert np.isfinite(ours[out])
+            assert ours[out] == pytest.approx(ref[out], rel=1e-13)
+            assert ours[out] < -1000.0
+
+    def test_blocks_keep_the_causal_support(self):
+        # at n_t 400 the default blocks store under 0.6 n_t**2 entries, hold
+        # every finite kernel entry, and store no input slice that lies
+        # wholly at t <= s
+        grid = TimeGrid(t_f=1.0, n_t=400)
+        mu0, muT = ordered_random_pair(grid, np.random.default_rng(7), 3)
+        net, path = make_line_net(grid, [1.0, 0.5, 1.0], mu0, muT)
+        system = PathSystem(net, [path])
+        system.compute_messages(system.initial_state())
+        n = grid.n_t
+        for step in (step for pair in system._steps[0] for step in pair):
+            assert len(step.windows) > 1
+            assert sum(block.size for block in step.blocks) <= 0.6 * n ** 2
+            stored = np.zeros((n, n), dtype=int)
+            for (out, inp), block in zip(step.windows, step.blocks):
+                rows, cols = (inp, out) if step.axis == 0 else (out, inp)
+                assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
+                stored[rows, cols] += 1
+                s, t = np.arange(n)[rows, None], np.arange(n)[None, cols]
+                assert np.all((t > s).any(axis=1 - step.axis))
+            finite = np.isfinite(step.logk)
+            assert stored.max() == 1 and np.all(stored[finite] == 1)
 
     def test_log_domain_builds_no_linear_matrices(self, grid16):
         # linear kernels and cost matrices are built on first use only
@@ -863,6 +920,28 @@ class TestExtractPlan:
         for top_k in (-1, -3):
             with pytest.raises(BadParamError, match="top_k"):
                 extract_plan(state, 0, top_k=top_k)
+
+    def test_bad_path_index_rejected(self, grid8):
+        rng = np.random.default_rng(4)
+        mu0, muT = ordered_random_pair(grid8, rng, 2)
+        net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
+        state = PathSystem(net, [path]).initial_state()
+        for index in (1, 5, -1, 0.0, True):
+            with pytest.raises(BadParamError, match="path_index"):
+                extract_plan(state, index)
+            with pytest.raises(BadParamError, match="path_index"):
+                flux_profile(state, index, "n1")
+
+    def test_bad_plan_options_rejected(self, grid8):
+        rng = np.random.default_rng(4)
+        mu0, muT = ordered_random_pair(grid8, rng, 2)
+        net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
+        state = PathSystem(net, [path]).initial_state()
+        for kwargs in ({"min_mass": np.nan}, {"min_mass": np.nan, "top_k": 5},
+                       {"min_mass": -1.0}, {"min_mass": np.inf}, {"min_mass": "0"},
+                       {"max_cells": 0}, {"max_cells": 2.5}, {"max_cells": True}):
+            with pytest.raises(BadParamError, match=next(iter(kwargs))):
+                extract_plan(state, 0, **kwargs)
 
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
