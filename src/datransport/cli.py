@@ -21,7 +21,6 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import NonFiniteError, SizeCapError, TransportError, UnreachableMassError
-from .feasibility import check_da_feasibility
 from .grid_measures import TimeGrid
 from .kernels import build_pair_kernel
 from .reference_oracle import dense_sinkhorn, chain_cost_tensor
@@ -31,6 +30,7 @@ from .scenarios import (
     ScenarioSpec,
     check_property,
     min_travel_delta,
+    precheck_feasibility,
 )
 from .sinkhorn_engine import (check_path_index, check_plan_options, extract_plan,
                               node_marginals, solve)
@@ -139,17 +139,15 @@ def _cmd_feasibility(args) -> int:
     if loaded is None:
         return EXIT_INVALID
     _, built = loaded
-    all_ok = True
-    for path in built.paths:
-        mu0 = built.net.sources[path.source].normalized()
-        muT = built.net.sinks[path.sink].normalized()
-        delta = args.delta if args.delta is not None else min_travel_delta(built, path)
-        verdict = check_da_feasibility(mu0, muT, delta)
+    if args.delta is not None:
+        built.delta = args.delta
+    verdicts = precheck_feasibility(built)
+    for path, verdict in verdicts:
         status = "feasible" if verdict.feasible else "infeasible"
         extra = "" if verdict.violation_time is None else f" violation near t={verdict.violation_time!r}"
-        print(f"{path}: {status} delta={delta!r} margin={verdict.margin!r}{extra}")
-        all_ok &= verdict.feasible
-    return EXIT_OK if all_ok else EXIT_INVALID
+        print(f"{path}: {status} delta={min_travel_delta(built, path)!r} "
+              f"margin={verdict.margin!r}{extra}")
+    return EXIT_OK if all(verdict.feasible for _, verdict in verdicts) else EXIT_INVALID
 
 
 def _cmd_solve(args) -> int:

@@ -11,6 +11,13 @@ constraint, computed from an aggregate that excludes the block's own
 scaling (so the constraint holds to round-off immediately after the
 update).
 
+Each block's target, or its cap for a capacity block, sits at the same
+place in one flat vector ``PathSystem.bound``, and a sweep or
+``model_marginals`` fills one flat model marginal the same way.  Sources
+(or joint pairs) come first, then caps, then sinks, so E0, V and ET are
+three slices of model - bound, and the dual's scaling term is one dot of
+the state with the bound on its live bins.
+
 Above the messages everything is in log units: aggregates, projections,
 violations, the dual and the mixing.  The engine picks the domain of the
 messages.  Independent mode always passes its vector messages in the log
@@ -191,12 +198,11 @@ class ChainMessages:
 
 @dataclass(eq=False)
 class ModelMarginals:
-    """Aggregated node marginals; ``a`` excludes each node's own scaling."""
+    """Model marginal of every block, flat in the state's layout; ``m`` and ``joint_m`` view it."""
 
+    model: np.ndarray
     m: dict[str, np.ndarray]
-    a: dict[str, np.ndarray]
     joint_m: dict[tuple[str, str], np.ndarray]
-    joint_a: dict[tuple[str, str], np.ndarray]
 
 
 @dataclass(eq=False)
@@ -493,37 +499,30 @@ class PathSystem:
         self.pair_paths = {pair: [i for i, p in enumerate(self.paths)
                                   if (p.source, p.sink) == pair]
                            for pair in self.pairs}
-        # sweep order; the slot is where a block's violation is summed: E0, ET or V
-        first = self.pairs if mode == COUPLED else self.source_order
-        last = [] if mode == COUPLED else self.sink_order
-        self._blocks = ([(b, 0) for b in first] + [(n, 2) for n in self.interior_order]
-                        + [(n, 1) for n in last])
-        self._targets = {**self.mu0, **self.muT, **self.joints}
-        # the state's layout: each block's slice of the flat log-scalings, and its shape
+        # the state's layout, in sweep order: each block's slice of the flat
+        # log-scalings and its shape.  Sources (or pairs), caps and sinks are
+        # contiguous, so E0, V and ET are three slices of any flat marginal
+        first = self.joints if mode == COUPLED else self.mu0
+        bounds = {**first, **self.caps, **({} if mode == COUPLED else self.muT)}
         self._layout: dict = {}
         size = 0
-        for block, _ in self._blocks:
-            shape = self._targets[block].shape if block in self._targets else (self.n_t,)
-            self._layout[block] = (slice(size, size + int(np.prod(shape))), shape)
-            size += int(np.prod(shape))
+        for block, bound in bounds.items():
+            self._layout[block] = (slice(size, size + bound.size), bound.shape)
+            size += bound.size
         self._size = size
-        # log of each block's target (or cap), for its projection
+        n_first = sum(bound.size for bound in first.values())
+        self._caps_part = slice(n_first, n_first + self.n_t * len(self.caps))
+        # each block's target (or cap) and its log, flat in the layout
+        self.bound = np.concatenate([bound.ravel() for bound in bounds.values()])
         with np.errstate(divide="ignore"):
-            self._log_bounds = {block: np.log(self.caps[block] if block in self.caps
-                                              else self._targets[block])
-                                for block, _ in self._blocks}
-        # the dual's <log scaling, target> terms, boundary blocks first:
-        # (block, mask, masked target).  Sub-threshold target mass on dead
-        # bins is dropped by the updates, so the dual leaves it out as well;
-        # uncapped and zero-cap bins add nothing.
-        self._dual_terms = []
-        for block in first + last:
-            mask = self._targets[block] > NEGLIGIBLE_MASS
-            self._dual_terms.append((block, mask, self._targets[block][mask]))
-        for node in self.interior_order:
-            cap = self.caps[node]
-            mask = np.isfinite(cap) & (cap > 0)
-            self._dual_terms.append((node, mask, cap[mask]))
+            self.log_bound = np.log(self.bound)
+        # the bins of the dual's <log scaling, bound> term.  Sub-threshold
+        # target mass on dead bins is dropped by the updates, so the dual
+        # leaves it out as well; uncapped and zero-cap bins add nothing.
+        self._dual_bins = self.bound > NEGLIGIBLE_MASS
+        caps = self.bound[self._caps_part]
+        self._dual_bins[self._caps_part] = np.isfinite(caps) & (caps > 0)
+        self._dual_bound = self.bound[self._dual_bins]
 
         self.epsilon = config.epsilon
         self._cost_mats: dict[float, np.ndarray] = {}  # built by transport_cost
@@ -722,28 +721,26 @@ class PathSystem:
     def model_marginals(self, state: SinkhornState, messages=None) -> ModelMarginals:
         if messages is None:
             messages = self.compute_messages(state)
-        mm = ModelMarginals(m={}, a={}, joint_m={}, joint_a={})
+        model = np.empty(self._size)
         with np.errstate(over="ignore"):
-            for block, _ in self._blocks:
-                agg = self._aggregate(state, block, messages)
-                m, a = (mm.joint_m, mm.joint_a) if block in self.joints else (mm.m, mm.a)
-                a[block] = np.exp(agg)
-                m[block] = _masked_exp(state._views[block] + agg)
-        return mm
+            for block, (part, _) in self._layout.items():
+                agg = self._aggregate(state, block, messages).ravel()
+                model[part] = _masked_exp(state.x[part] + agg)
+        views = {block: model[part].reshape(shape) for block, (part, shape) in self._layout.items()}
+        return ModelMarginals(model=model,
+                              m={b: m for b, m in views.items() if b not in self.joints},
+                              joint_m={b: m for b, m in views.items() if b in self.joints})
 
     def violations(self, mm: ModelMarginals) -> tuple[float, float, float]:
         """L1 source error E0, sink error ET, capacity excess V."""
-        totals = [0.0, 0.0, 0.0]
-        for block, slot in self._blocks:
-            model = mm.joint_m[block] if block in self.joints else mm.m[block]
-            totals[slot] += self._violation(block, model)
-        return tuple(totals)
+        return self._violations(mm.model)
 
-    def _violation(self, block, model: np.ndarray) -> float:
-        """L1 violation of one block's constraint (the cap excess for a capacity block)."""
-        if block in self.caps:
-            return float(np.maximum(model - self.caps[block], 0.0).sum())
-        return float(np.abs(model - self._targets[block]).sum())
+    def _violations(self, model: np.ndarray) -> tuple[float, float, float]:
+        """(E0, ET, V) of a flat model marginal, from three slices of model - bound."""
+        gap = model - self.bound
+        caps = self._caps_part
+        return (float(np.abs(gap[:caps.start]).sum()), float(np.abs(gap[caps.stop:]).sum()),
+                float(np.maximum(gap[caps], 0.0).sum()))
 
     # ------------------------------------------------------------------
     # block updates
@@ -766,26 +763,29 @@ class PathSystem:
         """Clipped capacity projection min(log cap - log aggregate, 0); slack bins get 0."""
         return np.where(np.isneginf(agg), 0.0, np.minimum(log_cap - agg, 0.0))
 
-    def _project(self, state: SinkhornState, block, agg: np.ndarray) -> tuple[np.ndarray, float]:
-        """Exact projection of one block from its log aggregate.
+    def _project(self, state: SinkhornState, block,
+                 agg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact projection of one block from its log aggregate, flat in the block's slice.
 
-        Returns the block's new log-scaling and its L1 violation before the
-        update (the cap excess for a capacity block).
+        Returns the block's new log-scaling and its model marginal before
+        the update.
         """
-        violation = self._violation(block, _masked_exp(state._views[block] + agg))
+        part = self._layout[block][0]
+        agg = agg.ravel()
+        model = _masked_exp(state.x[part] + agg)
         if block in self.caps:
-            return self._cap_over_aggregate(self._log_bounds[block], agg), violation
+            return self._cap_over_aggregate(self.log_bound[part], agg), model
         label = f"pair {block}" if block in self.joints else block
-        return self._target_over_aggregate(self._targets[block], self._log_bounds[block],
-                                           agg, label), violation
+        return self._target_over_aggregate(self.bound[part], self.log_bound[part],
+                                           agg, label), model
 
     def _update_block(self, state: SinkhornState, block, messages) -> np.ndarray:
         """Project one block from full messages of ``state``; returns its new linear scaling."""
         if messages is None:
             messages = self.compute_messages(state)
-        scaling = state._views[block]
-        scaling[...], _ = self._project(state, block, self._aggregate(state, block, messages))
-        return _masked_exp(scaling)
+        state.x[self._layout[block][0]], _ = self._project(
+            state, block, self._aggregate(state, block, messages))
+        return _masked_exp(state._views[block])
 
     def boundary_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
         """Match the node's marginal target exactly; returns the new linear scaling."""
@@ -827,17 +827,15 @@ class PathSystem:
         is trusted to describe the entering state and may be backward-only.
         """
         refresh = not self._order_follows_paths
-        totals = [0.0, 0.0, 0.0]
-        for i, (block, slot) in enumerate(self._blocks):
+        model = np.empty(self._size)
+        for i, (block, (part, _)) in enumerate(self._layout.items()):
             if i == 0 or refresh:
                 if messages is None or i:
                     messages = self.compute_messages(state, backward_only=True)
                 frontier = _Forward(self, state)
-            scaling, violation = self._project(
+            state.x[part], model[part] = self._project(
                 state, block, self._aggregate(state, block, messages, frontier))
-            totals[slot] += violation
-            state._views[block][...] = scaling
-        return tuple(totals)
+        return self._violations(model)
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -903,18 +901,13 @@ class PathSystem:
         The sink blocks come last, so every path then carries exactly the
         target mass of its sink on the bins the sink scaling keeps alive.
         """
-        mass = sum(float(self.muT[s][state.v[s] > -np.inf].sum()) for s in self.sink_order)
+        sinks = self._caps_part.stop
+        mass = float(self.bound[sinks:][state.x[sinks:] > -np.inf].sum())
         return self.epsilon * (self._dual_scaling_terms(state) - mass)
 
     def _dual_scaling_terms(self, state: SinkhornState) -> float:
-        """Sum of <log scaling, target> over all blocks (the dual without its mass term)."""
-        total = 0.0
-        for block, mask, target in self._dual_terms:
-            lscale = state._views[block][mask]
-            if np.any(np.isneginf(lscale)):
-                return -np.inf
-            total += float(np.dot(lscale, target))
-        return total
+        """<log scaling, bound> over the dual's bins: -inf if one of them is dead."""
+        return float(state.x[self._dual_bins] @ self._dual_bound)
 
 
 class _AndersonMixer:
@@ -928,18 +921,15 @@ class _AndersonMixer:
     of the dual's curvature in the log-scalings.  Capacity multipliers are
     clipped back to w <= 1.  A mixed point replaces the plain one only if
     it is finite and its dual value is at least the plain point's;
-    otherwise the plain point stands and the history restarts.  Dead bins
-    (log-scaling -inf, such as a Lambda cell of zero target) take no part
-    in the mixing and stay dead.
+    otherwise the plain point stands and the history restarts.  A mixed
+    point equal to the plain one bit for bit is not evaluated as a trial.
+    Dead bins (log-scaling -inf, such as a Lambda cell of zero target) take
+    no part in the mixing and stay dead.
     """
 
     def __init__(self, system: PathSystem):
         self.system = system
-        mass = np.concatenate([(system.caps[b] if b in system.caps else system._targets[b]).ravel()
-                               for b, _ in system._blocks])
-        self._sqrt_mass = np.sqrt(np.where(np.isfinite(mass), mass, 0.0))
-        w = [system._layout[node][0] for node in system.interior_order] or [slice(0, 0)]
-        self._w_block = slice(w[0].start, w[-1].stop)
+        self._sqrt_mass = np.sqrt(np.where(np.isfinite(system.bound), system.bound, 0.0))
         self.reset()
 
     def reset(self) -> None:
@@ -974,14 +964,11 @@ class _AndersonMixer:
         gamma = np.linalg.lstsq(weight * d_f, weight[:, 0] * self._f[-1], rcond=None)[0]
         mixed = g.copy()
         mixed[live] = g_live - d_g @ gamma
-        np.minimum(mixed[self._w_block], 0.0, out=mixed[self._w_block])
+        caps = system._caps_part
+        np.minimum(mixed[caps], 0.0, out=mixed[caps])
         if not np.all(np.isfinite(mixed[live])):
             self.reset()
             return None
-        with np.errstate(over="ignore", invalid="ignore"):
-            trial = SinkhornState(system, mixed)
-            messages = system.compute_messages(trial, backward_only=True)
-            value = system.dual_objective(trial, messages)
         if system.mode == INDEPENDENT:
             plain, plain_point = system._swept_dual_objective(state), None
         else:
@@ -991,6 +978,12 @@ class _AndersonMixer:
             plain_messages = system.compute_messages(state, backward_only=True)
             plain = system.dual_objective(state, plain_messages)
             plain_point = plain_messages, plain
+        if np.array_equal(mixed, g):  # nothing was mixed: no trial to evaluate
+            return plain_point
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = SinkhornState(system, mixed)
+            messages = system.compute_messages(trial, backward_only=True)
+            value = system.dual_objective(trial, messages)
         if not value >= plain:
             self.reset()
             return plain_point

@@ -66,6 +66,31 @@ class TestFeasibilityCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["feasibility", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("name, delta, code, lines", [
+        ("tiny", None, 0, ["s->m->t: feasible delta=0.125 margin=-8.881784197001252e-16"]),
+        ("tiny", "0.9", 2, ["s->m->t: infeasible delta=0.9 margin=-0.992579619734341 "
+                            "violation near t=0.03125"]),
+        ("63_network", None, 0, [
+            f"{path}: feasible delta=0.05 margin=-3.1264162510892594e-14"
+            for path in ("v0->v2->v3->v4->v6->vT", "v0->v1->v3->v4->v5->vT",
+                         "v0->v2->v3->v4->v5->vT")]),
+        ("63_network", "0.9", 2, [
+            f"{path}: infeasible delta=0.9 margin=-0.9099123819843746 violation near t=0.045"
+            for path in ("v0->v2->v3->v4->v6->vT", "v0->v1->v3->v4->v5->vT",
+                         "v0->v2->v3->v4->v5->vT")]),
+    ])
+    def test_printed_lines(self, tiny_scenario, tmp_path, capsys, name, delta, code, lines):
+        # the lines the per-path check printed before it went through
+        # scenarios.precheck_feasibility, byte for byte
+        path = tiny_scenario
+        if name != "tiny":
+            path = tmp_path / f"{name}.json"
+            assert main(["scenario", name, "--emit", str(path)]) == 0
+            capsys.readouterr()
+        argv = ["feasibility", str(path)] + (["--delta", delta] if delta else [])
+        assert main(argv) == code
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
 
 class TestSolveCommand:
     def test_end_to_end(self, tiny_scenario, tmp_path, capsys):

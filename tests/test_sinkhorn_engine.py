@@ -40,6 +40,7 @@ from datransport.sinkhorn_engine import (
     ABSORB_BAND,
     ANDERSON_WARMUP,
     PathSystem,
+    SinkhornState,
     SolverConfig,
     _AbsorbedStep,
     _backward_step,
@@ -445,7 +446,7 @@ class TestBlockUpdates:
 
         # direct ratio: aggregate 0.04 against cap 0.02 gives factor 0.5
         mm = aggregate_marginals(state)
-        agg = mm.a["n1"]
+        agg = mm.m["n1"]  # w = 1, so the marginal is the aggregate
         cap = np.where(agg > 0, agg * 0.5, 1.0)
         net2, path2 = make_line_net(grid8, [1.0, 1.0], mu0, muT, caps={"n1": cap})
         system2 = PathSystem(net2, [path2], config=SolverConfig(epsilon=0.5))
@@ -1201,7 +1202,7 @@ class TestFlatState:
         assert state.x.shape == (system._size,) and not np.any(state.x)
         views = [view for bank in (state.u, state.v, state.w, state.lam)
                  for view in bank.values()]
-        assert len(views) == len(system._blocks)
+        assert len(views) == len(system._layout)
         assert sum(view.size for view in views) == state.x.size
         for view in views:
             assert np.shares_memory(view, state.x)
@@ -1228,6 +1229,129 @@ class TestFlatState:
         for block, (part, shape) in system._layout.items():
             assert np.shares_memory(views[block], x)
             assert np.array_equal(views[block], x[part].reshape(shape))
+
+
+def _layout_instance(kind, grid):
+    """Instance with a zero-cap bin, an uncapped bin and sub-threshold target mass on dead bins."""
+    rng = np.random.default_rng(61)
+    tiny = sinkhorn_engine.NEGLIGIBLE_MASS / 10
+    cap = np.full(grid.n_t, 0.15)
+    cap[5], cap[9] = 0.0, np.inf
+    cfg = SolverConfig(epsilon=0.3)
+    if kind == "coupled":
+        joint = np.zeros((grid.n_t, grid.n_t))
+        for i in range(grid.n_t - 4):
+            joint[i, i + 4:] = rng.uniform(0.1, 1.0, grid.n_t - 4 - i)
+        joint /= joint.sum()
+        joint[-1, 0] = tiny  # no path departs after it arrives
+        net = TransportNetwork(
+            grid=grid, nodes=("s", "a", "b", "t"),
+            edges={("s", "a"): 1.0, ("a", "t"): 1.0, ("s", "b"): 1.2, ("b", "t"): 1.2},
+            sources={"s": Measure(grid, joint.sum(axis=1))},
+            sinks={"t": Measure(grid, joint.sum(axis=0))},
+            capacities={"a": CapacityProfile(grid, cap),
+                        "b": CapacityProfile(grid, np.full(grid.n_t, 0.12))})
+        return PathSystem(net, [Path(("s", "a", "t")), Path(("s", "b", "t"))],
+                          mode="coupled", config=cfg,
+                          joints={("s", "t"): JointMeasure(grid, joint)})
+    mu0, muT = ordered_random_pair(grid, rng, 3 if kind == "line" else 5)
+    mu0[-1] = muT[0] = tiny  # nothing departs at the last bin or arrives at the first
+    if kind == "line":
+        net, path = make_line_net(grid, [1.0, 0.7, 1.2], mu0, muT,
+                                  caps={"n1": cap, "n2": np.full(grid.n_t, 0.18)})
+        return PathSystem(net, [path], config=cfg)
+    net, paths = _three_route_network(grid, mu0, muT, cap)
+    return PathSystem(net, paths, config=cfg)
+
+
+def _reference_bounds(system):
+    """Each block's target (or cap), as the network holds it."""
+    bounds = {**system.caps, **system.joints}
+    if system.mode != "coupled":
+        bounds.update({**system.mu0, **system.muT})
+    return bounds
+
+
+def _reference_dual(system, state):
+    """The dual summed block by block, each over its live-bound bins."""
+    views = {**state.u, **state.v, **state.w, **state.lam}
+    total = 0.0
+    for block, bound in _reference_bounds(system).items():
+        if block in system.caps:
+            keep = np.isfinite(bound) & (bound > 0)
+        else:
+            keep = bound > sinkhorn_engine.NEGLIGIBLE_MASS
+        total += float(np.dot(views[block][keep], bound[keep]))
+    return system.epsilon * (total - float(system.path_masses(state).sum()))
+
+
+def _reference_violations(system, marginals):
+    """(E0, ET, V) summed block by block from a block -> model marginal map."""
+    bounds = _reference_bounds(system)
+    totals = [0.0, 0.0, 0.0]
+    for block, model in marginals.items():
+        if block in system.caps:
+            totals[2] += float(np.maximum(model - bounds[block], 0.0).sum())
+        else:
+            totals[block in system.muT] += float(np.abs(model - bounds[block]).sum())
+    return tuple(totals)
+
+
+def _reference_sweep(system, state):
+    """One Gauss-Seidel sweep through the public block updates; returns its (E0, ET, V)."""
+    first = system.pairs if system.mode == "coupled" else system.source_order
+    sinks = [] if system.mode == "coupled" else system.sink_order
+    marginals = {}
+    for block in first + system.interior_order + sinks:
+        mm = aggregate_marginals(state)
+        marginals[block] = {**mm.m, **mm.joint_m}[block]
+        if block in system.caps:
+            capacity_update(state, block)
+        elif block in system.joints:
+            coupled_boundary_update(state, block)
+        else:
+            boundary_update(state, block)
+    return _reference_violations(system, marginals)
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("kind", ["line", "shared", "coupled"])
+    def test_matches_the_per_block_reference(self, grid16, kind):
+        system = _layout_instance(kind, grid16)
+        bounds = _reference_bounds(system)
+        assert list(system._layout) == (list(system.joints) + system.interior_order
+                                         if kind == "coupled" else system.source_order
+                                         + system.interior_order + system.sink_order)
+        for block, (part, shape) in system._layout.items():
+            assert np.array_equal(system.bound[part].reshape(shape), bounds[block])
+            with np.errstate(divide="ignore"):
+                assert np.array_equal(system.log_bound[part].reshape(shape),
+                                      np.log(bounds[block]))
+        caps = [system._layout[node][0] for node in system.interior_order]
+        assert system._caps_part == slice(caps[0].start, caps[-1].stop)
+
+        state = system.initial_state()
+        system.sweep(state)
+        # zero-cap bins, sub-threshold target mass and zero-target cells are dead
+        tiny = (system.bound > 0) & (system.bound <= sinkhorn_engine.NEGLIGIBLE_MASS)
+        assert np.any(tiny) and np.any(system.bound[system._caps_part] == 0)
+        assert np.any(np.isinf(system.bound))
+        views = {**state.u, **state.v, **state.w, **state.lam}
+        for block, bound in bounds.items():
+            live = bound > 0 if block in system.caps else bound > sinkhorn_engine.NEGLIGIBLE_MASS
+            assert np.all(views[block][~live] == -np.inf)
+        for _ in range(2):
+            np.testing.assert_allclose(system.dual_objective(state),
+                                       _reference_dual(system, state), rtol=1e-12)
+            if kind != "coupled":
+                np.testing.assert_allclose(system._swept_dual_objective(state),
+                                           _reference_dual(system, state), rtol=1e-12)
+            mm = aggregate_marginals(state)
+            np.testing.assert_allclose(system.violations(mm), _reference_violations(
+                system, {**mm.m, **mm.joint_m}), rtol=1e-12)
+            reference = SinkhornState(system, state.x.copy())
+            np.testing.assert_allclose(system.sweep(state),
+                                       _reference_sweep(system, reference), rtol=1e-12)
 
 
 class TestSweepPinning:
@@ -1408,6 +1532,28 @@ class TestAndersonStep:
 
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
+    def test_exact_fixed_point_is_evaluated_once(self, grid16, kind, log_domain, monkeypatch):
+        # a zero residual history mixes to the plain point bit for bit, so
+        # the step takes no trial: a coupled step evaluates the plain point
+        # once and hands it on, an independent one evaluates nothing
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(5):
+            system.sweep(state)
+        mixer = sinkhorn_engine._AndersonMixer(system)
+        x = state.x.copy()
+        assert mixer.step(state, x) is None
+        seen = _record_dual_evaluations(monkeypatch, lambda st: st.x.tobytes())
+        point = mixer.step(state, x)
+        assert np.array_equal(state.x, x)
+        if kind == "coupled":
+            assert seen == [x.tobytes()] and point[1] == system.dual_objective(state)
+        else:
+            assert seen == [] and point is None
+
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("coupled", False), ("coupled", True)])
     def test_capacity_multipliers_stay_clipped(self, grid16, kind, log_domain, monkeypatch):
         # residuals that halve along x - up, x, toward x + up: the mixed
         # point extrapolates to x + up, which lifts slack log-multipliers
@@ -1420,8 +1566,8 @@ class TestAndersonStep:
         mixer = sinkhorn_engine._AndersonMixer(system)
         x = state.x.copy()
         up = np.zeros_like(x)
-        up[mixer._w_block] = 1.0
-        assert x[mixer._w_block].max() > -1.0
+        up[system._caps_part] = 1.0
+        assert x[system._caps_part].max() > -1.0
         assert mixer.step(sinkhorn_engine.SinkhornState(system, x - up), x) is None
         evaluated = _record_dual_evaluations(monkeypatch, lambda st: [
             st.w_linear(node) for node in system.interior_order])
