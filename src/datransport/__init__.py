@@ -46,7 +46,6 @@ from .kernels import (
     check_generalized_monge,
     check_xtwist,
     path_cost,
-    use_log_domain,
 )
 from .network import (
     CapacityProfile,
@@ -94,7 +93,7 @@ __all__ = [
     "TransportNetwork", "CapacityProfile", "Path", "validate_paths", "path_cost_terms",
     "FeasibilityVerdict", "TripletWitness", "check_da_feasibility",
     "quantile_coupling_witness", "monotone_rearrangement",
-    "PairKernel", "build_pair_kernel", "path_cost", "use_log_domain",
+    "PairKernel", "build_pair_kernel", "path_cost",
     "MongeReport", "check_generalized_monge", "XTwistReport", "check_xtwist",
     "PathSystem", "SinkhornState", "SolverConfig", "ChainMessages",
     "ConvergenceReport", "PlanCells", "solve", "flux_profile",

@@ -140,7 +140,7 @@ def _cmd_feasibility(args) -> int:
         return EXIT_INVALID
     _, built = loaded
     if args.delta is not None:
-        built.delta = args.delta
+        built = replace(built, delta=args.delta)
     verdicts = precheck_feasibility(built)
     for path, verdict in verdicts:
         status = "feasible" if verdict.feasible else "infeasible"

@@ -48,7 +48,8 @@ def check_da_feasibility(mu0: Measure, muT: Measure, delta: float) -> Feasibilit
     Exactly-tight instances count as feasible (slack ``FEAS_SLACK``).
     """
     grid = require_same_grid(mu0, muT)
-    k = shift_bins(delta, grid.dt)
+    # every shift of n_t bins or more gives the same verdict, margin and time
+    k = min(shift_bins(delta, grid.dt), grid.n_t)
     f0 = cdf(mu0)
     ft = cdf(muT)
     total_t = ft[-1]
@@ -105,7 +106,7 @@ def quantile_coupling_witness(mu0: Measure, muT: Measure, delta: float,
         raise ValueError("n_samples must be at least 1")
     if not r > 0:
         raise ValueError(f"rate bound must be positive, got {r}")
-    if epsilon_gap <= 0:
+    if not epsilon_gap > 0:  # NaN too: the bins below take it unchecked
         raise ValueError(f"epsilon_gap must be positive, got {epsilon_gap}")
     if epsilon_gap + 1.0 / r >= delta:
         raise InfeasiblePreconditionError(
@@ -115,25 +116,18 @@ def quantile_coupling_witness(mu0: Measure, muT: Measure, delta: float,
         raise InfeasiblePreconditionError(
             f"pair infeasible at delta={delta} (margin {verdict.margin})")
 
-    n_u = n_s = n_samples
-    weight = 1.0 / (n_u * n_s)
-    idx = np.empty((n_u * n_s, 3), dtype=np.int64)
-    row = 0
-    window = 1.0 / r
-    for i in range(n_u):
-        u = (i + 0.5) / n_u
-        t0 = quantile(mu0, u)
-        t_arr = quantile(muT, u)
-        b0 = grid.bin_of(t0)
-        bT = grid.bin_of(t_arr)
-        for q in range(n_s):
-            s = (q + 0.5) / n_s * window
-            b1 = grid.bin_of(t0 + epsilon_gap + s)
-            idx[row] = (b0, b1, bT)
-            row += 1
-    # merge duplicate atoms so marginals are cheap to read off
-    uniq, inverse = np.unique(idx, axis=0, return_inverse=True)
-    weights = np.bincount(inverse, minlength=len(uniq)) * weight
+    n, n_t = n_samples, grid.n_t
+    mid = np.arange(n) + 0.5  # stratum midpoints, over n
+    u = mid / n
+    s = mid / n * (1.0 / r)
+    t0 = quantile(mu0, u)
+    b0, b_t = grid.bin_of(t0)[:, None], grid.bin_of(quantile(muT, u))[:, None]
+    b1 = grid.bin_of(t0[:, None] + epsilon_gap + s)  # [u-stratum, crossing stratum]
+    # merge duplicate atoms so marginals are cheap to read off; the flat
+    # index of (b0, b1, bT) sorts as the triple does
+    atoms, counts = np.unique(((b0 * n_t + b1) * n_t + b_t).ravel(), return_counts=True)
+    uniq = np.stack(np.unravel_index(atoms, (n_t,) * 3), axis=1).astype(np.int64)
+    weights = counts * (1.0 / (n * n))
     return TripletWitness(grid=grid, indices=uniq, weights=weights)
 
 

@@ -43,9 +43,11 @@ class TimeGrid:
         c.flags.writeable = False
         return c
 
-    def bin_of(self, t: float) -> int:
-        """Index of the bin containing time ``t``, clipped to the grid."""
-        return int(min(max(math.floor(t / self.dt), 0), self.n_t - 1))
+    def bin_of(self, t):
+        """Index of the bin containing time ``t``, clipped to the grid; elementwise on an array."""
+        k = np.floor(np.asarray(t, dtype=float) / self.dt)
+        k = np.clip(k, 0, self.n_t - 1).astype(np.int64)
+        return int(k) if k.ndim == 0 else k
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,19 +116,21 @@ def cdf(m: Measure) -> np.ndarray:
     return np.cumsum(m.mass)
 
 
-def quantile(m: Measure, u: float) -> float:
+def quantile(m: Measure, u):
     """Smallest bin center t_k with F(t_k) >= u (left-continuous inverse).
 
-    Requires ``m`` to be a probability measure up to ``PROB_TOL``.
+    ``u`` is one level, giving a float, or an array of levels, giving an
+    array of centers.  Requires ``m`` to be a probability measure up to
+    ``PROB_TOL``.
     """
     if abs(m.total - 1.0) > PROB_TOL:
         raise NonProbabilityError(f"total mass {m.total!r} deviates from 1 beyond {PROB_TOL}")
-    if not 0.0 < u <= 1.0:
+    levels = np.asarray(u, dtype=float)
+    if not np.all((0.0 < levels) & (levels <= 1.0)):
         raise ValueError(f"u must lie in (0, 1], got {u}")
-    f = cdf(m)
-    k = int(np.searchsorted(f, u, side="left"))
-    k = min(k, m.grid.n_t - 1)
-    return float(m.grid.centers[k])
+    k = np.minimum(np.searchsorted(cdf(m), levels, side="left"), m.grid.n_t - 1)
+    t = m.grid.centers[k]
+    return float(t) if t.ndim == 0 else t
 
 
 def gaussian_mixture(grid: TimeGrid, components) -> Measure:

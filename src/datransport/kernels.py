@@ -17,24 +17,14 @@ import numpy as np
 from .errors import BadParamError, NonIncreasingTimesError
 from .grid_measures import TimeGrid
 
-# Coupled-mode message passing runs in the log domain below this epsilon
-# (underflow guard); independent mode always does.
-LOG_DOMAIN_FACTOR = 0.05
-
-
-def use_log_domain(epsilon: float, w_max: float, t_f: float) -> bool:
-    """Coupled-mode heuristic: run log-sum-exp messages when epsilon is small."""
-    return epsilon < LOG_DOMAIN_FACTOR * w_max * t_f
-
-
 @dataclass(frozen=True, eq=False)
 class PairKernel:
     """Gibbs kernel of one weighted edge on the grid.
 
     ``K[s, t] = exp(-w / (eps * (t_t - t_s)))`` for index ``t > s`` and 0
     elsewhere; ``logK`` holds the exponent with -inf on and below the
-    diagonal.  ``K`` is built from ``logK`` on first use, so a log-domain
-    solve never holds it.
+    diagonal.  ``K`` is built from ``logK`` on first use, so a solve that
+    never reads it (an independent one) never holds it.
     """
 
     grid: TimeGrid

@@ -16,7 +16,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .errors import ScenarioFormatError
+from .errors import BadParamError, ScenarioFormatError
 from .feasibility import check_da_feasibility
 from .grid_measures import JointMeasure, Measure, TimeGrid, gaussian_mixture
 from .network import CapacityProfile, Path, TransportNetwork, validate_paths
@@ -40,6 +40,12 @@ class BuiltScenario:
     joints: dict[tuple[str, str], JointMeasure]
     expected_properties: list[dict]
     delta: float | None
+
+    def __post_init__(self):
+        if self.delta is not None:
+            self.delta = float(self.delta)
+            if not 0 <= self.delta < np.inf:
+                raise BadParamError(f"delta must be finite and nonnegative, got {self.delta}")
 
 
 @dataclass(eq=False)
@@ -120,23 +126,23 @@ class ScenarioSpec:
             raise ScenarioFormatError('Jacobi sweeps were retired; solver "sweep" may only '
                                       'be "gauss-seidel"')
         # ... or the numeric domain, which the engine now picks: always log in
-        # independent mode, by epsilon in coupled mode
+        # independent mode; in coupled mode log only where a linear chain underflows
         log_domain = solver.pop("log_domain", None)
         if not (log_domain is None or (log_domain is True and mode == "independent")):
             raise ScenarioFormatError(
                 f'solver "log_domain" may only be null, or true in independent mode: the '
-                f'engine picks the numeric domain (got {log_domain!r} in {mode} mode)')
+                f'engine picks the numeric domain, linear in coupled mode unless a neutral '
+                f'chain underflows (got {log_domain!r} in {mode} mode)')
         known = {f.name for f in fields(SolverConfig)}
         unknown = sorted(set(solver) - known)
         if unknown:
             raise ScenarioFormatError(f"unknown solver keys {unknown}; "
                                       f"known keys are {sorted(known)}")
         config = SolverConfig(**solver)
-        delta = d.get("delta")
         expected = list(d.get("expected_properties", []))
         return BuiltScenario(name=self.name, net=net, paths=paths, config=config,
                              mode=mode, joints=joints, expected_properties=expected,
-                             delta=None if delta is None else float(delta))
+                             delta=d.get("delta"))
 
     @staticmethod
     def _boundary_measures(entries, grid: TimeGrid, joints, axis: int) -> dict[str, Measure]:

@@ -21,16 +21,17 @@ the state with the bound on its live bins.
 Above the messages everything is in log units: aggregates, projections,
 violations, the dual and the mixing.  The engine picks the domain of the
 messages.  Independent mode always passes its vector messages in the log
-domain; coupled mode passes matrix messages in the log domain or the
-linear one (plain BLAS products, on the exp of the state's views), as the
-underflow rule in :mod:`datransport.kernels` and the neutral-chain floor
-``LINEAR_CHAIN_FLOOR`` decide.  Every log-sum-exp is one reduction,
-``_lse_reduce``, so the engine needs numpy only.  A vector step is one
-BLAS mat-vec per block of a cached kernel with its last input absorbed
-(``_AbsorbedStep``); the blocks hold only the kernel's causal support (a
-particle arrives strictly after it departs), a little over half of its
-n_t**2 entries.  A step pays a full log-sum-exp only when it re-absorbs,
-after its input drifted more than ``ABSORB_BAND`` or a bin died or revived.
+domain; coupled mode passes matrix messages in the linear domain (plain
+BLAS products, on the exp of the state's views) unless a pair's neutral
+chain falls below ``LINEAR_CHAIN_FLOOR`` on a target cell
+(``PathSystem._neutral_chain_underflows``), and then in the log domain.
+Every log-sum-exp is one reduction, ``_lse_reduce``, so the engine needs
+numpy only.  A vector step is one BLAS mat-vec per block of a cached
+kernel with its last input absorbed (``_AbsorbedStep``); the blocks hold
+only the kernel's causal support (a particle arrives strictly after it
+departs), a little over half of its n_t**2 entries.  A step pays a full
+log-sum-exp only when it re-absorbs, after its input drifted more than
+``ABSORB_BAND`` or a bin died or revived.
 
 A solve runs at the one configured epsilon.  Each sweep is one cyclic
 (Gauss-Seidel) pass over the blocks in sweep order, each projected from
@@ -54,7 +55,7 @@ import numpy as np
 
 from .errors import BadParamError, NonFiniteError, PlanTooLargeError, UnreachableMassError
 from .grid_measures import JointMeasure, Measure
-from .kernels import PairKernel, build_pair_kernel, use_log_domain
+from .kernels import PairKernel, build_pair_kernel
 from .network import Path, TransportNetwork, path_cost_terms, validate_paths
 
 # Target mass on structurally unreachable bins below this threshold is
@@ -152,15 +153,6 @@ class SinkhornState:
         self.w = views(self.system.caps)
         self.lam = views(self.system.joints)
 
-    def u_linear(self, node: str) -> np.ndarray:
-        return _masked_exp(self.u[node])
-
-    def v_linear(self, node: str) -> np.ndarray:
-        return _masked_exp(self.v[node])
-
-    def w_linear(self, node: str) -> np.ndarray:
-        return _masked_exp(self.w[node])
-
 
 class _NoForward:
     """``ChainMessages.fwd`` of a backward-only message pass."""
@@ -236,13 +228,6 @@ class PlanCells:
 
     def coordinate_sum(self, pos: int, n_t: int) -> np.ndarray:
         return np.bincount(self.indices[:, pos], weights=self.mass, minlength=n_t)
-
-
-def _masked_exp(x: np.ndarray) -> np.ndarray:
-    """exp(x), skipping -inf entries (exp 0); an overflow is an honest inf, without a warning."""
-    out = np.zeros_like(x)
-    with np.errstate(over="ignore"):
-        return np.exp(x, out=out, where=x != -np.inf)
 
 
 def _lse_reduce(a: np.ndarray, axis: int) -> np.ndarray:
@@ -536,10 +521,7 @@ class PathSystem:
                              for weights in self.path_weights]
 
         # the domain of the messages; the state is in log units either way
-        w_max = max(float(w.max()) for w in self.path_weights)
-        self.log_domain = (mode == INDEPENDENT
-                           or use_log_domain(config.epsilon, w_max, self.grid.t_f)
-                           or self._neutral_chain_underflows())
+        self.log_domain = mode == INDEPENDENT or self._neutral_chain_underflows()
         # neutral scaling vector and neutral message (the identity on the
         # boundary bins in coupled mode) of the message domain, shared by
         # every path and state, so read-only
@@ -573,9 +555,8 @@ class PathSystem:
         linear solve can reach.  Where it underflows, the linear domain
         would call reachable target mass unreachable.
         """
-        linear = {w: np.exp(kern.logK) for w, kern in self._kernel_cache.items()}
         for pair, p_ids in self.pair_paths.items():
-            chain = sum(reduce(np.matmul, [linear[float(w)] for w in self.path_weights[p]])
+            chain = sum(reduce(np.matmul, [kern.K for kern in self.path_kernels[p]])
                         for p in p_ids)
             if np.any(chain[self.joints[pair] > NEGLIGIBLE_MASS] < LINEAR_CHAIN_FLOOR):
                 return True
@@ -641,7 +622,10 @@ class PathSystem:
 
     def _message_scaling(self, logs: np.ndarray) -> np.ndarray:
         """A log-scaling as the messages read it: itself in the log domain, else its exp."""
-        return logs if self.log_domain else _masked_exp(logs)
+        if self.log_domain:
+            return logs
+        with np.errstate(over="ignore"):  # an overflow is an honest inf
+            return np.exp(logs)
 
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Message-domain scaling vector of the node at ``pos`` (neutral at coupled boundaries)."""
@@ -692,7 +676,7 @@ class PathSystem:
         if self.log_domain:
             # g[i, t] = LSE_j(lam[i, j] + b[t, j]); out[t] = LSE_i(f[i, t] + g[i, t])
             return _lse_reduce(f + _lse_matmul(lam, b.T), axis=0)
-        return (f * (_masked_exp(lam) @ b.T)).sum(axis=0)
+        return (f * (self._message_scaling(lam) @ b.T)).sum(axis=0)
 
     def _aggregate(self, state: SinkhornState, block, messages: ChainMessages,
                    frontier: _Forward | None = None) -> np.ndarray:
@@ -725,7 +709,7 @@ class PathSystem:
         with np.errstate(over="ignore"):
             for block, (part, _) in self._layout.items():
                 agg = self._aggregate(state, block, messages).ravel()
-                model[part] = _masked_exp(state.x[part] + agg)
+                model[part] = np.exp(state.x[part] + agg)
         views = {block: model[part].reshape(shape) for block, (part, shape) in self._layout.items()}
         return ModelMarginals(model=model,
                               m={b: m for b, m in views.items() if b not in self.joints},
@@ -772,7 +756,8 @@ class PathSystem:
         """
         part = self._layout[block][0]
         agg = agg.ravel()
-        model = _masked_exp(state.x[part] + agg)
+        with np.errstate(over="ignore"):
+            model = np.exp(state.x[part] + agg)
         if block in self.caps:
             return self._cap_over_aggregate(self.log_bound[part], agg), model
         label = f"pair {block}" if block in self.joints else block
@@ -785,7 +770,8 @@ class PathSystem:
             messages = self.compute_messages(state)
         state.x[self._layout[block][0]], _ = self._project(
             state, block, self._aggregate(state, block, messages))
-        return _masked_exp(state._views[block])
+        with np.errstate(over="ignore"):
+            return np.exp(state._views[block])
 
     def boundary_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
         """Match the node's marginal target exactly; returns the new linear scaling."""

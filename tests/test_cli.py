@@ -66,6 +66,18 @@ class TestFeasibilityCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["feasibility", str(tmp_path / "none.json")]) == 2
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    @pytest.mark.parametrize("delta", ["-1", "nan", "inf"])
+    def test_bad_delta_exits_2(self, tmp_path, capsys, where, delta):
+        path = tmp_path / "tiny.json"
+        data = dict(TINY, delta=float(delta)) if where == "file" else TINY
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["feasibility", str(path)] + (["--delta", delta] if where == "flag" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta must be finite and nonnegative" in captured.err
+
     @pytest.mark.parametrize("name, delta, code, lines", [
         ("tiny", None, 0, ["s->m->t: feasible delta=0.125 margin=-8.881784197001252e-16"]),
         ("tiny", "0.9", 2, ["s->m->t: infeasible delta=0.9 margin=-0.992579619734341 "

@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from datransport import (
     TimeGrid,
     check_da_feasibility,
     monotone_rearrangement,
+    quantile,
     quantile_coupling_witness,
 )
 from datransport.errors import (
@@ -51,6 +55,22 @@ class TestCheckDaFeasibility:
     def test_grid_mismatch(self, grid10, grid8):
         with pytest.raises(GridMismatchError):
             check_da_feasibility(dirac(grid10, 0.1), dirac(grid8, 0.5), 0.1)
+
+    def test_shift_beyond_the_grid_is_clamped(self):
+        # every shift of n_t bins or more gives the same verdict, margin and
+        # violation time, so a shift of 1.5e7 bins costs what one of n_t does
+        grid = TimeGrid(1.0, 50)
+        ramp = np.arange(1.0, 51.0)
+        pairs = [(dirac(grid, 0.1), dirac(grid, 0.9)),
+                 (Measure(grid, ramp / ramp.sum()), Measure(grid, ramp[::-1] / ramp.sum()))]
+        for mu0, muT in pairs:
+            ref = check_da_feasibility(mu0, muT, 1.0)
+            assert not ref.feasible
+            for delta in (1.0 + grid.dt, 2.0, 10.0, 1e3):
+                assert check_da_feasibility(mu0, muT, delta) == ref
+            start = time.perf_counter()
+            assert check_da_feasibility(mu0, muT, 3e5) == ref
+            assert time.perf_counter() - start < 0.5
 
     def test_shift_bins_rounding(self):
         assert shift_bins(0.0, 0.1) == 0
@@ -130,7 +150,6 @@ class TestQuantileCouplingWitness:
         m1 = w.marginal(1).mass
         assert m1.max() <= r * grid.dt + 1.0 / n + 1e-12
         # direct histogram oracle of the same construction
-        from datransport import quantile
         hist = np.zeros(grid.n_t)
         for i in range(n):
             u = (i + 0.5) / n
@@ -155,12 +174,50 @@ class TestQuantileCouplingWitness:
         # stratified quantiles misplace at most one stratum per support bin
         assert errs[2] <= (np.count_nonzero(mu0.mass) + 1) / 1000
 
+    @pytest.mark.parametrize("case", ["dirac", "uniform", "random10", "random100"])
+    def test_matches_the_stratum_loop(self, case):
+        # the witness is the stratum-by-stratum construction below, atom
+        # for atom and weight for weight
+        if case == "dirac":
+            grid = TimeGrid(1.0, 50)
+            mu0, muT, gap, r, n = dirac(grid, 0.1), dirac(grid, 0.9), 0.05, 10.0, 40
+        elif case == "uniform":
+            grid = TimeGrid(1.0, 20)
+            mu0 = Measure(grid, np.r_[np.full(10, 0.1), np.zeros(10)])
+            muT = Measure(grid, np.r_[np.zeros(10), np.full(10, 0.1)])
+            gap, r, n = 0.1, 4.0, 50
+        else:
+            grid = TimeGrid(1.0, 20)
+            mass = np.r_[np.random.default_rng(2).uniform(0.5, 1, 8), np.zeros(12)]
+            mu0 = Measure(grid, mass / mass.sum())
+            muT = Measure(grid, np.roll(mu0.mass, 10))
+            gap, r, n = 0.05, 8.0, int(case[len("random"):])
+        def bin_of(t):
+            return min(max(math.floor(t / grid.dt), 0), grid.n_t - 1)
+
+        idx = np.empty((n * n, 3), dtype=np.int64)
+        for i in range(n):
+            u = (i + 0.5) / n
+            t0 = quantile(mu0, u)
+            for q in range(n):
+                s = (q + 0.5) / n * (1.0 / r)
+                idx[i * n + q] = (bin_of(t0), bin_of(t0 + gap + s), bin_of(quantile(muT, u)))
+        atoms, inverse = np.unique(idx, axis=0, return_inverse=True)
+        w = quantile_coupling_witness(mu0, muT, delta=0.5, epsilon_gap=gap, r=r, n_samples=n)
+        assert w.indices.dtype == np.int64 and np.array_equal(w.indices, atoms)
+        assert np.array_equal(w.weights, np.bincount(inverse) * (1.0 / (n * n)))
+
     def test_guard_rate_budget(self, grid10):
         mu0 = dirac(grid10, 0.15)
         muT = dirac(grid10, 0.85)
         with pytest.raises(InfeasiblePreconditionError):
             quantile_coupling_witness(mu0, muT, delta=0.5, epsilon_gap=0.3,
                                       r=4.0, n_samples=10)
+
+    def test_guard_nan_gap(self, grid10):
+        with pytest.raises(ValueError, match="epsilon_gap"):
+            quantile_coupling_witness(dirac(grid10, 0.15), dirac(grid10, 0.85), delta=0.5,
+                                      epsilon_gap=float("nan"), r=4.0, n_samples=10)
 
     def test_guard_infeasible_pair(self, grid10):
         mu0 = dirac(grid10, 0.85)

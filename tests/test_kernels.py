@@ -10,7 +10,6 @@ from datransport import (
     check_generalized_monge,
     check_xtwist,
     path_cost,
-    use_log_domain,
 )
 from datransport.errors import BadParamError, NonIncreasingTimesError
 from datransport.kernels import reciprocal_pair_cost
@@ -61,11 +60,6 @@ class TestPairKernel:
             build_pair_kernel(grid8, 1.0, 0.0)
         with pytest.raises(BadParamError):
             build_pair_kernel(grid8, -1.0, 0.5)
-
-    def test_log_domain_heuristic(self):
-        assert use_log_domain(0.01, 1.0, 1.0)
-        assert not use_log_domain(0.06, 1.0, 1.0)
-        assert use_log_domain(0.06, 2.0, 1.0)
 
 
 class TestPathCost:

@@ -336,9 +336,9 @@ class TestFluxProfile:
         totals = []
         for pos, node in enumerate(path.nodes):
             prof = flux_profile(state, 0, node)
-            own = (state.u_linear(node) if pos == 0
-                   else state.v_linear(node) if pos == path.n_p - 1
-                   else state.w_linear(node))
+            own = (np.exp(state.u[node]) if pos == 0
+                   else np.exp(state.v[node]) if pos == path.n_p - 1
+                   else np.exp(state.w[node]))
             totals.append(float((prof * own).sum()))
         assert np.allclose(totals, totals[0], rtol=1e-10)
 
@@ -353,9 +353,9 @@ class TestFluxProfile:
         # dense contraction of the same scaled kernel chain, built separately
         cost = chain_cost_tensor(grid8.centers, [1.0, 1.5])
         kernel = np.exp(-cost / 0.4)
-        u = state.u_linear("n0")
-        w = state.w_linear("n1")
-        v = state.v_linear("n2")
+        u = np.exp(state.u["n0"])
+        w = np.exp(state.w["n1"])
+        v = np.exp(state.v["n2"])
         tensor = kernel * u[:, None, None] * w[None, :, None] * v[None, None, :]
         mm = aggregate_marginals(state)
         for axis, node in enumerate(path.nodes):
@@ -420,9 +420,9 @@ class TestBlockUpdates:
         state = system.initial_state()
         for _ in range(80):
             system.sweep(state)
-        before = state.u_linear("n0")
+        before = np.exp(state.u["n0"])
         boundary_update(state, "n0")
-        diff = np.abs(state.u_linear("n0") - before)
+        diff = np.abs(np.exp(state.u["n0"]) - before)
         assert diff[mu0 > 0].max() / before[mu0 > 0].max() <= 1e-9
 
     def test_unreachable_mass_guard(self, grid8):
@@ -442,7 +442,7 @@ class TestBlockUpdates:
         system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5))
         state = system.initial_state()
         capacity_update(state, "n1")
-        assert np.allclose(state.w_linear("n1"), 1.0)
+        assert np.allclose(np.exp(state.w["n1"]), 1.0)
 
         # direct ratio: aggregate 0.04 against cap 0.02 gives factor 0.5
         mm = aggregate_marginals(state)
@@ -452,7 +452,7 @@ class TestBlockUpdates:
         system2 = PathSystem(net2, [path2], config=SolverConfig(epsilon=0.5))
         state2 = system2.initial_state()
         capacity_update(state2, "n1")
-        w = state2.w_linear("n1")
+        w = np.exp(state2.w["n1"])
         assert np.allclose(w[agg > 0], 0.5)
         assert np.allclose(w[agg <= 0], 1.0)
         mm2 = aggregate_marginals(state2)
@@ -634,8 +634,8 @@ class TestSolve:
         mm = aggregate_marginals(state)
         for node in path.nodes:
             assert np.all(np.isfinite(mm.m[node]))
-        assert np.all(state.u_linear("n0")[mu0 == 0] == 0)
-        assert np.all(state.v_linear("n2")[muT == 0] == 0)
+        assert np.all(np.exp(state.u["n0"])[mu0 == 0] == 0)
+        assert np.all(np.exp(state.v["n2"])[muT == 0] == 0)
         assert np.all(mm.m["n0"][mu0 == 0] == 0)
         assert np.all(mm.m["n2"][muT == 0] == 0)
 
@@ -699,7 +699,7 @@ class TestSolve:
         for b_half, b_full in zip(half.bwd[0], full.bwd[0]):
             assert np.array_equal(b_half, b_full)
         # the path mass read at the source end is the one seen at the sink end
-        at_sink = float((flux_profile(state, 0, "n2", full) * state.v_linear("n2")).sum())
+        at_sink = float((flux_profile(state, 0, "n2", full) * np.exp(state.v["n2"])).sum())
         assert system.path_masses(state, half)[0] == pytest.approx(at_sink, rel=1e-12)
         for reader in (lambda m: system.model_marginals(state, m),
                        lambda m: flux_profile(state, 0, "n1", m),
@@ -1029,7 +1029,7 @@ class TestSharedNodeNetwork:
         summed = np.zeros(16)
         for p_idx in range(3):
             prof = flux_profile(state, p_idx, "v3", msgs)
-            summed += prof * state.w_linear("v3")
+            summed += prof * np.exp(state.w["v3"])
         assert np.abs(summed - mm.m["v3"]).max() <= 1e-12
         assert np.max(mm.m["v3"] - cap) <= 1e-8
         assert np.max(mm.m["v4"] - cap) <= 1e-8
@@ -1037,10 +1037,18 @@ class TestSharedNodeNetwork:
         assert delivered == pytest.approx(1.0, abs=1e-8)
 
 
+def _coupled_line(grid, n_edges, gap, caps=None):
+    """Coupled unit-weight line whose joint law is uniform on the cells j >= i + gap."""
+    joint = np.triu(np.ones((grid.n_t, grid.n_t)), k=gap)
+    joint /= joint.sum()
+    net, path = make_line_net(grid, [1.0] * n_edges, joint.sum(axis=1), joint.sum(axis=0),
+                              caps=caps)
+    return net, path, {(path.source, path.sink): JointMeasure(grid, joint)}
+
+
 def _pick_domain(monkeypatch, log_domain):
     """Make the coupled-mode domain rule pick ``log_domain``, whatever the neutral chains."""
-    monkeypatch.setattr(sinkhorn_engine, "use_log_domain", lambda *args: log_domain)
-    monkeypatch.setattr(PathSystem, "_neutral_chain_underflows", lambda self: False)
+    monkeypatch.setattr(PathSystem, "_neutral_chain_underflows", lambda self: log_domain)
 
 
 def _pinning_instance(kind, grid):
@@ -1175,21 +1183,50 @@ class TestNumericDomain:
 
     @pytest.mark.parametrize("n_edges", [3, 5])
     def test_underflowing_neutral_chain_picks_log(self, n_edges):
-        # at epsilon 0.06 the rule picks linear, but every target cell's
-        # neutral chain is a product of n_edges kernel entries near e^-667:
-        # linear messages underflow to 0 there and call the mass unreachable
+        # every target cell's neutral chain is a product of n_edges kernel
+        # entries near e^-667: linear messages underflow to 0 there and
+        # call the mass unreachable
         grid = TimeGrid(t_f=1.0, n_t=40)
-        joint = np.triu(np.ones((40, 40)), k=n_edges)
-        joint /= joint.sum()
-        net, path = make_line_net(grid, [1.0] * n_edges, joint.sum(axis=1), joint.sum(axis=0))
+        net, path, joints = _coupled_line(grid, n_edges, n_edges)
         cfg = SolverConfig(epsilon=0.06, tol=1e-10, max_iter=50)
-        joints = {(path.source, path.sink): JointMeasure(grid, joint)}
-        assert not sinkhorn_engine.use_log_domain(cfg.epsilon, 1.0, grid.t_f)
         assert PathSystem(net, [path], mode="coupled", config=cfg, joints=joints).log_domain
         state, report = solve(net, [path], mode="coupled", config=cfg, joints=joints)
         assert report.converged
         mm = aggregate_marginals(state)
+        joint = joints[(path.source, path.sink)].mass
         assert np.abs(mm.joint_m[(path.source, path.sink)] - joint).sum() <= 1e-10
+
+    @pytest.mark.parametrize("t_f, log_domain", [(10.0, False), (0.1, True)])
+    def test_rule_follows_the_horizon(self, t_f, log_domain):
+        # an edge costs w / gap, so a longer horizon keeps the chains in
+        # range: at epsilon 0.05 the chain to a cell two bins on is near
+        # e^-160 at t_f 10 and e^-16000 at t_f 0.1
+        grid = TimeGrid(t_f=t_f, n_t=40)
+        net, path, joints = _coupled_line(grid, 2, 2)
+        cfg = SolverConfig(epsilon=0.05)
+        system = PathSystem(net, [path], mode="coupled", config=cfg, joints=joints)
+        assert system.log_domain is log_domain
+        # the rule multiplies the cached linear kernels, in either domain
+        assert all("K" in vars(kern) for kern in system._kernel_cache.values())
+
+    def test_chains_in_range_pick_linear_at_small_epsilon(self, monkeypatch):
+        # at epsilon 0.03 the costliest target cell's chain is near e^-267,
+        # well inside float range, so the rule picks linear; the log domain
+        # gives the same iterates to round-off
+        grid = TimeGrid(t_f=1.0, n_t=40)
+        caps = {"n1": np.full(40, 0.06)}
+        net, path, joints = _coupled_line(grid, 2, 20, caps=caps)
+        cfg = SolverConfig(epsilon=0.03, **fixed_sweeps(30))
+        assert not PathSystem(net, [path], mode="coupled", config=cfg, joints=joints).log_domain
+        linear, _ = solve(net, [path], mode="coupled", config=cfg, joints=joints)
+        _pick_domain(monkeypatch, True)
+        log, report = solve(net, [path], mode="coupled", config=cfg, joints=joints)
+        assert log.system.log_domain and report.v[-1] > 1e-6  # the cap still binds
+        ours, ref = aggregate_marginals(linear), aggregate_marginals(log)
+        for node, m in ref.m.items():
+            np.testing.assert_allclose(ours.m[node], m, rtol=1e-10, atol=1e-10 * m.max())
+        for pair, m in ref.joint_m.items():
+            np.testing.assert_allclose(ours.joint_m[pair], m, rtol=1e-10, atol=1e-10 * m.max())
 
 
 class TestFlatState:
@@ -1470,7 +1507,7 @@ class TestCoupledMixing:
         lam, target = state.lam[("s", "t")], system.joints[("s", "t")]
         assert (target == 0).any() and np.all(lam[target == 0] == -np.inf)
         for node in system.interior_order:
-            assert np.all(state.w_linear(node) <= 1.0)
+            assert np.all(np.exp(state.w[node]) <= 1.0)
         plain = system.initial_state()
         plain_sweeps = 1
         while sum(system.sweep(plain)) > tol:
@@ -1570,8 +1607,8 @@ class TestAndersonStep:
         assert x[system._caps_part].max() > -1.0
         assert mixer.step(sinkhorn_engine.SinkhornState(system, x - up), x) is None
         evaluated = _record_dual_evaluations(monkeypatch, lambda st: [
-            st.w_linear(node) for node in system.interior_order])
+            np.exp(st.w[node]) for node in system.interior_order])
         mixer.step(state, x + 0.5 * up)
         assert evaluated
-        for w in evaluated + [[state.w_linear(node) for node in system.interior_order]]:
+        for w in evaluated + [[np.exp(state.w[node]) for node in system.interior_order]]:
             assert max(arr.max() for arr in w) <= 1.0
