@@ -73,7 +73,8 @@ COUPLED = "coupled"
 
 # Anderson mixing of the Gauss-Seidel fixed point (see ``solve``): plain
 # sweeps before the first mixing step, and past iterates kept for mixing.
-ANDERSON_WARMUP = 100
+# Tests compare solve() with the dense oracle at up to 30 equal sweeps, inside the warm-up.
+ANDERSON_WARMUP = 30
 ANDERSON_MEMORY = 5
 
 # A cached log-domain message step serves inputs within this many log units
@@ -621,11 +622,20 @@ class PathSystem:
         return SinkhornState(self, np.zeros(self._size))
 
     def _message_scaling(self, logs: np.ndarray) -> np.ndarray:
-        """A log-scaling as the messages read it: itself in the log domain, else its exp."""
+        """A log-scaling as the messages read it: itself in the log domain, else its exp.
+
+        The exp skips -inf entries (numpy's exp is slow on them); NaN and overflow propagate.
+        """
         if self.log_domain:
             return logs
-        with np.errstate(over="ignore"):  # an overflow is an honest inf
-            return np.exp(logs)
+        out, live = np.zeros(logs.shape), np.flatnonzero(logs != -np.inf)
+        with np.errstate(over="ignore"):
+            out.ravel()[live] = np.exp(logs.ravel()[live])
+        return out
+
+    def _message_lams(self, state: SinkhornState) -> dict:
+        """Each pair's Lambda in the message domain (one exp per pair when linear)."""
+        return {pair: self._message_scaling(lam) for pair, lam in state.lam.items()}
 
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Message-domain scaling vector of the node at ``pos`` (neutral at coupled boundaries)."""
@@ -667,32 +677,31 @@ class PathSystem:
     # ------------------------------------------------------------------
     # aggregates and marginals
 
-    def _path_term(self, state: SinkhornState, p_idx: int, f: np.ndarray,
-                   b: np.ndarray) -> np.ndarray:
-        """Message-domain contribution of one path to a node aggregate, from its messages there."""
+    def _path_term(self, lams: dict, p_idx: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One path's message-domain term of a node aggregate; ``lams`` is ``_message_lams``."""
         if self.mode == INDEPENDENT:
             return f + b
-        lam = state.lam[(self.paths[p_idx].source, self.paths[p_idx].sink)]
+        lam = lams[(self.paths[p_idx].source, self.paths[p_idx].sink)]
         if self.log_domain:
             # g[i, t] = LSE_j(lam[i, j] + b[t, j]); out[t] = LSE_i(f[i, t] + g[i, t])
             return _lse_reduce(f + _lse_matmul(lam, b.T), axis=0)
-        return (f * (self._message_scaling(lam) @ b.T)).sum(axis=0)
+        return (f * (lam @ b.T)).sum(axis=0)
 
-    def _aggregate(self, state: SinkhornState, block, messages: ChainMessages,
+    def _aggregate(self, lams: dict, block, messages: ChainMessages,
                    frontier: _Forward | None = None) -> np.ndarray:
         """Log aggregate of one block, excluding the block's own scaling.
 
         A joint block sums the interior chain matrices ``bwd[p][0]`` of its
         paths, which leave Lambda out.  A node block sums its paths' terms
-        from the backward messages and the forward ones, read from
-        ``frontier`` when given, else from ``messages``.  Linear messages
+        from the backward messages and the forward ones (``frontier`` when
+        given, else ``messages``) and the Lambdas ``lams``.  Linear messages
         are summed, then take one log.
         """
         if block in self.joints:
             terms = [messages.bwd[p][0] for p in self.pair_paths[block]]
         else:
             fwd = frontier or (lambda p, pos: messages.fwd[p][pos])
-            terms = [self._path_term(state, p, fwd(p, pos), messages.bwd[p][pos])
+            terms = [self._path_term(lams, p, fwd(p, pos), messages.bwd[p][pos])
                      for p, pos in self.positions[block]]
         if not self.log_domain:
             acc = sum(terms[1:], terms[0])
@@ -706,9 +715,10 @@ class PathSystem:
         if messages is None:
             messages = self.compute_messages(state)
         model = np.empty(self._size)
+        lams = self._message_lams(state)
         with np.errstate(over="ignore"):
             for block, (part, _) in self._layout.items():
-                agg = self._aggregate(state, block, messages).ravel()
+                agg = self._aggregate(lams, block, messages).ravel()
                 model[part] = np.exp(state.x[part] + agg)
         views = {block: model[part].reshape(shape) for block, (part, shape) in self._layout.items()}
         return ModelMarginals(model=model,
@@ -769,7 +779,7 @@ class PathSystem:
         if messages is None:
             messages = self.compute_messages(state)
         state.x[self._layout[block][0]], _ = self._project(
-            state, block, self._aggregate(state, block, messages))
+            state, block, self._aggregate(self._message_lams(state), block, messages))
         with np.errstate(over="ignore"):
             return np.exp(state._views[block])
 
@@ -814,13 +824,16 @@ class PathSystem:
         """
         refresh = not self._order_follows_paths
         model = np.empty(self._size)
+        lams = None  # joint blocks read no Lambda
         for i, (block, (part, _)) in enumerate(self._layout.items()):
             if i == 0 or refresh:
                 if messages is None or i:
                     messages = self.compute_messages(state, backward_only=True)
                 frontier = _Forward(self, state)
+            if i == len(self.joints):  # node blocks share one exp of each new Lambda
+                lams = self._message_lams(state)
             state.x[part], model[part] = self._project(
-                state, block, self._aggregate(state, block, messages, frontier))
+                state, block, self._aggregate(lams, block, messages, frontier))
         return self._violations(model)
 
     # ------------------------------------------------------------------
@@ -831,13 +844,11 @@ class PathSystem:
         if messages is None:
             messages = self.compute_messages(state, backward_only=True)
         out = np.empty(len(self.paths))
-        scalings = {}  # paths of one source (or pair) share its scaling
+        # paths of one source (or pair) share its message-domain scaling
+        scalings = self._message_lams(state) if self.mode == COUPLED else state.u
         for p_idx, path in enumerate(self.paths):
             chain = messages.bwd[p_idx][0]
-            block = (path.source, path.sink) if self.mode == COUPLED else path.source
-            if block not in scalings:
-                scalings[block] = self._message_scaling(state._views[block])
-            scaling = scalings[block]
+            scaling = scalings[(path.source, path.sink) if self.mode == COUPLED else path.source]
             if self.log_domain:
                 out[p_idx] = np.exp(_lse_reduce((chain + scaling).ravel(), axis=0))
             else:
@@ -877,23 +888,9 @@ class PathSystem:
         return total
 
     def dual_objective(self, state: SinkhornState, messages=None) -> float:
-        """Entropic dual value; each block update maximizes it exactly."""
+        """Entropic dual value (-inf if a dual bin is dead); each block update maximizes it."""
         mass = float(self.path_masses(state, messages).sum())
-        return self.epsilon * (self._dual_scaling_terms(state) - mass)
-
-    def _swept_dual_objective(self, state: SinkhornState) -> float:
-        """Dual value right after an independent-mode sweep, without messages.
-
-        The sink blocks come last, so every path then carries exactly the
-        target mass of its sink on the bins the sink scaling keeps alive.
-        """
-        sinks = self._caps_part.stop
-        mass = float(self.bound[sinks:][state.x[sinks:] > -np.inf].sum())
-        return self.epsilon * (self._dual_scaling_terms(state) - mass)
-
-    def _dual_scaling_terms(self, state: SinkhornState) -> float:
-        """<log scaling, bound> over the dual's bins: -inf if one of them is dead."""
-        return float(state.x[self._dual_bins] @ self._dual_bound)
+        return self.epsilon * (float(state.x[self._dual_bins] @ self._dual_bound) - mass)
 
 
 class _AndersonMixer:
@@ -904,11 +901,14 @@ class _AndersonMixer:
     log-scalings and G is one plain sweep.  The mixed point combines the
     last few G(x) with weights that minimise the combined residual
     G(x) - x in the target-weighted norm sum(target * r**2), the diagonal
-    of the dual's curvature in the log-scalings.  Capacity multipliers are
-    clipped back to w <= 1.  A mixed point replaces the plain one only if
-    it is finite and its dual value is at least the plain point's;
-    otherwise the plain point stands and the history restarts.  A mixed
-    point equal to the plain one bit for bit is not evaluated as a trial.
+    of the dual's curvature in the log-scalings: m x m normal equations
+    (m <= ``ANDERSON_MEMORY``) whose Gram matrix of weighted residual
+    differences gains one row of dot products a step.  Capacity multipliers
+    are clipped back to w <= 1.  A mixed point replaces the plain one only
+    if it is finite and its dual value is at least that of the point the
+    sweep started from, already traced; otherwise the plain point stands
+    and the history restarts.  So a step costs one message pass, the
+    trial's, and none when the mixed point is the plain one bit for bit.
     Dead bins (log-scaling -inf, such as a Lambda cell of zero target) take
     no part in the mixing and stay dead.
     """
@@ -919,62 +919,56 @@ class _AndersonMixer:
         self.reset()
 
     def reset(self) -> None:
-        self._f: list[np.ndarray] = []  # residuals G(x) - x on live bins
-        self._g: list[np.ndarray] = []  # plain points G(x) on live bins
         self._live: np.ndarray | None = None
+        self._last = None  # weighted residual G(x) - x and plain point G(x) on live bins
+        self._df, self._dg = [], []  # differences of successive weighted residuals, plain points
+        self._gram = np.empty((0, 0))  # dot products of the ``_df``
 
-    def step(self, state: SinkhornState, x_prev: np.ndarray):
+    def step(self, state: SinkhornState, x_prev: np.ndarray, value: float):
         """Mix after the plain sweep that took the log-scalings ``x_prev`` to ``state``.
 
-        Returns backward-only messages and the dual value of the point
-        ``state`` holds on return, when the step computed them, else None:
-        those of the mixed point when it replaces the plain one, and in
-        coupled mode those of the plain point when it stands.
+        ``value`` is the dual value of ``x_prev``.  Returns backward-only
+        messages and the dual value of the mixed point when it replaces the
+        plain one, else None.
         """
         system = self.system
         g = state.x
         live = np.isfinite(g) & np.isfinite(x_prev)
-        if self._live is None or not np.array_equal(live, self._live):
+        if not np.array_equal(live, self._live):
             self.reset()
-            self._live = live
-        g_live = g[live]
-        self._f.append(g_live - x_prev[live])
-        self._g.append(g_live)
-        if len(self._f) > ANDERSON_MEMORY + 1:
-            del self._f[0], self._g[0]
-        if len(self._f) < 2:
+            self._live, self._index = live, np.flatnonzero(live)
+            self._weight = self._sqrt_mass[self._index]
+        g_live = g[self._index]
+        f = self._weight * (g_live - x_prev[self._index])
+        last, self._last = self._last, (f, g_live)
+        if last is None:
             return None
-        weight = self._sqrt_mass[live][:, None]
-        d_f = np.diff(np.stack(self._f, axis=1), axis=1)
-        d_g = np.diff(np.stack(self._g, axis=1), axis=1)
-        gamma = np.linalg.lstsq(weight * d_f, weight[:, 0] * self._f[-1], rcond=None)[0]
+        if len(self._df) == ANDERSON_MEMORY:
+            del self._df[0], self._dg[0]
+            self._gram = self._gram[1:, 1:]
+        self._df.append(f - last[0])
+        self._dg.append(g_live - last[1])
+        self._gram = np.pad(self._gram, (0, 1))
+        self._gram[-1] = self._gram[:, -1] = [d @ self._df[-1] for d in self._df]
+        gamma = np.linalg.lstsq(self._gram, [d @ f for d in self._df], rcond=None)[0]
+        mixed_live = g_live - sum(c * d for c, d in zip(gamma, self._dg))
+        if not np.all(np.isfinite(mixed_live)):
+            self.reset()
+            return None
         mixed = g.copy()
-        mixed[live] = g_live - d_g @ gamma
-        caps = system._caps_part
-        np.minimum(mixed[caps], 0.0, out=mixed[caps])
-        if not np.all(np.isfinite(mixed[live])):
-            self.reset()
-            return None
-        if system.mode == INDEPENDENT:
-            plain, plain_point = system._swept_dual_objective(state), None
-        else:
-            # a coupled sweep ends on the cap blocks, so the plain point's
-            # dual needs its own message pass, which serves the next sweep
-            # if the plain point stands
-            plain_messages = system.compute_messages(state, backward_only=True)
-            plain = system.dual_objective(state, plain_messages)
-            plain_point = plain_messages, plain
+        mixed[self._index] = mixed_live
+        np.minimum(mixed[system._caps_part], 0.0, out=mixed[system._caps_part])
         if np.array_equal(mixed, g):  # nothing was mixed: no trial to evaluate
-            return plain_point
+            return None
         with np.errstate(over="ignore", invalid="ignore"):
             trial = SinkhornState(system, mixed)
             messages = system.compute_messages(trial, backward_only=True)
-            value = system.dual_objective(trial, messages)
-        if not value >= plain:
+            trial_value = system.dual_objective(trial, messages)
+        if not trial_value >= value:
             self.reset()
-            return plain_point
+            return None
         state.x[...] = mixed
-        return messages, value
+        return messages, trial_value
 
 
 # ----------------------------------------------------------------------
@@ -1014,8 +1008,8 @@ def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None
         messages = system.compute_messages(state)
     if system.mode == COUPLED and pos in (0, path.n_p - 1):
         raise BadParamError("boundary flux is a joint matrix in coupled mode")
-    term = system._path_term(state, path_index, messages.fwd[path_index][pos],
-                             messages.bwd[path_index][pos])
+    term = system._path_term(system._message_lams(state), path_index,
+                             messages.fwd[path_index][pos], messages.bwd[path_index][pos])
     return np.exp(term) if system.log_domain else term
 
 
@@ -1041,12 +1035,12 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
           ) -> tuple[SinkhornState, ConvergenceReport]:
     """Run Gauss-Seidel sweeps at ``config.epsilon`` until E0 + ET + V <= tol or the budget ends.
 
-    Each iteration computes the messages of its entering state and the dual
-    objective from them, unless the previous Anderson step already did,
-    runs one exact sweep on them, tests the stopping rule and, past the
-    warm-up, takes an Anderson step.  Its E0/ET/V row records every
-    constraint's violation as seen just before that constraint's own block
-    update, so all three diagnostics stay informative.  The returned state is the output of the final sweep.  A
+    Each iteration computes the messages of its entering state and their
+    dual objective, unless the previous Anderson step already did, runs one
+    exact sweep on them, tests the stopping rule and, past the warm-up,
+    takes an Anderson step.  Its E0/ET/V row records every constraint's
+    violation as seen just before its own block update, so all three stay
+    informative.  The returned state is the final sweep's output; a
     non-finite E0+ET+V row raises ``NonFiniteError``.
 
     Both modes are Anderson-accelerated once ``ANDERSON_WARMUP`` plain
@@ -1057,11 +1051,12 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
       and only there; past the warm-up the iterates differ from the plain
       ones;
     - after the warm-up, the state entering an iteration may be a mixed
-      point (see ``_AndersonMixer``).  It is kept only if it is finite and
-      its dual value is at least that of the plain sweep output it
-      replaces, so the dual trace stays nondecreasing; the iteration's
-      E0/ET/V row then measures the violations of the sweep started from
-      the mixed point;
+      point (see ``_AndersonMixer``), kept only if it is finite and its dual
+      value is at least the value traced for the iteration that made it,
+      whose sweep only raises the dual: the dual trace stays nondecreasing
+      up to round-off.  The iteration's E0/ET/V row then measures the sweep
+      from the mixed point.  A step costs one message pass, which serves
+      the next iteration when the mixed point is kept;
     - no mixing follows the final sweep.
     """
     config = config or SolverConfig()
@@ -1096,7 +1091,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
             converged = True
             break
         if mixing and state.iteration < config.max_iter:
-            next_point = mixer.step(state, x_prev)
+            next_point = mixer.step(state, x_prev, value)
     report = ConvergenceReport(
         e0=np.array(e0s), et=np.array(ets), v=np.array(vs),
         objective=np.array(objs), converged=converged, iterations=len(e0s), tol=config.tol)
@@ -1129,7 +1124,8 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     def view(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
         return arr.reshape([n_t if axis in axes else 1 for axis in range(path.n_p)])
 
-    factors = [view(system._scaling_at(state, path, pos), (pos,)) for pos in range(m + 1)]
+    scalings = [system._scaling_at(state, path, pos) for pos in range(m + 1)]
+    factors = [view(s, (pos,)) for pos, s in enumerate(scalings) if s is not system._unit]
     factors += [view(system._kernel(kernels[l], log), (l, l + 1)) for l in range(m)]
     if system.mode == COUPLED:
         factors.append(view(system._message_scaling(state.lam[(path.source, path.sink)]),
@@ -1140,6 +1136,8 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     buf = np.empty(rows * row)
     total_mass = 0.0
     kept = []  # (flat indices, masses), indices ascending
+    # once top_k cells are kept, the k-th mass: a later cell equal to it loses the tie
+    floor = min_mass
     for lo in range(0, n_t, rows):
         slab = buf[:min(rows, n_t - lo) * row].reshape((-1,) + shape[1:])
         slab.fill(0.0 if log else 1.0)
@@ -1149,10 +1147,12 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
             np.exp(slab, out=slab)
         flat = slab.ravel()
         total_mass += float(flat.sum())
-        local = np.flatnonzero(flat > min_mass)
+        local = np.flatnonzero(flat > floor)
         kept.append((local + lo * row, flat[local]))
         if top_k is not None:
             kept = [_heaviest(*map(np.concatenate, zip(*kept)), top_k)]
+            if kept[0][1].size == top_k:
+                floor = kept[0][1].min(initial=np.inf)
     keep, mass = map(np.concatenate, zip(*kept))
     order = np.lexsort((keep, -mass))
     keep, mass = keep[order], mass[order]

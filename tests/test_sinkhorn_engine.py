@@ -639,20 +639,6 @@ class TestSolve:
         assert np.all(mm.m["n0"][mu0 == 0] == 0)
         assert np.all(mm.m["n2"][muT == 0] == 0)
 
-    def test_swept_dual_needs_no_messages(self, grid16):
-        # right after a sweep the sinks are matched, so the dual's mass term
-        # is the sink target mass on live bins
-        rng = np.random.default_rng(22)
-        mu0, muT = ordered_random_pair(grid16, rng, 2)
-        net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT,
-                                  caps={"n1": np.full(16, 0.12)})
-        system = PathSystem(net, [path], config=SolverConfig(epsilon=0.3))
-        state = system.initial_state()
-        for _ in range(5):
-            system.sweep(state)
-            assert system._swept_dual_objective(state) == pytest.approx(
-                system.dual_objective(state), rel=1e-12, abs=1e-14)
-
     def test_one_message_pass_per_sweep(self, grid16, monkeypatch):
         # the exact Gauss-Seidel solve pays one backward-only message pass per
         # sweep and never the primal cost; the traced dual is still the full one
@@ -829,10 +815,12 @@ class TestCoupledMode:
             system.sweep(state)
         msgs = system.compute_messages(state)
         lam = np.exp(state.lam[("s", "t")])  # the state holds log-scalings in either domain
+        lams = system._message_lams(state)
+        assert np.array_equal(lams[("s", "t")], lam)
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
                 f, b = msgs.fwd[p_idx][pos], msgs.bwd[p_idx][pos]
-                np.testing.assert_allclose(system._path_term(state, p_idx, f, b),
+                np.testing.assert_allclose(system._path_term(lams, p_idx, f, b),
                                            np.einsum("ij,it,tj->t", lam, f, b), rtol=1e-12)
             for l in range(1, path.n_p):
                 s_prev = system._scaling_at(state, path, l - 1)
@@ -841,6 +829,16 @@ class TestCoupledMode:
                 ref = left * s_prev[:, None] * system.path_kernels[p_idx][l - 1].K * s_next
                 np.testing.assert_allclose(system._edge_pair_marginal(state, msgs, p_idx, l),
                                            ref, rtol=1e-12)
+
+    def test_linear_scaling_is_the_exp(self, grid16):
+        # the exp skips -inf entries, yet NaN and overflow still propagate
+        system = _pinning_instance("coupled", grid16)
+        logs = np.array([[0.0, -np.inf, np.nan], [1000.0, -2.0, -np.inf]])
+        with np.errstate(over="ignore"):
+            want = np.exp(logs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            np.testing.assert_array_equal(system._message_scaling(logs), want)
 
     def test_log_contractions_match_one_piece(self, grid16, monkeypatch):
         # the reference reduces one n_t**3 temporary per contraction; the
@@ -858,7 +856,7 @@ class TestCoupledMode:
                 f, b = msgs.fwd[p_idx][pos], msgs.bwd[p_idx][pos]
                 g = logsumexp(lam[:, None, :] + b[None, :, :], axis=2)  # g[i, t]
                 ref = logsumexp(f + g, axis=0)
-                ours = system._path_term(state, p_idx, f, b)
+                ours = system._path_term(system._message_lams(state), p_idx, f, b)
                 dead = np.isneginf(ref)
                 assert np.array_equal(np.isneginf(ours), dead) and dead.any()
                 np.testing.assert_allclose(ours[~dead], ref[~dead], rtol=1e-13)
@@ -1256,10 +1254,10 @@ class TestFlatState:
         mixer = sinkhorn_engine._AndersonMixer(system)
         accepted = 0
         for _ in range(10):
-            x_prev = state.x.copy()
+            x_prev, value = state.x.copy(), system.dual_objective(state)
             system.sweep(state)
             plain = state.x.copy()
-            mixer.step(state, x_prev)
+            mixer.step(state, x_prev, value)
             accepted += not np.array_equal(state.x, plain)
         assert accepted and state.x is x
         views = {**state.u, **state.v, **state.w, **state.lam}
@@ -1380,9 +1378,6 @@ class TestFlatLayout:
         for _ in range(2):
             np.testing.assert_allclose(system.dual_objective(state),
                                        _reference_dual(system, state), rtol=1e-12)
-            if kind != "coupled":
-                np.testing.assert_allclose(system._swept_dual_objective(state),
-                                           _reference_dual(system, state), rtol=1e-12)
             mm = aggregate_marginals(state)
             np.testing.assert_allclose(system.violations(mm), _reference_violations(
                 system, {**mm.m, **mm.joint_m}), rtol=1e-12)
@@ -1567,12 +1562,37 @@ class TestAndersonStep:
         assert report.iterations == ANDERSON_WARMUP + 30
         assert len(set(seen)) == len(seen) > report.iterations
 
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_one_message_pass_per_sweep_and_rejected_trial(self, grid16, log_domain,
+                                                             monkeypatch):
+        # a step's only message pass is its trial's, which serves the next
+        # sweep when the trial is kept, so past the warm-up a coupled solve
+        # pays one pass per sweep plus one per rejected trial
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance("coupled", grid16)
+        passes = _count_message_passes(monkeypatch)
+        trials = []  # (trial evaluated, trial kept) per step
+        step = sinkhorn_engine._AndersonMixer.step
+
+        def counted(self, state, x_prev, value):
+            before = len(passes)
+            point = step(self, state, x_prev, value)
+            trials.append((len(passes) > before, point is not None))
+            return point
+
+        monkeypatch.setattr(sinkhorn_engine._AndersonMixer, "step", counted)
+        _, report = _solve_system(system, **fixed_sweeps(ANDERSON_WARMUP + 30))
+        assert report.iterations == ANDERSON_WARMUP + 30
+        assert len(trials) == 29 and (True, True) in trials
+        rejected = trials.count((True, False))
+        assert len(passes) == report.iterations + rejected
+
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
     def test_exact_fixed_point_is_evaluated_once(self, grid16, kind, log_domain, monkeypatch):
         # a zero residual history mixes to the plain point bit for bit, so
-        # the step takes no trial: a coupled step evaluates the plain point
-        # once and hands it on, an independent one evaluates nothing
+        # the step takes no trial and evaluates nothing, in either mode: the
+        # next iteration evaluates the plain point, once
         _pick_domain(monkeypatch, log_domain)
         system = _pinning_instance(kind, grid16)
         state = system.initial_state()
@@ -1580,14 +1600,47 @@ class TestAndersonStep:
             system.sweep(state)
         mixer = sinkhorn_engine._AndersonMixer(system)
         x = state.x.copy()
-        assert mixer.step(state, x) is None
+        value = system.dual_objective(state)
+        assert mixer.step(state, x, value) is None
         seen = _record_dual_evaluations(monkeypatch, lambda st: st.x.tobytes())
-        point = mixer.step(state, x)
+        passes = _count_message_passes(monkeypatch)
+        assert mixer.step(state, x, value) is None
         assert np.array_equal(state.x, x)
-        if kind == "coupled":
-            assert seen == [x.tobytes()] and point[1] == system.dual_objective(state)
-        else:
-            assert seen == [] and point is None
+        assert seen == [] and passes == []
+
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("coupled", False), ("coupled", True)])
+    def test_safeguard_compares_with_the_entering_dual(self, grid16, kind, log_domain,
+                                                        monkeypatch):
+        # a trial is kept when its dual is at least the traced dual of the
+        # point the sweep started from, even below the plain point's dual;
+        # one below the entering dual is rejected and the history restarts
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        start = system.initial_state()
+        for _ in range(3):
+            system.sweep(start)
+        for offset, kept in ((0.5, True), (-1.0, False)):
+            state = SinkhornState(system, start.x.copy())
+            mixer = sinkhorn_engine._AndersonMixer(system)
+            for first in (True, False):
+                entering, x_prev = system.dual_objective(state), state.x.copy()
+                system.sweep(state)
+                plain_x, plain = state.x.copy(), system.dual_objective(state)
+                assert plain - entering > 1e-9
+                # the trial's dual lies between the two duals, or below both
+                trial_value = entering + offset * (plain - entering)
+                with monkeypatch.context() as patch:
+                    patch.setattr(PathSystem, "dual_objective",
+                                  lambda self, st, messages=None: trial_value)
+                    point = mixer.step(state, x_prev, entering)
+                assert point is None or not first  # a first step only records
+            if kept:
+                assert point[1] == trial_value and not np.array_equal(state.x, plain_x)
+                assert len(mixer._df) == 1
+            else:
+                assert point is None and np.array_equal(state.x, plain_x)
+                assert mixer._last is None and mixer._df == []
 
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
@@ -1605,10 +1658,11 @@ class TestAndersonStep:
         up = np.zeros_like(x)
         up[system._caps_part] = 1.0
         assert x[system._caps_part].max() > -1.0
-        assert mixer.step(sinkhorn_engine.SinkhornState(system, x - up), x) is None
+        # an entering dual of -inf keeps any finite trial
+        assert mixer.step(sinkhorn_engine.SinkhornState(system, x - up), x, -np.inf) is None
         evaluated = _record_dual_evaluations(monkeypatch, lambda st: [
             np.exp(st.w[node]) for node in system.interior_order])
-        mixer.step(state, x + 0.5 * up)
+        mixer.step(state, x + 0.5 * up, -np.inf)
         assert evaluated
         for w in evaluated + [[np.exp(state.w[node]) for node in system.interior_order]]:
             assert max(arr.max() for arr in w) <= 1.0
