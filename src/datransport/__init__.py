@@ -70,7 +70,6 @@ from .scenarios import (
     scenario_64_convergence,
 )
 from .sinkhorn_engine import (
-    ChainMessages,
     ConvergenceReport,
     PathSystem,
     PlanCells,
@@ -95,7 +94,7 @@ __all__ = [
     "quantile_coupling_witness", "monotone_rearrangement",
     "PairKernel", "build_pair_kernel", "path_cost",
     "MongeReport", "check_generalized_monge", "XTwistReport", "check_xtwist",
-    "PathSystem", "SinkhornState", "SolverConfig", "ChainMessages",
+    "PathSystem", "SinkhornState", "SolverConfig",
     "ConvergenceReport", "PlanCells", "solve", "flux_profile",
     "aggregate_marginals", "boundary_update", "capacity_update",
     "coupled_boundary_update", "extract_plan", "node_marginals",

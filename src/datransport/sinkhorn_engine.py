@@ -5,11 +5,11 @@ v, and every interior node one capacity multiplier w in (0, 1] shared by
 all paths through it.  In coupled mode the boundary pair (source, sink)
 carries a joint matrix Lambda instead of u and v.  A solve's state is one
 flat array of log-scalings, the blocks stacked in sweep order (0 neutral,
--inf dead).  Model marginals are assembled from forward/backward chain
-messages per path; each block update is the exact projection for its
-constraint, computed from an aggregate that excludes the block's own
-scaling (so the constraint holds to round-off immediately after the
-update).
+-inf dead).  Model marginals are assembled per path from backward chain
+messages and forward ones built on demand; each block update is the exact
+projection for its constraint, computed from an aggregate that excludes
+the block's own scaling (so the constraint holds to round-off immediately
+after the update).
 
 Each block's target, or its cap for a capacity block, sits at the same
 place in one flat vector ``PathSystem.bound``, and a sweep or
@@ -26,19 +26,22 @@ BLAS products, on the exp of the state's views) unless a pair's neutral
 chain falls below ``LINEAR_CHAIN_FLOOR`` on a target cell
 (``PathSystem._neutral_chain_underflows``), and then in the log domain.
 Every log-sum-exp is one reduction, ``_lse_reduce``, so the engine needs
-numpy only.  A vector step is one BLAS mat-vec per block of a cached
-kernel with its last input absorbed (``_AbsorbedStep``); the blocks hold
-only the kernel's causal support (a particle arrives strictly after it
-departs), a little over half of its n_t**2 entries.  A step pays a full
-log-sum-exp only when it re-absorbs, after its input drifted more than
-``ABSORB_BAND`` or a bin died or revived.
+numpy only.  Every path-edge has one step object per direction: a vector
+step is one BLAS mat-vec per block of a cached kernel with its last input
+absorbed (``_AbsorbedStep``); the blocks hold only the kernel's causal
+support (a particle arrives strictly after it departs), a little over half
+of its n_t**2 entries.  A step pays a full log-sum-exp only when it
+re-absorbs, after its input drifted more than ``ABSORB_BAND`` or a bin
+died or revived.  A matrix step is one BLAS or ``_lse_matmul`` product
+(``_MatrixStep``).
 
 A solve runs at the one configured epsilon.  Each sweep is one cyclic
 (Gauss-Seidel) pass over the blocks in sweep order, each projected from
-the backward messages of the sweep's entering state and a forward frontier
-extended block by block.  A sweep costs one backward-only message pass
-in either mode; only a sweep over a cyclic path family refreshes the
-messages before each block.  Past a warm-up, both modes mix the sweeps
+the backward messages of the sweep's entering state
+(``PathSystem.compute_messages``) and a forward frontier (``_Forward``)
+extended block by block.  A sweep costs one message pass in either mode;
+only a sweep over a cyclic path family refreshes the messages before each
+block.  Past a warm-up, both modes mix the sweeps
 (safeguarded Anderson mixing, ``_AndersonMixer``).  The primal transport
 cost is computed on demand, never per sweep.
 """
@@ -155,40 +158,6 @@ class SinkhornState:
         self.lam = views(self.system.joints)
 
 
-class _NoForward:
-    """``ChainMessages.fwd`` of a backward-only message pass."""
-
-    def __getitem__(self, p_idx):
-        raise BadParamError("backward-only messages carry no forward half; "
-                            "use compute_messages(state)")
-
-
-@dataclass(eq=False)
-class ChainMessages:
-    """Per-path forward/backward messages.
-
-    Independent mode: ``fwd[p][l]`` sums kernel chains over all prefixes
-    ending at node l, including the scalings of nodes 0..l-1; ``bwd[p][l]``
-    symmetrically over suffixes with the scalings of nodes l+1 onward.  The
-    product fwd*own scaling*bwd summed over the grid is the path's total
-    mass, identical at every node of the path.
-
-    Coupled mode: the messages are matrices conditioned on the boundary
-    bins, ``fwd[p][l][i, t]`` from departure bin i to node l at bin t and
-    ``bwd[p][l][t, j]`` toward arrival bin j.  ``bwd[p][0]`` (equally
-    ``fwd[p][-1]``) is the interior chain matrix of the path, departure to
-    arrival: all interior multipliers, no Lambda.
-
-    Both modes read path masses and joint aggregates from ``bwd[p][0]``, so
-    a sweep and the dual objective need the backward half only.  A
-    backward-only pass leaves a placeholder in ``fwd`` that raises on any
-    read.
-    """
-
-    fwd: list[list[np.ndarray]] | _NoForward
-    bwd: list[list[np.ndarray]]
-
-
 @dataclass(eq=False)
 class ModelMarginals:
     """Model marginal of every block, flat in the state's layout; ``m`` and ``joint_m`` view it."""
@@ -268,6 +237,17 @@ def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _exp_live(logs: np.ndarray) -> np.ndarray:
+    """exp of an array, taken on its entries above -inf only (numpy's exp is slow on -inf).
+
+    NaN and overflow propagate.
+    """
+    out, live = np.zeros(logs.shape), np.flatnonzero(logs != -np.inf)
+    with np.errstate(over="ignore"):
+        out.ravel()[live] = np.exp(logs.ravel()[live])
+    return out
+
+
 def _causal_windows(logk: np.ndarray, axis: int) -> list[tuple[slice, slice]]:
     """(output, input) ranges of the blocks of an absorbed step along ``axis``.
 
@@ -291,11 +271,11 @@ def _causal_windows(logk: np.ndarray, axis: int) -> list[tuple[slice, slice]]:
 
 
 class _AbsorbedStep:
-    """One log-domain message step across one edge, in one direction.
+    """One log-domain vector message step across one edge, in one direction.
 
     ``axis`` 0 is the forward step, out[t] = LSE_s(logK[s, t] + x[s]); axis
     1 the backward one, out[s] = LSE_t(logK[s, t] + x[t]).  The input x is
-    a message plus a scaling, in log units.
+    a message plus a scaling, in log units, summed by the call.
 
     The step keeps the kernel in blocks along its output axis, each holding
     only the input range its outputs can reach (``windows``, from
@@ -318,35 +298,37 @@ class _AbsorbedStep:
     nothing but underflowed entries.
     """
 
-    def __init__(self, logk: np.ndarray, axis: int, windows: list[tuple[slice, slice]]):
-        self.logk = logk
+    def __init__(self, kernel: np.ndarray, axis: int, windows: list[tuple[slice, slice]]):
+        self.kernel = kernel  # logK
         self.axis = axis
         self.windows = windows
         self.blocks: list[np.ndarray] | None = None
-        self.y: np.ndarray | None = None
         self.r: np.ndarray | None = None  # absorbed input, 0 on dead bins; None re-absorbs
-        self.dead: np.ndarray | None = None
-        self.c: np.ndarray | None = None
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        dead = x == -np.inf
-        if self.r is not None and (dead == self.dead).all():
-            d = x - self.r  # -inf on dead bins; NaN fails both tests
-            if d.max() <= ABSORB_BAND and np.where(dead, 0.0, d).min() >= -ABSORB_BAND:
+    def __call__(self, message: np.ndarray, scaling: np.ndarray) -> np.ndarray:
+        x = message + scaling
+        if self.r is not None:
+            # x - r lies within [lo, hi] on every bin only if x is dead
+            # exactly where r is and within the band of it elsewhere; a bin
+            # that died or revived, NaN and +inf all fail
+            d = x - self.r
+            if (d <= self.hi).all() and (d >= self.lo).all():
                 np.exp(d, out=d)
                 for (out, inp), block in zip(self.windows, self.blocks):
                     np.matmul(block.T if self.axis == 0 else block, d[inp], out=self.y[out])
-                with np.errstate(divide="ignore"):
-                    return self.c + np.log(self.y)
-        return self._absorb(x, dead)
+                # y > 0 exactly on the live outputs; the others stay -inf
+                np.log(self.y, out=self.log_y, where=self.live)
+                return self.c + self.log_y
+        return self._absorb(x)
 
-    def _absorb(self, x: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    def _absorb(self, x: np.ndarray) -> np.ndarray:
+        n_out = self.kernel.shape[1 - self.axis]
         if self.blocks is None:
             self.blocks = [np.empty(self._kernel_block(out, inp).shape)
                            for out, inp in self.windows]
             # the mat-vecs' output; outputs of no block stay 0, so -inf
-            self.y = np.zeros(self.logk.shape[1 - self.axis])
-        c = np.full(self.logk.shape[1 - self.axis], -np.inf)
+            self.y = np.zeros(n_out)
+        c = np.full(n_out, -np.inf)
         lse = _lse_cols if self.axis == 0 else _lse_rows
         for (out, inp), block in zip(self.windows, self.blocks):
             c[out] = lse(self._kernel_block(out, inp), x[inp], block)
@@ -357,41 +339,45 @@ class _AbsorbedStep:
             # slow the mat-vec down many times over
             block[block < np.finfo(float).tiny] = 0.0
         self.c = c
+        self.live = c != -np.inf
+        self.log_y = np.full(n_out, -np.inf)
+        dead = x == -np.inf
         r = np.where(dead, 0.0, x)
         # a NaN or +inf input is never served from the cache
         self.r = r if np.all(np.isfinite(r)) else None
-        self.dead = dead
+        self.hi = np.where(dead, -np.inf, ABSORB_BAND)
+        self.lo = np.where(dead, -np.inf, -ABSORB_BAND)
         return c
 
     def _kernel_block(self, out: slice, inp: slice) -> np.ndarray:
         """The part of ``logK`` a block covers, in ``logK``'s orientation."""
-        return self.logk[inp, out] if self.axis == 0 else self.logk[out, inp]
+        return self.kernel[inp, out] if self.axis == 0 else self.kernel[out, inp]
 
 
-def _forward_step(kern: PairKernel, f: np.ndarray, s: np.ndarray, log_domain: bool,
-                  absorbed: _AbsorbedStep) -> np.ndarray:
-    """Forward message across one edge from message ``f`` and scaling ``s`` at its tail.
+class _MatrixStep:
+    """One coupled matrix message step across one edge, in one direction.
 
-    ``absorbed`` is the edge's forward step; it serves the (log-domain) vector case,
-    and is None in coupled mode.
+    ``kernel`` is K, or logK in the log domain.  ``axis`` 0 is the forward
+    step, one row per departure bin, (f * s) @ K; axis 1 the backward one,
+    one column per arrival bin, (K * s) @ b; the log domain adds and takes
+    ``_lse_matmul``.  The identity message with the neutral scaling, the
+    system's ``_start`` and ``_unit``, steps to the kernel itself.
     """
-    if f.ndim == 1:
-        return absorbed(f + s)
-    # coupled: one row per departure bin
-    return _lse_matmul(f + s[None, :], kern.logK) if log_domain else (f * s[None, :]) @ kern.K
 
+    def __init__(self, kernel: np.ndarray, axis: int, log_domain: bool,
+                 start: np.ndarray, unit: np.ndarray):
+        self.kernel = kernel
+        self.axis = axis
+        self.combine = np.add if log_domain else np.multiply
+        self.product = _lse_matmul if log_domain else np.matmul
+        self.start, self.unit = start, unit
 
-def _backward_step(kern: PairKernel, b: np.ndarray, s: np.ndarray, log_domain: bool,
-                   absorbed: _AbsorbedStep) -> np.ndarray:
-    """Backward message across one edge from message ``b`` and scaling ``s`` at its head.
-
-    ``absorbed`` is the edge's backward step; it serves the (log-domain) vector case,
-    and is None in coupled mode.
-    """
-    if b.ndim == 1:
-        return absorbed(b + s)
-    # coupled: one column per arrival bin
-    return _lse_matmul(kern.logK + s[None, :], b) if log_domain else (kern.K * s[None, :]) @ b
+    def __call__(self, message: np.ndarray, scaling: np.ndarray) -> np.ndarray:
+        if message is self.start and scaling is self.unit:
+            return self.kernel
+        if self.axis == 0:
+            return self.product(self.combine(message, scaling[None, :]), self.kernel)
+        return self.product(self.combine(self.kernel, scaling[None, :]), message)
 
 
 class _Forward:
@@ -399,29 +385,25 @@ class _Forward:
 
     ``frontier(p_idx, pos)`` extends path ``p_idx``'s list up to ``pos`` and
     returns its entry there; entries built earlier are returned as they are.
-    A Gauss-Seidel sweep in a path-compatible order reads each path forward
+    Independent mode: the entry at node l sums kernel chains over all
+    prefixes ending at l, with the scalings of nodes 0..l-1.  Coupled mode:
+    it is a matrix, [i, t] from departure bin i to node l at bin t.  A
+    Gauss-Seidel sweep in a path-compatible order reads each path forward
     only, so every read sees the scalings updated earlier in the sweep.
     """
 
     def __init__(self, system: "PathSystem", state: SinkhornState):
         self.system = system
         self.state = state
-        if system.mode == COUPLED:
-            # the source scaling is neutral: the first step is the kernel itself
-            self.fwd = [[system._start, system._kernel(kernels[0], system.log_domain)]
-                        for kernels in system.path_kernels]
-        else:
-            self.fwd = [[system._start] for _ in system.paths]
+        self.fwd = [[system._start] for _ in system.paths]
 
     def __call__(self, p_idx: int, pos: int) -> np.ndarray:
         f = self.fwd[p_idx]
         path = self.system.paths[p_idx]
-        kernels = self.system.path_kernels[p_idx]
         steps = self.system._steps[p_idx]
         while len(f) <= pos:
             l = len(f) - 1
-            s = self.system._scaling_at(self.state, path, l)
-            f.append(_forward_step(kernels[l], f[l], s, self.system.log_domain, steps[l][0]))
+            f.append(steps[l][0](f[l], self.system._scaling_at(self.state, path, l)))
         return f[pos]
 
 
@@ -536,9 +518,9 @@ class PathSystem:
             self._start = np.eye(self.n_t)
         self._unit.flags.writeable = False
         self._start.flags.writeable = False
-        # vector message steps per path and edge: (forward, backward); the
-        # block windows are taken once per kernel, and coupled mode, whose
-        # messages are matrices, builds no steps
+        # message steps per path and edge: (forward, backward), each with
+        # its edge's kernel in the message domain.  Vector steps take their
+        # block windows once per kernel
         if mode == INDEPENDENT:
             windows = {w: [_causal_windows(k.logK, axis) for axis in (0, 1)]
                        for w, k in self._kernel_cache.items()}
@@ -546,7 +528,10 @@ class PathSystem:
                                   for axis in (0, 1)) for k in kernels]
                            for kernels in self.path_kernels]
         else:
-            self._steps = [[(None, None)] * len(kernels) for kernels in self.path_kernels]
+            self._steps = [[tuple(_MatrixStep(k.logK if self.log_domain else k.K, axis,
+                                              self.log_domain, self._start, self._unit)
+                                  for axis in (0, 1)) for k in kernels]
+                           for kernels in self.path_kernels]
 
     def _neutral_chain_underflows(self) -> bool:
         """Whether a pair's neutral chain is below ``LINEAR_CHAIN_FLOOR`` on a target cell.
@@ -622,16 +607,8 @@ class PathSystem:
         return SinkhornState(self, np.zeros(self._size))
 
     def _message_scaling(self, logs: np.ndarray) -> np.ndarray:
-        """A log-scaling as the messages read it: itself in the log domain, else its exp.
-
-        The exp skips -inf entries (numpy's exp is slow on them); NaN and overflow propagate.
-        """
-        if self.log_domain:
-            return logs
-        out, live = np.zeros(logs.shape), np.flatnonzero(logs != -np.inf)
-        with np.errstate(over="ignore"):
-            out.ravel()[live] = np.exp(logs.ravel()[live])
-        return out
+        """A log-scaling as the messages read it: itself in the log domain, else its exp."""
+        return logs if self.log_domain else _exp_live(logs)
 
     def _message_lams(self, state: SinkhornState) -> dict:
         """Each pair's Lambda in the message domain (one exp per pair when linear)."""
@@ -646,33 +623,25 @@ class PathSystem:
     # ------------------------------------------------------------------
     # messages
 
-    def compute_messages(self, state: SinkhornState, backward_only: bool = False) -> ChainMessages:
-        """Chain messages of ``state``; ``backward_only`` skips the forward half."""
-        log = self.log_domain
+    def compute_messages(self, state: SinkhornState) -> list[list[np.ndarray]]:
+        """Backward chain messages of ``state``, ``bwd[p][l]`` per path and node.
+
+        Independent mode: ``bwd[p][l]`` sums kernel chains over the suffixes
+        from node l, with the scalings of nodes l+1 onward; times the
+        forward message (``_Forward``) and l's own scaling, it sums to the
+        path's mass at every node.  Coupled mode: ``bwd[p][l][t, j]`` runs
+        from node l at bin t to arrival bin j, and ``bwd[p][0]`` is the
+        interior chain matrix, departure to arrival, with no Lambda.  Path
+        masses and joint aggregates read ``bwd[p][0]``, so a sweep and the
+        dual need no forward message.
+        """
         bwd = []
         for p_idx, path in enumerate(self.paths):
-            kernels = self.path_kernels[p_idx]
             b = [self._start] * path.n_p
-            last = path.n_edges - 1
-            if self.mode == COUPLED:
-                # the sink scaling is neutral: the last step is the kernel itself
-                b[last] = self._kernel(kernels[last], log)
-                last -= 1
-            for l in range(last, -1, -1):
-                s = self._scaling_at(state, path, l + 1)
-                b[l] = _backward_step(kernels[l], b[l + 1], s, log, self._steps[p_idx][l][1])
+            for l in range(path.n_edges - 1, -1, -1):
+                b[l] = self._steps[p_idx][l][1](b[l + 1], self._scaling_at(state, path, l + 1))
             bwd.append(b)
-        if backward_only:
-            return ChainMessages(fwd=_NoForward(), bwd=bwd)
-        frontier = _Forward(self, state)
-        for p_idx, path in enumerate(self.paths):
-            frontier(p_idx, path.n_edges)
-        return ChainMessages(fwd=frontier.fwd, bwd=bwd)
-
-    @staticmethod
-    def _kernel(kern: PairKernel, log_domain: bool) -> np.ndarray:
-        """The edge's kernel matrix in the message domain."""
-        return kern.logK if log_domain else kern.K
+        return bwd
 
     # ------------------------------------------------------------------
     # aggregates and marginals
@@ -687,21 +656,19 @@ class PathSystem:
             return _lse_reduce(f + _lse_matmul(lam, b.T), axis=0)
         return (f * (lam @ b.T)).sum(axis=0)
 
-    def _aggregate(self, lams: dict, block, messages: ChainMessages,
-                   frontier: _Forward | None = None) -> np.ndarray:
+    def _aggregate(self, lams: dict, block, messages: list[list[np.ndarray]],
+                   frontier: _Forward) -> np.ndarray:
         """Log aggregate of one block, excluding the block's own scaling.
 
-        A joint block sums the interior chain matrices ``bwd[p][0]`` of its
-        paths, which leave Lambda out.  A node block sums its paths' terms
-        from the backward messages and the forward ones (``frontier`` when
-        given, else ``messages``) and the Lambdas ``lams``.  Linear messages
-        are summed, then take one log.
+        A joint block sums the interior chain matrices ``messages[p][0]`` of
+        its paths, which leave Lambda out.  A node block sums its paths'
+        terms from the backward ``messages``, the ``frontier`` and the
+        Lambdas ``lams``.  Linear messages are summed, then take one log.
         """
         if block in self.joints:
-            terms = [messages.bwd[p][0] for p in self.pair_paths[block]]
+            terms = [messages[p][0] for p in self.pair_paths[block]]
         else:
-            fwd = frontier or (lambda p, pos: messages.fwd[p][pos])
-            terms = [self._path_term(lams, p, fwd(p, pos), messages.bwd[p][pos])
+            terms = [self._path_term(lams, p, frontier(p, pos), messages[p][pos])
                      for p, pos in self.positions[block]]
         if not self.log_domain:
             acc = sum(terms[1:], terms[0])
@@ -714,12 +681,12 @@ class PathSystem:
     def model_marginals(self, state: SinkhornState, messages=None) -> ModelMarginals:
         if messages is None:
             messages = self.compute_messages(state)
+        frontier = _Forward(self, state)
         model = np.empty(self._size)
         lams = self._message_lams(state)
-        with np.errstate(over="ignore"):
-            for block, (part, _) in self._layout.items():
-                agg = self._aggregate(lams, block, messages).ravel()
-                model[part] = np.exp(state.x[part] + agg)
+        for block, (part, _) in self._layout.items():
+            model[part] = self._model(state, block,
+                                      self._aggregate(lams, block, messages, frontier))
         views = {block: model[part].reshape(shape) for block, (part, shape) in self._layout.items()}
         return ModelMarginals(model=model,
                               m={b: m for b, m in views.items() if b not in self.joints},
@@ -757,6 +724,14 @@ class PathSystem:
         """Clipped capacity projection min(log cap - log aggregate, 0); slack bins get 0."""
         return np.where(np.isneginf(agg), 0.0, np.minimum(log_cap - agg, 0.0))
 
+    def _model(self, state: SinkhornState, block, agg: np.ndarray) -> np.ndarray:
+        """Model marginal of one block from its log aggregate (joint blocks: exp of live cells)."""
+        logs = state.x[self._layout[block][0]] + agg.ravel()
+        if block in self.joints:
+            return _exp_live(logs)
+        with np.errstate(over="ignore"):
+            return np.exp(logs)
+
     def _project(self, state: SinkhornState, block,
                  agg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact projection of one block from its log aggregate, flat in the block's slice.
@@ -766,8 +741,7 @@ class PathSystem:
         """
         part = self._layout[block][0]
         agg = agg.ravel()
-        with np.errstate(over="ignore"):
-            model = np.exp(state.x[part] + agg)
+        model = self._model(state, block, agg)
         if block in self.caps:
             return self._cap_over_aggregate(self.log_bound[part], agg), model
         label = f"pair {block}" if block in self.joints else block
@@ -775,11 +749,11 @@ class PathSystem:
                                            agg, label), model
 
     def _update_block(self, state: SinkhornState, block, messages) -> np.ndarray:
-        """Project one block from full messages of ``state``; returns its new linear scaling."""
+        """Project one block from the messages of ``state``; returns its new linear scaling."""
         if messages is None:
             messages = self.compute_messages(state)
-        state.x[self._layout[block][0]], _ = self._project(
-            state, block, self._aggregate(self._message_lams(state), block, messages))
+        agg = self._aggregate(self._message_lams(state), block, messages, _Forward(self, state))
+        state.x[self._layout[block][0]], _ = self._project(state, block, agg)
         with np.errstate(over="ignore"):
             return np.exp(state._views[block])
 
@@ -820,7 +794,7 @@ class PathSystem:
         at once (Gauss-Seidel), so every block update is the exact
         projection (block coordinate ascent); over a cyclic path family the
         messages are refreshed before every block.  A ``messages`` argument
-        is trusted to describe the entering state and may be backward-only.
+        is trusted to describe the entering state.
         """
         refresh = not self._order_follows_paths
         model = np.empty(self._size)
@@ -828,7 +802,7 @@ class PathSystem:
         for i, (block, (part, _)) in enumerate(self._layout.items()):
             if i == 0 or refresh:
                 if messages is None or i:
-                    messages = self.compute_messages(state, backward_only=True)
+                    messages = self.compute_messages(state)
                 frontier = _Forward(self, state)
             if i == len(self.joints):  # node blocks share one exp of each new Lambda
                 lams = self._message_lams(state)
@@ -842,12 +816,12 @@ class PathSystem:
     def path_masses(self, state: SinkhornState, messages=None) -> np.ndarray:
         """Total model mass per path, read at the source end from the backward messages."""
         if messages is None:
-            messages = self.compute_messages(state, backward_only=True)
+            messages = self.compute_messages(state)
         out = np.empty(len(self.paths))
         # paths of one source (or pair) share its message-domain scaling
         scalings = self._message_lams(state) if self.mode == COUPLED else state.u
         for p_idx, path in enumerate(self.paths):
-            chain = messages.bwd[p_idx][0]
+            chain = messages[p_idx][0]
             scaling = scalings[(path.source, path.sink) if self.mode == COUPLED else path.source]
             if self.log_domain:
                 out[p_idx] = np.exp(_lse_reduce((chain + scaling).ravel(), axis=0))
@@ -855,15 +829,17 @@ class PathSystem:
                 out[p_idx] = float((chain * scaling).sum())
         return out
 
-    def _edge_pair_marginal(self, state: SinkhornState, messages, p_idx: int,
-                            l: int) -> np.ndarray:
-        """Linear (t_{l-1}, t_l) marginal of path ``p_idx``'s plan."""
+    def _edge_pair_marginal(self, state: SinkhornState, p_idx: int, l: int,
+                            f: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Linear (t_{l-1}, t_l) marginal of path ``p_idx``'s plan.
+
+        ``f`` is the path's forward message at node l-1, ``b`` its backward
+        message at node l.
+        """
         path = self.paths[p_idx]
         s_prev = self._scaling_at(state, path, l - 1)
         s_next = self._scaling_at(state, path, l)
         kern = self.path_kernels[p_idx][l - 1]
-        f = messages.fwd[p_idx][l - 1]
-        b = messages.bwd[p_idx][l]
         if self.mode == COUPLED:
             lam = self._message_scaling(state.lam[(path.source, path.sink)])
             if self.log_domain:
@@ -879,10 +855,12 @@ class PathSystem:
         """<c, pi> summed over paths (forbidden transitions carry no mass)."""
         if messages is None:
             messages = self.compute_messages(state)
+        frontier = _Forward(self, state)
         total = 0.0
         for p_idx, path in enumerate(self.paths):
             for l in range(1, path.n_p):
-                pm = self._edge_pair_marginal(state, messages, p_idx, l)
+                pm = self._edge_pair_marginal(state, p_idx, l, frontier(p_idx, l - 1),
+                                              messages[p_idx][l])
                 cost_mat = self._cost_mat(float(self.path_weights[p_idx][l - 1]))
                 total += float((pm * cost_mat).sum())
         return total
@@ -916,19 +894,20 @@ class _AndersonMixer:
     def __init__(self, system: PathSystem):
         self.system = system
         self._sqrt_mass = np.sqrt(np.where(np.isfinite(system.bound), system.bound, 0.0))
+        # dot products of the ``_df``, in the leading len(_df) x len(_df) block
+        self._gram = np.empty((ANDERSON_MEMORY, ANDERSON_MEMORY))
         self.reset()
 
     def reset(self) -> None:
         self._live: np.ndarray | None = None
         self._last = None  # weighted residual G(x) - x and plain point G(x) on live bins
         self._df, self._dg = [], []  # differences of successive weighted residuals, plain points
-        self._gram = np.empty((0, 0))  # dot products of the ``_df``
 
     def step(self, state: SinkhornState, x_prev: np.ndarray, value: float):
         """Mix after the plain sweep that took the log-scalings ``x_prev`` to ``state``.
 
-        ``value`` is the dual value of ``x_prev``.  Returns backward-only
-        messages and the dual value of the mixed point when it replaces the
+        ``value`` is the dual value of ``x_prev``.  Returns the messages
+        and the dual value of the mixed point when it replaces the
         plain one, else None.
         """
         system = self.system
@@ -945,12 +924,12 @@ class _AndersonMixer:
             return None
         if len(self._df) == ANDERSON_MEMORY:
             del self._df[0], self._dg[0]
-            self._gram = self._gram[1:, 1:]
+            self._gram[:-1, :-1] = self._gram[1:, 1:]
         self._df.append(f - last[0])
         self._dg.append(g_live - last[1])
-        self._gram = np.pad(self._gram, (0, 1))
-        self._gram[-1] = self._gram[:, -1] = [d @ self._df[-1] for d in self._df]
-        gamma = np.linalg.lstsq(self._gram, [d @ f for d in self._df], rcond=None)[0]
+        n = len(self._df)
+        self._gram[n - 1, :n] = self._gram[:n, n - 1] = [d @ self._df[-1] for d in self._df]
+        gamma = np.linalg.lstsq(self._gram[:n, :n], [d @ f for d in self._df], rcond=None)[0]
         mixed_live = g_live - sum(c * d for c, d in zip(gamma, self._dg))
         if not np.all(np.isfinite(mixed_live)):
             self.reset()
@@ -962,7 +941,7 @@ class _AndersonMixer:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             trial = SinkhornState(system, mixed)
-            messages = system.compute_messages(trial, backward_only=True)
+            messages = system.compute_messages(trial)
             trial_value = system.dual_objective(trial, messages)
         if not trial_value >= value:
             self.reset()
@@ -1009,7 +988,7 @@ def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None
     if system.mode == COUPLED and pos in (0, path.n_p - 1):
         raise BadParamError("boundary flux is a joint matrix in coupled mode")
     term = system._path_term(system._message_lams(state), path_index,
-                             messages.fwd[path_index][pos], messages.bwd[path_index][pos])
+                             _Forward(system, state)(path_index, pos), messages[path_index][pos])
     return np.exp(term) if system.log_domain else term
 
 
@@ -1074,7 +1053,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
         # freeing them first lets the allocator hand the pages back and
         # fault them in again on every iteration
         if next_point is None:
-            messages = system.compute_messages(state, backward_only=True)
+            messages = system.compute_messages(state)
             next_point = messages, system.dual_objective(state, messages)
         (messages, value), next_point = next_point, None
         objs.append(value)
@@ -1117,7 +1096,6 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
         raise PlanTooLargeError(f"{n_cells} cells exceed max_cells={max_cells}")
     shape = (n_t,) * path.n_p
     m = path.n_edges
-    kernels = system.path_kernels[path_index]
     log = system.log_domain
     combine = np.add if log else np.multiply
 
@@ -1126,7 +1104,8 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
 
     scalings = [system._scaling_at(state, path, pos) for pos in range(m + 1)]
     factors = [view(s, (pos,)) for pos, s in enumerate(scalings) if s is not system._unit]
-    factors += [view(system._kernel(kernels[l], log), (l, l + 1)) for l in range(m)]
+    factors += [view(step.kernel, (l, l + 1))
+                for l, (step, _) in enumerate(system._steps[path_index])]
     if system.mode == COUPLED:
         factors.append(view(system._message_scaling(state.lam[(path.source, path.sink)]),
                             (0, m)))

@@ -43,9 +43,8 @@ from datransport.sinkhorn_engine import (
     SinkhornState,
     SolverConfig,
     _AbsorbedStep,
-    _backward_step,
     _causal_windows,
-    _forward_step,
+    _Forward,
     _lse_cols,
     _lse_matmul,
     _lse_reduce,
@@ -168,13 +167,13 @@ def _count_absorptions(monkeypatch):
     counts = [0, 0]
     call, absorb = _AbsorbedStep.__call__, _AbsorbedStep._absorb
 
-    def counted_call(self, x):
+    def counted_call(self, message, scaling):
         counts[0] += 1
-        return call(self, x)
+        return call(self, message, scaling)
 
-    def counted_absorb(self, x, dead):
+    def counted_absorb(self, x):
         counts[1] += 1
-        return absorb(self, x, dead)
+        return absorb(self, x)
 
     monkeypatch.setattr(_AbsorbedStep, "__call__", counted_call)
     monkeypatch.setattr(_AbsorbedStep, "_absorb", counted_absorb)
@@ -209,7 +208,7 @@ class TestAbsorbedStep:
                     changed["revived"] += 1
                 live = np.isfinite(x)
                 x[live] += rng.uniform(-1.0, 1.0, live.sum()) * rng.uniform(0.0, 0.3 * ABSORB_BAND)
-                ours = step(x.copy())
+                ours = step(x, 0.0)
                 ref = _absorbed_reference(logk, x, axis)
                 dead = np.isneginf(ref)
                 assert np.array_equal(np.isneginf(ours), dead)
@@ -229,17 +228,17 @@ class TestAbsorbedStep:
             counts[:] = [0, 0]
             step = _absorbed_step(logk, axis)
             x = rng.normal(scale=5.0, size=n)
-            step(x)
+            step(x, 0.0)
             # every live bin drifts to just inside the band, then just past it
             sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            ours = step(x + sign * (ABSORB_BAND - 1e-9))
+            ours = step(x, sign * (ABSORB_BAND - 1e-9))
             assert counts == [2, 1]
             ref = _absorbed_reference(logk, x + sign * (ABSORB_BAND - 1e-9), axis)
             dead = np.isneginf(ref)
             assert np.array_equal(np.isneginf(ours), dead)
             err = np.abs(ours[~dead] - ref[~dead])
             assert np.all(err <= 1e-13 * np.maximum(np.abs(ref[~dead]), 1.0))
-            step(x + sign * (ABSORB_BAND + 1e-9))
+            step(x, sign * (ABSORB_BAND + 1e-9))
             assert counts == [3, 2]
 
     def test_dying_bins_reabsorb(self, monkeypatch):
@@ -255,11 +254,11 @@ class TestAbsorbedStep:
             step = _absorbed_step(logk, axis)
             x = np.full(n, -np.inf)
             x[[mirror(k) for k in range(20, 26)]] = 0.0
-            step(x)
+            step(x, 0.0)
             weak, out = mirror(25), mirror(26)
             assert _absorbed_entry(step, *sorted((weak, out))) == 0.0
             x[[mirror(k) for k in range(20, 25)]] = -np.inf
-            ours = step(x)
+            ours = step(x, 0.0)
             ref = _absorbed_reference(logk, x, axis)
             assert np.isfinite(ours[out])
             assert ours[out] == pytest.approx(ref[out], rel=1e-13)
@@ -273,7 +272,8 @@ class TestAbsorbedStep:
         mu0, muT = ordered_random_pair(grid, np.random.default_rng(7), 3)
         net, path = make_line_net(grid, [1.0, 0.5, 1.0], mu0, muT)
         system = PathSystem(net, [path])
-        system.compute_messages(system.initial_state())
+        # the marginals read every forward and every backward step
+        system.model_marginals(system.initial_state())
         n = grid.n_t
         for step in (step for pair in system._steps[0] for step in pair):
             assert len(step.windows) > 1
@@ -285,7 +285,7 @@ class TestAbsorbedStep:
                 stored[rows, cols] += 1
                 s, t = np.arange(n)[rows, None], np.arange(n)[None, cols]
                 assert np.all((t > s).any(axis=1 - step.axis))
-            finite = np.isfinite(step.logk)
+            finite = np.isfinite(step.kernel)
             assert stored.max() == 1 and np.all(stored[finite] == 1)
 
     def test_log_domain_builds_no_linear_matrices(self, grid16):
@@ -309,6 +309,55 @@ class TestAbsorbedStep:
         assert report.iterations == 200
         assert counts[0] >= 200 * 2 * built.paths[0].n_edges
         assert counts[1] < 0.1 * counts[0]
+
+
+class TestMessageSteps:
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("shared", True), ("coupled", False), ("coupled", True)])
+    def test_every_path_edge_has_both_steps(self, grid16, kind, log_domain, monkeypatch):
+        # each path-edge holds a (forward, backward) pair of step objects in
+        # both modes, and each is the product it stands for: a log-sum-exp
+        # mat-vec on vector messages (absorbed, then served from the cache),
+        # a BLAS or log-sum-exp matrix product on matrix messages
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        assert system.log_domain is log_domain
+        rng = np.random.default_rng(61)
+        counts = _count_absorptions(monkeypatch)
+        n = grid16.n_t
+        shape = (n,) if system.mode == "independent" else (n, n)
+        for p_idx, path in enumerate(system.paths):
+            assert len(system._steps[p_idx]) == path.n_edges
+            for kern, steps in zip(system.path_kernels[p_idx], system._steps[p_idx]):
+                assert len(steps) == 2
+                for axis, step in enumerate(steps):
+                    for drift in (0.0, 1.0):  # the second call reuses an absorbed step
+                        message = rng.normal(scale=3.0, size=shape)
+                        scaling = rng.normal(scale=3.0, size=n) + drift
+                        if not log_domain:
+                            ours = step(np.exp(message), np.exp(scaling))
+                            ref = (np.einsum("it,t,tu->iu", np.exp(message), np.exp(scaling),
+                                             kern.K) if axis == 0 else
+                                   np.einsum("st,t,tj->sj", kern.K, np.exp(scaling),
+                                             np.exp(message)))
+                            np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=0.0)
+                            continue
+                        ours = step(message, scaling)
+                        x = message + (scaling if message.ndim == 1 else scaling[None, :])
+                        if message.ndim == 1:
+                            ref = _absorbed_reference(kern.logK, x, axis)
+                        elif axis == 0:  # out[i, u] = LSE_t(x[i, t] + logK[t, u])
+                            ref = logsumexp(x[:, :, None] + kern.logK[None], axis=1)
+                        else:  # out[s, j] = LSE_t(logK[s, t] + s[t] + b[t, j])
+                            ref = logsumexp((kern.logK + scaling[None, :])[:, :, None]
+                                            + message[None], axis=1)
+                        dead = np.isneginf(ref)
+                        assert np.array_equal(np.isneginf(ours), dead) and dead.any()
+                        err = np.abs(ours[~dead] - ref[~dead])
+                        assert np.all(err <= 1e-12 * np.maximum(np.abs(ref[~dead]), 1.0))
+        if system.mode == "independent":  # each vector step absorbed once, then served
+            assert counts == [4 * sum(path.n_edges for path in system.paths),
+                              2 * sum(path.n_edges for path in system.paths)]
 
 
 class TestFluxProfile:
@@ -640,38 +689,33 @@ class TestSolve:
         assert np.all(mm.m["n2"][muT == 0] == 0)
 
     def test_one_message_pass_per_sweep(self, grid16, monkeypatch):
-        # the exact Gauss-Seidel solve pays one backward-only message pass per
-        # sweep and never the primal cost; the traced dual is still the full one
+        # the exact Gauss-Seidel solve pays one message pass per sweep, on
+        # the sweep's entering state, and never the primal cost; the traced
+        # dual is the one the entering state's own messages give
         rng = np.random.default_rng(23)
         mu0, muT = ordered_random_pair(grid16, rng, 2)
         net, path = make_line_net(grid16, [1.0, 1.0], mu0, muT,
                                   caps={"n1": np.full(16, 0.12)})
         cfg = SolverConfig(epsilon=0.3, **fixed_sweeps(ANDERSON_WARMUP))
-        calls = []
-        compute_messages = PathSystem.compute_messages
-
-        def counted(self, state, **kwargs):
-            calls.append(kwargs)
-            return compute_messages(self, state, **kwargs)
 
         def no_cost(self, *args, **kwargs):
             raise AssertionError("transport_cost ran inside solve()")
 
-        monkeypatch.setattr(PathSystem, "compute_messages", counted)
+        calls = _count_message_passes(monkeypatch)
         monkeypatch.setattr(PathSystem, "transport_cost", no_cost)
         _, report = solve(net, [path], config=cfg)
         monkeypatch.undo()
-        assert len(calls) == ANDERSON_WARMUP
-        assert all(kwargs == {"backward_only": True} for kwargs in calls)
+        assert calls == list(range(ANDERSON_WARMUP))
         system = PathSystem(net, [path], config=cfg)
         state = system.initial_state()
         for i in range(ANDERSON_WARMUP):
-            full = system.compute_messages(state)
-            assert report.objective[i] == pytest.approx(
-                system.dual_objective(state, full), rel=1e-12)
+            assert report.objective[i] == system.dual_objective(state)
             system.sweep(state)
 
     def test_backward_only_messages(self, grid10):
+        # compute_messages returns the backward messages only, one list per
+        # path, each the dense log-sum-exp chain from the sink; a reader of
+        # forward messages builds its own frontier
         rng = np.random.default_rng(24)
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 2.0], mu0, muT,
@@ -680,18 +724,24 @@ class TestSolve:
         state = system.initial_state()
         for _ in range(3):
             system.sweep(state)
-        full = system.compute_messages(state)
-        half = system.compute_messages(state, backward_only=True)
-        for b_half, b_full in zip(half.bwd[0], full.bwd[0]):
-            assert np.array_equal(b_half, b_full)
+        msgs = system.compute_messages(state)
+        assert len(msgs) == 1 and len(msgs[0]) == path.n_p
+        ref = np.zeros(10)
+        assert np.array_equal(msgs[0][-1], ref)
+        for l in range(path.n_edges - 1, -1, -1):
+            ahead = ref + state._views[path.nodes[l + 1]]
+            ref = logsumexp(system.path_kernels[0][l].logK + ahead[None, :], axis=1)
+            dead = np.isneginf(ref)
+            assert np.array_equal(np.isneginf(msgs[0][l]), dead)
+            np.testing.assert_allclose(msgs[0][l][~dead], ref[~dead], rtol=1e-12)
         # the path mass read at the source end is the one seen at the sink end
-        at_sink = float((flux_profile(state, 0, "n2", full) * np.exp(state.v["n2"])).sum())
-        assert system.path_masses(state, half)[0] == pytest.approx(at_sink, rel=1e-12)
-        for reader in (lambda m: system.model_marginals(state, m),
-                       lambda m: flux_profile(state, 0, "n1", m),
-                       lambda m: system.transport_cost(state, m)):
-            with pytest.raises(BadParamError, match="backward-only"):
-                reader(half)
+        at_sink = float((flux_profile(state, 0, "n2", msgs) * np.exp(state.v["n2"])).sum())
+        assert system.path_masses(state, msgs)[0] == pytest.approx(at_sink, rel=1e-12)
+        # readers handed the messages match readers that compute their own
+        assert np.array_equal(system.model_marginals(state, msgs).model,
+                              system.model_marginals(state).model)
+        assert np.array_equal(flux_profile(state, 0, "n1", msgs), flux_profile(state, 0, "n1"))
+        assert system.transport_cost(state, msgs) == system.transport_cost(state)
 
     def test_non_finite_row_raises(self, grid10, monkeypatch):
         rng = np.random.default_rng(25)
@@ -795,17 +845,20 @@ class TestCoupledMode:
         state = system.initial_state()
         system.sweep(state)
         msgs = system.compute_messages(state)
+        frontier = _Forward(system, state)
         eye, unit = system._start, system._unit
         for p_idx, path in enumerate(system.paths):
             kernels, steps = system.path_kernels[p_idx], system._steps[p_idx]
-            first = system._kernel(kernels[0], log_domain)
-            last = system._kernel(kernels[-1], log_domain)
-            assert msgs.fwd[p_idx][1] is first
-            assert msgs.bwd[p_idx][path.n_edges - 1] is last
-            assert np.array_equal(
-                first, _forward_step(kernels[0], eye, unit, log_domain, steps[0][0]))
-            assert np.array_equal(
-                last, _backward_step(kernels[-1], eye, unit, log_domain, steps[-1][1]))
+            first = kernels[0].logK if log_domain else kernels[0].K
+            last = kernels[-1].logK if log_domain else kernels[-1].K
+            assert frontier(p_idx, 1) is first
+            assert msgs[p_idx][path.n_edges - 1] is last
+            assert steps[0][0](eye, unit) is first and steps[-1][1](eye, unit) is last
+            # which is exact: the products from the identity are the kernels
+            product = _lse_matmul if log_domain else np.matmul
+            combine = np.add if log_domain else np.multiply
+            assert np.array_equal(first, product(combine(eye, unit[None, :]), first))
+            assert np.array_equal(last, product(combine(last, unit[None, :]), eye))
 
     def test_linear_contractions_match_einsum(self, grid16):
         system = _pinning_instance("coupled", grid16)
@@ -814,20 +867,22 @@ class TestCoupledMode:
         for _ in range(3):
             system.sweep(state)
         msgs = system.compute_messages(state)
+        fwd = _Forward(system, state)
         lam = np.exp(state.lam[("s", "t")])  # the state holds log-scalings in either domain
         lams = system._message_lams(state)
         assert np.array_equal(lams[("s", "t")], lam)
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
-                f, b = msgs.fwd[p_idx][pos], msgs.bwd[p_idx][pos]
+                f, b = fwd(p_idx, pos), msgs[p_idx][pos]
                 np.testing.assert_allclose(system._path_term(lams, p_idx, f, b),
                                            np.einsum("ij,it,tj->t", lam, f, b), rtol=1e-12)
             for l in range(1, path.n_p):
                 s_prev = system._scaling_at(state, path, l - 1)
                 s_next = system._scaling_at(state, path, l)
-                left = msgs.fwd[p_idx][l - 1].T @ np.einsum("ij,tj->it", lam, msgs.bwd[p_idx][l])
+                f, b = fwd(p_idx, l - 1), msgs[p_idx][l]
+                left = f.T @ np.einsum("ij,tj->it", lam, b)
                 ref = left * s_prev[:, None] * system.path_kernels[p_idx][l - 1].K * s_next
-                np.testing.assert_allclose(system._edge_pair_marginal(state, msgs, p_idx, l),
+                np.testing.assert_allclose(system._edge_pair_marginal(state, p_idx, l, f, b),
                                            ref, rtol=1e-12)
 
     def test_linear_scaling_is_the_exp(self, grid16):
@@ -849,11 +904,12 @@ class TestCoupledMode:
         for _ in range(3):
             system.sweep(state)
         msgs = system.compute_messages(state)
+        fwd = _Forward(system, state)
         lam = state.lam[("s", "t")]
         cost = 0.0
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
-                f, b = msgs.fwd[p_idx][pos], msgs.bwd[p_idx][pos]
+                f, b = fwd(p_idx, pos), msgs[p_idx][pos]
                 g = logsumexp(lam[:, None, :] + b[None, :, :], axis=2)  # g[i, t]
                 ref = logsumexp(f + g, axis=0)
                 ours = system._path_term(system._message_lams(state), p_idx, f, b)
@@ -861,14 +917,14 @@ class TestCoupledMode:
                 assert np.array_equal(np.isneginf(ours), dead) and dead.any()
                 np.testing.assert_allclose(ours[~dead], ref[~dead], rtol=1e-13)
             for l in range(1, path.n_p):
-                f, b = msgs.fwd[p_idx][l - 1], msgs.bwd[p_idx][l]
+                f, b = fwd(p_idx, l - 1), msgs[p_idx][l]
                 g = logsumexp(lam[:, None, :] + b[None, :, :], axis=2)
                 left = logsumexp(f[:, :, None] + g[:, None, :], axis=0)  # left[s, t]
                 s_prev = system._scaling_at(state, path, l - 1)
                 s_next = system._scaling_at(state, path, l)
                 logk = system.path_kernels[p_idx][l - 1].logK
                 ref = np.exp(left + s_prev[:, None] + logk + s_next[None, :])
-                np.testing.assert_allclose(system._edge_pair_marginal(state, msgs, p_idx, l),
+                np.testing.assert_allclose(system._edge_pair_marginal(state, p_idx, l, f, b),
                                            ref, rtol=1e-13, atol=0.0)
                 weight = float(system.path_weights[p_idx][l - 1])
                 cost += float((ref * system._cost_mat(weight)).sum())
@@ -1114,13 +1170,13 @@ def _cyclic_family(grid, rng):
 
 
 def _count_message_passes(monkeypatch):
-    """Record the keyword arguments of every ``PathSystem.compute_messages`` call."""
+    """Record the state's iteration count at every ``PathSystem.compute_messages`` call."""
     calls = []
     compute_messages = PathSystem.compute_messages
 
-    def counted(self, state, **kwargs):
-        calls.append(kwargs)
-        return compute_messages(self, state, **kwargs)
+    def counted(self, state):
+        calls.append(state.iteration)
+        return compute_messages(self, state)
 
     monkeypatch.setattr(PathSystem, "compute_messages", counted)
     return calls
@@ -1517,22 +1573,23 @@ class TestCoupledMixing:
         state = system.initial_state()
         for _ in range(3):
             system.sweep(state)
-        full = system.compute_messages(state)
-        half = system.compute_messages(state, backward_only=True)
-        assert isinstance(half.fwd, sinkhorn_engine._NoForward)
+        msgs = system.compute_messages(state)
+        fwd = _Forward(system, state)
         for p_idx, path in enumerate(system.paths):
-            # bwd[p][0] is the interior chain, departure to arrival
-            chain, ref = half.bwd[p_idx][0], full.fwd[p_idx][path.n_edges]
+            assert len(msgs[p_idx]) == path.n_p
+            # bwd[p][0] is the interior chain, departure to arrival: the
+            # forward message at the sink, built the other way round
+            chain, ref = msgs[p_idx][0], fwd(p_idx, path.n_edges)
             live = np.isfinite(ref)
             assert np.array_equal(np.isfinite(chain), live)
             np.testing.assert_allclose(chain[live], ref[live], rtol=1e-12, atol=0)
-        assert np.array_equal(system.path_masses(state, half), system.path_masses(state, full))
+        assert np.array_equal(system.path_masses(state, msgs), system.path_masses(state))
 
     @pytest.mark.parametrize("kind", ["line", "coupled"])
     def test_neutral_arrays_are_read_only(self, grid16, kind):
         system = _pinning_instance(kind, grid16)
         messages = system.compute_messages(system.initial_state())
-        assert messages.bwd[0][-1] is system._start
+        assert messages[0][-1] is system._start
         for neutral in (system._unit, system._start):
             with pytest.raises(ValueError, match="read-only"):
                 neutral[0] = 1.0
