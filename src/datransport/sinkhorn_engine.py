@@ -316,9 +316,10 @@ class _AbsorbedStep:
                 np.exp(d, out=d)
                 for (out, inp), block in zip(self.windows, self.blocks):
                     np.matmul(block.T if self.axis == 0 else block, d[inp], out=self.y[out])
-                # y > 0 exactly on the live outputs; the others stay -inf
-                np.log(self.y, out=self.log_y, where=self.live)
-                return self.c + self.log_y
+                # y > 0 exactly on the live outputs; the others keep 0, and c
+                # is -inf there
+                np.log(self.y, out=self.y, where=self.live)
+                return self.c + self.y
         return self._absorb(x)
 
     def _absorb(self, x: np.ndarray) -> np.ndarray:
@@ -340,7 +341,6 @@ class _AbsorbedStep:
             block[block < np.finfo(float).tiny] = 0.0
         self.c = c
         self.live = c != -np.inf
-        self.log_y = np.full(n_out, -np.inf)
         dead = x == -np.inf
         r = np.where(dead, 0.0, x)
         # a NaN or +inf input is never served from the cache
@@ -725,12 +725,8 @@ class PathSystem:
         return np.where(np.isneginf(agg), 0.0, np.minimum(log_cap - agg, 0.0))
 
     def _model(self, state: SinkhornState, block, agg: np.ndarray) -> np.ndarray:
-        """Model marginal of one block from its log aggregate (joint blocks: exp of live cells)."""
-        logs = state.x[self._layout[block][0]] + agg.ravel()
-        if block in self.joints:
-            return _exp_live(logs)
-        with np.errstate(over="ignore"):
-            return np.exp(logs)
+        """Model marginal of one block from its log aggregate."""
+        return _exp_live(state.x[self._layout[block][0]] + agg.ravel())
 
     def _project(self, state: SinkhornState, block,
                  agg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -758,7 +754,11 @@ class PathSystem:
             return np.exp(state._views[block])
 
     def boundary_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
-        """Match the node's marginal target exactly; returns the new linear scaling."""
+        """Match the node's marginal target exactly; returns the new linear scaling.
+
+        ``messages``, if given, is the backward half from ``compute_messages``;
+        each call builds its own forward frontier.
+        """
         if self.mode == COUPLED:
             raise BadParamError("coupled mode updates the joint via coupled_boundary_update")
         if node not in self.mu0 and node not in self.muT:
@@ -766,14 +766,22 @@ class PathSystem:
         return self._update_block(state, node, messages)
 
     def capacity_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
-        """Clip the node's marginal to its cap; returns the new linear scaling."""
+        """Clip the node's marginal to its cap; returns the new linear scaling.
+
+        ``messages``, if given, is the backward half from ``compute_messages``;
+        each call builds its own forward frontier.
+        """
         if node not in self.caps:
             raise BadParamError(f"{node} is not an interior node")
         return self._update_block(state, node, messages)
 
     def coupled_boundary_update(self, state: SinkhornState, pair: tuple[str, str],
                                 messages=None) -> np.ndarray:
-        """Match the joint boundary law exactly; returns the new linear Lambda."""
+        """Match the joint boundary law exactly; returns the new linear Lambda.
+
+        ``messages``, if given, is the backward half from ``compute_messages``;
+        each call builds its own forward frontier.
+        """
         if self.mode != COUPLED:
             raise BadParamError("coupled_boundary_update requires coupled mode")
         return self._update_block(state, pair, messages)
@@ -977,7 +985,11 @@ def check_plan_options(max_cells, top_k, min_mass) -> None:
 
 
 def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None) -> np.ndarray:
-    """Linear partial contraction at ``node`` for one path, excluding its own scaling."""
+    """Linear partial contraction at ``node`` for one path, excluding its own scaling.
+
+    ``messages``, if given, is the backward half from ``compute_messages``;
+    each call builds its own forward frontier up to ``node``.
+    """
     system = state.system
     path = system.paths[check_path_index(path_index, len(system.paths))]
     if node not in path.nodes:
