@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/converged, 2 invalid input (scenario, run dir, or
 infeasible verdict from the feasibility subcommand), 3 solver did not
-converge or stopped on a non-finite value, 4 target mass proved unreachable.
+converge or stopped on a non-finite value, or a property checked by
+``solve --check-properties`` failed, 4 target mass proved unreachable.
 
 All data files are written deterministically (header row, '.' decimal,
 LF line endings, UTF-8, shortest round-trip float formatting); wall time
@@ -252,7 +253,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_inspect_kernel(args) -> int:
-    grid = TimeGrid(t_f=args.t_f, n_t=args.n_t)
+    try:
+        grid = TimeGrid(t_f=args.t_f, n_t=args.n_t)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     kern = build_pair_kernel(grid, args.weight, args.epsilon)
     out_lines = ["s_center,t_center,k,log_k"]
     for i, s in enumerate(grid.centers):
@@ -294,7 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario")
     p.add_argument("--output", default=None, help="output directory")
     p.add_argument("--check-properties", action="store_true",
-                   help="evaluate the scenario's expected properties after solving")
+                   help="evaluate the scenario's expected properties after solving; "
+                        "a failed one exits 3, like a solve that did not converge")
     _add_solver_overrides(p)
     p.set_defaults(func=_cmd_solve)
 

@@ -28,8 +28,8 @@ class TimeGrid:
     n_t: int
 
     def __post_init__(self):
-        if not self.t_f > 0:
-            raise ValueError(f"t_f must be positive, got {self.t_f}")
+        if not 0 < self.t_f < math.inf:
+            raise ValueError(f"t_f must be finite and positive, got {self.t_f}")
         if self.n_t < 2:
             raise ValueError(f"n_t must be at least 2, got {self.n_t}")
 

@@ -40,9 +40,9 @@ class PairKernel:
 
 
 def build_pair_kernel(grid: TimeGrid, w: float, epsilon: float) -> PairKernel:
-    if not epsilon > 0:
-        raise BadParamError(f"epsilon must be positive, got {epsilon}")
-    if w < 0:
+    if not 0 < epsilon < np.inf:
+        raise BadParamError(f"epsilon must be finite and positive, got {epsilon}")
+    if not w >= 0:
         raise BadParamError(f"edge weight must be nonnegative, got {w}")
     t = grid.centers
     gap = t[None, :] - t[:, None]

@@ -51,6 +51,13 @@ def _check_shape(shape) -> None:
         raise SizeCapError(f"tensor of {int(np.prod(shape))} cells exceeds cap {MAX_CELLS}")
 
 
+def _check_run(epsilon: float, iters: int) -> None:
+    if not 0 < epsilon < np.inf:
+        raise BadParamError(f"epsilon must be finite and positive, got {epsilon}")
+    if not iters >= 0:
+        raise BadParamError(f"iters must be nonnegative, got {iters}")
+
+
 def chain_cost_tensor(times: np.ndarray, weights) -> np.ndarray:
     """Additive reciprocal-gap cost over strictly increasing index tuples.
 
@@ -112,8 +119,7 @@ def dense_sinkhorn(cost: np.ndarray, targets, epsilon: float, iters: int) -> Den
     """
     cost = np.asarray(cost, dtype=float)
     _check_shape(cost.shape)
-    if not epsilon > 0:
-        raise BadParamError(f"epsilon must be positive, got {epsilon}")
+    _check_run(epsilon, iters)
     if len(targets) != cost.ndim:
         raise BadParamError(f"need {cost.ndim} targets, got {len(targets)}")
     kernel = np.exp(-cost / epsilon)
@@ -159,6 +165,7 @@ def dense_coupled_sinkhorn(cost: np.ndarray, joint_target: np.ndarray, caps,
     """
     cost = np.asarray(cost, dtype=float)
     _check_shape(cost.shape)
+    _check_run(epsilon, iters)
     joint_target = np.asarray(joint_target, dtype=float)
     ndim = cost.ndim
     if ndim < 3:

@@ -19,14 +19,15 @@ three slices of model - bound, and the dual's scaling term is one dot of
 the state with the bound on its live bins.
 
 Above the messages everything is in log units: aggregates, projections,
-violations, the dual and the mixing.  The engine picks the domain of the
-messages.  Independent mode always passes its vector messages in the log
-domain; coupled mode passes matrix messages in the linear domain (plain
-BLAS products, on the exp of the state's views) unless a pair's neutral
-chain falls below ``LINEAR_CHAIN_FLOOR`` on a target cell
-(``PathSystem._neutral_chain_underflows``), and then in the log domain.
-Every log-sum-exp is one reduction, ``_lse_reduce``, so the engine needs
-numpy only.  Every path-edge has one step object per direction: a vector
+violations, the dual and the mixing.  The engine picks the messages'
+arithmetic once, as ``PathSystem.dom``, and every reader of the messages
+is written in it: ``_Log`` (a product adds, a sum is a log-sum-exp) in
+independent mode; in coupled mode ``_Linear`` (plain and BLAS products,
+on the exp of the state's views) unless a pair's neutral chain falls
+below ``LINEAR_CHAIN_FLOOR`` on a target cell
+(``PathSystem._neutral_chain_underflows``), and then ``_Log``.  Every
+log-sum-exp is one reduction, ``_lse_reduce``, so the engine needs numpy
+only.  Every path-edge has one step object per direction: a vector
 step is one BLAS mat-vec per block of a cached kernel with its last input
 absorbed (``_AbsorbedStep``); the blocks hold only the kernel's causal
 support (a particle arrives strictly after it departs), a little over half
@@ -248,6 +249,37 @@ def _exp_live(logs: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Log:
+    """Message arithmetic in log units: a product adds, a sum is a log-sum-exp."""
+
+    one = 0.0
+    mul, add, matmul, to_linear = np.add, np.logaddexp, staticmethod(_lse_matmul), np.exp
+    kernel = operator.attrgetter("logK")
+    from_log = to_log = staticmethod(np.asarray)  # returns the array itself
+
+    @staticmethod
+    def sum(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """Log-sum-exp along ``axis`` (of every entry when None); overwrites ``a``."""
+        return _lse_reduce(a.ravel(), 0) if axis is None else _lse_reduce(a, axis)
+
+
+class _Linear:
+    """Message arithmetic on linear values: plain products and sums, BLAS matrix products."""
+
+    one = 1.0
+    mul, add, matmul, sum = np.multiply, np.add, np.matmul, staticmethod(np.sum)
+    kernel = operator.attrgetter("K")
+    from_log = staticmethod(_exp_live)
+
+    @staticmethod
+    def to_log(a: np.ndarray) -> np.ndarray:
+        return np.log(a, out=np.full_like(a, -np.inf), where=a != 0)
+
+    @staticmethod
+    def to_linear(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return a  # ``out``, when given, is ``a``
+
+
 def _causal_windows(logk: np.ndarray, axis: int) -> list[tuple[slice, slice]]:
     """(output, input) ranges of the blocks of an absorbed step along ``axis``.
 
@@ -357,27 +389,25 @@ class _AbsorbedStep:
 class _MatrixStep:
     """One coupled matrix message step across one edge, in one direction.
 
-    ``kernel`` is K, or logK in the log domain.  ``axis`` 0 is the forward
-    step, one row per departure bin, (f * s) @ K; axis 1 the backward one,
-    one column per arrival bin, (K * s) @ b; the log domain adds and takes
-    ``_lse_matmul``.  The identity message with the neutral scaling, the
-    system's ``_start`` and ``_unit``, steps to the kernel itself.
+    ``kernel`` is K in the arithmetic ``dom`` (``_Log`` or ``_Linear``).
+    ``axis`` 0 is the forward step, one row per departure bin, (f * s) @ K;
+    axis 1 the backward one, one column per arrival bin, (K * s) @ b.  The
+    identity message with the neutral scaling, the system's ``_start`` and
+    ``_unit``, steps to the kernel itself.
     """
 
-    def __init__(self, kernel: np.ndarray, axis: int, log_domain: bool,
-                 start: np.ndarray, unit: np.ndarray):
+    def __init__(self, kernel: np.ndarray, axis: int, dom, start: np.ndarray, unit: np.ndarray):
         self.kernel = kernel
         self.axis = axis
-        self.combine = np.add if log_domain else np.multiply
-        self.product = _lse_matmul if log_domain else np.matmul
+        self.dom = dom
         self.start, self.unit = start, unit
 
     def __call__(self, message: np.ndarray, scaling: np.ndarray) -> np.ndarray:
         if message is self.start and scaling is self.unit:
             return self.kernel
         if self.axis == 0:
-            return self.product(self.combine(message, scaling[None, :]), self.kernel)
-        return self.product(self.combine(self.kernel, scaling[None, :]), message)
+            return self.dom.matmul(self.dom.mul(message, scaling[None, :]), self.kernel)
+        return self.dom.matmul(self.dom.mul(self.kernel, scaling[None, :]), message)
 
 
 class _Forward:
@@ -467,11 +497,14 @@ class PathSystem:
         self.pair_paths = {pair: [i for i, p in enumerate(self.paths)
                                   if (p.source, p.sink) == pair]
                            for pair in self.pairs}
+        # the block that scales each path's source end: its pair in coupled mode, else its source
+        self._heads = [(p.source, p.sink) if (p.source, p.sink) in self.joints else p.source
+                       for p in self.paths]
         # the state's layout, in sweep order: each block's slice of the flat
         # log-scalings and its shape.  Sources (or pairs), caps and sinks are
         # contiguous, so E0, V and ET are three slices of any flat marginal
-        first = self.joints if mode == COUPLED else self.mu0
-        bounds = {**first, **self.caps, **({} if mode == COUPLED else self.muT)}
+        first, last = (self.joints, {}) if mode == COUPLED else (self.mu0, self.muT)
+        bounds = {**first, **self.caps, **last}
         self._layout: dict = {}
         size = 0
         for block, bound in bounds.items():
@@ -503,35 +536,30 @@ class PathSystem:
         self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
                              for weights in self.path_weights]
 
-        # the domain of the messages; the state is in log units either way
+        # the messages' domain and arithmetic; the state is in log units either way
         self.log_domain = mode == INDEPENDENT or self._neutral_chain_underflows()
-        # neutral scaling vector and neutral message (the identity on the
-        # boundary bins in coupled mode) of the message domain, shared by
-        # every path and state, so read-only
-        self._unit = np.zeros(self.n_t) if self.log_domain else np.ones(self.n_t)
+        self.dom = dom = _Log if self.log_domain else _Linear
+        # neutral scaling vector and neutral message (the identity on the boundary
+        # bins in coupled mode), shared by every path and state, so read-only; and
+        # the (forward, backward) message steps per path and edge, each with its
+        # edge's kernel.  Vector steps take their block windows once per kernel
+        self._unit = np.full(self.n_t, dom.one)
         if mode == INDEPENDENT:
             self._start = self._unit
-        elif self.log_domain:
-            self._start = np.full((self.n_t, self.n_t), -np.inf)
-            np.fill_diagonal(self._start, 0.0)
-        else:
-            self._start = np.eye(self.n_t)
-        self._unit.flags.writeable = False
-        self._start.flags.writeable = False
-        # message steps per path and edge: (forward, backward), each with
-        # its edge's kernel in the message domain.  Vector steps take their
-        # block windows once per kernel
-        if mode == INDEPENDENT:
             windows = {w: [_causal_windows(k.logK, axis) for axis in (0, 1)]
                        for w, k in self._kernel_cache.items()}
             self._steps = [[tuple(_AbsorbedStep(k.logK, axis, windows[k.w][axis])
                                   for axis in (0, 1)) for k in kernels]
                            for kernels in self.path_kernels]
         else:
-            self._steps = [[tuple(_MatrixStep(k.logK if self.log_domain else k.K, axis,
-                                              self.log_domain, self._start, self._unit)
+            start = np.full((self.n_t, self.n_t), -np.inf)
+            np.fill_diagonal(start, 0.0)
+            self._start = dom.from_log(start)
+            self._steps = [[tuple(_MatrixStep(dom.kernel(k), axis, dom, self._start, self._unit)
                                   for axis in (0, 1)) for k in kernels]
                            for kernels in self.path_kernels]
+        self._unit.flags.writeable = False
+        self._start.flags.writeable = False
 
     def _neutral_chain_underflows(self) -> bool:
         """Whether a pair's neutral chain is below ``LINEAR_CHAIN_FLOOR`` on a target cell.
@@ -606,19 +634,14 @@ class PathSystem:
     def initial_state(self) -> SinkhornState:
         return SinkhornState(self, np.zeros(self._size))
 
-    def _message_scaling(self, logs: np.ndarray) -> np.ndarray:
-        """A log-scaling as the messages read it: itself in the log domain, else its exp."""
-        return logs if self.log_domain else _exp_live(logs)
-
-    def _message_lams(self, state: SinkhornState) -> dict:
-        """Each pair's Lambda in the message domain (one exp per pair when linear)."""
-        return {pair: self._message_scaling(lam) for pair, lam in state.lam.items()}
+    def _head_scalings(self, state: SinkhornState) -> dict:
+        """Message-domain scaling of each head block (``_heads``); one exp per block when linear."""
+        return {head: self.dom.from_log(state._views[head]) for head in set(self._heads)}
 
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
-        """Message-domain scaling vector of the node at ``pos`` (neutral at coupled boundaries)."""
-        if self.mode == COUPLED and pos in (0, path.n_p - 1):
-            return self._unit
-        return self._message_scaling(state._views[path.nodes[pos]])
+        """Message-domain scaling of the node at ``pos``; neutral on a node without a block."""
+        node = path.nodes[pos]
+        return self.dom.from_log(state._views[node]) if node in self._layout else self._unit
 
     # ------------------------------------------------------------------
     # messages
@@ -646,47 +669,40 @@ class PathSystem:
     # ------------------------------------------------------------------
     # aggregates and marginals
 
-    def _path_term(self, lams: dict, p_idx: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """One path's message-domain term of a node aggregate; ``lams`` is ``_message_lams``."""
+    def _path_term(self, heads: dict, p_idx: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One path's message-domain term of a node aggregate; ``heads`` is ``_head_scalings``."""
+        dom = self.dom
         if self.mode == INDEPENDENT:
-            return f + b
-        lam = lams[(self.paths[p_idx].source, self.paths[p_idx].sink)]
-        if self.log_domain:
-            # g[i, t] = LSE_j(lam[i, j] + b[t, j]); out[t] = LSE_i(f[i, t] + g[i, t])
-            return _lse_reduce(f + _lse_matmul(lam, b.T), axis=0)
-        return (f * (lam @ b.T)).sum(axis=0)
+            return dom.mul(f, b)
+        # out[t] = sum_i f[i, t] * g[i, t], g[i, t] = sum_j lam[i, j] * b[t, j]
+        return dom.sum(dom.mul(f, dom.matmul(heads[self._heads[p_idx]], b.T)), axis=0)
 
-    def _aggregate(self, lams: dict, block, messages: list[list[np.ndarray]],
+    def _aggregate(self, heads: dict, block, messages: list[list[np.ndarray]],
                    frontier: _Forward) -> np.ndarray:
         """Log aggregate of one block, excluding the block's own scaling.
 
         A joint block sums the interior chain matrices ``messages[p][0]`` of
         its paths, which leave Lambda out.  A node block sums its paths'
-        terms from the backward ``messages``, the ``frontier`` and the
-        Lambdas ``lams``.  Linear messages are summed, then take one log.
+        terms from the backward ``messages``, the ``frontier`` and the head
+        scalings ``heads``.  The terms are summed in the message domain,
+        then taken to log units.
         """
         if block in self.joints:
             terms = [messages[p][0] for p in self.pair_paths[block]]
         else:
-            terms = [self._path_term(lams, p, frontier(p, pos), messages[p][pos])
+            terms = [self._path_term(heads, p, frontier(p, pos), messages[p][pos])
                      for p, pos in self.positions[block]]
-        if not self.log_domain:
-            acc = sum(terms[1:], terms[0])
-            return np.log(acc, out=np.full_like(acc, -np.inf), where=acc != 0)
-        acc = np.full_like(terms[0], -np.inf)
-        for term in terms:
-            acc = np.logaddexp(acc, term)
-        return acc
+        return self.dom.to_log(reduce(self.dom.add, terms))
 
     def model_marginals(self, state: SinkhornState, messages=None) -> ModelMarginals:
         if messages is None:
             messages = self.compute_messages(state)
         frontier = _Forward(self, state)
         model = np.empty(self._size)
-        lams = self._message_lams(state)
+        heads = self._head_scalings(state)
         for block, (part, _) in self._layout.items():
             model[part] = self._model(state, block,
-                                      self._aggregate(lams, block, messages, frontier))
+                                      self._aggregate(heads, block, messages, frontier))
         views = {block: model[part].reshape(shape) for block, (part, shape) in self._layout.items()}
         return ModelMarginals(model=model,
                               m={b: m for b, m in views.items() if b not in self.joints},
@@ -748,10 +764,9 @@ class PathSystem:
         """Project one block from the messages of ``state``; returns its new linear scaling."""
         if messages is None:
             messages = self.compute_messages(state)
-        agg = self._aggregate(self._message_lams(state), block, messages, _Forward(self, state))
+        agg = self._aggregate(self._head_scalings(state), block, messages, _Forward(self, state))
         state.x[self._layout[block][0]], _ = self._project(state, block, agg)
-        with np.errstate(over="ignore"):
-            return np.exp(state._views[block])
+        return _exp_live(state._views[block])
 
     def boundary_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
         """Match the node's marginal target exactly; returns the new linear scaling.
@@ -806,16 +821,16 @@ class PathSystem:
         """
         refresh = not self._order_follows_paths
         model = np.empty(self._size)
-        lams = None  # joint blocks read no Lambda
+        heads = None  # joint blocks read no Lambda
         for i, (block, (part, _)) in enumerate(self._layout.items()):
             if i == 0 or refresh:
                 if messages is None or i:
                     messages = self.compute_messages(state)
                 frontier = _Forward(self, state)
             if i == len(self.joints):  # node blocks share one exp of each new Lambda
-                lams = self._message_lams(state)
+                heads = self._head_scalings(state)
             state.x[part], model[part] = self._project(
-                state, block, self._aggregate(lams, block, messages, frontier))
+                state, block, self._aggregate(heads, block, messages, frontier))
         return self._violations(model)
 
     # ------------------------------------------------------------------
@@ -825,17 +840,9 @@ class PathSystem:
         """Total model mass per path, read at the source end from the backward messages."""
         if messages is None:
             messages = self.compute_messages(state)
-        out = np.empty(len(self.paths))
-        # paths of one source (or pair) share its message-domain scaling
-        scalings = self._message_lams(state) if self.mode == COUPLED else state.u
-        for p_idx, path in enumerate(self.paths):
-            chain = messages[p_idx][0]
-            scaling = scalings[(path.source, path.sink) if self.mode == COUPLED else path.source]
-            if self.log_domain:
-                out[p_idx] = np.exp(_lse_reduce((chain + scaling).ravel(), axis=0))
-            else:
-                out[p_idx] = float((chain * scaling).sum())
-        return out
+        dom, heads = self.dom, self._head_scalings(state)
+        return np.array([dom.to_linear(dom.sum(dom.mul(messages[p_idx][0], heads[head])))
+                         for p_idx, head in enumerate(self._heads)])
 
     def _edge_pair_marginal(self, state: SinkhornState, p_idx: int, l: int,
                             f: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -844,20 +851,18 @@ class PathSystem:
         ``f`` is the path's forward message at node l-1, ``b`` its backward
         message at node l.
         """
-        path = self.paths[p_idx]
+        path, dom = self.paths[p_idx], self.dom
         s_prev = self._scaling_at(state, path, l - 1)
         s_next = self._scaling_at(state, path, l)
-        kern = self.path_kernels[p_idx][l - 1]
+        kernel = self._steps[p_idx][l - 1][0].kernel
         if self.mode == COUPLED:
-            lam = self._message_scaling(state.lam[(path.source, path.sink)])
-            if self.log_domain:
-                left = _lse_matmul(f.T, _lse_matmul(lam, b.T))  # left[s, t]
-                return np.exp(left + s_prev[:, None] + kern.logK + s_next[None, :])
-            g = lam @ b.T
-            left = f.T @ g  # left[s, t]
-            return left * s_prev[:, None] * kern.K * s_next[None, :]
+            lam = dom.from_log(state._views[self._heads[p_idx]])
+            left = dom.matmul(f.T, dom.matmul(lam, b.T))  # left[s, t]
+            factors = [left, s_prev[:, None], kernel, s_next[None, :]]
+        else:
+            factors = [dom.mul(f, s_prev)[:, None], kernel, dom.mul(s_next, b)[None, :]]
         with np.errstate(over="ignore"):
-            return np.exp((f + s_prev)[:, None] + kern.logK + (s_next + b)[None, :])
+            return dom.to_linear(reduce(dom.mul, factors))
 
     def transport_cost(self, state: SinkhornState, messages=None) -> float:
         """<c, pi> summed over paths (forbidden transitions carry no mass)."""
@@ -994,14 +999,14 @@ def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None
     path = system.paths[check_path_index(path_index, len(system.paths))]
     if node not in path.nodes:
         raise BadParamError(f"{node} not on path {path}")
+    if node not in system._layout:
+        raise BadParamError("boundary flux is a joint matrix in coupled mode")
     pos = path.nodes.index(node)
     if messages is None:
         messages = system.compute_messages(state)
-    if system.mode == COUPLED and pos in (0, path.n_p - 1):
-        raise BadParamError("boundary flux is a joint matrix in coupled mode")
-    term = system._path_term(system._message_lams(state), path_index,
+    term = system._path_term(system._head_scalings(state), path_index,
                              _Forward(system, state)(path_index, pos), messages[path_index][pos])
-    return np.exp(term) if system.log_domain else term
+    return system.dom.to_linear(term)
 
 
 def aggregate_marginals(state: SinkhornState, messages=None) -> ModelMarginals:
@@ -1108,8 +1113,7 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
         raise PlanTooLargeError(f"{n_cells} cells exceed max_cells={max_cells}")
     shape = (n_t,) * path.n_p
     m = path.n_edges
-    log = system.log_domain
-    combine = np.add if log else np.multiply
+    dom = system.dom
 
     def view(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
         return arr.reshape([n_t if axis in axes else 1 for axis in range(path.n_p)])
@@ -1118,9 +1122,9 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     factors = [view(s, (pos,)) for pos, s in enumerate(scalings) if s is not system._unit]
     factors += [view(step.kernel, (l, l + 1))
                 for l, (step, _) in enumerate(system._steps[path_index])]
-    if system.mode == COUPLED:
-        factors.append(view(system._message_scaling(state.lam[(path.source, path.sink)]),
-                            (0, m)))
+    head = system._heads[path_index]
+    if head in system.joints:
+        factors.append(view(dom.from_log(state._views[head]), (0, m)))
 
     row = n_cells // n_t
     rows = max(1, _PLAN_SLAB // row)
@@ -1131,12 +1135,10 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     floor = min_mass
     for lo in range(0, n_t, rows):
         slab = buf[:min(rows, n_t - lo) * row].reshape((-1,) + shape[1:])
-        slab.fill(0.0 if log else 1.0)
+        slab.fill(dom.one)
         for f in factors:
-            combine(slab, f[lo:lo + rows] if f.shape[0] == n_t else f, out=slab)
-        if log:
-            np.exp(slab, out=slab)
-        flat = slab.ravel()
+            dom.mul(slab, f[lo:lo + rows] if f.shape[0] == n_t else f, out=slab)
+        flat = dom.to_linear(slab, out=slab).ravel()
         total_mass += float(flat.sum())
         local = np.flatnonzero(flat > floor)
         kept.append((local + lo * row, flat[local]))
@@ -1168,11 +1170,7 @@ def node_marginals(state: SinkhornState) -> dict[str, np.ndarray]:
     """Convenience: current model marginal per node (linear)."""
     mm = aggregate_marginals(state)
     out = dict(mm.m)
-    if state.system.mode == COUPLED:
-        for pair, mat in mm.joint_m.items():
-            src, snk = pair
-            out.setdefault(src, np.zeros(state.system.n_t))
-            out.setdefault(snk, np.zeros(state.system.n_t))
-            out[src] = out[src] + mat.sum(axis=1)
-            out[snk] = out[snk] + mat.sum(axis=0)
+    for (src, snk), mat in mm.joint_m.items():  # coupled mode's boundary nodes
+        out[src] = out.get(src, 0.0) + mat.sum(axis=1)
+        out[snk] = out.get(snk, 0.0) + mat.sum(axis=0)
     return out

@@ -362,6 +362,17 @@ class TestHiddenCommands:
         assert out[0] == "s_center,t_center,k,log_k"
         assert len(out) == 1 + 16
 
+    @pytest.mark.parametrize("argv", [
+        ["inspect-kernel", "--n-t", "1"], ["inspect-kernel", "--t-f", "-1"],
+        ["inspect-kernel", "--t-f", "nan"], ["inspect-kernel", "--t-f", "inf"],
+        ["inspect-kernel", "--weight", "nan"], ["inspect-kernel", "--epsilon", "inf"],
+        ["oracle", "{scenario}", "--iters", "-1"], ["oracle", "{scenario}", "--epsilon", "inf"]])
+    def test_bad_input_exits_2(self, tiny_scenario, capsys, argv):
+        # each bad value is rejected where it enters, with a message and no output
+        assert main([arg.format(scenario=tiny_scenario) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
 
 class TestColdStart:
     def test_no_scipy_on_the_import_path(self):

@@ -22,6 +22,9 @@ class TestTimeGrid:
             TimeGrid(t_f=0.0, n_t=8)
         with pytest.raises(ValueError):
             TimeGrid(t_f=1.0, n_t=1)
+        for t_f in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                TimeGrid(t_f=t_f, n_t=8)
 
     def test_bin_of_clips(self):
         g = TimeGrid(t_f=1.0, n_t=10)

@@ -60,6 +60,9 @@ class TestPairKernel:
             build_pair_kernel(grid8, 1.0, 0.0)
         with pytest.raises(BadParamError):
             build_pair_kernel(grid8, -1.0, 0.5)
+        for w, epsilon in ((np.nan, 0.5), (1.0, np.inf), (1.0, np.nan)):
+            with pytest.raises(BadParamError):
+                build_pair_kernel(grid8, w, epsilon)
 
 
 class TestPathCost:

@@ -6,7 +6,7 @@ import pytest
 from helpers import lp_min_cost_coupling
 
 from datransport import TimeGrid, chain_cost_tensor, dense_sinkhorn, entropy
-from datransport.errors import SizeCapError, UnreachableMassError
+from datransport.errors import BadParamError, SizeCapError, UnreachableMassError
 from datransport.reference_oracle import (
     DenseTensor,
     dense_coupled_sinkhorn,
@@ -155,6 +155,17 @@ class TestDenseSinkhorn:
             dense_sinkhorn(np.zeros((17, 17)), [("free", None)] * 2, 0.5, 1)
         with pytest.raises(SizeCapError):
             DenseTensor(np.zeros((8, 8, 8, 8, 8)))
+
+    @pytest.mark.parametrize("epsilon, iters", [
+        (0.0, 5), (-1.0, 5), (np.inf, 5), (np.nan, 5), (0.5, -1)])
+    def test_bad_run_rejected(self, epsilon, iters):
+        # both oracles, before any work: an infinite epsilon gave NaN
+        # marginals and a negative one ran on
+        cost = np.ones((4, 4, 4))
+        with pytest.raises(BadParamError):
+            dense_sinkhorn(cost, [("free", None)] * 3, epsilon, iters)
+        with pytest.raises(BadParamError):
+            dense_coupled_sinkhorn(cost, np.full((4, 4), 1 / 16), [np.ones(4)], epsilon, iters)
 
 
 class TestDenseCoupled:

@@ -313,7 +313,8 @@ class TestAbsorbedStep:
 
 class TestMessageSteps:
     @pytest.mark.parametrize("kind, log_domain", [
-        ("shared", True), ("coupled", False), ("coupled", True)])
+        ("shared", True), ("coupled", False), ("coupled", True),
+        ("coupled_shared", False), ("coupled_shared", True)])
     def test_every_path_edge_has_both_steps(self, grid16, kind, log_domain, monkeypatch):
         # each path-edge holds a (forward, backward) pair of step objects in
         # both modes, and each is the product it stands for: a log-sum-exp
@@ -869,7 +870,7 @@ class TestCoupledMode:
         msgs = system.compute_messages(state)
         fwd = _Forward(system, state)
         lam = np.exp(state.lam[("s", "t")])  # the state holds log-scalings in either domain
-        lams = system._message_lams(state)
+        lams = system._head_scalings(state)
         assert np.array_equal(lams[("s", "t")], lam)
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
@@ -893,7 +894,7 @@ class TestCoupledMode:
             want = np.exp(logs)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            np.testing.assert_array_equal(system._message_scaling(logs), want)
+            np.testing.assert_array_equal(system.dom.from_log(logs), want)
 
     def test_log_contractions_match_one_piece(self, grid16, monkeypatch):
         # the reference reduces one n_t**3 temporary per contraction; the
@@ -912,7 +913,7 @@ class TestCoupledMode:
                 f, b = fwd(p_idx, pos), msgs[p_idx][pos]
                 g = logsumexp(lam[:, None, :] + b[None, :, :], axis=2)  # g[i, t]
                 ref = logsumexp(f + g, axis=0)
-                ours = system._path_term(system._message_lams(state), p_idx, f, b)
+                ours = system._path_term(system._head_scalings(state), p_idx, f, b)
                 dead = np.isneginf(ref)
                 assert np.array_equal(np.isneginf(ours), dead) and dead.any()
                 np.testing.assert_allclose(ours[~dead], ref[~dead], rtol=1e-13)
@@ -999,7 +1000,8 @@ class TestExtractPlan:
                 extract_plan(state, 0, **kwargs)
 
     @pytest.mark.parametrize("kind, log_domain", [
-        ("line", True), ("coupled", False), ("coupled", True)])
+        ("line", True), ("coupled", False), ("coupled", True),
+        ("coupled_shared", False), ("coupled_shared", True)])
     def test_slabs_match_the_dense_plan(self, grid16, kind, log_domain, monkeypatch):
         _pick_domain(monkeypatch, log_domain)
         system = _pinning_instance(kind, grid16)
@@ -1105,6 +1107,14 @@ def _pick_domain(monkeypatch, log_domain):
     monkeypatch.setattr(PathSystem, "_neutral_chain_underflows", lambda self: log_domain)
 
 
+def _random_joint(grid, rng, gap, total=1.0):
+    """Joint law of the given total, random on the cells j >= i + gap and zero elsewhere."""
+    joint = np.zeros((grid.n_t, grid.n_t))
+    for i in range(grid.n_t - gap):
+        joint[i, i + gap:] = rng.uniform(0.1, 1.0, grid.n_t - gap - i)
+    return joint / (joint.sum() / total)
+
+
 def _pinning_instance(kind, grid):
     """Small ``PathSystem`` of each sweep shape."""
     rng = np.random.default_rng(51)
@@ -1121,10 +1131,20 @@ def _pinning_instance(kind, grid):
     if kind == "cyclic":
         net, paths = _cyclic_family(grid, rng)
         return PathSystem(net, paths, config=cfg)
-    joint = np.zeros((grid.n_t, grid.n_t))
-    for i in range(grid.n_t - 4):
-        joint[i, i + 4:] = rng.uniform(0.1, 1.0, grid.n_t - 4 - i)
-    joint /= joint.sum()
+    if kind == "coupled_shared":
+        # two pairs whose routes share the capped node c, which binds
+        joints = {("s1", "t"): _random_joint(grid, rng, 4, 0.5),
+                  ("s2", "t"): _random_joint(grid, rng, 5, 0.5)}
+        net = TransportNetwork(
+            grid=grid, nodes=("s1", "s2", "c", "t"),
+            edges={("s1", "c"): 1.0, ("s2", "c"): 1.2, ("c", "t"): 1.0},
+            sources={s: Measure(grid, joint.sum(axis=1)) for (s, _), joint in joints.items()},
+            sinks={"t": Measure(grid, sum(joints.values()).sum(axis=0))},
+            capacities={"c": CapacityProfile(grid, np.full(grid.n_t, 0.13))})
+        return PathSystem(net, [Path(("s1", "c", "t")), Path(("s2", "c", "t"))], mode="coupled",
+                          config=cfg, joints={pair: JointMeasure(grid, joint)
+                                              for pair, joint in joints.items()})
+    joint = _random_joint(grid, rng, 4)
     cap = CapacityProfile(grid, np.full(grid.n_t, 0.12))
     net = TransportNetwork(
         grid=grid, nodes=("s", "a", "b", "t"),
@@ -1188,18 +1208,22 @@ def _dense_plan(state, p_idx):
     path = system.paths[p_idx]
     n_t, n_p, log = system.n_t, path.n_p, system.log_domain
     combine = np.add if log else np.multiply
+    views = {**state.u, **state.w, **state.v}  # coupled boundary nodes have none
 
     def view(arr, axes):
         return arr.reshape([n_t if axis in axes else 1 for axis in range(n_p)])
 
+    def scaling(logs):
+        return logs if log else np.exp(logs)
+
     plan = np.full((n_t,) * n_p, 0.0 if log else 1.0)
-    for pos in range(n_p):
-        plan = combine(plan, view(system._scaling_at(state, path, pos), (pos,)))
+    for pos, node in enumerate(path.nodes):
+        if node in views:
+            plan = combine(plan, view(scaling(views[node]), (pos,)))
     for l, kern in enumerate(system.path_kernels[p_idx]):
         plan = combine(plan, view(kern.logK if log else kern.K, (l, l + 1)))
     if system.mode == "coupled":
-        lam = state.lam[(path.source, path.sink)]
-        plan = combine(plan, view(lam if log else np.exp(lam), (0, n_p - 1)))
+        plan = combine(plan, view(scaling(state.lam[(path.source, path.sink)]), (0, n_p - 1)))
     return np.exp(plan) if log else plan
 
 
@@ -1283,6 +1307,36 @@ class TestNumericDomain:
             np.testing.assert_allclose(ours.joint_m[pair], m, rtol=1e-10, atol=1e-10 * m.max())
 
 
+class TestDomainArithmetic:
+    def test_domains_agree_on_every_reader(self, grid16, monkeypatch):
+        # two pairs share the capped node c, so c's aggregate sums the terms
+        # of paths with different Lambdas: every reader of the messages gives
+        # the same figures in the log and the linear arithmetic
+        readings = []
+        for log_domain in (False, True):
+            _pick_domain(monkeypatch, log_domain)
+            system = _pinning_instance("coupled_shared", grid16)
+            assert system.dom is (sinkhorn_engine._Log if log_domain else sinkhorn_engine._Linear)
+            state = system.initial_state()
+            for _ in range(20):
+                _, _, v = system.sweep(state)
+            assert v > 1e-3  # the cap at c binds
+            # each path's term at c reads its own pair's Lambda
+            plans = [_dense_plan(state, p) for p in range(2)]
+            np.testing.assert_allclose(aggregate_marginals(state).m["c"],
+                                       sum(plan.sum(axis=(0, 2)) for plan in plans), rtol=1e-12)
+            readings.append({
+                "model": aggregate_marginals(state).model,
+                "path_masses": system.path_masses(state),
+                "dual": system.dual_objective(state),
+                "cost": system.transport_cost(state),
+                **{f"flux_profile {p}": flux_profile(state, p, "c") for p in range(2)},
+                **{f"extract_plan {p}": extract_plan(state, p).mass for p in range(2)}})
+        linear, log = readings
+        for key, value in linear.items():
+            np.testing.assert_allclose(log[key], value, rtol=1e-10, atol=0.0, err_msg=key)
+
+
 class TestFlatState:
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("shared", True), ("coupled", False), ("coupled", True)])
@@ -1330,10 +1384,7 @@ def _layout_instance(kind, grid):
     cap[5], cap[9] = 0.0, np.inf
     cfg = SolverConfig(epsilon=0.3)
     if kind == "coupled":
-        joint = np.zeros((grid.n_t, grid.n_t))
-        for i in range(grid.n_t - 4):
-            joint[i, i + 4:] = rng.uniform(0.1, 1.0, grid.n_t - 4 - i)
-        joint /= joint.sum()
+        joint = _random_joint(grid, rng, 4)
         joint[-1, 0] = tiny  # no path departs after it arrives
         net = TransportNetwork(
             grid=grid, nodes=("s", "a", "b", "t"),
@@ -1444,7 +1495,8 @@ class TestFlatLayout:
 
 class TestSweepPinning:
     @pytest.mark.parametrize("kind, log_domain", [
-        ("line", True), ("shared", True), ("cyclic", True), ("coupled", False), ("coupled", True)])
+        ("line", True), ("shared", True), ("cyclic", True), ("coupled", False), ("coupled", True),
+        ("coupled_shared", False), ("coupled_shared", True)])
     def test_sweep_is_exact_gauss_seidel(self, grid16, kind, log_domain, monkeypatch):
         # a sweep is, bit for bit, the public block updates in sweep order,
         # each of them computed from full messages of the current state.
