@@ -19,8 +19,6 @@ import time
 from dataclasses import replace
 from pathlib import Path as FsPath
 
-import numpy as np
-
 from .errors import NonFiniteError, SizeCapError, TransportError, UnreachableMassError
 from .grid_measures import TimeGrid
 from .kernels import build_pair_kernel

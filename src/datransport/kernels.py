@@ -24,7 +24,9 @@ class PairKernel:
     ``K[s, t] = exp(-w / (eps * (t_t - t_s)))`` for index ``t > s`` and 0
     elsewhere; ``logK`` holds the exponent with -inf on and below the
     diagonal.  ``K`` is built from ``logK`` on first use, so a solve that
-    never reads it (an independent one) never holds it.
+    never reads it (an independent one) never holds it.  ``cost`` is the
+    transit cost ``w / (t_t - t_s)`` above the diagonal and 0 elsewhere,
+    also built on first use.
     """
 
     grid: TimeGrid
@@ -37,6 +39,15 @@ class PairKernel:
         k = np.exp(self.logK)
         k.flags.writeable = False
         return k
+
+    @cached_property
+    def cost(self) -> np.ndarray:
+        t = self.grid.centers
+        gap = t[None, :] - t[:, None]
+        cost = np.zeros_like(gap)
+        cost[gap > 0] = self.w / gap[gap > 0]
+        cost.flags.writeable = False
+        return cost
 
 
 def build_pair_kernel(grid: TimeGrid, w: float, epsilon: float) -> PairKernel:

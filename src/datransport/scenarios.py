@@ -75,9 +75,6 @@ class ScenarioSpec:
     def load(cls, path) -> "ScenarioSpec":
         return cls.from_json(FsPath(path).read_text(encoding="utf-8"))
 
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
 
@@ -380,7 +377,7 @@ def check_property(prop: dict, built: BuiltScenario, state: SinkhornState,
     if kind == "boundary_match":
         tol = float(prop.get("tol", 1e-6))
         mm = aggregate_marginals(state)
-        e0, et, _ = state.system.violations(mm)
+        e0, et, _ = state.system.violations(mm.model)
         value = max(e0, et)
         return PropertyResult(kind, value <= tol, value,
                               f"boundary L1 errors E0={e0:.3e} ET={et:.3e} (tol {tol:.1e})")

@@ -13,10 +13,11 @@ after the update).
 
 Each block's target, or its cap for a capacity block, sits at the same
 place in one flat vector ``PathSystem.bound``, and a sweep or
-``model_marginals`` fills one flat model marginal the same way.  Sources
-(or joint pairs) come first, then caps, then sinks, so E0, V and ET are
-three slices of model - bound, and the dual's scaling term is one dot of
-the state with the bound on its live bins.
+``aggregate_marginals`` fills one flat model marginal the same way.
+Sources (or joint pairs) come first, then caps, then sinks, so E0, V and
+ET are three slices of model - bound (``PathSystem.violations``), and the
+dual's scaling term is one dot of the state with the bound on its live
+bins.
 
 Above the messages everything is in log units: aggregates, projections,
 violations, the dual and the mixing.  The engine picks the messages'
@@ -29,11 +30,12 @@ below ``LINEAR_CHAIN_FLOOR`` on a target cell
 log-sum-exp is one reduction, ``_lse_reduce``, so the engine needs numpy
 only.  Every path-edge has one step object per direction: a vector
 step is one BLAS mat-vec per block of a cached kernel with its last input
-absorbed (``_AbsorbedStep``); the blocks hold only the kernel's causal
-support (a particle arrives strictly after it departs), a little over half
-of its n_t**2 entries.  A step pays a full log-sum-exp only when it
-re-absorbs, after its input drifted more than ``ABSORB_BAND`` or a bin
-died or revived.  A matrix step is one BLAS or ``_lse_matmul`` product
+absorbed (``_AbsorbedStep``), which reads its kernel as [output, input]
+(``logK.T`` forward, ``logK`` backward); the blocks hold only the
+kernel's causal support (a particle arrives strictly after it departs), a
+little over half of its n_t**2 entries.  A step pays a full log-sum-exp
+only when it re-absorbs, after its input drifted more than
+``ABSORB_BAND`` or a bin died or revived.  A matrix step is one BLAS or ``_lse_matmul`` product
 (``_MatrixStep``).
 
 A solve runs at the one configured epsilon.  Each sweep is one cyclic
@@ -45,6 +47,11 @@ only a sweep over a cyclic path family refreshes the messages before each
 block.  Past a warm-up, both modes mix the sweeps
 (safeguarded Anderson mixing, ``_AndersonMixer``).  The primal transport
 cost is computed on demand, never per sweep.
+
+Each operation is written once.  A public block update checks its block
+and projects it through ``PathSystem._update_block``.  Only ``sweep``,
+``dual_objective`` and ``path_masses`` take ``messages``, so that
+``solve`` and the mixer share one pass; every other reader runs its own.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import BadParamError, NonFiniteError, PlanTooLargeError, UnreachableMassError
-from .grid_measures import JointMeasure, Measure
+from .grid_measures import JointMeasure
 from .kernels import PairKernel, build_pair_kernel
 from .network import Path, TransportNetwork, path_cost_terms, validate_paths
 
@@ -176,11 +183,6 @@ class ConvergenceReport:
     objective: np.ndarray  # dual objective trace
     converged: bool
     iterations: int
-    tol: float
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.e0 + self.et + self.v
 
 
 @dataclass(eq=False)
@@ -213,11 +215,6 @@ def _lse_reduce(a: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         np.exp(a, out=a)
         return np.log(a.sum(axis=axis)) + amax.squeeze(axis)
-
-
-def _lse_cols(logk: np.ndarray, lv: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """out[t] = LSE_s(logk[s, t] + lv[s]), in ``work`` when given."""
-    return _lse_reduce(np.add(logk, lv[:, None], out=work), axis=0)
 
 
 def _lse_rows(logk: np.ndarray, lv: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
@@ -280,19 +277,19 @@ class _Linear:
         return a  # ``out``, when given, is ``a``
 
 
-def _causal_windows(logk: np.ndarray, axis: int) -> list[tuple[slice, slice]]:
-    """(output, input) ranges of the blocks of an absorbed step along ``axis``.
+def _causal_windows(kernel: np.ndarray) -> list[tuple[slice, slice]]:
+    """(output, input) ranges of the blocks of an absorbed step's ``kernel[output, input]``.
 
-    The output axis is cut into ``n_t // _ABSORB_ROWS`` equal blocks; each
+    The outputs are cut into ``n_t // _ABSORB_ROWS`` equal blocks; each
     takes the span of the kernel's finite entries on its outputs as its
     input range, and a block with none (outputs -inf whatever the input) is
     left out.  A single block keeps the whole kernel.
     """
-    n = logk.shape[1 - axis]
+    n = kernel.shape[0]
     k = max(1, n // _ABSORB_ROWS)
     if k == 1:
-        return [(slice(0, n), slice(0, logk.shape[axis]))]
-    reach = np.isfinite(logk.T if axis == 0 else logk)  # reach[output, input]
+        return [(slice(0, n), slice(0, kernel.shape[1]))]
+    reach = np.isfinite(kernel)
     bounds = [n * j // k for j in range(k + 1)]
     windows = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -305,34 +302,35 @@ def _causal_windows(logk: np.ndarray, axis: int) -> list[tuple[slice, slice]]:
 class _AbsorbedStep:
     """One log-domain vector message step across one edge, in one direction.
 
-    ``axis`` 0 is the forward step, out[t] = LSE_s(logK[s, t] + x[s]); axis
-    1 the backward one, out[s] = LSE_t(logK[s, t] + x[t]).  The input x is
-    a message plus a scaling, in log units, summed by the call.
+    ``kernel[o, i]`` is the log kernel from input bin i to output bin o, and
+    the step is out[o] = LSE_i(kernel[o, i] + x[i]): the forward step takes
+    the view ``logK.T``, the backward one ``logK``.  The input x is a
+    message plus a scaling, in log units, summed by the call.
 
-    The step keeps the kernel in blocks along its output axis, each holding
-    only the input range its outputs can reach (``windows``, from
-    ``_causal_windows``), in ``logK``'s orientation.  Since the kernel is
-    -inf on and below its diagonal, the blocks hold a little over half of
-    its n_t**2 entries.
+    The step keeps the kernel in blocks of output rows, each holding only
+    the input range its outputs can reach (``windows``, from
+    ``_causal_windows``).  Each block's buffer is laid out in memory like
+    its part of ``logK``, so the forward and backward steps of an edge run
+    the same reductions and BLAS calls on the same memory order.  Since the
+    kernel is -inf on and below its diagonal, the blocks hold a little over
+    half of its n_t**2 entries.
 
     Absorbing x as r runs the plain log-sum-exp of each block in place in
     that block's own buffer and returns the outputs unchanged.  It then
-    scales every reduced slice to sum 1 and keeps the outputs as the
-    offsets ``c`` (-inf on all--inf slices, which stay -inf).  A later
-    input with exactly r's dead (-inf) bins and within ``ABSORB_BAND`` of r
-    on the live ones is served by one exp and one mat-vec per block, c +
-    log(block.T @ exp(x - r)) (``block @`` backward) on the block's slice
-    of the outputs.  Each live slice then sums to between exp(-band) and
-    exp(band), so the entries that underflowed in a block weigh nothing
-    against it and the step matches the log-sum-exp to round-off
-    (Schmitzer, SIAM J. Sci. Comput. 2019).  Any other input re-absorbs.
-    A bin that dies must re-absorb too: the slices it dominated may keep
-    nothing but underflowed entries.
+    scales every row to sum 1 and keeps the outputs as the offsets ``c``
+    (-inf on all--inf rows, which stay -inf).  A later input with exactly
+    r's dead (-inf) bins and within ``ABSORB_BAND`` of r on the live ones
+    is served by one exp and one mat-vec per block, c + log(block @
+    exp(x - r)) on the block's slice of the outputs.  Each live row then
+    sums to between exp(-band) and exp(band), so the entries that
+    underflowed in a block weigh nothing against it and the step matches
+    the log-sum-exp to round-off (Schmitzer, SIAM J. Sci. Comput. 2019).
+    Any other input re-absorbs.  A bin that dies must re-absorb too: the
+    rows it dominated may keep nothing but underflowed entries.
     """
 
-    def __init__(self, kernel: np.ndarray, axis: int, windows: list[tuple[slice, slice]]):
-        self.kernel = kernel  # logK
-        self.axis = axis
+    def __init__(self, kernel: np.ndarray, windows: list[tuple[slice, slice]]):
+        self.kernel = kernel
         self.windows = windows
         self.blocks: list[np.ndarray] | None = None
         self.r: np.ndarray | None = None  # absorbed input, 0 on dead bins; None re-absorbs
@@ -347,7 +345,7 @@ class _AbsorbedStep:
             if (d <= self.hi).all() and (d >= self.lo).all():
                 np.exp(d, out=d)
                 for (out, inp), block in zip(self.windows, self.blocks):
-                    np.matmul(block.T if self.axis == 0 else block, d[inp], out=self.y[out])
+                    np.matmul(block, d[inp], out=self.y[out])
                 # y > 0 exactly on the live outputs; the others keep 0, and c
                 # is -inf there
                 np.log(self.y, out=self.y, where=self.live)
@@ -355,20 +353,18 @@ class _AbsorbedStep:
         return self._absorb(x)
 
     def _absorb(self, x: np.ndarray) -> np.ndarray:
-        n_out = self.kernel.shape[1 - self.axis]
+        n_out = self.kernel.shape[0]
         if self.blocks is None:
-            self.blocks = [np.empty(self._kernel_block(out, inp).shape)
-                           for out, inp in self.windows]
+            self.blocks = [np.empty_like(self.kernel[out, inp]) for out, inp in self.windows]
             # the mat-vecs' output; outputs of no block stay 0, so -inf
             self.y = np.zeros(n_out)
         c = np.full(n_out, -np.inf)
-        lse = _lse_cols if self.axis == 0 else _lse_rows
         for (out, inp), block in zip(self.windows, self.blocks):
-            c[out] = lse(self._kernel_block(out, inp), x[inp], block)
-            total = block.sum(axis=self.axis)
-            scale = np.where(total > 0, total, 1.0)  # all--inf slices stay 0
-            block /= scale[None, :] if self.axis == 0 else scale[:, None]
-            # subnormal entries weigh nothing against a slice of sum 1, but
+            c[out] = _lse_rows(self.kernel[out, inp], x[inp], block)
+            total = block.sum(axis=1)
+            scale = np.where(total > 0, total, 1.0)  # all--inf rows stay 0
+            block /= scale[:, None]
+            # subnormal entries weigh nothing against a row of sum 1, but
             # slow the mat-vec down many times over
             block[block < np.finfo(float).tiny] = 0.0
         self.c = c
@@ -380,10 +376,6 @@ class _AbsorbedStep:
         self.hi = np.where(dead, -np.inf, ABSORB_BAND)
         self.lo = np.where(dead, -np.inf, -ABSORB_BAND)
         return c
-
-    def _kernel_block(self, out: slice, inp: slice) -> np.ndarray:
-        """The part of ``logK`` a block covers, in ``logK``'s orientation."""
-        return self.kernel[inp, out] if self.axis == 0 else self.kernel[out, inp]
 
 
 class _MatrixStep:
@@ -526,7 +518,6 @@ class PathSystem:
         self._dual_bound = self.bound[self._dual_bins]
 
         self.epsilon = config.epsilon
-        self._cost_mats: dict[float, np.ndarray] = {}  # built by transport_cost
         self._kernel_cache: dict[float, PairKernel] = {}
         for weights in self.path_weights:
             for w in weights:
@@ -542,14 +533,14 @@ class PathSystem:
         # neutral scaling vector and neutral message (the identity on the boundary
         # bins in coupled mode), shared by every path and state, so read-only; and
         # the (forward, backward) message steps per path and edge, each with its
-        # edge's kernel.  Vector steps take their block windows once per kernel
+        # edge's kernel.  Vector steps read the kernel as [output, input] and
+        # take their block windows once per kernel and direction
         self._unit = np.full(self.n_t, dom.one)
         if mode == INDEPENDENT:
             self._start = self._unit
-            windows = {w: [_causal_windows(k.logK, axis) for axis in (0, 1)]
-                       for w, k in self._kernel_cache.items()}
-            self._steps = [[tuple(_AbsorbedStep(k.logK, axis, windows[k.w][axis])
-                                  for axis in (0, 1)) for k in kernels]
+            sides = {w: [(kern, _causal_windows(kern)) for kern in (k.logK.T, k.logK)]
+                     for w, k in self._kernel_cache.items()}
+            self._steps = [[tuple(_AbsorbedStep(*side) for side in sides[k.w]) for k in kernels]
                            for kernels in self.path_kernels]
         else:
             start = np.full((self.n_t, self.n_t), -np.inf)
@@ -613,20 +604,6 @@ class PathSystem:
         if len(order) == len(first_seen):
             return order, True
         return sorted(first_seen, key=first_seen.get), False
-
-    # ------------------------------------------------------------------
-    # costs
-
-    def _cost_mat(self, w: float) -> np.ndarray:
-        """Transit cost w / (t - s) of one edge weight on the grid, 0 where t <= s."""
-        if w not in self._cost_mats:
-            t = self.grid.centers
-            gap = t[None, :] - t[:, None]
-            ok = gap > 0
-            cost_mat = np.zeros_like(gap)
-            cost_mat[ok] = w / gap[ok]
-            self._cost_mats[w] = cost_mat
-        return self._cost_mats[w]
 
     # ------------------------------------------------------------------
     # state
@@ -694,26 +671,8 @@ class PathSystem:
                      for p, pos in self.positions[block]]
         return self.dom.to_log(reduce(self.dom.add, terms))
 
-    def model_marginals(self, state: SinkhornState, messages=None) -> ModelMarginals:
-        if messages is None:
-            messages = self.compute_messages(state)
-        frontier = _Forward(self, state)
-        model = np.empty(self._size)
-        heads = self._head_scalings(state)
-        for block, (part, _) in self._layout.items():
-            model[part] = self._model(state, block,
-                                      self._aggregate(heads, block, messages, frontier))
-        views = {block: model[part].reshape(shape) for block, (part, shape) in self._layout.items()}
-        return ModelMarginals(model=model,
-                              m={b: m for b, m in views.items() if b not in self.joints},
-                              joint_m={b: m for b, m in views.items() if b in self.joints})
-
-    def violations(self, mm: ModelMarginals) -> tuple[float, float, float]:
-        """L1 source error E0, sink error ET, capacity excess V."""
-        return self._violations(mm.model)
-
-    def _violations(self, model: np.ndarray) -> tuple[float, float, float]:
-        """(E0, ET, V) of a flat model marginal, from three slices of model - bound."""
+    def violations(self, model: np.ndarray) -> tuple[float, float, float]:
+        """L1 source error E0, sink error ET, capacity excess V: slices of flat model - bound."""
         gap = model - self.bound
         caps = self._caps_part
         return (float(np.abs(gap[:caps.start]).sum()), float(np.abs(gap[caps.stop:]).sum()),
@@ -737,8 +696,13 @@ class PathSystem:
 
     @staticmethod
     def _cap_over_aggregate(log_cap: np.ndarray, agg: np.ndarray) -> np.ndarray:
-        """Clipped capacity projection min(log cap - log aggregate, 0); slack bins get 0."""
-        return np.where(np.isneginf(agg), 0.0, np.minimum(log_cap - agg, 0.0))
+        """Clipped capacity projection min(log cap - log aggregate, 0); slack bins get 0.
+
+        The difference is taken on live bins only, so a zero cap's -inf
+        meets no -inf aggregate.
+        """
+        live = ~np.isneginf(agg)
+        return np.minimum(np.subtract(log_cap, agg, out=np.zeros_like(agg), where=live), 0.0)
 
     def _model(self, state: SinkhornState, block, agg: np.ndarray) -> np.ndarray:
         """Model marginal of one block from its log aggregate."""
@@ -760,46 +724,12 @@ class PathSystem:
         return self._target_over_aggregate(self.bound[part], self.log_bound[part],
                                            agg, label), model
 
-    def _update_block(self, state: SinkhornState, block, messages) -> np.ndarray:
-        """Project one block from the messages of ``state``; returns its new linear scaling."""
-        if messages is None:
-            messages = self.compute_messages(state)
-        agg = self._aggregate(self._head_scalings(state), block, messages, _Forward(self, state))
+    def _update_block(self, state: SinkhornState, block) -> np.ndarray:
+        """Project one block from one message pass of ``state``; returns its new linear scaling."""
+        agg = self._aggregate(self._head_scalings(state), block, self.compute_messages(state),
+                              _Forward(self, state))
         state.x[self._layout[block][0]], _ = self._project(state, block, agg)
         return _exp_live(state._views[block])
-
-    def boundary_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
-        """Match the node's marginal target exactly; returns the new linear scaling.
-
-        ``messages``, if given, is the backward half from ``compute_messages``;
-        each call builds its own forward frontier.
-        """
-        if self.mode == COUPLED:
-            raise BadParamError("coupled mode updates the joint via coupled_boundary_update")
-        if node not in self.mu0 and node not in self.muT:
-            raise BadParamError(f"{node} is not a boundary node")
-        return self._update_block(state, node, messages)
-
-    def capacity_update(self, state: SinkhornState, node: str, messages=None) -> np.ndarray:
-        """Clip the node's marginal to its cap; returns the new linear scaling.
-
-        ``messages``, if given, is the backward half from ``compute_messages``;
-        each call builds its own forward frontier.
-        """
-        if node not in self.caps:
-            raise BadParamError(f"{node} is not an interior node")
-        return self._update_block(state, node, messages)
-
-    def coupled_boundary_update(self, state: SinkhornState, pair: tuple[str, str],
-                                messages=None) -> np.ndarray:
-        """Match the joint boundary law exactly; returns the new linear Lambda.
-
-        ``messages``, if given, is the backward half from ``compute_messages``;
-        each call builds its own forward frontier.
-        """
-        if self.mode != COUPLED:
-            raise BadParamError("coupled_boundary_update requires coupled mode")
-        return self._update_block(state, pair, messages)
 
     # ------------------------------------------------------------------
     # sweeps
@@ -831,7 +761,7 @@ class PathSystem:
                 heads = self._head_scalings(state)
             state.x[part], model[part] = self._project(
                 state, block, self._aggregate(heads, block, messages, frontier))
-        return self._violations(model)
+        return self.violations(model)
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -854,7 +784,7 @@ class PathSystem:
         path, dom = self.paths[p_idx], self.dom
         s_prev = self._scaling_at(state, path, l - 1)
         s_next = self._scaling_at(state, path, l)
-        kernel = self._steps[p_idx][l - 1][0].kernel
+        kernel = self._steps[p_idx][l - 1][1].kernel
         if self.mode == COUPLED:
             lam = dom.from_log(state._views[self._heads[p_idx]])
             left = dom.matmul(f.T, dom.matmul(lam, b.T))  # left[s, t]
@@ -864,18 +794,16 @@ class PathSystem:
         with np.errstate(over="ignore"):
             return dom.to_linear(reduce(dom.mul, factors))
 
-    def transport_cost(self, state: SinkhornState, messages=None) -> float:
+    def transport_cost(self, state: SinkhornState) -> float:
         """<c, pi> summed over paths (forbidden transitions carry no mass)."""
-        if messages is None:
-            messages = self.compute_messages(state)
+        messages = self.compute_messages(state)
         frontier = _Forward(self, state)
         total = 0.0
         for p_idx, path in enumerate(self.paths):
             for l in range(1, path.n_p):
                 pm = self._edge_pair_marginal(state, p_idx, l, frontier(p_idx, l - 1),
                                               messages[p_idx][l])
-                cost_mat = self._cost_mat(float(self.path_weights[p_idx][l - 1]))
-                total += float((pm * cost_mat).sum())
+                total += float((pm * self.path_kernels[p_idx][l - 1].cost).sum())
         return total
 
     def dual_objective(self, state: SinkhornState, messages=None) -> float:
@@ -989,12 +917,8 @@ def check_plan_options(max_cells, top_k, min_mass) -> None:
         raise BadParamError(f"min_mass must be finite and nonnegative, got {min_mass}")
 
 
-def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None) -> np.ndarray:
-    """Linear partial contraction at ``node`` for one path, excluding its own scaling.
-
-    ``messages``, if given, is the backward half from ``compute_messages``;
-    each call builds its own forward frontier up to ``node``.
-    """
+def flux_profile(state: SinkhornState, path_index: int, node: str) -> np.ndarray:
+    """Linear partial contraction at ``node`` for one path, excluding its own scaling."""
     system = state.system
     path = system.paths[check_path_index(path_index, len(system.paths))]
     if node not in path.nodes:
@@ -1002,27 +926,50 @@ def flux_profile(state: SinkhornState, path_index: int, node: str, messages=None
     if node not in system._layout:
         raise BadParamError("boundary flux is a joint matrix in coupled mode")
     pos = path.nodes.index(node)
-    if messages is None:
-        messages = system.compute_messages(state)
     term = system._path_term(system._head_scalings(state), path_index,
-                             _Forward(system, state)(path_index, pos), messages[path_index][pos])
+                             _Forward(system, state)(path_index, pos),
+                             system.compute_messages(state)[path_index][pos])
     return system.dom.to_linear(term)
 
 
-def aggregate_marginals(state: SinkhornState, messages=None) -> ModelMarginals:
-    return state.system.model_marginals(state, messages)
+def aggregate_marginals(state: SinkhornState) -> ModelMarginals:
+    """Model marginal of every block of ``state``, from one message pass."""
+    system = state.system
+    messages = system.compute_messages(state)
+    frontier = _Forward(system, state)
+    heads = system._head_scalings(state)
+    model = np.empty(system._size)
+    for block, (part, _) in system._layout.items():
+        model[part] = system._model(state, block,
+                                    system._aggregate(heads, block, messages, frontier))
+    views = {block: model[part].reshape(shape) for block, (part, shape) in system._layout.items()}
+    return ModelMarginals(model=model,
+                          m={b: m for b, m in views.items() if b not in system.joints},
+                          joint_m={b: m for b, m in views.items() if b in system.joints})
 
 
 def boundary_update(state: SinkhornState, node: str) -> np.ndarray:
-    return state.system.boundary_update(state, node)
+    """Match the node's marginal target exactly; returns the new linear scaling."""
+    system = state.system
+    if system.mode == COUPLED:
+        raise BadParamError("coupled mode updates the joint via coupled_boundary_update")
+    if node not in system.mu0 and node not in system.muT:
+        raise BadParamError(f"{node} is not a boundary node")
+    return system._update_block(state, node)
 
 
 def capacity_update(state: SinkhornState, node: str) -> np.ndarray:
-    return state.system.capacity_update(state, node)
+    """Clip the node's marginal to its cap; returns the new linear scaling."""
+    if node not in state.system.caps:
+        raise BadParamError(f"{node} is not an interior node")
+    return state.system._update_block(state, node)
 
 
 def coupled_boundary_update(state: SinkhornState, pair: tuple[str, str]) -> np.ndarray:
-    return state.system.coupled_boundary_update(state, pair)
+    """Match the joint boundary law exactly; returns the new linear Lambda."""
+    if state.system.mode != COUPLED:
+        raise BadParamError("coupled_boundary_update requires coupled mode")
+    return state.system._update_block(state, pair)
 
 
 def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
@@ -1090,7 +1037,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
             next_point = mixer.step(state, x_prev, value)
     report = ConvergenceReport(
         e0=np.array(e0s), et=np.array(ets), v=np.array(vs),
-        objective=np.array(objs), converged=converged, iterations=len(e0s), tol=config.tol)
+        objective=np.array(objs), converged=converged, iterations=len(e0s))
     return state, report
 
 
@@ -1121,7 +1068,7 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     scalings = [system._scaling_at(state, path, pos) for pos in range(m + 1)]
     factors = [view(s, (pos,)) for pos, s in enumerate(scalings) if s is not system._unit]
     factors += [view(step.kernel, (l, l + 1))
-                for l, (step, _) in enumerate(system._steps[path_index])]
+                for l, (_, step) in enumerate(system._steps[path_index])]
     head = system._heads[path_index]
     if head in system.joints:
         factors.append(view(dom.from_log(state._views[head]), (0, m)))

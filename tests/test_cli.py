@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path as FsPath
 
@@ -145,6 +146,17 @@ class TestSolveCommand:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(bad), encoding="utf-8")
         assert main(["solve", str(p), "--output", str(tmp_path / "out")]) == 4
+
+    def test_zero_cap_exits_4_without_warnings(self, tmp_path, capsys):
+        # a zero cap meets a zero aggregate on the bins no path reaches (the
+        # grid's first bin); the projection must not subtract -inf from -inf
+        zero = dict(TINY, capacities={"m": 0.0})
+        p = tmp_path / "zero_cap.json"
+        p.write_text(json.dumps(zero), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["solve", str(p), "--output", str(tmp_path / "out")]) == 4
+        assert "zero aggregate flux" in capsys.readouterr().err
 
     def test_deterministic_reruns(self, tiny_scenario, tmp_path):
         out1 = tmp_path / "r1"

@@ -55,6 +55,14 @@ class TestPairKernel:
         assert k.K is k.K
         assert not k.K.flags.writeable and not k.logK.flags.writeable
 
+    def test_transit_cost_built_on_first_use(self, grid10):
+        k = build_pair_kernel(grid10, 1.7, 0.3)
+        assert "cost" not in vars(k)
+        t = grid10.centers
+        for s, u in itertools.product(range(10), repeat=2):
+            assert k.cost[s, u] == (1.7 / (t[u] - t[s]) if u > s else 0.0)
+        assert k.cost is k.cost and not k.cost.flags.writeable
+
     def test_bad_params(self, grid8):
         with pytest.raises(BadParamError):
             build_pair_kernel(grid8, 1.0, 0.0)

@@ -35,6 +35,7 @@ from datransport.errors import (
 )
 from datransport.kernels import build_pair_kernel
 from datransport.reference_oracle import dense_coupled_sinkhorn
+from datransport.reference_oracle import transport_cost as dense_transport_cost
 from datransport.scenarios import scenario_61
 from datransport.sinkhorn_engine import (
     ABSORB_BAND,
@@ -45,7 +46,6 @@ from datransport.sinkhorn_engine import (
     _AbsorbedStep,
     _causal_windows,
     _Forward,
-    _lse_cols,
     _lse_matmul,
     _lse_reduce,
     _lse_rows,
@@ -76,7 +76,7 @@ class TestLogSumExp:
             logk[:, 5] = -np.inf
             lv[7] = -np.inf
         kept = logk.copy()
-        for ours, ref in ((_lse_cols(logk, lv), logsumexp(logk + lv[:, None], axis=0)),
+        for ours, ref in ((_lse_rows(logk.T, lv), logsumexp(logk + lv[:, None], axis=0)),
                           (_lse_rows(logk, lv), logsumexp(logk + lv[None, :], axis=1))):
             dead = np.isneginf(ref)
             assert np.array_equal(np.isneginf(ours), dead)
@@ -143,18 +143,18 @@ def _absorbed_reference(logk, x, axis):
 
 
 def _absorbed_step(logk, axis):
-    return _AbsorbedStep(logk, axis, _causal_windows(logk, axis))
+    """The forward (axis 0) or backward (axis 1) absorbed step of ``logk``."""
+    kernel = logk.T if axis == 0 else logk
+    return _AbsorbedStep(kernel, _causal_windows(kernel))
 
 
-def _absorbed_entry(step, s, t):
-    """Entry (s, t) of the step's absorbed kernel, read from the block that stores it."""
-    o, i = (t, s) if step.axis == 0 else (s, t)
+def _absorbed_entry(step, o, i):
+    """Entry [o, i] of the step's absorbed kernel, read from the block that stores it."""
     for (out, inp), block in zip(step.windows, step.blocks):
         if out.start <= o < out.stop:
             assert inp.start <= i < inp.stop
-            rows, cols = (inp, out) if step.axis == 0 else (out, inp)
-            return block[s - rows.start, t - cols.start]
-    raise AssertionError(f"no block stores ({s}, {t})")
+            return block[o - out.start, i - inp.start]
+    raise AssertionError(f"no block stores ({o}, {i})")
 
 
 # rows per block: the default (one block on these small grids) and a few
@@ -256,7 +256,7 @@ class TestAbsorbedStep:
             x[[mirror(k) for k in range(20, 26)]] = 0.0
             step(x, 0.0)
             weak, out = mirror(25), mirror(26)
-            assert _absorbed_entry(step, *sorted((weak, out))) == 0.0
+            assert _absorbed_entry(step, out, weak) == 0.0
             x[[mirror(k) for k in range(20, 25)]] = -np.inf
             ours = step(x, 0.0)
             ref = _absorbed_reference(logk, x, axis)
@@ -266,27 +266,29 @@ class TestAbsorbedStep:
 
     def test_blocks_keep_the_causal_support(self):
         # at n_t 400 the default blocks store under 0.6 n_t**2 entries, hold
-        # every finite kernel entry, and store no input slice that lies
-        # wholly at t <= s
+        # every finite kernel entry, store no input slice that lies wholly
+        # at t <= s, and are laid out in memory like logK
         grid = TimeGrid(t_f=1.0, n_t=400)
         mu0, muT = ordered_random_pair(grid, np.random.default_rng(7), 3)
         net, path = make_line_net(grid, [1.0, 0.5, 1.0], mu0, muT)
         system = PathSystem(net, [path])
         # the marginals read every forward and every backward step
-        system.model_marginals(system.initial_state())
+        aggregate_marginals(system.initial_state())
         n = grid.n_t
-        for step in (step for pair in system._steps[0] for step in pair):
-            assert len(step.windows) > 1
-            assert sum(block.size for block in step.blocks) <= 0.6 * n ** 2
-            stored = np.zeros((n, n), dtype=int)
-            for (out, inp), block in zip(step.windows, step.blocks):
-                rows, cols = (inp, out) if step.axis == 0 else (out, inp)
-                assert block.shape == (rows.stop - rows.start, cols.stop - cols.start)
-                stored[rows, cols] += 1
-                s, t = np.arange(n)[rows, None], np.arange(n)[None, cols]
-                assert np.all((t > s).any(axis=1 - step.axis))
-            finite = np.isfinite(step.kernel)
-            assert stored.max() == 1 and np.all(stored[finite] == 1)
+        for kern, steps in zip(system.path_kernels[0], system._steps[0]):
+            for axis, step in enumerate(steps):
+                assert len(step.windows) > 1
+                assert sum(block.size for block in step.blocks) <= 0.6 * n ** 2
+                stored = np.zeros((n, n), dtype=int)  # in logK's [s, t]
+                for (out, inp), block in zip(step.windows, step.blocks):
+                    assert block.shape == (out.stop - out.start, inp.stop - inp.start)
+                    assert block.flags.f_contiguous if axis == 0 else block.flags.c_contiguous
+                    rows, cols = (inp, out) if axis == 0 else (out, inp)
+                    stored[rows, cols] += 1
+                    s, t = np.arange(n)[rows, None], np.arange(n)[None, cols]
+                    assert np.all((t > s).any(axis=1 - axis))
+                finite = np.isfinite(kern.logK)
+                assert stored.max() == 1 and np.all(stored[finite] == 1)
 
     def test_log_domain_builds_no_linear_matrices(self, grid16):
         # linear kernels and cost matrices are built on first use only
@@ -294,11 +296,11 @@ class TestAbsorbedStep:
         state, _ = solve(system.net, system.paths, config=replace(system.config,
                                                                   **fixed_sweeps(5)))
         aggregate_marginals(state)
-        system = state.system
-        assert not any("K" in vars(k) for k in system._kernel_cache.values())
-        assert not system._cost_mats
-        assert system.transport_cost(state) > 0
-        assert len(system._cost_mats) == 1
+        kernels = state.system._kernel_cache.values()
+        assert not any("K" in vars(k) or "cost" in vars(k) for k in kernels)
+        assert state.system.transport_cost(state) > 0
+        assert not any("K" in vars(k) for k in kernels)
+        assert sum("cost" in vars(k) for k in kernels) == 1
 
     def test_solve_rarely_reabsorbs(self, monkeypatch):
         spec = scenario_61()
@@ -508,6 +510,21 @@ class TestBlockUpdates:
         mm2 = aggregate_marginals(state2)
         assert np.max(mm2.m["n1"] - cap) <= 1e-10
 
+    def test_zero_cap_bins_warn_nothing(self, grid8):
+        # the first bin of an interior node is unreachable, so its aggregate
+        # is -inf; a zero cap there must not take -inf - -inf
+        rng = np.random.default_rng(8)
+        mu0, muT = ordered_random_pair(grid8, rng, 2)
+        cap = np.full(8, 0.5)
+        cap[:2] = 0.0
+        net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT, caps={"n1": cap})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            state, _ = solve(net, [path], config=SolverConfig(epsilon=0.3, **fixed_sweeps(5)))
+            w = capacity_update(state, "n1")
+        # bin 0 is slack (no flux to clip), bin 1 is clipped to nothing
+        assert w[0] == 1.0 and w[1] == 0.0 and np.all(w[2:] > 0.0)
+
     def test_wrong_node_kind_rejected(self, grid8):
         mu0, muT = np.full(8, 0.125), np.full(8, 0.125)
         net, path = make_line_net(grid8, [1.0, 1.0], mu0, muT)
@@ -583,6 +600,27 @@ class TestDenseOracleEquivalence:
         for axis, node in enumerate(path.nodes):
             scale = res.marginals[axis].max()
             assert np.abs(mm.m[node] - res.marginals[axis]).max() / scale <= 1e-12
+
+    def test_unequal_weights_cost_and_plan(self, grid8):
+        # every edge has its own weight, so each edge's kernel and cost must
+        # be its own: the path's cost and plan cells match the dense oracle
+        rng = np.random.default_rng(13)
+        mu0, muT = ordered_random_pair(grid8, rng, 3)
+        weights = [1.0, 0.5, 2.0]
+        caps = {"n1": np.full(8, 0.3), "n2": np.full(8, 0.25)}
+        net, path = make_line_net(grid8, weights, mu0, muT, caps=caps)
+        sweeps = 20
+        assert sweeps <= ANDERSON_WARMUP
+        state, _ = solve(net, [path], config=SolverConfig(epsilon=0.3, **fixed_sweeps(sweeps)))
+        cost = chain_cost_tensor(grid8.centers, weights)
+        res = dense_sinkhorn(cost, [("eq", mu0), ("ub", caps["n1"]),
+                                    ("ub", caps["n2"]), ("eq", muT)], 0.3, sweeps)
+        assert state.system.transport_cost(state) == pytest.approx(
+            dense_transport_cost(cost, res.plan), rel=1e-12, abs=0.0)
+        cells = extract_plan(state, 0)
+        dense_engine = np.zeros(res.plan.shape)
+        dense_engine[tuple(cells.indices.T)] = cells.mass
+        assert np.abs(dense_engine - res.plan.values).max() <= 1e-12 * res.plan.values.max()
 
 
 class TestSolve:
@@ -736,13 +774,8 @@ class TestSolve:
             assert np.array_equal(np.isneginf(msgs[0][l]), dead)
             np.testing.assert_allclose(msgs[0][l][~dead], ref[~dead], rtol=1e-12)
         # the path mass read at the source end is the one seen at the sink end
-        at_sink = float((flux_profile(state, 0, "n2", msgs) * np.exp(state.v["n2"])).sum())
+        at_sink = float((flux_profile(state, 0, "n2") * np.exp(state.v["n2"])).sum())
         assert system.path_masses(state, msgs)[0] == pytest.approx(at_sink, rel=1e-12)
-        # readers handed the messages match readers that compute their own
-        assert np.array_equal(system.model_marginals(state, msgs).model,
-                              system.model_marginals(state).model)
-        assert np.array_equal(flux_profile(state, 0, "n1", msgs), flux_profile(state, 0, "n1"))
-        assert system.transport_cost(state, msgs) == system.transport_cost(state)
 
     def test_non_finite_row_raises(self, grid10, monkeypatch):
         rng = np.random.default_rng(25)
@@ -927,9 +960,8 @@ class TestCoupledMode:
                 ref = np.exp(left + s_prev[:, None] + logk + s_next[None, :])
                 np.testing.assert_allclose(system._edge_pair_marginal(state, p_idx, l, f, b),
                                            ref, rtol=1e-13, atol=0.0)
-                weight = float(system.path_weights[p_idx][l - 1])
-                cost += float((ref * system._cost_mat(weight)).sum())
-        assert system.transport_cost(state, msgs) == pytest.approx(cost, rel=1e-12, abs=0.0)
+                cost += float((ref * system.path_kernels[p_idx][l - 1].cost).sum())
+        assert system.transport_cost(state) == pytest.approx(cost, rel=1e-12, abs=0.0)
 
 
 class TestExtractPlan:
@@ -1080,11 +1112,10 @@ class TestSharedNodeNetwork:
         cfg = SolverConfig(epsilon=0.3, tol=1e-9, max_iter=6000)
         state, report = solve(net, paths, config=cfg)
         assert report.converged
-        msgs = state.system.compute_messages(state)
-        mm = aggregate_marginals(state, msgs)
+        mm = aggregate_marginals(state)
         summed = np.zeros(16)
         for p_idx in range(3):
-            prof = flux_profile(state, p_idx, "v3", msgs)
+            prof = flux_profile(state, p_idx, "v3")
             summed += prof * np.exp(state.w["v3"])
         assert np.abs(summed - mm.m["v3"]).max() <= 1e-12
         assert np.max(mm.m["v3"] - cap) <= 1e-8
@@ -1486,7 +1517,7 @@ class TestFlatLayout:
             np.testing.assert_allclose(system.dual_objective(state),
                                        _reference_dual(system, state), rtol=1e-12)
             mm = aggregate_marginals(state)
-            np.testing.assert_allclose(system.violations(mm), _reference_violations(
+            np.testing.assert_allclose(system.violations(mm.model), _reference_violations(
                 system, {**mm.m, **mm.joint_m}), rtol=1e-12)
             reference = SinkhornState(system, state.x.copy())
             np.testing.assert_allclose(system.sweep(state),
