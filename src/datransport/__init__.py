@@ -81,7 +81,6 @@ from .sinkhorn_engine import (
     coupled_boundary_update,
     extract_plan,
     flux_profile,
-    node_marginals,
     solve,
 )
 
@@ -97,7 +96,7 @@ __all__ = [
     "PathSystem", "SinkhornState", "SolverConfig",
     "ConvergenceReport", "PlanCells", "solve", "flux_profile",
     "aggregate_marginals", "boundary_update", "capacity_update",
-    "coupled_boundary_update", "extract_plan", "node_marginals",
+    "coupled_boundary_update", "extract_plan",
     "DenseTensor", "dense_sinkhorn", "dense_coupled_sinkhorn", "entropy",
     "chain_cost_tensor",
     "ScenarioSpec", "scenario_61", "scenario_62_line", "scenario_63_network",

@@ -31,8 +31,8 @@ from .scenarios import (
     min_travel_delta,
     precheck_feasibility,
 )
-from .sinkhorn_engine import (check_path_index, check_plan_options, extract_plan,
-                              node_marginals, solve)
+from .sinkhorn_engine import (aggregate_marginals, check_path_index, check_plan_options,
+                              extract_plan, solve)
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -83,7 +83,7 @@ def _run_solver(built: BuiltScenario):
 def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     centers = built.net.grid.centers
-    marginals = node_marginals(state)
+    marginals = aggregate_marginals(state).m
     nodes_manifest = {}
     path_nodes = {n for p in built.paths for n in p.nodes}
     for node in sorted(path_nodes):

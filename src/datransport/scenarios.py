@@ -11,6 +11,8 @@ the emitted JSON so they can be overridden.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 
@@ -26,7 +28,6 @@ from .sinkhorn_engine import (
     SolverConfig,
     aggregate_marginals,
     extract_plan,
-    node_marginals,
 )
 
 
@@ -136,9 +137,13 @@ class ScenarioSpec:
             raise ScenarioFormatError(f"unknown solver keys {unknown}; "
                                       f"known keys are {sorted(known)}")
         config = SolverConfig(**solver)
-        expected = list(d.get("expected_properties", []))
+        expected = d.get("expected_properties", [])
+        if not isinstance(expected, list):
+            raise ScenarioFormatError(f"expected_properties must be a list, got {expected!r}")
+        for prop in expected:
+            _property_params(prop)
         return BuiltScenario(name=self.name, net=net, paths=paths, config=config,
-                             mode=mode, joints=joints, expected_properties=expected,
+                             mode=mode, joints=joints, expected_properties=list(expected),
                              delta=d.get("delta"))
 
     @staticmethod
@@ -149,15 +154,11 @@ class ScenarioSpec:
             marg = entry.get("marginal")
             if marg is None:
                 # coupled files may omit boundary marginals: derive from joints
-                mass = np.zeros(grid.n_t)
-                found = False
-                for (src, snk), jm in joints.items():
-                    if (axis == 0 and src == node) or (axis == 1 and snk == node):
-                        mass = mass + jm.mass.sum(axis=1 - axis)
-                        found = True
-                if not found:
+                sums = [jm.mass.sum(axis=1 - axis) for pair, jm in joints.items()
+                        if pair[axis] == node]
+                if not sums:
                     raise ScenarioFormatError(f"no marginal and no joint law for node {node}")
-                out[node] = Measure(grid, mass)
+                out[node] = Measure(grid, sum(sums, np.zeros(grid.n_t)))
             elif isinstance(marg, dict) and "mixture" in marg:
                 out[node] = gaussian_mixture(grid, [tuple(c) for c in marg["mixture"]])
             elif isinstance(marg, dict) and "mass" in marg:
@@ -311,6 +312,42 @@ GENERATORS = {
 # expected-property checks
 
 
+# each expected property kind's parameters and their defaults (None: required).
+# A parameter is a finite number; ``start`` and ``length`` count sweeps, and
+# they and ``tol`` are nonnegative
+PROPERTY_KINDS = {
+    "capacity_satisfied": {"tol": 1e-8},
+    "boundary_match": {"tol": 1e-6},
+    "mass_delivered": {"tol": 1e-8},
+    "monotone_strand": {"ridge_floor": 0.01},
+    "linear_convergence": {"start": 200, "min_r2": 0.95},
+    "trace_length": {"length": None},
+}
+
+
+def _property_params(prop) -> dict:
+    """A property's parameters, defaults filled in; a bad entry raises ScenarioFormatError."""
+    kind = prop.get("kind") if isinstance(prop, dict) else None
+    if not isinstance(kind, str) or kind not in PROPERTY_KINDS:
+        raise ScenarioFormatError(f"unknown expected property kind in {prop!r}; "
+                                  f"known kinds are {sorted(PROPERTY_KINDS)}")
+    params = {**PROPERTY_KINDS[kind], **prop}
+    del params["kind"]
+    if set(params) != set(PROPERTY_KINDS[kind]):
+        raise ScenarioFormatError(f"{kind} takes the parameters {sorted(PROPERTY_KINDS[kind])}, "
+                                  f"got {sorted(set(prop) - {'kind'})}")
+    for name, value in params.items():
+        count, nonnegative = name in ("start", "length"), name in ("start", "length", "tol")
+        if (isinstance(value, bool)
+                or not isinstance(value, numbers.Integral if count else numbers.Real)
+                or not abs(value) <= sys.float_info.max  # NaN and inf fail
+                or nonnegative and value < 0):
+            raise ScenarioFormatError(f"{kind} {name} must be a finite{' nonnegative' * nonnegative}"
+                                      f" {'integer' if count else 'number'}, got {value!r}")
+        params[name] = int(value) if count else float(value)
+    return params
+
+
 @dataclass(frozen=True)
 class PropertyResult:
     kind: str
@@ -333,15 +370,8 @@ def _log_linear_fit(values: np.ndarray, start: int) -> tuple[float, float]:
 
 def _pairwise_comonotone(cells: np.ndarray) -> bool:
     """No crossing pair in any consecutive coordinate projection."""
-    n_pos = cells.shape[1]
-    for a in range(n_pos - 1):
-        x = cells[:, a]
-        y = cells[:, a + 1]
-        dx = x[:, None] - x[None, :]
-        dy = y[:, None] - y[None, :]
-        if np.any(dx * dy < 0):
-            return False
-    return True
+    return not any(np.any(np.subtract.outer(x, x) * np.subtract.outer(y, y) < 0)
+                   for x, y in zip(cells.T[:-1], cells.T[1:]))
 
 
 def plan_ridge(cells, column_axis: int = 1, floor_frac: float = 0.01) -> np.ndarray:
@@ -353,10 +383,8 @@ def plan_ridge(cells, column_axis: int = 1, floor_frac: float = 0.01) -> np.ndar
     Columns below ``floor_frac`` of the strongest column are dropped.
     """
     best: dict[int, tuple[np.ndarray, float]] = {}
-    for idx, m in zip(cells.indices, cells.mass):
-        col = int(idx[column_axis])
-        if col not in best or m > best[col][1]:
-            best[col] = (idx, float(m))
+    for idx, m in zip(cells.indices, cells.mass):  # heaviest first: a column's first is its mode
+        best.setdefault(int(idx[column_axis]), (idx, float(m)))
     max_mass = max(m for _, m in best.values())
     rows = [idx for idx, m in best.values() if m >= floor_frac * max_mass]
     return np.array(sorted(rows, key=lambda r: int(r[column_axis])))
@@ -364,53 +392,43 @@ def plan_ridge(cells, column_axis: int = 1, floor_frac: float = 0.01) -> np.ndar
 
 def check_property(prop: dict, built: BuiltScenario, state: SinkhornState,
                    report: ConvergenceReport) -> PropertyResult:
-    kind = prop["kind"]
+    params = _property_params(prop)
+    kind, tol, system = prop["kind"], params.get("tol"), state.system
     if kind == "capacity_satisfied":
-        tol = float(prop.get("tol", 1e-8))
         mm = aggregate_marginals(state)
-        worst = 0.0
-        for node in state.system.interior_order:
-            excess = mm.m[node] - state.system.caps[node]
-            worst = max(worst, float(np.maximum(excess, 0.0).max()))
+        worst = max([0.0] + [float(np.maximum(mm.m[node] - cap, 0.0).max())
+                             for node, cap in system.caps.items()])
         return PropertyResult(kind, worst <= tol, worst,
                               f"max capacity excess {worst:.3e} (tol {tol:.1e})")
     if kind == "boundary_match":
-        tol = float(prop.get("tol", 1e-6))
-        mm = aggregate_marginals(state)
-        e0, et, _ = state.system.violations(mm.model)
+        e0, et, _ = system.violations(aggregate_marginals(state).model)
         value = max(e0, et)
         return PropertyResult(kind, value <= tol, value,
                               f"boundary L1 errors E0={e0:.3e} ET={et:.3e} (tol {tol:.1e})")
     if kind == "mass_delivered":
-        tol = float(prop.get("tol", 1e-8))
         mm = aggregate_marginals(state)
-        delivered = sum(float(mm.m[s].sum()) for s in state.system.sink_order)
-        err = abs(delivered - 1.0)
-        return PropertyResult(kind, err <= tol, delivered,
+        delivered = sum(float(mm.m[s].sum()) for s in system.muT)
+        target = sum(float(mu.sum()) for mu in system.muT.values())
+        return PropertyResult(kind, abs(delivered - target) <= tol, delivered,
                               f"delivered mass {delivered!r} (tol {tol:.1e})")
     if kind == "monotone_strand":
-        floor = float(prop.get("ridge_floor", 0.01))
-        ok = True
-        size = 0
-        for p_idx in range(len(built.paths)):
-            cells = extract_plan(state, p_idx)
-            ridge = plan_ridge(cells, floor_frac=floor)
-            size = max(size, len(ridge))
-            if not _pairwise_comonotone(ridge):
-                ok = False
+        ridges = [plan_ridge(extract_plan(state, p_idx), floor_frac=params["ridge_floor"])
+                  for p_idx in range(len(built.paths))]
+        ok = all(_pairwise_comonotone(ridge) for ridge in ridges)
+        size = max(len(ridge) for ridge in ridges)
         return PropertyResult(kind, ok, float(size),
                               f"plan ridge ({size} cells) {'is' if ok else 'is NOT'} co-monotone")
+    n = report.iterations
     if kind == "linear_convergence":
-        start = int(prop.get("start", 200))
-        min_r2 = float(prop.get("min_r2", 0.95))
+        start, min_r2 = params["start"], params["min_r2"]
+        if n - start < 2:  # a line needs two points
+            return PropertyResult(kind, False, 0.0, f"trace length {n} leaves fewer than "
+                                                    f"two points past sweep {start}")
         slope0, r20 = _log_linear_fit(report.e0, start)
         slopet, r2t = _log_linear_fit(report.et, start)
         ok = slope0 < 0 and slopet < 0 and r20 >= min_r2 and r2t >= min_r2
         return PropertyResult(kind, ok, min(r20, r2t),
                               f"slopes ({slope0:.2e}, {slopet:.2e}), R2 ({r20:.4f}, {r2t:.4f})")
-    if kind == "trace_length":
-        want = int(prop["length"])
-        got = report.iterations
-        return PropertyResult(kind, got == want, float(got),
-                              f"trace length {got} (want {want})")
-    raise ScenarioFormatError(f"unknown expected property kind {kind!r}")
+    # trace_length, the last kind of PROPERTY_KINDS
+    return PropertyResult(kind, n == params["length"], float(n),
+                          f"trace length {n} (want {params['length']})")

@@ -145,8 +145,8 @@ class SinkhornState:
 
     The blocks are stacked in sweep order, each raveled at the slice the
     system's layout (``PathSystem._layout``) gives it; 0 is neutral and
-    -inf is dead.  ``u``, ``v``, ``w`` and ``lam`` map each block to a view
-    into ``x``, so ``x`` is only ever written in place.
+    -inf is dead.  ``views``, read-only and in sweep order, maps each block
+    to its view into ``x``, so ``x`` is only ever written in place.
     """
 
     system: "PathSystem"
@@ -154,21 +154,17 @@ class SinkhornState:
     iteration: int = 0
 
     def __post_init__(self):
-        self._views = {block: self.x[part].reshape(shape)
-                       for block, (part, shape) in self.system._layout.items()}
-
-        def views(blocks) -> MappingProxyType:
-            return MappingProxyType({b: self._views[b] for b in blocks if b in self._views})
-
-        self.u = views(self.system.mu0)
-        self.v = views(self.system.muT)
-        self.w = views(self.system.caps)
-        self.lam = views(self.system.joints)
+        self.views = MappingProxyType({block: self.x[part].reshape(shape)
+                                       for block, (part, shape) in self.system._layout.items()})
 
 
 @dataclass(eq=False)
 class ModelMarginals:
-    """Model marginal of every block, flat in the state's layout; ``m`` and ``joint_m`` view it."""
+    """Model marginal of every block, flat in the state's layout, and of every path node.
+
+    ``joint_m`` and ``m`` view ``model``, but a coupled source or sink has no
+    block: ``m`` adds its pairs' joint row or column sums, in ``joints`` order.
+    """
 
     model: np.ndarray
     m: dict[str, np.ndarray]
@@ -430,7 +426,11 @@ class _Forward:
 
 
 class PathSystem:
-    """Compiled problem: grid, paths, kernels, targets, caps, incidence, state layout."""
+    """Compiled problem: grid, paths, kernels, block bounds and the state layout.
+
+    ``mu0``, ``muT``, ``caps`` and ``joints`` hold each block's target or cap in
+    sweep order; in coupled mode the pairs replace sources and sinks as blocks.
+    """
 
     def __init__(self, net: TransportNetwork, paths, mode: str = INDEPENDENT,
                  config: SolverConfig | None = None,
@@ -442,21 +442,16 @@ class PathSystem:
         self.grid = net.grid
         self.n_t = net.grid.n_t
         self.mode = mode
-        self.config = config
         self.paths: list[Path] = list(paths)
         if not self.paths:
             raise BadParamError("need at least one path")
-        self.incidence = validate_paths(net, self.paths)
+        validate_paths(net, self.paths)
 
-        used_sources = {p.source for p in self.paths}
-        used_sinks = {p.sink for p in self.paths}
-        missing = (set(net.sources) - used_sources) | (set(net.sinks) - used_sinks)
+        missing = ((set(net.sources) - {p.source for p in self.paths})
+                   | (set(net.sinks) - {p.sink for p in self.paths}))
         if missing:
             raise BadParamError(f"boundary nodes without any path: {sorted(missing)}")
-
-        self.source_order = [s for s in net.sources if s in used_sources]
-        self.sink_order = [s for s in net.sinks if s in used_sinks]
-        self.interior_order, self._order_follows_paths = self._interior_topo_order()
+        interior, self._order_follows_paths = self._interior_topo_order()
 
         # node -> [(path index, position)]
         self.positions: dict[str, list[tuple[int, int]]] = {}
@@ -464,31 +459,23 @@ class PathSystem:
             for pos, node in enumerate(p.nodes):
                 self.positions.setdefault(node, []).append((p_idx, pos))
 
-        self.path_weights = [path_cost_terms(net, p) for p in self.paths]
-
-        self.mu0 = {s: net.sources[s].mass for s in self.source_order}
-        self.muT = {s: net.sinks[s].mass for s in self.sink_order}
-        self.caps = {v: net.capacity_for(v) for v in self.interior_order}
-
-        self.pairs: list[tuple[str, str]] = []
+        self.mu0 = {s: m.mass for s, m in net.sources.items()}
+        self.muT = {s: m.mass for s, m in net.sinks.items()}
+        self.caps = {v: net.capacity_for(v) for v in interior}
         self.joints: dict[tuple[str, str], np.ndarray] = {}
         if mode == COUPLED:
             joints = joints or {}
-            for p in self.paths:
-                pair = (p.source, p.sink)
-                if pair not in self.joints:
-                    if pair not in joints:
-                        raise BadParamError(f"coupled mode needs a joint target for pair {pair}")
-                    jm = joints[pair]
-                    if jm.grid != self.grid:
-                        raise BadParamError(f"joint target for {pair} lives on a different grid")
-                    self.joints[pair] = jm.mass
-                    self.pairs.append(pair)
+            for pair in dict.fromkeys((p.source, p.sink) for p in self.paths):  # path order
+                if pair not in joints:
+                    raise BadParamError(f"coupled mode needs a joint target for pair {pair}")
+                if joints[pair].grid != self.grid:
+                    raise BadParamError(f"joint target for {pair} lives on a different grid")
+                self.joints[pair] = joints[pair].mass
         elif joints:
             raise BadParamError("joint targets are only meaningful in coupled mode")
         self.pair_paths = {pair: [i for i, p in enumerate(self.paths)
                                   if (p.source, p.sink) == pair]
-                           for pair in self.pairs}
+                           for pair in self.joints}
         # the block that scales each path's source end: its pair in coupled mode, else its source
         self._heads = [(p.source, p.sink) if (p.source, p.sink) in self.joints else p.source
                        for p in self.paths]
@@ -518,14 +505,15 @@ class PathSystem:
         self._dual_bound = self.bound[self._dual_bins]
 
         self.epsilon = config.epsilon
+        path_weights = [path_cost_terms(net, p) for p in self.paths]
         self._kernel_cache: dict[float, PairKernel] = {}
-        for weights in self.path_weights:
+        for weights in path_weights:
             for w in weights:
                 key = float(w)
                 if key not in self._kernel_cache:
                     self._kernel_cache[key] = build_pair_kernel(self.grid, key, self.epsilon)
         self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
-                             for weights in self.path_weights]
+                             for weights in path_weights]
 
         # the messages' domain and arithmetic; the state is in log units either way
         self.log_domain = mode == INDEPENDENT or self._neutral_chain_underflows()
@@ -613,12 +601,12 @@ class PathSystem:
 
     def _head_scalings(self, state: SinkhornState) -> dict:
         """Message-domain scaling of each head block (``_heads``); one exp per block when linear."""
-        return {head: self.dom.from_log(state._views[head]) for head in set(self._heads)}
+        return {head: self.dom.from_log(state.views[head]) for head in set(self._heads)}
 
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Message-domain scaling of the node at ``pos``; neutral on a node without a block."""
         node = path.nodes[pos]
-        return self.dom.from_log(state._views[node]) if node in self._layout else self._unit
+        return self.dom.from_log(state.views[node]) if node in self._layout else self._unit
 
     # ------------------------------------------------------------------
     # messages
@@ -729,7 +717,7 @@ class PathSystem:
         agg = self._aggregate(self._head_scalings(state), block, self.compute_messages(state),
                               _Forward(self, state))
         state.x[self._layout[block][0]], _ = self._project(state, block, agg)
-        return _exp_live(state._views[block])
+        return _exp_live(state.views[block])
 
     # ------------------------------------------------------------------
     # sweeps
@@ -786,7 +774,7 @@ class PathSystem:
         s_next = self._scaling_at(state, path, l)
         kernel = self._steps[p_idx][l - 1][1].kernel
         if self.mode == COUPLED:
-            lam = dom.from_log(state._views[self._heads[p_idx]])
+            lam = dom.from_log(state.views[self._heads[p_idx]])
             left = dom.matmul(f.T, dom.matmul(lam, b.T))  # left[s, t]
             factors = [left, s_prev[:, None], kernel, s_next[None, :]]
         else:
@@ -943,9 +931,12 @@ def aggregate_marginals(state: SinkhornState) -> ModelMarginals:
         model[part] = system._model(state, block,
                                     system._aggregate(heads, block, messages, frontier))
     views = {block: model[part].reshape(shape) for block, (part, shape) in system._layout.items()}
-    return ModelMarginals(model=model,
-                          m={b: m for b, m in views.items() if b not in system.joints},
-                          joint_m={b: m for b, m in views.items() if b in system.joints})
+    m = {b: v for b, v in views.items() if b not in system.joints}
+    joint_m = {pair: views[pair] for pair in system.joints}
+    for (src, snk), mat in joint_m.items():  # coupled mode's boundary nodes
+        m[src] = m.get(src, 0.0) + mat.sum(axis=1)
+        m[snk] = m.get(snk, 0.0) + mat.sum(axis=0)
+    return ModelMarginals(model=model, m=m, joint_m=joint_m)
 
 
 def boundary_update(state: SinkhornState, node: str) -> np.ndarray:
@@ -1071,7 +1062,7 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
                 for l, (_, step) in enumerate(system._steps[path_index])]
     head = system._heads[path_index]
     if head in system.joints:
-        factors.append(view(dom.from_log(state._views[head]), (0, m)))
+        factors.append(view(dom.from_log(state.views[head]), (0, m)))
 
     row = n_cells // n_t
     rows = max(1, _PLAN_SLAB // row)
@@ -1112,12 +1103,3 @@ def _heaviest(keep: np.ndarray, mass: np.ndarray, k: int) -> tuple[np.ndarray, n
     chosen[ties[:k - np.count_nonzero(chosen)]] = True
     return keep[chosen], mass[chosen]
 
-
-def node_marginals(state: SinkhornState) -> dict[str, np.ndarray]:
-    """Convenience: current model marginal per node (linear)."""
-    mm = aggregate_marginals(state)
-    out = dict(mm.m)
-    for (src, snk), mat in mm.joint_m.items():  # coupled mode's boundary nodes
-        out[src] = out.get(src, 0.0) + mat.sum(axis=1)
-        out[snk] = out.get(snk, 0.0) + mat.sum(axis=0)
-    return out

@@ -278,6 +278,58 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 2
 
+    def test_coupled_check_properties(self, tmp_path, capsys):
+        # a coupled source or sink has no block of its own; the properties
+        # read its marginal from the joint's row or column sums
+        data = coupled_tiny_scenario({"epsilon": 0.3, "tol": 1e-10, "max_iter": 500})
+        data["expected_properties"] = [
+            {"kind": "mass_delivered", "tol": 1e-8},
+            {"kind": "boundary_match", "tol": 1e-6},
+            {"kind": "capacity_satisfied", "tol": 1e-8},
+        ]
+        p = tmp_path / "coupled.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["solve", str(p), "--output", str(tmp_path / "o"),
+                     "--check-properties"]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 3
+
+    def test_short_trace_fails_linear_convergence(self, tmp_path, capsys):
+        path = tmp_path / "s64.json"
+        assert main(["scenario", "64_convergence", "--emit", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(path), "--output", str(tmp_path / "o"), "--max-iter", "100",
+                     "--check-properties"]) == 3
+        out = capsys.readouterr().out
+        assert ("  [FAIL] linear_convergence: trace length 100 leaves fewer than two "
+                "points past sweep 200\n") in out
+
+    @pytest.mark.parametrize("props", [
+        "abc",
+        [{"kind": "nope"}],
+        ["capacity_satisfied"],
+        [{"tol": 1e-8}],
+        [{"kind": "capacity_satisfied", "tol": "abc"}],
+        [{"kind": "capacity_satisfied", "tol": True}],
+        [{"kind": "boundary_match", "tol": float("nan")}],
+        [{"kind": "boundary_match", "tol": -1e-6}],
+        [{"kind": "mass_delivered", "tolerance": 1e-8}],
+        [{"kind": "trace_length"}],
+        [{"kind": "trace_length", "length": -1}],
+        [{"kind": "linear_convergence", "start": 2.5}],
+        [{"kind": "monotone_strand", "ridge_floor": None}],
+    ], ids=["not-a-list", "unknown-kind", "not-an-object", "no-kind", "string-tol", "bool-tol",
+            "nan-tol", "negative-tol", "unknown-parameter", "missing-length", "negative-length",
+            "fractional-start", "null-floor"])
+    def test_bad_expected_properties_exit_2_before_solving(self, tmp_path, capsys, props):
+        p = tmp_path / "props.json"
+        p.write_text(json.dumps(dict(TINY, expected_properties=props)), encoding="utf-8")
+        outdir = tmp_path / "o"
+        assert main(["solve", str(p), "--output", str(outdir), "--check-properties"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not outdir.exists()
+        assert captured.err.startswith("error: invalid scenario")
+        assert "Traceback" not in captured.err
+
 
 class TestSolverKnobs:
     def test_knob_count(self):

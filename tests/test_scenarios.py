@@ -5,7 +5,7 @@ import pytest
 
 from conftest import coupled_tiny_scenario
 
-from datransport import TimeGrid, check_da_feasibility
+from datransport import TimeGrid, check_da_feasibility, gaussian_mixture
 from datransport.errors import BadParamError, ScenarioFormatError
 from datransport.scenarios import (
     GENERATORS,
@@ -223,6 +223,23 @@ class TestPropertyChecks:
         assert results["capacity_satisfied"].passed
         assert results["boundary_match"].passed
         assert results["monotone_strand"].passed
+
+    def test_mass_delivered_compares_with_the_sink_targets(self):
+        # scenario_61 carrying twice the mass delivers 2, which is its target
+        d = scenario_61().data
+        d["grid"]["n_t"] = 24
+        grid = TimeGrid(t_f=1.0, n_t=24)
+        for side in ("sources", "sinks"):
+            law = gaussian_mixture(grid, d[side][0]["marginal"]["mixture"])
+            d[side][0]["marginal"] = {"mass": (2 * law.mass).tolist()}
+        d["capacities"]["v1"] = 2 * 1.6
+        d["solver"].update({"epsilon": 0.15, "tol": 1e-9, "max_iter": 4000})
+        d["expected_properties"] = [{"kind": "mass_delivered", "tol": 1e-8}]
+        built = ScenarioSpec.from_dict(d).build()
+        state, report = solve(built.net, built.paths, mode=built.mode, config=built.config)
+        assert report.converged
+        result = check_property(built.expected_properties[0], built, state, report)
+        assert result.passed and result.value == pytest.approx(2.0, abs=1e-8)
 
     def test_unknown_property_rejected(self):
         built = scenario_61().build()

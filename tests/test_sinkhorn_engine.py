@@ -293,8 +293,8 @@ class TestAbsorbedStep:
     def test_log_domain_builds_no_linear_matrices(self, grid16):
         # linear kernels and cost matrices are built on first use only
         system = _pinning_instance("shared", grid16)
-        state, _ = solve(system.net, system.paths, config=replace(system.config,
-                                                                  **fixed_sweeps(5)))
+        state, _ = solve(system.net, system.paths, config=SolverConfig(
+            epsilon=system.epsilon, **fixed_sweeps(5)))
         aggregate_marginals(state)
         kernels = state.system._kernel_cache.values()
         assert not any("K" in vars(k) or "cost" in vars(k) for k in kernels)
@@ -388,9 +388,9 @@ class TestFluxProfile:
         totals = []
         for pos, node in enumerate(path.nodes):
             prof = flux_profile(state, 0, node)
-            own = (np.exp(state.u[node]) if pos == 0
-                   else np.exp(state.v[node]) if pos == path.n_p - 1
-                   else np.exp(state.w[node]))
+            own = (np.exp(state.views[node]) if pos == 0
+                   else np.exp(state.views[node]) if pos == path.n_p - 1
+                   else np.exp(state.views[node]))
             totals.append(float((prof * own).sum()))
         assert np.allclose(totals, totals[0], rtol=1e-10)
 
@@ -405,9 +405,9 @@ class TestFluxProfile:
         # dense contraction of the same scaled kernel chain, built separately
         cost = chain_cost_tensor(grid8.centers, [1.0, 1.5])
         kernel = np.exp(-cost / 0.4)
-        u = np.exp(state.u["n0"])
-        w = np.exp(state.w["n1"])
-        v = np.exp(state.v["n2"])
+        u = np.exp(state.views["n0"])
+        w = np.exp(state.views["n1"])
+        v = np.exp(state.views["n2"])
         tensor = kernel * u[:, None, None] * w[None, :, None] * v[None, None, :]
         mm = aggregate_marginals(state)
         for axis, node in enumerate(path.nodes):
@@ -472,9 +472,9 @@ class TestBlockUpdates:
         state = system.initial_state()
         for _ in range(80):
             system.sweep(state)
-        before = np.exp(state.u["n0"])
+        before = np.exp(state.views["n0"])
         boundary_update(state, "n0")
-        diff = np.abs(np.exp(state.u["n0"]) - before)
+        diff = np.abs(np.exp(state.views["n0"]) - before)
         assert diff[mu0 > 0].max() / before[mu0 > 0].max() <= 1e-9
 
     def test_unreachable_mass_guard(self, grid8):
@@ -494,7 +494,7 @@ class TestBlockUpdates:
         system = PathSystem(net, [path], config=SolverConfig(epsilon=0.5))
         state = system.initial_state()
         capacity_update(state, "n1")
-        assert np.allclose(np.exp(state.w["n1"]), 1.0)
+        assert np.allclose(np.exp(state.views["n1"]), 1.0)
 
         # direct ratio: aggregate 0.04 against cap 0.02 gives factor 0.5
         mm = aggregate_marginals(state)
@@ -504,7 +504,7 @@ class TestBlockUpdates:
         system2 = PathSystem(net2, [path2], config=SolverConfig(epsilon=0.5))
         state2 = system2.initial_state()
         capacity_update(state2, "n1")
-        w = np.exp(state2.w["n1"])
+        w = np.exp(state2.views["n1"])
         assert np.allclose(w[agg > 0], 0.5)
         assert np.allclose(w[agg <= 0], 1.0)
         mm2 = aggregate_marginals(state2)
@@ -693,9 +693,9 @@ class TestSolve:
         plain = system.initial_state()
         for _ in range(ANDERSON_WARMUP):
             system.sweep(plain)
-        assert np.array_equal(state.u["n0"], plain.u["n0"])
-        assert np.array_equal(state.w["n1"], plain.w["n1"])
-        assert np.array_equal(state.v["n2"], plain.v["n2"])
+        assert np.array_equal(state.views["n0"], plain.views["n0"])
+        assert np.array_equal(state.views["n1"], plain.views["n1"])
+        assert np.array_equal(state.views["n2"], plain.views["n2"])
 
     def test_mixed_solve_keeps_dual_ascent(self):
         # scenario_61 runs well past the warm-up before it meets its tol
@@ -722,8 +722,8 @@ class TestSolve:
         mm = aggregate_marginals(state)
         for node in path.nodes:
             assert np.all(np.isfinite(mm.m[node]))
-        assert np.all(np.exp(state.u["n0"])[mu0 == 0] == 0)
-        assert np.all(np.exp(state.v["n2"])[muT == 0] == 0)
+        assert np.all(np.exp(state.views["n0"])[mu0 == 0] == 0)
+        assert np.all(np.exp(state.views["n2"])[muT == 0] == 0)
         assert np.all(mm.m["n0"][mu0 == 0] == 0)
         assert np.all(mm.m["n2"][muT == 0] == 0)
 
@@ -768,13 +768,13 @@ class TestSolve:
         ref = np.zeros(10)
         assert np.array_equal(msgs[0][-1], ref)
         for l in range(path.n_edges - 1, -1, -1):
-            ahead = ref + state._views[path.nodes[l + 1]]
+            ahead = ref + state.views[path.nodes[l + 1]]
             ref = logsumexp(system.path_kernels[0][l].logK + ahead[None, :], axis=1)
             dead = np.isneginf(ref)
             assert np.array_equal(np.isneginf(msgs[0][l]), dead)
             np.testing.assert_allclose(msgs[0][l][~dead], ref[~dead], rtol=1e-12)
         # the path mass read at the source end is the one seen at the sink end
-        at_sink = float((flux_profile(state, 0, "n2") * np.exp(state.v["n2"])).sum())
+        at_sink = float((flux_profile(state, 0, "n2") * np.exp(state.views["n2"])).sum())
         assert system.path_masses(state, msgs)[0] == pytest.approx(at_sink, rel=1e-12)
 
     def test_non_finite_row_raises(self, grid10, monkeypatch):
@@ -902,7 +902,7 @@ class TestCoupledMode:
             system.sweep(state)
         msgs = system.compute_messages(state)
         fwd = _Forward(system, state)
-        lam = np.exp(state.lam[("s", "t")])  # the state holds log-scalings in either domain
+        lam = np.exp(state.views[("s", "t")])  # the state holds log-scalings in either domain
         lams = system._head_scalings(state)
         assert np.array_equal(lams[("s", "t")], lam)
         for p_idx, path in enumerate(system.paths):
@@ -939,7 +939,7 @@ class TestCoupledMode:
             system.sweep(state)
         msgs = system.compute_messages(state)
         fwd = _Forward(system, state)
-        lam = state.lam[("s", "t")]
+        lam = state.views[("s", "t")]
         cost = 0.0
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
@@ -1116,7 +1116,7 @@ class TestSharedNodeNetwork:
         summed = np.zeros(16)
         for p_idx in range(3):
             prof = flux_profile(state, p_idx, "v3")
-            summed += prof * np.exp(state.w["v3"])
+            summed += prof * np.exp(state.views["v3"])
         assert np.abs(summed - mm.m["v3"]).max() <= 1e-12
         assert np.max(mm.m["v3"] - cap) <= 1e-8
         assert np.max(mm.m["v4"] - cap) <= 1e-8
@@ -1239,7 +1239,7 @@ def _dense_plan(state, p_idx):
     path = system.paths[p_idx]
     n_t, n_p, log = system.n_t, path.n_p, system.log_domain
     combine = np.add if log else np.multiply
-    views = {**state.u, **state.w, **state.v}  # coupled boundary nodes have none
+    views = state.views  # coupled boundary nodes have none
 
     def view(arr, axes):
         return arr.reshape([n_t if axis in axes else 1 for axis in range(n_p)])
@@ -1254,7 +1254,7 @@ def _dense_plan(state, p_idx):
     for l, kern in enumerate(system.path_kernels[p_idx]):
         plan = combine(plan, view(kern.logK if log else kern.K, (l, l + 1)))
     if system.mode == "coupled":
-        plan = combine(plan, view(scaling(state.lam[(path.source, path.sink)]), (0, n_p - 1)))
+        plan = combine(plan, view(scaling(state.views[(path.source, path.sink)]), (0, n_p - 1)))
     return np.exp(plan) if log else plan
 
 
@@ -1376,14 +1376,35 @@ class TestFlatState:
         system = _pinning_instance(kind, grid16)
         state = system.initial_state()
         assert state.x.shape == (system._size,) and not np.any(state.x)
-        views = [view for bank in (state.u, state.v, state.w, state.lam)
-                 for view in bank.values()]
+        views = list(state.views.values())
         assert len(views) == len(system._layout)
         assert sum(view.size for view in views) == state.x.size
         for view in views:
             assert np.shares_memory(view, state.x)
         with pytest.raises(TypeError):
-            state.w[system.interior_order[0]] = np.zeros(16)
+            state.views[next(iter(system.caps))] = np.zeros(16)
+
+    @pytest.mark.parametrize("kind", ["coupled", "coupled_shared"])
+    @pytest.mark.parametrize("log_domain", [False, True])
+    def test_coupled_node_marginals_fold_the_joints(self, grid16, kind, log_domain, monkeypatch):
+        # a coupled source or sink has no block: its marginal adds the row or
+        # column sums of its pairs' joint marginals, in joints order
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        mm = aggregate_marginals(state)
+        fold = {}
+        for (src, snk), mat in mm.joint_m.items():
+            fold[src] = fold.get(src, 0.0) + mat.sum(axis=1)
+            fold[snk] = fold.get(snk, 0.0) + mat.sum(axis=0)
+        assert set(mm.m) == {node for path in system.paths for node in path.nodes}
+        assert set(fold) == set(system.mu0) | set(system.muT)
+        for node, want in fold.items():
+            assert np.array_equal(mm.m[node], want)
+        for node in system.caps:
+            assert np.shares_memory(mm.m[node], mm.model)
 
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
@@ -1401,7 +1422,7 @@ class TestFlatState:
             mixer.step(state, x_prev, value)
             accepted += not np.array_equal(state.x, plain)
         assert accepted and state.x is x
-        views = {**state.u, **state.v, **state.w, **state.lam}
+        views = state.views
         for block, (part, shape) in system._layout.items():
             assert np.shares_memory(views[block], x)
             assert np.array_equal(views[block], x[part].reshape(shape))
@@ -1447,7 +1468,7 @@ def _reference_bounds(system):
 
 def _reference_dual(system, state):
     """The dual summed block by block, each over its live-bound bins."""
-    views = {**state.u, **state.v, **state.w, **state.lam}
+    views = state.views
     total = 0.0
     for block, bound in _reference_bounds(system).items():
         if block in system.caps:
@@ -1459,23 +1480,23 @@ def _reference_dual(system, state):
 
 
 def _reference_violations(system, marginals):
-    """(E0, ET, V) summed block by block from a block -> model marginal map."""
-    bounds = _reference_bounds(system)
+    """(E0, ET, V) summed block by block from a map holding every block's model marginal."""
     totals = [0.0, 0.0, 0.0]
-    for block, model in marginals.items():
+    for block, bound in _reference_bounds(system).items():
+        model = marginals[block]
         if block in system.caps:
-            totals[2] += float(np.maximum(model - bounds[block], 0.0).sum())
+            totals[2] += float(np.maximum(model - bound, 0.0).sum())
         else:
-            totals[block in system.muT] += float(np.abs(model - bounds[block]).sum())
+            totals[block in system.muT] += float(np.abs(model - bound).sum())
     return tuple(totals)
 
 
 def _reference_sweep(system, state):
     """One Gauss-Seidel sweep through the public block updates; returns its (E0, ET, V)."""
-    first = system.pairs if system.mode == "coupled" else system.source_order
-    sinks = [] if system.mode == "coupled" else system.sink_order
+    first = system.joints if system.mode == "coupled" else system.mu0
+    sinks = {} if system.mode == "coupled" else system.muT
     marginals = {}
-    for block in first + system.interior_order + sinks:
+    for block in [*first, *system.caps, *sinks]:
         mm = aggregate_marginals(state)
         marginals[block] = {**mm.m, **mm.joint_m}[block]
         if block in system.caps:
@@ -1492,15 +1513,15 @@ class TestFlatLayout:
     def test_matches_the_per_block_reference(self, grid16, kind):
         system = _layout_instance(kind, grid16)
         bounds = _reference_bounds(system)
-        assert list(system._layout) == (list(system.joints) + system.interior_order
-                                         if kind == "coupled" else system.source_order
-                                         + system.interior_order + system.sink_order)
+        assert list(system._layout) == ([*system.joints, *system.caps]
+                                         if kind == "coupled" else
+                                         [*system.mu0, *system.caps, *system.muT])
         for block, (part, shape) in system._layout.items():
             assert np.array_equal(system.bound[part].reshape(shape), bounds[block])
             with np.errstate(divide="ignore"):
                 assert np.array_equal(system.log_bound[part].reshape(shape),
                                       np.log(bounds[block]))
-        caps = [system._layout[node][0] for node in system.interior_order]
+        caps = [system._layout[node][0] for node in system.caps]
         assert system._caps_part == slice(caps[0].start, caps[-1].stop)
 
         state = system.initial_state()
@@ -1509,7 +1530,7 @@ class TestFlatLayout:
         tiny = (system.bound > 0) & (system.bound <= sinkhorn_engine.NEGLIGIBLE_MASS)
         assert np.any(tiny) and np.any(system.bound[system._caps_part] == 0)
         assert np.any(np.isinf(system.bound))
-        views = {**state.u, **state.v, **state.w, **state.lam}
+        views = state.views
         for block, bound in bounds.items():
             live = bound > 0 if block in system.caps else bound > sinkhorn_engine.NEGLIGIBLE_MASS
             assert np.all(views[block][~live] == -np.inf)
@@ -1545,21 +1566,19 @@ class TestSweepPinning:
             for _ in range(5):
                 system.sweep(swept)
                 if system.mode == "coupled":
-                    for pair in system.pairs:
+                    for pair in system.joints:
                         coupled_boundary_update(blocks, pair)
                 else:
-                    for node in system.source_order:
+                    for node in system.mu0:
                         boundary_update(blocks, node)
-                for node in system.interior_order:
+                for node in system.caps:
                     capacity_update(blocks, node)
                 if system.mode == "independent":
-                    for node in system.sink_order:
+                    for node in system.muT:
                         boundary_update(blocks, node)
-            for bank in ("u", "v", "w", "lam"):
-                ours, ref = getattr(swept, bank), getattr(blocks, bank)
-                assert ours.keys() == ref.keys()
-                for key in ours:
-                    yield ours[key], ref[key]
+            assert swept.views.keys() == blocks.views.keys()
+            for key in swept.views:
+                yield swept.views[key], blocks.views[key]
 
         with monkeypatch.context() as patch:
             if log_domain:
@@ -1573,9 +1592,9 @@ class TestSweepPinning:
     def test_coupled_solve_one_message_pass_per_sweep(self, grid16, log_domain, monkeypatch):
         _pick_domain(monkeypatch, log_domain)
         system = _pinning_instance("coupled", grid16)
-        assert len(system.interior_order) == 2
+        assert len(system.caps) == 2
         calls = _count_message_passes(monkeypatch)
-        cfg = replace(system.config, **fixed_sweeps(20))
+        cfg = SolverConfig(epsilon=system.epsilon, **fixed_sweeps(20))
         joints = {pair: JointMeasure(grid16, mass) for pair, mass in system.joints.items()}
         _, report = solve(system.net, system.paths, mode="coupled", config=cfg, joints=joints)
         assert report.iterations == 20
@@ -1590,8 +1609,7 @@ class TestSweepPinning:
         calls = _count_message_passes(monkeypatch)
         system.sweep(system.initial_state())
         monkeypatch.undo()
-        assert len(calls) == len(system.source_order + system.interior_order
-                                 + system.sink_order) == 4
+        assert len(calls) == len([*system.mu0, *system.caps, *system.muT]) == 4
         state, report = solve(net, paths, config=cfg)
         assert report.converged
         assert np.all(np.diff(report.objective) >= -1e-9)
@@ -1603,7 +1621,7 @@ def _solve_system(system, **config):
     """``solve()`` on the problem of a ``PathSystem``."""
     joints = {pair: JointMeasure(system.grid, mass) for pair, mass in system.joints.items()}
     return solve(system.net, system.paths, mode=system.mode,
-                 config=replace(system.config, **config), joints=joints)
+                 config=SolverConfig(**{"epsilon": system.epsilon, **config}), joints=joints)
 
 
 class TestCoupledMixing:
@@ -1615,11 +1633,9 @@ class TestCoupledMixing:
         plain = system.initial_state()
         for _ in range(ANDERSON_WARMUP):
             system.sweep(plain)
-        for bank in ("lam", "w"):
-            ours, ref = getattr(state, bank), getattr(plain, bank)
-            assert ours.keys() == ref.keys()
-            for key in ours:
-                assert np.array_equal(ours[key], ref[key])
+        assert state.views.keys() == plain.views.keys()
+        for key in state.views:
+            assert np.array_equal(state.views[key], plain.views[key])
 
     @pytest.mark.parametrize("log_domain", [False, True])
     @pytest.mark.parametrize("epsilon", [0.3, 0.1])
@@ -1638,10 +1654,10 @@ class TestCoupledMixing:
         assert np.all(np.diff(report.objective) >= -1e-12)
         # zero-target joint cells stay dead, and capacity multipliers stay <= 1
         system = state.system
-        lam, target = state.lam[("s", "t")], system.joints[("s", "t")]
+        lam, target = state.views[("s", "t")], system.joints[("s", "t")]
         assert (target == 0).any() and np.all(lam[target == 0] == -np.inf)
-        for node in system.interior_order:
-            assert np.all(np.exp(state.w[node]) <= 1.0)
+        for node in system.caps:
+            assert np.all(np.exp(state.views[node]) <= 1.0)
         plain = system.initial_state()
         plain_sweeps = 1
         while sum(system.sweep(plain)) > tol:
@@ -1801,8 +1817,8 @@ class TestAndersonStep:
         # an entering dual of -inf keeps any finite trial
         assert mixer.step(sinkhorn_engine.SinkhornState(system, x - up), x, -np.inf) is None
         evaluated = _record_dual_evaluations(monkeypatch, lambda st: [
-            np.exp(st.w[node]) for node in system.interior_order])
+            np.exp(st.views[node]) for node in system.caps])
         mixer.step(state, x + 0.5 * up, -np.inf)
         assert evaluated
-        for w in evaluated + [[np.exp(state.w[node]) for node in system.interior_order]]:
+        for w in evaluated + [[np.exp(state.views[node]) for node in system.caps]]:
             assert max(arr.max() for arr in w) <= 1.0
