@@ -4,6 +4,8 @@ Exit codes: 0 success/converged, 2 invalid input (scenario, run dir, or
 infeasible verdict from the feasibility subcommand), 3 solver did not
 converge or stopped on a non-finite value, or a property checked by
 ``solve --check-properties`` failed, 4 target mass proved unreachable.
+A command that fails raises a ``TransportError``; ``main`` alone prints it
+to stderr and maps it to its exit code.
 
 All data files are written deterministically (header row, '.' decimal,
 LF line endings, UTF-8, shortest round-trip float formatting); wall time
@@ -19,9 +21,11 @@ import time
 from dataclasses import replace
 from pathlib import Path as FsPath
 
-from .errors import NonFiniteError, SizeCapError, TransportError, UnreachableMassError
+from .errors import (BadParamError, NonFiniteError, ScenarioFormatError, TransportError,
+                     UnreachableMassError)
 from .grid_measures import TimeGrid
 from .kernels import build_pair_kernel
+from .network import path_cost_terms
 from .reference_oracle import dense_sinkhorn, chain_cost_tensor
 from .scenarios import (
     GENERATORS,
@@ -44,20 +48,32 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: FsPath, header: list[str], rows) -> None:
+def _csv(header: list[str], rows) -> str:
+    """One CSV table: strings are written as they are, numbers by ``_fmt``."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    lines += [",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _load_scenario(path: str) -> tuple[ScenarioSpec, BuiltScenario] | None:
+def _write_csv(path: FsPath, header: list[str], rows) -> None:
+    path.write_text(_csv(header, rows), encoding="utf-8", newline="\n")
+
+
+def _emit(text: str, output: str | None) -> None:
+    """Write ``text`` to the file ``output`` and say so, or to stdout without one."""
+    if output:
+        FsPath(output).write_text(text, encoding="utf-8", newline="\n")
+        print(f"wrote {output}")
+    else:
+        sys.stdout.write(text)
+
+
+def _load_scenario(path: str) -> BuiltScenario:
     try:
-        spec = ScenarioSpec.load(path)
-        return spec, spec.build()
+        return ScenarioSpec.load(path).build()
     except (OSError, TransportError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: invalid scenario {path}: {exc}", file=sys.stderr)
-        return None
+        raise ScenarioFormatError(f"invalid scenario {path}: {exc}") from exc
 
 
 def _apply_overrides(built: BuiltScenario, args) -> None:
@@ -121,23 +137,13 @@ def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float)
 def _cmd_scenario(args) -> int:
     name = args.name if args.name.startswith("scenario_") else f"scenario_{args.name}"
     if name not in GENERATORS:
-        print(f"error: unknown scenario {args.name!r}; choose from {sorted(GENERATORS)}",
-              file=sys.stderr)
-        return EXIT_INVALID
-    spec = GENERATORS[name]()
-    if args.emit:
-        spec.save(args.emit)
-        print(f"wrote {args.emit}")
-    else:
-        sys.stdout.write(spec.to_json())
+        raise BadParamError(f"unknown scenario {args.name!r}; choose from {sorted(GENERATORS)}")
+    _emit(GENERATORS[name]().to_json(), args.emit)
     return EXIT_OK
 
 
 def _cmd_feasibility(args) -> int:
-    loaded = _load_scenario(args.scenario)
-    if loaded is None:
-        return EXIT_INVALID
-    _, built = loaded
+    built = _load_scenario(args.scenario)
     if args.delta is not None:
         built = replace(built, delta=args.delta)
     verdicts = precheck_feasibility(built)
@@ -150,10 +156,7 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    loaded = _load_scenario(args.scenario)
-    if loaded is None:
-        return EXIT_INVALID
-    _, built = loaded
+    built = _load_scenario(args.scenario)
     _apply_overrides(built, args)
     outdir = FsPath(args.output) if args.output else FsPath(f"{FsPath(args.scenario).stem}_out")
     start = time.perf_counter()
@@ -175,10 +178,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_extract_plan(args) -> int:
-    loaded = _load_scenario(args.scenario)
-    if loaded is None:
-        return EXIT_INVALID
-    _, built = loaded
+    built = _load_scenario(args.scenario)
     _apply_overrides(built, args)
     # the plan options are rejected before solving, like the overrides
     check_plan_options(args.max_cells, args.top_k, args.min_mass)
@@ -201,52 +201,33 @@ def _cmd_extract_plan(args) -> int:
 
 def _cmd_plotdata(args) -> int:
     rundir = FsPath(args.rundir)
-    summary_path = rundir / "summary.json"
     try:
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+        summary = json.loads((rundir / "summary.json").read_text(encoding="utf-8"))
         rows = []
         for node, meta in sorted(summary["nodes"].items()):
             lines = (rundir / meta["file"]).read_text(encoding="utf-8").strip().splitlines()
             for ln in lines[1:]:
                 center, mass, cap = ln.split(",")
                 rows.append((node, center, mass, cap, meta["role"]))
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: malformed run dir {rundir}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    out_lines = ["node,bin_center,mass,cap,role"]
-    out_lines += [",".join(r) for r in rows]
-    text = "\n".join(out_lines) + "\n"
-    if args.output:
-        FsPath(args.output).write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
+    except (OSError, KeyError, TypeError, AttributeError, ValueError) as exc:  # JSONDecodeError too
+        raise BadParamError(f"malformed run dir {rundir}: {exc}") from exc
+    _emit(_csv(["node", "bin_center", "mass", "cap", "role"], rows), args.output)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    loaded = _load_scenario(args.scenario)
-    if loaded is None:
-        return EXIT_INVALID
-    _, built = loaded
+    built = _load_scenario(args.scenario)
     path = built.paths[check_path_index(args.path_index, len(built.paths))]
-    grid = built.net.grid
-    weights = [built.net.weight(t, h) for t, h in zip(path.nodes[:-1], path.nodes[1:])]
-    try:
-        cost = chain_cost_tensor(grid.centers, weights)
-        targets = [("eq", built.net.sources[path.source].mass)]
-        for node in path.interior:
-            targets.append(("ub", built.net.capacity_for(node)))
-        targets.append(("eq", built.net.sinks[path.sink].mass))
-        eps = args.epsilon if args.epsilon is not None else built.config.epsilon
-        result = dense_sinkhorn(cost, targets, eps, args.iters)
-    except (SizeCapError, UnreachableMassError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    sys.stdout.write("node,bin_center,mass\n")
-    for pos, node in enumerate(path.nodes):
-        for t, x in zip(grid.centers, result.marginals[pos]):
-            sys.stdout.write(f"{node},{_fmt(t)},{_fmt(x)}\n")
+    net = built.net
+    cost = chain_cost_tensor(net.grid.centers, path_cost_terms(net, path))
+    targets = [("eq", net.sources[path.source].mass),
+               *(("ub", net.capacity_for(node)) for node in path.interior),
+               ("eq", net.sinks[path.sink].mass)]
+    eps = args.epsilon if args.epsilon is not None else built.config.epsilon
+    result = dense_sinkhorn(cost, targets, eps, args.iters)
+    sys.stdout.write(_csv(["node", "bin_center", "mass"],
+                          ((node, t, x) for node, marginal in zip(path.nodes, result.marginals)
+                           for t, x in zip(net.grid.centers, marginal))))
     return EXIT_OK
 
 
@@ -254,18 +235,11 @@ def _cmd_inspect_kernel(args) -> int:
     try:
         grid = TimeGrid(t_f=args.t_f, n_t=args.n_t)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise BadParamError(str(exc)) from exc
     kern = build_pair_kernel(grid, args.weight, args.epsilon)
-    out_lines = ["s_center,t_center,k,log_k"]
-    for i, s in enumerate(grid.centers):
-        for j, t in enumerate(grid.centers):
-            out_lines.append(f"{_fmt(s)},{_fmt(t)},{_fmt(kern.K[i, j])},{_fmt(kern.logK[i, j])}")
-    text = "\n".join(out_lines) + "\n"
-    if args.output:
-        FsPath(args.output).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    rows = ((s, t, kern.K[i, j], kern.logK[i, j])
+            for i, s in enumerate(grid.centers) for j, t in enumerate(grid.centers))
+    _emit(_csv(["s_center", "t_center", "k", "log_k"], rows), args.output)
     return EXIT_OK
 
 
@@ -336,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# exit code of each error a command lets through; any other TransportError is invalid input
+# exit code of each error a command raises; any other TransportError is invalid input
 _EXIT_CODES = {NonFiniteError: EXIT_NOT_CONVERGED, UnreachableMassError: EXIT_UNREACHABLE}
 
 

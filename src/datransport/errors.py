@@ -1,70 +1,64 @@
 """Exception types shared across the package.
 
-Every error carries a short machine-readable ``code`` used by scenario
-validation and by the CLI when mapping failures to exit codes.
+The CLI maps each error to its exit status by type, in ``cli._EXIT_CODES``.
 """
 
 
 class TransportError(Exception):
     """Base class for all library errors."""
 
-    code = "ERROR"
-
-    def __init__(self, message: str = ""):
-        super().__init__(message or self.code)
-
 
 class BadParamError(TransportError):
-    code = "BAD_PARAM"
+    pass
 
 
 class NonProbabilityError(TransportError):
-    code = "NON_PROBABILITY"
+    pass
 
 
 class MixtureError(TransportError):
-    code = "BAD_MIXTURE"
+    pass
 
 
 class GridMismatchError(TransportError):
-    code = "GRID_MISMATCH"
+    pass
 
 
 class MassMismatchError(TransportError):
-    code = "MASS_MISMATCH"
+    pass
 
 
 class BrokenPathError(TransportError):
-    code = "BROKEN_PATH"
+    pass
 
 
 class BadEndpointError(TransportError):
-    code = "BAD_ENDPOINT"
+    pass
 
 
 class InfeasiblePreconditionError(TransportError):
-    code = "INFEASIBLE_PRECONDITION"
+    pass
 
 
 class NonIncreasingTimesError(TransportError):
-    code = "NON_INCREASING_TIMES"
+    pass
 
 
 class UnreachableMassError(TransportError):
-    code = "UNREACHABLE_MASS"
+    pass
 
 
 class PlanTooLargeError(TransportError):
-    code = "TOO_LARGE"
+    pass
 
 
 class SizeCapError(TransportError):
-    code = "SIZE_CAP"
+    pass
 
 
 class ScenarioFormatError(TransportError):
-    code = "BAD_SCENARIO"
+    pass
 
 
 class NonFiniteError(TransportError):
-    code = "NON_FINITE"
+    pass

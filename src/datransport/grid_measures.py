@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,8 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.t_f < math.inf:
             raise ValueError(f"t_f must be finite and positive, got {self.t_f}")
+        if isinstance(self.n_t, bool) or not isinstance(self.n_t, numbers.Integral):
+            raise ValueError(f"n_t must be an integer, got {self.n_t!r}")
         if self.n_t < 2:
             raise ValueError(f"n_t must be at least 2, got {self.n_t}")
 

@@ -26,6 +26,7 @@ from .sinkhorn_engine import (
     ConvergenceReport,
     SinkhornState,
     SolverConfig,
+    _real,
     aggregate_marginals,
     extract_plan,
 )
@@ -44,7 +45,7 @@ class BuiltScenario:
 
     def __post_init__(self):
         if self.delta is not None:
-            self.delta = float(self.delta)
+            self.delta = _real("delta", self.delta)
             if not 0 <= self.delta < np.inf:
                 raise BadParamError(f"delta must be finite and nonnegative, got {self.delta}")
 
@@ -87,7 +88,7 @@ class ScenarioSpec:
     def build(self) -> BuiltScenario:
         d = self.data
         try:
-            grid = TimeGrid(t_f=float(d["grid"]["t_f"]), n_t=int(d["grid"]["n_t"]))
+            grid = TimeGrid(t_f=float(d["grid"]["t_f"]), n_t=d["grid"]["n_t"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioFormatError(f"bad grid spec: {exc}") from exc
         mode = d.get("mode", "independent")
@@ -99,8 +100,8 @@ class ScenarioSpec:
             pair = (str(j["source"]), str(j["sink"]))
             joints[pair] = JointMeasure(grid, np.asarray(j["mass"], dtype=float))
 
-        sources = self._boundary_measures(d["sources"], grid, joints, axis=0)
-        sinks = self._boundary_measures(d["sinks"], grid, joints, axis=1)
+        sources = self._boundary_measures(d["sources"], grid, joints, mode, axis=0)
+        sinks = self._boundary_measures(d["sinks"], grid, joints, mode, axis=1)
 
         edges = {}
         for e in d["edges"]:
@@ -109,7 +110,7 @@ class ScenarioSpec:
             edges[(str(e[0]), str(e[1]))] = float(e[2])
 
         capacities = {}
-        for node, density in d.get("capacities", {}).items():
+        for node, density in _object(d, "capacities").items():
             capacities[str(node)] = CapacityProfile.from_density(grid, density)
 
         net = TransportNetwork(grid=grid, nodes=tuple(str(n) for n in d["nodes"]),
@@ -118,7 +119,7 @@ class ScenarioSpec:
         paths = [Path(tuple(p)) for p in d["paths"]]
         validate_paths(net, paths)
 
-        solver = dict(d.get("solver", {}))
+        solver = dict(_object(d, "solver"))
         # files written while the sweep was a choice may still name it
         if solver.pop("sweep", "gauss-seidel") != "gauss-seidel":
             raise ScenarioFormatError('Jacobi sweeps were retired; solver "sweep" may only '
@@ -147,13 +148,18 @@ class ScenarioSpec:
                              delta=d.get("delta"))
 
     @staticmethod
-    def _boundary_measures(entries, grid: TimeGrid, joints, axis: int) -> dict[str, Measure]:
+    def _boundary_measures(entries, grid: TimeGrid, joints, mode: str,
+                           axis: int) -> dict[str, Measure]:
         out: dict[str, Measure] = {}
         for entry in entries:
             node = str(entry["node"])
             marg = entry.get("marginal")
+            if marg is not None and mode == "coupled":
+                # the engine matches the joints only, so a second law could only contradict them
+                raise ScenarioFormatError(f"coupled boundary node {node} takes its law from "
+                                          f"the joints and may not carry a marginal")
             if marg is None:
-                # coupled files may omit boundary marginals: derive from joints
+                # derive the boundary law from the joints
                 sums = [jm.mass.sum(axis=1 - axis) for pair, jm in joints.items()
                         if pair[axis] == node]
                 if not sums:
@@ -168,6 +174,14 @@ class ScenarioSpec:
             else:
                 raise ScenarioFormatError(f"unrecognized marginal spec for node {node}: {marg!r}")
         return out
+
+
+def _object(d: dict, key: str) -> dict:
+    """The optional JSON object ``d[key]``, {} when absent; anything else raises."""
+    value = d.get(key, {})
+    if not isinstance(value, dict):
+        raise ScenarioFormatError(f"{key} must be a JSON object, got {value!r}")
+    return value
 
 
 def min_travel_delta(built: BuiltScenario, path: Path) -> float:

@@ -505,15 +505,11 @@ class PathSystem:
         self._dual_bound = self.bound[self._dual_bins]
 
         self.epsilon = config.epsilon
-        path_weights = [path_cost_terms(net, p) for p in self.paths]
-        self._kernel_cache: dict[float, PairKernel] = {}
-        for weights in path_weights:
-            for w in weights:
-                key = float(w)
-                if key not in self._kernel_cache:
-                    self._kernel_cache[key] = build_pair_kernel(self.grid, key, self.epsilon)
-        self.path_kernels = [[self._kernel_cache[float(w)] for w in weights]
-                             for weights in path_weights]
+        path_weights = [[float(w) for w in path_cost_terms(net, p)] for p in self.paths]
+        self._kernel_cache: dict[float, PairKernel] = {  # one kernel per distinct weight
+            w: build_pair_kernel(self.grid, w, self.epsilon)
+            for w in dict.fromkeys(w for weights in path_weights for w in weights)}
+        self.path_kernels = [[self._kernel_cache[w] for w in weights] for weights in path_weights]
 
         # the messages' domain and arithmetic; the state is in log units either way
         self.log_domain = mode == INDEPENDENT or self._neutral_chain_underflows()
@@ -558,40 +554,25 @@ class PathSystem:
     def _interior_topo_order(self) -> tuple[list[str], bool]:
         """Interior sweep order: topological in path precedence, first-appearance ties.
 
-        When the precedence relation induced by the paths is acyclic (it is
-        for any DAG-like path family), the returned order visits each path's
-        interior nodes in path order, which allows the single-pass exact
-        sweep.  A cyclic relation falls back to plain first-appearance order,
-        and Gauss-Seidel then refreshes the messages before every block.
+        Each step places the first node, in first-appearance order, whose
+        predecessors on the paths are all placed.  For an acyclic precedence
+        relation (any DAG-like path family) this visits each path's interior
+        in path order, which allows the single-pass exact sweep.  A cyclic
+        one falls back to first-appearance order, and Gauss-Seidel then
+        refreshes the messages before every block.
         """
-        first_seen: dict[str, int] = {}
-        succ: dict[str, set[str]] = {}
-        indeg: dict[str, int] = {}
+        preds: dict[str, set[str]] = {}  # first-appearance order
         for p in self.paths:
-            for node in p.interior:
-                if node not in first_seen:
-                    first_seen[node] = len(first_seen)
-                    succ[node] = set()
-                    indeg[node] = 0
-        for p in self.paths:
-            inner = list(p.interior)
-            for a, b in zip(inner[:-1], inner[1:]):
-                if b not in succ[a]:
-                    succ[a].add(b)
-                    indeg[b] += 1
+            for k, node in enumerate(p.interior):
+                preds.setdefault(node, set()).update(p.interior[k - 1:k])
         order: list[str] = []
-        ready = sorted((n for n, d in indeg.items() if d == 0), key=first_seen.get)
-        while ready:
-            node = ready.pop(0)
+        while len(order) < len(preds):
+            done = set(order)
+            node = next((n for n in preds if n not in done and preds[n] <= done), None)
+            if node is None:
+                return list(preds), False
             order.append(node)
-            for nxt in succ[node]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    ready.append(nxt)
-            ready.sort(key=first_seen.get)
-        if len(order) == len(first_seen):
-            return order, True
-        return sorted(first_seen, key=first_seen.get), False
+        return order, True
 
     # ------------------------------------------------------------------
     # state
@@ -660,7 +641,11 @@ class PathSystem:
         return self.dom.to_log(reduce(self.dom.add, terms))
 
     def violations(self, model: np.ndarray) -> tuple[float, float, float]:
-        """L1 source error E0, sink error ET, capacity excess V: slices of flat model - bound."""
+        """L1 source error E0, sink error ET, capacity excess V: slices of flat model - bound.
+
+        In coupled mode the joint blocks stand first and no sink has a block,
+        so the whole joint L1 error is E0 and ET is always 0.
+        """
         gap = model - self.bound
         caps = self._caps_part
         return (float(np.abs(gap[:caps.start]).sum()), float(np.abs(gap[caps.stop:]).sum()),

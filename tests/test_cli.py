@@ -330,6 +330,58 @@ class TestSolveCommand:
         assert captured.err.startswith("error: invalid scenario")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("change, message", [
+        ({"capacities": []}, "capacities must be a JSON object"),  # was an AttributeError
+        ({"grid": {"t_f": 1.0, "n_t": 12.5}}, "n_t must be an integer"),  # ran on 12 bins
+        ({"grid": {"t_f": 1.0, "n_t": "12"}}, "n_t must be an integer"),
+        ({"grid": {"t_f": 1.0, "n_t": True}}, "n_t must be an integer"),
+        ({"delta": "0.5"}, "delta must be a real number"),  # was read as 0.5
+        ({"delta": True}, "delta must be a real number"),  # was read as 1.0
+        ({"solver": []}, "solver must be a JSON object"),  # was an empty block
+    ], ids=["capacities-list", "fractional-n_t", "string-n_t", "bool-n_t", "string-delta",
+            "bool-delta", "solver-list"])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, change, message):
+        # each value is rejected where it enters: a message, no traceback, no output
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(TINY, **change)), encoding="utf-8")
+        outdir = tmp_path / "o"
+        assert main(["solve", str(p), "--output", str(outdir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not outdir.exists()
+        assert captured.err.startswith(f"error: invalid scenario {p}: ") and message in captured.err
+
+    @pytest.mark.parametrize("node", ["a", "b"])
+    @pytest.mark.parametrize("command", ["feasibility", "solve"])
+    def test_coupled_boundary_marginal_exits_2(self, tmp_path, capsys, command, node):
+        # a coupled solve matches the joint law only; a uniform marginal on a
+        # boundary node used to be judged by feasibility and ignored by solve
+        data = coupled_tiny_scenario({"epsilon": 0.3})
+        for entry in data["sources"] + data["sinks"]:
+            if entry["node"] == node:
+                entry["marginal"] = {"mass": [0.125] * 8}
+        p = tmp_path / "coupled.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        outdir = tmp_path / "o"
+        extra = ["--output", str(outdir), "--check-properties"] if command == "solve" else []
+        assert main([command, str(p), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not outdir.exists()
+        assert f"coupled boundary node {node} " in captured.err
+
+    @pytest.mark.parametrize("command, message", [
+        ("oracle", "target mass on axis 2 sits on unreachable bins"),
+        ("solve", "target mass at t sits on bins with zero aggregate flux")])
+    def test_unreachable_sink_law_exits_4(self, tmp_path, capsys, command, message):
+        # the sink law sits on the first bin, which no two-edge route reaches;
+        # the oracle exits 4 like solve (it used to exit 2)
+        bad = dict(TINY, sinks=[{"node": "t", "marginal": {"mass": [1.0] + [0.0] * 15}}])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad), encoding="utf-8")
+        extra = ["--output", str(tmp_path / "o")] if command == "solve" else []
+        assert main([command, str(p), *extra]) == 4
+        captured = capsys.readouterr()
+        assert captured == ("", f"error: {message}\n")
+
 
 class TestSolverKnobs:
     def test_knob_count(self):
@@ -397,6 +449,14 @@ class TestPlotdataCommand:
     def test_malformed_dir(self, tmp_path):
         assert main(["plotdata", str(tmp_path / "nothing")]) == 2
 
+    @pytest.mark.parametrize("summary", ["[]", '{"nodes": []}', '{"nodes": {"s": "s.csv"}}',
+                                         "{", '{"nodes": {"s": {"file": "s.csv"}}}'])
+    def test_malformed_summary_exits_2(self, tmp_path, capsys, summary):
+        (tmp_path / "summary.json").write_text(summary, encoding="utf-8")
+        assert main(["plotdata", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: malformed run dir {tmp_path}")
+
 
 class TestHiddenCommands:
     def test_oracle_runs(self, tiny_scenario, capsys):
@@ -425,6 +485,16 @@ class TestHiddenCommands:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "s_center,t_center,k,log_k"
         assert len(out) == 1 + 16
+
+    def test_inspect_kernel_output_file(self, tmp_path, capsys):
+        # --output writes the bytes the command prints without it, and says so
+        argv = ["inspect-kernel", "--n-t", "4", "--epsilon", "0.5"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "kernel.csv"
+        assert main([*argv, "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_bytes() == printed.encode("utf-8")
 
     @pytest.mark.parametrize("argv", [
         ["inspect-kernel", "--n-t", "1"], ["inspect-kernel", "--t-f", "-1"],

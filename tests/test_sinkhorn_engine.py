@@ -36,7 +36,7 @@ from datransport.errors import (
 from datransport.kernels import build_pair_kernel
 from datransport.reference_oracle import dense_coupled_sinkhorn
 from datransport.reference_oracle import transport_cost as dense_transport_cost
-from datransport.scenarios import scenario_61
+from datransport.scenarios import scenario_61, scenario_63_network
 from datransport.sinkhorn_engine import (
     ABSORB_BAND,
     ANDERSON_WARMUP,
@@ -1615,6 +1615,17 @@ class TestSweepPinning:
         assert np.all(np.diff(report.objective) >= -1e-9)
         mm = aggregate_marginals(state)
         assert max(np.max(mm.m[n] - 0.12) for n in ("a", "b")) <= 1e-9
+
+    def test_interior_order(self, grid16):
+        # each step places the first node, in first-appearance order, whose
+        # predecessors on the paths are all placed; v3 waits for v1
+        built = scenario_63_network().build()
+        system = PathSystem(built.net, built.paths, config=built.config)
+        assert system._interior_topo_order() == (["v2", "v1", "v3", "v4", "v6", "v5"], True)
+        assert list(system.caps) == ["v2", "v1", "v3", "v4", "v6", "v5"]
+        # a and b precede each other: first-appearance order, and no single-pass sweep
+        net, paths = _cyclic_family(grid16, np.random.default_rng(51))
+        assert PathSystem(net, paths)._interior_topo_order() == (["a", "b"], False)
 
 
 def _solve_system(system, **config):
