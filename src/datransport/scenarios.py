@@ -88,7 +88,7 @@ class ScenarioSpec:
     def build(self) -> BuiltScenario:
         d = self.data
         try:
-            grid = TimeGrid(t_f=float(d["grid"]["t_f"]), n_t=d["grid"]["n_t"])
+            grid = TimeGrid(t_f=_real("grid t_f", d["grid"]["t_f"]), n_t=d["grid"]["n_t"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioFormatError(f"bad grid spec: {exc}") from exc
         mode = d.get("mode", "independent")
@@ -107,16 +107,19 @@ class ScenarioSpec:
         for e in d["edges"]:
             if len(e) != 3:
                 raise ScenarioFormatError(f"edge entries are [tail, head, weight], got {e!r}")
-            edges[(str(e[0]), str(e[1]))] = float(e[2])
+            edges[(str(e[0]), str(e[1]))] = _real(f"weight of edge {e[0]}->{e[1]}", e[2])
 
         capacities = {}
         for node, density in _object(d, "capacities").items():
-            capacities[str(node)] = CapacityProfile.from_density(grid, density)
+            name = f"capacity density of {node}"
+            capacities[str(node)] = CapacityProfile.from_density(
+                grid, [_real(name, x) for x in density] if isinstance(density, list)
+                else _real(name, density))
 
-        net = TransportNetwork(grid=grid, nodes=tuple(str(n) for n in d["nodes"]),
-                               edges=edges, sources=sources, sinks=sinks,
+        nodes = tuple(str(n) for n in _array("nodes", d["nodes"]))
+        net = TransportNetwork(grid=grid, nodes=nodes, edges=edges, sources=sources, sinks=sinks,
                                capacities=capacities)
-        paths = [Path(tuple(p)) for p in d["paths"]]
+        paths = [Path(tuple(_array("each path", p))) for p in _array("paths", d["paths"])]
         validate_paths(net, paths)
 
         solver = dict(_object(d, "solver"))
@@ -181,6 +184,13 @@ def _object(d: dict, key: str) -> dict:
     value = d.get(key, {})
     if not isinstance(value, dict):
         raise ScenarioFormatError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _array(name: str, value) -> list:
+    """``value`` if it is a JSON array; anything else, a string too, raises."""
+    if not isinstance(value, list):
+        raise ScenarioFormatError(f"{name} must be a JSON array, got {value!r}")
     return value
 
 
@@ -417,8 +427,10 @@ def check_property(prop: dict, built: BuiltScenario, state: SinkhornState,
     if kind == "boundary_match":
         e0, et, _ = system.violations(aggregate_marginals(state).model)
         value = max(e0, et)
-        return PropertyResult(kind, value <= tol, value,
-                              f"boundary L1 errors E0={e0:.3e} ET={et:.3e} (tol {tol:.1e})")
+        # a coupled solve matches the joints only: its whole error is E0, and ET is 0
+        errors = (f"joint L1 error {e0:.3e}" if built.mode == "coupled"
+                  else f"boundary L1 errors E0={e0:.3e} ET={et:.3e}")
+        return PropertyResult(kind, value <= tol, value, f"{errors} (tol {tol:.1e})")
     if kind == "mass_delivered":
         mm = aggregate_marginals(state)
         delivered = sum(float(mm.m[s].sum()) for s in system.muT)

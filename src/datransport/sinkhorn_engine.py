@@ -28,15 +28,18 @@ on the exp of the state's views) unless a pair's neutral chain falls
 below ``LINEAR_CHAIN_FLOOR`` on a target cell
 (``PathSystem._neutral_chain_underflows``), and then ``_Log``.  Every
 log-sum-exp is one reduction, ``_lse_reduce``, so the engine needs numpy
-only.  Every path-edge has one step object per direction: a vector
-step is one BLAS mat-vec per block of a cached kernel with its last input
+only.  Every path-edge has one step object per direction, shared with
+every path through the same prefix (forward) or suffix (backward): a
+message pass calls each distinct step once and hands its output to every
+path that shares it, so no reader writes into a message.  A vector step
+is one BLAS mat-vec per block of a cached kernel with its last input
 absorbed (``_AbsorbedStep``), which reads its kernel as [output, input]
 (``logK.T`` forward, ``logK`` backward); the blocks hold only the
 kernel's causal support (a particle arrives strictly after it departs), a
 little over half of its n_t**2 entries.  A step pays a full log-sum-exp
 only when it re-absorbs, after its input drifted more than
-``ABSORB_BAND`` or a bin died or revived.  A matrix step is one BLAS or ``_lse_matmul`` product
-(``_MatrixStep``).
+``ABSORB_BAND`` or a bin died or revived.  A matrix step is one BLAS or
+``_lse_matmul`` product (``_MatrixStep``).
 
 A solve runs at the one configured epsilon.  Each sweep is one cyclic
 (Gauss-Seidel) pass over the blocks in sweep order, each projected from
@@ -86,7 +89,7 @@ COUPLED = "coupled"
 # sweeps before the first mixing step, and past iterates kept for mixing.
 # Tests compare solve() with the dense oracle at up to 30 equal sweeps, inside the warm-up.
 ANDERSON_WARMUP = 30
-ANDERSON_MEMORY = 5
+ANDERSON_MEMORY = 8
 
 # A cached log-domain message step serves inputs within this many log units
 # of its absorption point on every live bin (see ``_AbsorbedStep``).
@@ -252,7 +255,7 @@ class _Log:
 
     @staticmethod
     def sum(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """Log-sum-exp along ``axis`` (of every entry when None); overwrites ``a``."""
+        """Log-sum-exp along ``axis`` (all entries when None); overwrites ``a``, never a message."""
         return _lse_reduce(a.ravel(), 0) if axis is None else _lse_reduce(a, axis)
 
 
@@ -414,6 +417,7 @@ class _Forward:
         self.system = system
         self.state = state
         self.fwd = [[system._start] for _ in system.paths]
+        self.done: dict = {}  # each shared step's output, computed once
 
     def __call__(self, p_idx: int, pos: int) -> np.ndarray:
         f = self.fwd[p_idx]
@@ -421,7 +425,10 @@ class _Forward:
         steps = self.system._steps[p_idx]
         while len(f) <= pos:
             l = len(f) - 1
-            f.append(steps[l][0](f[l], self.system._scaling_at(self.state, path, l)))
+            step = steps[l][0]
+            if step not in self.done:
+                self.done[step] = step(f[l], self.system._scaling_at(self.state, path, l))
+            f.append(self.done[step])
         return f[pos]
 
 
@@ -514,25 +521,30 @@ class PathSystem:
         # the messages' domain and arithmetic; the state is in log units either way
         self.log_domain = mode == INDEPENDENT or self._neutral_chain_underflows()
         self.dom = dom = _Log if self.log_domain else _Linear
+        # the (forward, backward) steps per path and edge, one object per axis and
+        # distinct prefix or suffix: a forward step's output depends only on the
+        # nodes up to the edge's head, a backward one's on those from its tail
+        keys = [[((0, p.nodes[:l + 2]), (1, p.nodes[l:])) for l in range(p.n_edges)]
+                for p in self.paths]
+        step_kernels = {key: k for p_keys, p_kernels in zip(keys, self.path_kernels)
+                        for pair, k in zip(p_keys, p_kernels) for key in pair}
         # neutral scaling vector and neutral message (the identity on the boundary
-        # bins in coupled mode), shared by every path and state, so read-only; and
-        # the (forward, backward) message steps per path and edge, each with its
-        # edge's kernel.  Vector steps read the kernel as [output, input] and
-        # take their block windows once per kernel and direction
+        # bins in coupled mode), shared by every path and state, so read-only.
+        # Vector steps read the kernel as [output, input] and take their block
+        # windows once per kernel and direction
         self._unit = np.full(self.n_t, dom.one)
         if mode == INDEPENDENT:
             self._start = self._unit
             sides = {w: [(kern, _causal_windows(kern)) for kern in (k.logK.T, k.logK)]
                      for w, k in self._kernel_cache.items()}
-            self._steps = [[tuple(_AbsorbedStep(*side) for side in sides[k.w]) for k in kernels]
-                           for kernels in self.path_kernels]
+            steps = {key: _AbsorbedStep(*sides[k.w][key[0]]) for key, k in step_kernels.items()}
         else:
             start = np.full((self.n_t, self.n_t), -np.inf)
             np.fill_diagonal(start, 0.0)
             self._start = dom.from_log(start)
-            self._steps = [[tuple(_MatrixStep(dom.kernel(k), axis, dom, self._start, self._unit)
-                                  for axis in (0, 1)) for k in kernels]
-                           for kernels in self.path_kernels]
+            steps = {key: _MatrixStep(dom.kernel(k), key[0], dom, self._start, self._unit)
+                     for key, k in step_kernels.items()}
+        self._steps = [[tuple(steps[key] for key in pair) for pair in p_keys] for p_keys in keys]
         self._unit.flags.writeable = False
         self._start.flags.writeable = False
 
@@ -604,11 +616,14 @@ class PathSystem:
         masses and joint aggregates read ``bwd[p][0]``, so a sweep and the
         dual need no forward message.
         """
-        bwd = []
+        bwd, done = [], {}  # each shared step's output, computed once
         for p_idx, path in enumerate(self.paths):
             b = [self._start] * path.n_p
             for l in range(path.n_edges - 1, -1, -1):
-                b[l] = self._steps[p_idx][l][1](b[l + 1], self._scaling_at(state, path, l + 1))
+                step = self._steps[p_idx][l][1]
+                if step not in done:
+                    done[step] = step(b[l + 1], self._scaling_at(state, path, l + 1))
+                b[l] = done[step]
             bwd.append(b)
         return bwd
 

@@ -6,6 +6,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import maximum_flow
+from scipy.special import logsumexp
 
 from datransport import Measure, TimeGrid
 
@@ -79,3 +80,20 @@ def comonotone_violations(cells: np.ndarray) -> int:
         dy = cells[:, a + 1][:, None] - cells[:, a + 1][None, :]
         bad += int(np.sum((dx * dy) < 0) // 2)
     return bad
+
+
+def path_node_marginals(log_kernels: list[np.ndarray],
+                        log_scalings: list[np.ndarray]) -> np.ndarray:
+    """Marginal at each node of one path's plan, from its own log-sum-exp messages: (n_p, n_t).
+
+    ``log_kernels[l]`` is edge l's log kernel, [departure bin, arrival bin],
+    and ``log_scalings[k]`` node k's log scaling.  The forward message at a
+    node holds its own scaling and the backward one does not.
+    """
+    fwd = [log_scalings[0]]
+    for logk, logs in zip(log_kernels, log_scalings[1:]):
+        fwd.append(logsumexp(fwd[-1][:, None] + logk, axis=0) + logs)
+    bwd = [np.zeros_like(log_scalings[-1])]
+    for logk, logs in zip(log_kernels[::-1], log_scalings[:0:-1]):
+        bwd.insert(0, logsumexp(logk + (bwd[0] + logs)[None, :], axis=1))
+    return np.exp(np.array(fwd) + np.array(bwd))

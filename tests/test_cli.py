@@ -291,7 +291,10 @@ class TestSolveCommand:
         p.write_text(json.dumps(data), encoding="utf-8")
         assert main(["solve", str(p), "--output", str(tmp_path / "o"),
                      "--check-properties"]) == 0
-        assert capsys.readouterr().out.count("[PASS]") == 3
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 3
+        # no sink has a block, so the whole joint error is E0 and names itself
+        assert "  [PASS] boundary_match: joint L1 error " in out and "ET=" not in out
 
     def test_short_trace_fails_linear_convergence(self, tmp_path, capsys):
         path = tmp_path / "s64.json"
@@ -338,8 +341,23 @@ class TestSolveCommand:
         ({"delta": "0.5"}, "delta must be a real number"),  # was read as 0.5
         ({"delta": True}, "delta must be a real number"),  # was read as 1.0
         ({"solver": []}, "solver must be a JSON object"),  # was an empty block
+        # each of these was read through float() or iterated as a string, and loaded
+        ({"grid": {"t_f": "1.0", "n_t": 16}}, "grid t_f must be a real number, got '1.0'"),
+        ({"grid": {"t_f": True, "n_t": 16}}, "grid t_f must be a real number, got True"),
+        ({"edges": [["s", "m", "1.0"], ["m", "t", 1.0]]},
+         "weight of edge s->m must be a real number, got '1.0'"),
+        ({"edges": [["s", "m", 1.0], ["m", "t", True]]},
+         "weight of edge m->t must be a real number, got True"),
+        ({"capacities": {"m": "2.5"}}, "capacity density of m must be a real number, got '2.5'"),
+        ({"capacities": {"m": [2.5] * 15 + [True]}},
+         "capacity density of m must be a real number, got True"),
+        ({"nodes": "smt"}, "nodes must be a JSON array, got 'smt'"),
+        ({"paths": "smt"}, "paths must be a JSON array, got 'smt'"),
+        ({"paths": ["smt"]}, "each path must be a JSON array, got 'smt'"),
     ], ids=["capacities-list", "fractional-n_t", "string-n_t", "bool-n_t", "string-delta",
-            "bool-delta", "solver-list"])
+            "bool-delta", "solver-list", "string-t_f", "bool-t_f", "string-weight", "bool-weight",
+            "string-density", "bool-density-bin", "string-nodes", "string-paths",
+            "string-path"])
     def test_malformed_file_exits_2(self, tmp_path, capsys, change, message):
         # each value is rejected where it enters: a message, no traceback, no output
         p = tmp_path / "bad.json"

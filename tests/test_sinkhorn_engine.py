@@ -8,6 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import make_line_net, ordered_random_pair
+from helpers import path_node_marginals
 
 from datransport import (
     CapacityProfile,
@@ -46,6 +47,7 @@ from datransport.sinkhorn_engine import (
     _AbsorbedStep,
     _causal_windows,
     _Forward,
+    _MatrixStep,
     _lse_matmul,
     _lse_reduce,
     _lse_rows,
@@ -358,9 +360,83 @@ class TestMessageSteps:
                         assert np.array_equal(np.isneginf(ours), dead) and dead.any()
                         err = np.abs(ours[~dead] - ref[~dead])
                         assert np.all(err <= 1e-12 * np.maximum(np.abs(ref[~dead]), 1.0))
-        if system.mode == "independent":  # each vector step absorbed once, then served
-            assert counts == [4 * sum(path.n_edges for path in system.paths),
-                              2 * sum(path.n_edges for path in system.paths)]
+        if system.mode == "independent":  # each distinct vector step absorbed once, then served
+            distinct = {step for steps in system._steps for pair in steps for step in pair}
+            assert counts == [4 * sum(path.n_edges for path in system.paths), len(distinct)]
+
+
+class TestSharedSteps:
+    def test_one_step_per_prefix_and_suffix(self, grid16, monkeypatch):
+        # the three routes of scenario_63's topology cross 15 path-edges, with
+        # 12 distinct prefixes and 12 distinct suffixes among them
+        system = _pinning_instance("shared", grid16)
+        assert sum(path.n_edges for path in system.paths) == 15
+        counts = _count_absorptions(monkeypatch)
+        state = system.initial_state()
+        messages = system.compute_messages(state)
+        assert counts[0] == 12
+        counts[:] = [0, 0]
+        system.sweep(state, messages)  # forward steps only, on the given messages
+        assert counts[0] == 12
+
+    @pytest.mark.parametrize("routes", [
+        [("v0", "v1", "v3", "v4"), ("v0", "v2", "v3", "v4")],  # v3->v4 and its suffix
+        [("v0", "v1", "v2", "v3"), ("v0", "v1", "v2", "v4")],  # v1->v2 and its prefix
+    ], ids=["shared-suffix", "shared-prefix"])
+    def test_shared_edge_matches_per_path_reference(self, grid16, routes):
+        # two routes share an edge but not the rest of its prefix (or suffix):
+        # a step keyed by the edge alone would hand one route the other's message
+        rng = np.random.default_rng(71)
+        weights = {}
+        for route in routes:
+            for edge in zip(route[:-1], route[1:]):
+                weights.setdefault(edge, 0.8 + 0.2 * len(weights))
+        sinks = {route[-1] for route in routes}
+        mu0, muT = ordered_random_pair(grid16, rng, 3)
+        net = TransportNetwork(
+            grid=grid16, nodes=tuple(dict.fromkeys(n for route in routes for n in route)),
+            edges=weights, sources={"v0": Measure(grid16, mu0)},
+            sinks={s: Measure(grid16, muT / len(sinks)) for s in sinks})
+        system = PathSystem(net, [Path(route) for route in routes],
+                            config=SolverConfig(epsilon=0.3))
+        state = system.initial_state()
+        state.x[:] = rng.normal(size=state.x.size)
+        ref = {node: np.zeros(grid16.n_t) for node in net.nodes}
+        for route in routes:
+            log_kernels = [build_pair_kernel(grid16, weights[edge], 0.3).logK
+                           for edge in zip(route[:-1], route[1:])]
+            marginals = path_node_marginals(log_kernels, [state.views[n] for n in route])
+            for node, marginal in zip(route, marginals):
+                ref[node] += marginal
+        ours = aggregate_marginals(state).m
+        for node in net.nodes:
+            assert ref[node].max() > 0
+            np.testing.assert_allclose(ours[node], ref[node], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("shared", True), ("coupled_shared", False), ("coupled_shared", True)])
+    def test_readers_leave_messages_alone(self, grid16, kind, log_domain, monkeypatch):
+        # every path that shares a step reads the one array it returns, so no
+        # reader may write into a message: make every step's output read-only
+        # and run every reader, the mixer's trial pass included
+        _pick_domain(monkeypatch, log_domain)
+        for step_type in (_AbsorbedStep, _MatrixStep):
+            def read_only(self, message, scaling, call=step_type.__call__):
+                out = call(self, message, scaling).view()
+                out.flags.writeable = False
+                return out
+            monkeypatch.setattr(step_type, "__call__", read_only)
+        system = _pinning_instance(kind, grid16)
+        state, report = _solve_system(system, **fixed_sweeps(ANDERSON_WARMUP + 5))
+        system = state.system
+        assert report.iterations == ANDERSON_WARMUP + 5
+        aggregate_marginals(state)
+        system.transport_cost(state)
+        system.dual_objective(state)
+        for p_idx, path in enumerate(system.paths):
+            flux_profile(state, p_idx, path.nodes[1])
+        for block in system.caps:
+            capacity_update(state, block)
 
 
 class TestFluxProfile:
