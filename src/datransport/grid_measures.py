@@ -102,9 +102,6 @@ class JointMeasure:
     def total(self) -> float:
         return float(self.mass.sum())
 
-    def marginal(self, axis: int) -> Measure:
-        return Measure(self.grid, self.mass.sum(axis=1 - axis))
-
 
 def require_same_grid(*objs) -> TimeGrid:
     grid = objs[0].grid

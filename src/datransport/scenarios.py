@@ -26,9 +26,10 @@ from .sinkhorn_engine import (
     ConvergenceReport,
     SinkhornState,
     SolverConfig,
+    _lse_matmul,
     _real,
     aggregate_marginals,
-    extract_plan,
+    extract_plan,  # perfbench's tracer wraps ``datransport.scenarios.extract_plan`` by name
 )
 
 
@@ -79,9 +80,6 @@ class ScenarioSpec:
 
     def to_json(self) -> str:
         return json.dumps(self.data, indent=2, sort_keys=True) + "\n"
-
-    def save(self, path) -> None:
-        FsPath(path).write_text(self.to_json(), encoding="utf-8")
 
     # ------------------------------------------------------------------
 
@@ -338,7 +336,7 @@ GENERATORS = {
 
 # each expected property kind's parameters and their defaults (None: required).
 # A parameter is a finite number; ``start`` and ``length`` count sweeps, and
-# they and ``tol`` are nonnegative
+# they and ``tol`` are nonnegative; ``ridge_floor`` lies in [0, 1]
 PROPERTY_KINDS = {
     "capacity_satisfied": {"tol": 1e-8},
     "boundary_match": {"tol": 1e-6},
@@ -368,6 +366,8 @@ def _property_params(prop) -> dict:
                 or nonnegative and value < 0):
             raise ScenarioFormatError(f"{kind} {name} must be a finite{' nonnegative' * nonnegative}"
                                       f" {'integer' if count else 'number'}, got {value!r}")
+        if name == "ridge_floor" and not 0 <= value <= 1:  # above 1 no column is kept
+            raise ScenarioFormatError(f"{kind} ridge_floor must lie in [0, 1], got {value!r}")
         params[name] = int(value) if count else float(value)
     return params
 
@@ -398,20 +398,33 @@ def _pairwise_comonotone(cells: np.ndarray) -> bool:
                    for x, y in zip(cells.T[:-1], cells.T[1:]))
 
 
-def plan_ridge(cells, column_axis: int = 1, floor_frac: float = 0.01) -> np.ndarray:
-    """Modal cell per crossing-time column: the strand carrying the plan.
+def plan_ridge(state: SinkhornState, path_index: int, floor_frac: float = 0.01) -> np.ndarray:
+    """Heaviest cell per crossing-time column (the path's second node): the strand of the plan.
 
-    Mass-ranked top cells of an entropic plan always include blur pairs
-    that cross (the regularization widens each column by a few bins), so
-    the strand structure is read off the per-column argmax instead.
-    Columns below ``floor_frac`` of the strongest column are dropped.
+    An entropic plan's top cells always include blur pairs that cross, so
+    the strand is read off each column's heaviest cell.  In log units a cell
+    sums its interior scalings, its edges' logK and ends[t0, tn] (the pair's
+    Lambda, or the source plus the sink scaling), so a backward max-product
+    pass (Viterbi) gives each column's maximum without building the plan,
+    and argmax reads the cell back, t0 first: of equal cells, the lowest in
+    flat order.  Columns without mass, or below ``floor_frac`` of the
+    heaviest, are dropped, so a path without mass has an empty ridge.
     """
-    best: dict[int, tuple[np.ndarray, float]] = {}
-    for idx, m in zip(cells.indices, cells.mass):  # heaviest first: a column's first is its mode
-        best.setdefault(int(idx[column_axis]), (idx, float(m)))
-    max_mass = max(m for _, m in best.values())
-    rows = [idx for idx, m in best.values() if m >= floor_frac * max_mass]
-    return np.array(sorted(rows, key=lambda r: int(r[column_axis])))
+    system, views = state.system, state.views
+    path, head = system.paths[path_index], system._heads[path_index]
+    logk = [kern.logK for kern in system.path_kernels[path_index]]
+    # best[pos][t0, t]: the heaviest chain from node pos at bin t on, with its scaling and ends[t0]
+    best = {path.n_edges: views[head] if head in system.joints
+            else np.add.outer(views[path.source], views[path.sink])}
+    for pos in range(path.n_edges - 1, 0, -1):
+        best[pos] = _lse_matmul(best[pos + 1], logk[pos].T, reduce=np.max) + views[path.nodes[pos]]
+    first = logk[0] + best[1]  # [t0, t1]
+    cells = np.empty((system.n_t, path.n_p), dtype=np.int64)
+    cells[:, 0], cells[:, 1] = first.argmax(axis=0), np.arange(system.n_t)
+    for pos in range(1, path.n_edges):
+        cells[:, pos + 1] = (logk[pos][cells[:, pos]] + best[pos + 1][cells[:, 0]]).argmax(axis=1)
+    mass = np.exp(first.max(axis=0))
+    return cells[(mass > 0) & (mass >= floor_frac * mass.max())]
 
 
 def check_property(prop: dict, built: BuiltScenario, state: SinkhornState,
@@ -438,8 +451,7 @@ def check_property(prop: dict, built: BuiltScenario, state: SinkhornState,
         return PropertyResult(kind, abs(delivered - target) <= tol, delivered,
                               f"delivered mass {delivered!r} (tol {tol:.1e})")
     if kind == "monotone_strand":
-        ridges = [plan_ridge(extract_plan(state, p_idx), floor_frac=params["ridge_floor"])
-                  for p_idx in range(len(built.paths))]
+        ridges = [plan_ridge(state, p, params["ridge_floor"]) for p in range(len(built.paths))]
         ok = all(_pairwise_comonotone(ridge) for ridge in ridges)
         size = max(len(ridge) for ridge in ridges)
         return PropertyResult(kind, ok, float(size),

@@ -221,16 +221,17 @@ def _lse_rows(logk: np.ndarray, lv: np.ndarray, work: np.ndarray | None = None) 
     return _lse_reduce(np.add(logk, lv[None, :], out=work), axis=1)
 
 
-def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _lse_matmul(a: np.ndarray, b: np.ndarray, reduce=_lse_reduce) -> np.ndarray:
     """out[i, j] = LSE_k(a[i, k] + b[k, j]), a block of rows at a time.
 
     Each block's temporary holds at most about ``_LSE_MATMUL_BLOCK``
     elements; every output element is reduced exactly as in one call.
+    ``reduce=np.max`` makes it the max-plus product.
     """
     rows = max(1, _LSE_MATMUL_BLOCK // (a.shape[1] * b.shape[1]))
     out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], rows):
-        out[i:i + rows] = _lse_reduce(a[i:i + rows, :, None] + b[None, :, :], axis=1)
+        out[i:i + rows] = reduce(a[i:i + rows, :, None] + b[None, :, :], axis=1)
     return out
 
 

@@ -82,6 +82,21 @@ def comonotone_violations(cells: np.ndarray) -> int:
     return bad
 
 
+def enumerated_ridge(cells, column_axis: int = 1, floor_frac: float = 0.01) -> np.ndarray:
+    """Heaviest cell per column of an enumerated plan (``extract_plan``'s ``PlanCells``).
+
+    A column's first cell is its mode, since cells come heaviest first,
+    ties lowest flat index first.  Columns below ``floor_frac`` of the
+    heaviest column are dropped; the rest are returned columns ascending.
+    """
+    best: dict[int, tuple[np.ndarray, float]] = {}
+    for idx, m in zip(cells.indices, cells.mass):
+        best.setdefault(int(idx[column_axis]), (idx, float(m)))
+    max_mass = max(m for _, m in best.values())
+    rows = [idx for idx, m in best.values() if m >= floor_frac * max_mass]
+    return np.array(sorted(rows, key=lambda r: int(r[column_axis])))
+
+
 def path_node_marginals(log_kernels: list[np.ndarray],
                         log_scalings: list[np.ndarray]) -> np.ndarray:
     """Marginal at each node of one path's plan, from its own log-sum-exp messages: (n_p, n_t).

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import (
     comonotone_violations,
+    enumerated_ridge,
     integer_atoms_measure,
     log_linear_fit,
     maxflow_da_feasible,
@@ -35,7 +36,7 @@ from datransport import (
 )
 from datransport.kernels import reciprocal_pair_cost
 from datransport.reference_oracle import dense_coupled_sinkhorn
-from datransport.scenarios import plan_ridge, scenario_61, scenario_63_network, scenario_64_convergence
+from datransport.scenarios import scenario_61, scenario_63_network, scenario_64_convergence
 from datransport.sinkhorn_engine import PathSystem, SolverConfig
 
 
@@ -148,7 +149,7 @@ def test_criterion_5_monotone_strand():
     built.config.max_iter = 4000
     state, _ = solve(built.net, built.paths, mode=built.mode, config=built.config)
     cells = extract_plan(state, 0)
-    ridge = plan_ridge(cells, column_axis=1, floor_frac=0.01)
+    ridge = enumerated_ridge(cells, column_axis=1, floor_frac=0.01)
     bad = comonotone_violations(ridge)
     ok = len(ridge) >= 30 and bad == 0
     _report("criterion 5 (monotone strand)", ok,

@@ -296,6 +296,20 @@ class TestSolveCommand:
         # no sink has a block, so the whole joint error is E0 and names itself
         assert "  [PASS] boundary_match: joint L1 error " in out and "ET=" not in out
 
+    def test_route_without_mass_has_an_empty_ridge(self, tmp_path, capsys):
+        # a zero cap on a closes the first route, so its plan carries no mass
+        data = dict(TINY, nodes=["s", "a", "m", "t"],
+                    edges=[["s", "a", 1.0], ["a", "t", 1.0], ["s", "m", 1.0], ["m", "t", 1.0]],
+                    capacities={"a": 0.0}, paths=[["s", "a", "t"], ["s", "m", "t"]],
+                    expected_properties=[{"kind": "monotone_strand"}])
+        p = tmp_path / "closed.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["solve", str(p), "--output", str(tmp_path / "o"),
+                     "--check-properties"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "  [PASS] monotone_strand: plan ridge (" in captured.out
+
     def test_short_trace_fails_linear_convergence(self, tmp_path, capsys):
         path = tmp_path / "s64.json"
         assert main(["scenario", "64_convergence", "--emit", str(path)]) == 0
@@ -320,9 +334,11 @@ class TestSolveCommand:
         [{"kind": "trace_length", "length": -1}],
         [{"kind": "linear_convergence", "start": 2.5}],
         [{"kind": "monotone_strand", "ridge_floor": None}],
+        [{"kind": "monotone_strand", "ridge_floor": -0.1}],
+        [{"kind": "monotone_strand", "ridge_floor": 2.0}],
     ], ids=["not-a-list", "unknown-kind", "not-an-object", "no-kind", "string-tol", "bool-tol",
             "nan-tol", "negative-tol", "unknown-parameter", "missing-length", "negative-length",
-            "fractional-start", "null-floor"])
+            "fractional-start", "null-floor", "negative-floor", "floor-above-one"])
     def test_bad_expected_properties_exit_2_before_solving(self, tmp_path, capsys, props):
         p = tmp_path / "props.json"
         p.write_text(json.dumps(dict(TINY, expected_properties=props)), encoding="utf-8")

@@ -1,24 +1,61 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from conftest import coupled_tiny_scenario
+from conftest import coupled_tiny_scenario, make_line_net
+from helpers import enumerated_ridge
 
-from datransport import TimeGrid, check_da_feasibility, gaussian_mixture
+from datransport import TimeGrid, check_da_feasibility, extract_plan, gaussian_mixture
 from datransport.errors import BadParamError, ScenarioFormatError
 from datransport.scenarios import (
     GENERATORS,
     ScenarioSpec,
     check_property,
     min_travel_delta,
+    plan_ridge,
     precheck_feasibility,
     scenario_61,
     scenario_62_line,
     scenario_63_network,
     scenario_64_convergence,
 )
-from datransport.sinkhorn_engine import SolverConfig, solve
+from datransport.sinkhorn_engine import PathSystem, SolverConfig, solve
+
+
+def _scenario_61_at_24() -> ScenarioSpec:
+    """scenario_61 shrunk to 24 bins, so the property machinery runs fast."""
+    d = scenario_61().data
+    d["grid"]["n_t"] = 24
+    d["capacities"]["v1"] = 1.6
+    d["solver"].update({"epsilon": 0.15, "tol": 1e-9, "max_iter": 4000})
+    return ScenarioSpec.from_dict(d)
+
+
+def _coupled_two_routes(epsilon: float) -> ScenarioSpec:
+    """Coupled pair on 24 bins over a two-edge and a three-edge route.
+
+    Its joint law is a random band around a travel time of 8 bins, zero
+    below 3 bins.
+    """
+    rng = np.random.default_rng(7)
+    gap = np.arange(24)[None, :] - np.arange(24)[:, None]  # [departure, arrival]
+    joint = np.where(gap >= 3, rng.uniform(0.5, 1.0, (24, 24)) * np.exp(-((gap - 8) / 3) ** 2), 0)
+    return ScenarioSpec.from_dict({
+        "name": "coupled-two-routes",
+        "grid": {"t_f": 1.0, "n_t": 24},
+        "nodes": ["a", "m", "n", "o", "b"],
+        "edges": [["a", "m", 1.0], ["m", "b", 1.0], ["a", "n", 1.0], ["n", "o", 1.0],
+                  ["o", "b", 1.3]],
+        "sources": [{"node": "a"}],
+        "sinks": [{"node": "b"}],
+        "capacities": {"m": 1.2, "n": 1.5, "o": 1.5},
+        "paths": [["a", "m", "b"], ["a", "n", "o", "b"]],
+        "mode": "coupled",
+        "joints": [{"source": "a", "sink": "b", "mass": (joint / joint.sum()).tolist()}],
+        "solver": {"epsilon": epsilon, "tol": 1e-9, "max_iter": 300},
+    })
 
 
 def _small_scenario(mode: str) -> ScenarioSpec:
@@ -208,13 +245,7 @@ class TestScenarioPlumbing:
 
 class TestPropertyChecks:
     def test_small_scenario_properties(self):
-        # shrink scenario_61 so the property machinery can run fast
-        spec = scenario_61()
-        d = spec.data
-        d["grid"]["n_t"] = 24
-        d["capacities"]["v1"] = 1.6
-        d["solver"].update({"epsilon": 0.15, "tol": 1e-9, "max_iter": 4000})
-        built = ScenarioSpec.from_dict(d).build()
+        built = _scenario_61_at_24().build()
         state, report = solve(built.net, built.paths, mode=built.mode,
                               config=built.config)
         assert report.converged
@@ -245,3 +276,55 @@ class TestPropertyChecks:
         built = scenario_61().build()
         with pytest.raises(ScenarioFormatError):
             check_property({"kind": "nope"}, built, None, None)
+
+
+class TestPlanRidge:
+    @pytest.mark.parametrize("spec, log_domain", [
+        (_scenario_61_at_24, True),
+        (lambda: _coupled_two_routes(0.5), False),
+        (lambda: _coupled_two_routes(0.05), True),
+    ], ids=["scenario_61", "coupled-linear", "coupled-log"])
+    def test_matches_the_enumerated_ridge(self, spec, log_domain):
+        built = spec().build()
+        state, _ = solve(built.net, built.paths, mode=built.mode, config=built.config,
+                         joints=built.joints)
+        assert state.system.log_domain is log_domain
+        for p_idx in range(len(built.paths)):
+            cells = extract_plan(state, p_idx)
+            for floor in (0.01, 0.3):
+                ridge = plan_ridge(state, p_idx, floor)
+                assert len(ridge) >= 3
+                assert np.array_equal(ridge, enumerated_ridge(cells, floor_frac=floor))
+
+    def test_exact_ties_keep_the_lowest_cell(self):
+        # on a 1.0 grid step at epsilon 1 a unit edge's log kernel is -1/gap, so
+        # gaps 1 and 2 give -1 and -0.5 and every cell sum below is exact.  With
+        # the source log-scaling -0.5 at bin 0 and 0 at bin 1, column 1's cells
+        # (0, 1, 2, 4) and (0, 1, 3, 4) tie at -3, and so do column 2's
+        # (0, 2, 3, 4) and (1, 2, 3, 4)
+        grid = TimeGrid(t_f=5.0, n_t=5)
+        net, path = make_line_net(grid, [1.0] * 3, np.full(5, 0.2), np.full(5, 0.2))
+        state = PathSystem(net, [path], config=SolverConfig(epsilon=1.0)).initial_state()
+        state.views["n0"][:] = [-0.5, 0.0, -np.inf, -np.inf, -np.inf]
+        ridge = plan_ridge(state, 0, 0.0)
+        assert ridge.tolist() == [[0, 1, 2, 4], [0, 2, 3, 4]]
+        assert np.array_equal(ridge, enumerated_ridge(extract_plan(state, 0), floor_frac=0.0))
+
+    def test_check_never_enumerates_the_plan(self, monkeypatch):
+        def enumerate_plan(*args, **kwargs):
+            raise AssertionError("monotone_strand enumerated a plan")
+
+        monkeypatch.setattr("datransport.scenarios.extract_plan", enumerate_plan)
+        built = _scenario_61_at_24().build()
+        state, report = solve(built.net, built.paths, mode=built.mode, config=built.config)
+        assert check_property({"kind": "monotone_strand"}, built, state, report).passed
+
+    def test_six_node_routes_pass_monotone_strand(self):
+        # each route's plan has 100**6 cells, beyond any enumeration
+        built = scenario_63_network().build()
+        state, report = solve(built.net, built.paths, mode=built.mode, config=built.config)
+        start = time.perf_counter()
+        result = check_property({"kind": "monotone_strand"}, built, state, report)
+        elapsed = time.perf_counter() - start
+        assert result.passed and result.value >= 30
+        assert elapsed <= 2.0
