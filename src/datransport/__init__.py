@@ -15,7 +15,6 @@ from .errors import (
     MassMismatchError,
     MixtureError,
     NonFiniteError,
-    NonIncreasingTimesError,
     NonProbabilityError,
     PlanTooLargeError,
     ScenarioFormatError,
@@ -27,7 +26,6 @@ from .feasibility import (
     FeasibilityVerdict,
     TripletWitness,
     check_da_feasibility,
-    monotone_rearrangement,
     quantile_coupling_witness,
 )
 from .grid_measures import (
@@ -38,15 +36,7 @@ from .grid_measures import (
     gaussian_mixture,
     quantile,
 )
-from .kernels import (
-    MongeReport,
-    PairKernel,
-    XTwistReport,
-    build_pair_kernel,
-    check_generalized_monge,
-    check_xtwist,
-    path_cost,
-)
+from .kernels import PairKernel, build_pair_kernel
 from .network import (
     CapacityProfile,
     Path,
@@ -89,10 +79,8 @@ __version__ = "0.1.0"
 __all__ = [
     "TimeGrid", "Measure", "JointMeasure", "cdf", "quantile", "gaussian_mixture",
     "TransportNetwork", "CapacityProfile", "Path", "validate_paths", "path_cost_terms",
-    "FeasibilityVerdict", "TripletWitness", "check_da_feasibility",
-    "quantile_coupling_witness", "monotone_rearrangement",
-    "PairKernel", "build_pair_kernel", "path_cost",
-    "MongeReport", "check_generalized_monge", "XTwistReport", "check_xtwist",
+    "FeasibilityVerdict", "TripletWitness", "check_da_feasibility", "quantile_coupling_witness",
+    "PairKernel", "build_pair_kernel",
     "PathSystem", "SinkhornState", "SolverConfig",
     "ConvergenceReport", "PlanCells", "solve", "flux_profile",
     "aggregate_marginals", "boundary_update", "capacity_update",
@@ -103,6 +91,6 @@ __all__ = [
     "scenario_64_convergence", "check_property",
     "TransportError", "BadParamError", "NonProbabilityError", "MixtureError",
     "GridMismatchError", "MassMismatchError", "BrokenPathError", "BadEndpointError",
-    "InfeasiblePreconditionError", "NonIncreasingTimesError", "UnreachableMassError",
+    "InfeasiblePreconditionError", "UnreachableMassError",
     "PlanTooLargeError", "SizeCapError", "ScenarioFormatError", "NonFiniteError",
 ]

@@ -1,11 +1,13 @@
 """Command-line surface: scenarios, feasibility checks, solving, exports.
 
-Exit codes: 0 success/converged, 2 invalid input (scenario, run dir, or
-infeasible verdict from the feasibility subcommand), 3 solver did not
-converge or stopped on a non-finite value, or a property checked by
-``solve --check-properties`` failed, 4 target mass proved unreachable.
-A command that fails raises a ``TransportError``; ``main`` alone prints it
-to stderr and maps it to its exit code.
+Exit codes: 0 success/converged, 2 invalid input (scenario, run dir,
+output path, or infeasible verdict from the feasibility subcommand), 3
+solver did not converge or stopped on a non-finite value, or a property
+checked by ``solve --check-properties`` failed, 4 target mass proved
+unreachable.  A command that fails raises a ``TransportError``, or an
+``OSError`` on an output path; ``main`` alone prints it to stderr and maps
+it to its exit code.  ``solve`` and ``extract-plan`` create their output
+directory before solving, so a bad output path costs no solve.
 
 All data files are written deterministically (header row, '.' decimal,
 LF line endings, UTF-8, shortest round-trip float formatting); wall time
@@ -97,7 +99,6 @@ def _run_solver(built: BuiltScenario):
 
 
 def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float) -> dict:
-    outdir.mkdir(parents=True, exist_ok=True)
     centers = built.net.grid.centers
     marginals = aggregate_marginals(state).m
     nodes_manifest = {}
@@ -159,6 +160,7 @@ def _cmd_solve(args) -> int:
     built = _load_scenario(args.scenario)
     _apply_overrides(built, args)
     outdir = FsPath(args.output) if args.output else FsPath(f"{FsPath(args.scenario).stem}_out")
+    outdir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     state, report = _run_solver(built)
     wall = time.perf_counter() - start
@@ -184,9 +186,9 @@ def _cmd_extract_plan(args) -> int:
     check_plan_options(args.max_cells, args.top_k, args.min_mass)
     if args.path_index is not None:
         check_path_index(args.path_index, len(built.paths))
-    state, report = _run_solver(built)
     outdir = FsPath(args.output) if args.output else FsPath(f"{FsPath(args.scenario).stem}_plan")
     outdir.mkdir(parents=True, exist_ok=True)
+    state, report = _run_solver(built)
     indices = range(len(built.paths)) if args.path_index is None else [args.path_index]
     for p_idx in indices:
         cells = extract_plan(state, p_idx, max_cells=args.max_cells,
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# exit code of each error a command raises; any other TransportError is invalid input
+# exit code of each error a command raises; any other, an OSError included, is invalid input
 _EXIT_CODES = {NonFiniteError: EXIT_NOT_CONVERGED, UnreachableMassError: EXIT_UNREACHABLE}
 
 
@@ -318,7 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TransportError as exc:
+    except (TransportError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CODES.get(type(exc), EXIT_INVALID)
 

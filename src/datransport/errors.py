@@ -40,10 +40,6 @@ class InfeasiblePreconditionError(TransportError):
     pass
 
 
-class NonIncreasingTimesError(TransportError):
-    pass
-
-
 class UnreachableMassError(TransportError):
     pass
 

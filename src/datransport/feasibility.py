@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasiblePreconditionError, MassMismatchError
+from .errors import InfeasiblePreconditionError
 from .grid_measures import (
-    JointMeasure,
     Measure,
     TimeGrid,
     cdf,
@@ -129,30 +128,3 @@ def quantile_coupling_witness(mu0: Measure, muT: Measure, delta: float,
     uniq = np.stack(np.unravel_index(atoms, (n_t,) * 3), axis=1).astype(np.int64)
     weights = counts * (1.0 / (n * n))
     return TripletWitness(grid=grid, indices=uniq, weights=weights)
-
-
-def monotone_rearrangement(src: Measure, dst: Measure) -> JointMeasure:
-    """CDF-matching coupling of two equal-mass measures (northwest corner).
-
-    The support is co-monotone: any two support points (a, b), (a', b')
-    satisfy (a' - a) * (b' - b) >= 0, and the marginals are exact.
-    """
-    grid = require_same_grid(src, dst)
-    if abs(src.total - dst.total) > 1e-12 * max(1.0, src.total):
-        raise MassMismatchError(f"totals differ: {src.total!r} vs {dst.total!r}")
-    a = src.mass.copy()
-    b = dst.mass.copy()
-    plan = np.zeros((grid.n_t, grid.n_t))
-    i = j = 0
-    n = grid.n_t
-    while i < n and j < n:
-        move = min(a[i], b[j])
-        if move > 0:
-            plan[i, j] += move
-        a[i] -= move
-        b[j] -= move
-        if a[i] <= 0 and i < n:
-            i += 1
-        elif b[j] <= 0:
-            j += 1
-    return JointMeasure(grid, plan)

@@ -8,7 +8,6 @@ discretize symmetrically.
 
 from __future__ import annotations
 
-import io
 import math
 import numbers
 from dataclasses import dataclass
@@ -158,40 +157,3 @@ def gaussian_mixture(grid: TimeGrid, components) -> Measure:
     if not s > 0:
         raise MixtureError("mixture mass vanishes everywhere on the grid")
     return Measure(grid, density / s)
-
-
-def measure_to_csv(m: Measure) -> str:
-    """Serialize as ``bin_center,mass`` rows with a header line."""
-    buf = io.StringIO()
-    buf.write("bin_center,mass\n")
-    for t, x in zip(m.grid.centers, m.mass):
-        buf.write(f"{float(t)!r},{float(x)!r}\n")
-    return buf.getvalue()
-
-
-def measure_from_csv(text: str) -> Measure:
-    """Rebuild a measure from :func:`measure_to_csv` output.
-
-    The grid is inferred from the bin centers, which must be equally spaced
-    midpoints starting at ``dt / 2``.
-    """
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or not lines[0].startswith("bin_center"):
-        raise ValueError("missing bin_center,mass header")
-    centers, mass = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        centers.append(float(parts[0]))
-        mass.append(float(parts[1]))
-    centers_arr = np.asarray(centers)
-    n_t = len(centers_arr)
-    if n_t < 2:
-        raise ValueError("need at least two bins")
-    dt = 2.0 * centers_arr[0]  # first center sits at dt/2, and doubling is exact
-    if not dt > 0:
-        raise ValueError("bin centers are not midpoints of a positive grid")
-    expected = (np.arange(n_t) + 0.5) * dt
-    if not np.allclose(centers_arr, expected, rtol=1e-9, atol=0.0):
-        raise ValueError("bin centers are not equally spaced midpoints")
-    grid = TimeGrid(t_f=float(dt * n_t), n_t=n_t)
-    return Measure(grid, np.asarray(mass))

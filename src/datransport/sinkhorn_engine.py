@@ -186,7 +186,7 @@ class ConvergenceReport:
 
 @dataclass(eq=False)
 class PlanCells:
-    """Sparse extraction of one path plan: mass descending, ties by flat index ascending."""
+    """Sparse extraction of one path plan: mass descending, bit-equal masses by flat index."""
 
     path: Path
     indices: np.ndarray  # (N, n_p) bin indices
@@ -1042,6 +1042,9 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
     ``_PLAN_SLAB`` cells, so memory is one slab plus the kept cells; with
     ``top_k``, only the ``top_k`` heaviest are kept.  Cells are ranked by
     mass descending, then flat index ascending, also at the ``top_k`` cut.
+    The index breaks bit-equal masses only: masses equal in exact arithmetic
+    (by a symmetry of the network) may differ in round-off, which then
+    ranks them.
     """
     check_plan_options(max_cells, top_k, min_mass)
     system = state.system

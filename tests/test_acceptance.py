@@ -17,6 +17,7 @@ from helpers import (
     log_linear_fit,
     maxflow_da_feasible,
 )
+from theory import check_generalized_monge, reciprocal_pair_cost
 
 from datransport import (
     CapacityProfile,
@@ -28,13 +29,11 @@ from datransport import (
     aggregate_marginals,
     chain_cost_tensor,
     check_da_feasibility,
-    check_generalized_monge,
     coupled_boundary_update,
     dense_sinkhorn,
     extract_plan,
     solve,
 )
-from datransport.kernels import reciprocal_pair_cost
 from datransport.reference_oracle import dense_coupled_sinkhorn
 from datransport.scenarios import scenario_61, scenario_63_network, scenario_64_convergence
 from datransport.sinkhorn_engine import PathSystem, SolverConfig

@@ -542,6 +542,35 @@ class TestHiddenCommands:
         assert captured.err.startswith("error: ") and captured.out == ""
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{scenario}", "--output", "{file}"],
+        ["extract-plan", "{scenario}", "--output", "{file}"],
+        ["scenario", "61", "--emit", "{missing}/61.json"],
+        ["scenario", "61", "--emit", "{dir}"],
+        ["plotdata", "{dir}", "--output", "{missing}/plot.csv"],
+        ["inspect-kernel", "--output", "{missing}/kernel.csv"]],
+        ids=["solve-into-file", "extract-plan-into-file", "emit-into-missing-dir",
+             "emit-onto-dir", "plotdata-into-missing-dir", "inspect-kernel-into-missing-dir"])
+    def test_unwritable_output_exits_2_before_solving(self, tiny_scenario, tmp_path, capsys,
+                                                      monkeypatch, argv):
+        def no_solve(built):
+            raise AssertionError("solved before checking the output path")
+
+        monkeypatch.setattr(cli, "_run_solver", no_solve)
+        (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+        rundir = tmp_path / "run"
+        rundir.mkdir()
+        (rundir / "summary.json").write_text('{"nodes": {}}', encoding="utf-8")
+        where = {"scenario": tiny_scenario, "file": tmp_path / "file",
+                 "missing": tmp_path / "missing", "dir": rundir}
+        assert main([arg.format(**where) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
+
 class TestColdStart:
     def test_no_scipy_on_the_import_path(self):
         # every `datransport` command is a fresh process that pays its

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import integer_atoms_measure, lp_min_cost_coupling, maxflow_da_feasible
+from theory import monotone_rearrangement
 
 from datransport import (
     Measure,
     TimeGrid,
     check_da_feasibility,
-    monotone_rearrangement,
     quantile,
     quantile_coupling_witness,
 )

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from theory import measure_from_csv, measure_to_csv
+
 from datransport import Measure, TimeGrid, cdf, gaussian_mixture, quantile
 from datransport.errors import MixtureError, NonProbabilityError
-from datransport.grid_measures import measure_from_csv, measure_to_csv
 
 
 class TestTimeGrid:

@@ -4,15 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from datransport import (
-    TimeGrid,
-    build_pair_kernel,
+from theory import (
+    NonIncreasingTimesError,
     check_generalized_monge,
     check_xtwist,
     path_cost,
+    reciprocal_pair_cost,
 )
-from datransport.errors import BadParamError, NonIncreasingTimesError
-from datransport.kernels import reciprocal_pair_cost
+
+from datransport import TimeGrid, build_pair_kernel
+from datransport.errors import BadParamError
 
 
 class TestPairKernel:
