@@ -49,21 +49,13 @@ def check_da_feasibility(mu0: Measure, muT: Measure, delta: float) -> Feasibilit
     grid = require_same_grid(mu0, muT)
     # every shift of n_t bins or more gives the same verdict, margin and time
     k = min(shift_bins(delta, grid.dt), grid.n_t)
-    f0 = cdf(mu0)
+    # the gap at each departure-side point j in [-k, n_t): j < 0 covers
+    # arrivals earlier than any departure shifted by k bins, and j + k >= n_t
+    # compares with the whole arrival mass
     ft = cdf(muT)
-    total_t = ft[-1]
-    margin = np.inf
-    worst_j = 0
-    # j indexes the departure-side evaluation point; j < 0 covers arrivals
-    # earlier than any departure shifted by k bins.
-    for j in range(-k, grid.n_t):
-        left = f0[j] if j >= 0 else 0.0
-        jt = j + k
-        right = ft[jt] if jt < grid.n_t else total_t
-        gap = left - right
-        if gap <= margin:  # ties resolved toward the latest time
-            margin = gap
-            worst_j = j
+    gaps = np.concatenate([np.zeros(k), cdf(mu0)]) - np.concatenate([ft, np.full(k, ft[-1])])
+    last = gaps.size - 1 - int(np.argmin(gaps[::-1]))  # ties resolved toward the latest time
+    margin, worst_j = gaps[last], last - k
     feasible = margin >= -FEAS_SLACK
     violation_time = None if feasible else float(grid.centers[max(worst_j, 0)])
     return FeasibilityVerdict(feasible=feasible, margin=float(margin),

@@ -44,10 +44,10 @@ only when it re-absorbs, after its input drifted more than
 A solve runs at the one configured epsilon.  Each sweep is one cyclic
 (Gauss-Seidel) pass over the blocks in sweep order, each projected from
 the backward messages of the sweep's entering state
-(``PathSystem.compute_messages``) and a forward frontier (``_Forward``)
-extended block by block.  A sweep costs one message pass in either mode;
-only a sweep over a cyclic path family refreshes the messages before each
-block.  Past a warm-up, both modes mix the sweeps
+(``PathSystem.compute_messages``) and forward ones read block by block,
+each direction one ``_Messages`` object.  A sweep costs one message pass
+in either mode; only a sweep over a cyclic path family refreshes the
+messages before each block.  Past a warm-up, both modes mix the sweeps
 (safeguarded Anderson mixing, ``_AndersonMixer``).  The primal transport
 cost is computed on demand, never per sweep.
 
@@ -62,7 +62,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -402,35 +402,44 @@ class _MatrixStep:
         return self.dom.matmul(self.dom.mul(self.kernel, scaling[None, :]), message)
 
 
-class _Forward:
-    """Forward messages per path, built on demand from the scalings current at each read.
+class _Messages:
+    """Chain messages of one state in one direction (``axis`` 0 forward, 1 backward).
 
-    ``frontier(p_idx, pos)`` extends path ``p_idx``'s list up to ``pos`` and
-    returns its entry there; entries built earlier are returned as they are.
-    Independent mode: the entry at node l sums kernel chains over all
-    prefixes ending at l, with the scalings of nodes 0..l-1.  Coupled mode:
-    it is a matrix, [i, t] from departure bin i to node l at bin t.  A
-    Gauss-Seidel sweep in a path-compatible order reads each path forward
-    only, so every read sees the scalings updated earlier in the sweep.
+    ``messages(p_idx, pos)`` extends path ``p_idx``'s chain from its start
+    end to node ``pos`` on first read, with the scalings current at each
+    step and each step shared by several paths run once, and returns the
+    message there.  Independent mode: at node l the forward message sums
+    kernel chains over the prefixes ending at l, with the scalings of nodes
+    0..l-1, and the backward one over the suffixes from l, with those of
+    nodes l+1 on; with l's own scaling their product sums to the path's
+    mass.  Coupled mode: forward is a matrix [i, t] from departure bin i to
+    node l at bin t, backward [t, j] from node l at bin t to arrival bin j,
+    and backward at node 0 is the interior chain, with no Lambda.  ``heads``
+    is the message-domain scaling of each head block (``PathSystem._heads``).
     """
 
-    def __init__(self, system: "PathSystem", state: SinkhornState):
-        self.system = system
-        self.state = state
-        self.fwd = [[system._start] for _ in system.paths]
+    def __init__(self, system: "PathSystem", state: SinkhornState, axis: int):
+        self.system, self.state, self.axis = system, state, axis
+        self.chains = [[None] * p.n_p for p in system.paths]  # by node, None until read
+        for chain in self.chains:
+            chain[-axis] = system._start  # the neutral message at the start end
         self.done: dict = {}  # each shared step's output, computed once
 
     def __call__(self, p_idx: int, pos: int) -> np.ndarray:
-        f = self.fwd[p_idx]
-        path = self.system.paths[p_idx]
-        steps = self.system._steps[p_idx]
-        while len(f) <= pos:
-            l = len(f) - 1
-            step = steps[l][0]
-            if step not in self.done:
-                self.done[step] = step(f[l], self.system._scaling_at(self.state, path, l))
-            f.append(self.done[step])
-        return f[pos]
+        chain = self.chains[p_idx]
+        if chain[pos] is None:
+            prev = pos + 1 if self.axis else pos - 1  # the neighbour toward the start end
+            step = self.system._steps[p_idx][min(pos, prev)][self.axis]
+            if step not in self.done:  # it steps from that neighbour's message and scaling
+                scaling = self.system._scaling_at(self.state, self.system.paths[p_idx], prev)
+                self.done[step] = step(self(p_idx, prev), scaling)
+            chain[pos] = self.done[step]
+        return chain[pos]
+
+    @cached_property
+    def heads(self) -> dict:
+        dom, views = self.system.dom, self.state.views
+        return {head: dom.from_log(views[head]) for head in set(self.system._heads)}
 
 
 class PathSystem:
@@ -479,6 +488,9 @@ class PathSystem:
                 if joints[pair].grid != self.grid:
                     raise BadParamError(f"joint target for {pair} lives on a different grid")
                 self.joints[pair] = joints[pair].mass
+            unjoined = [pair for pair in joints if pair not in self.joints]
+            if unjoined:  # its mass would silently go undelivered
+                raise BadParamError(f"no path joins the joint target's pair {unjoined[0]}")
         elif joints:
             raise BadParamError("joint targets are only meaningful in coupled mode")
         self.pair_paths = {pair: [i for i, p in enumerate(self.paths)
@@ -593,10 +605,6 @@ class PathSystem:
     def initial_state(self) -> SinkhornState:
         return SinkhornState(self, np.zeros(self._size))
 
-    def _head_scalings(self, state: SinkhornState) -> dict:
-        """Message-domain scaling of each head block (``_heads``); one exp per block when linear."""
-        return {head: self.dom.from_log(state.views[head]) for head in set(self._heads)}
-
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Message-domain scaling of the node at ``pos``; neutral on a node without a block."""
         node = path.nodes[pos]
@@ -605,54 +613,42 @@ class PathSystem:
     # ------------------------------------------------------------------
     # messages
 
-    def compute_messages(self, state: SinkhornState) -> list[list[np.ndarray]]:
-        """Backward chain messages of ``state``, ``bwd[p][l]`` per path and node.
+    def compute_messages(self, state: SinkhornState) -> _Messages:
+        """Backward messages of ``state`` as it stands (``_Messages`` on axis 1), all built now.
 
-        Independent mode: ``bwd[p][l]`` sums kernel chains over the suffixes
-        from node l, with the scalings of nodes l+1 onward; times the
-        forward message (``_Forward``) and l's own scaling, it sums to the
-        path's mass at every node.  Coupled mode: ``bwd[p][l][t, j]`` runs
-        from node l at bin t to arrival bin j, and ``bwd[p][0]`` is the
-        interior chain matrix, departure to arrival, with no Lambda.  Path
-        masses and joint aggregates read ``bwd[p][0]``, so a sweep and the
-        dual need no forward message.
+        Path masses and joint aggregates read them at node 0, so a sweep
+        and the dual need no forward message.
         """
-        bwd, done = [], {}  # each shared step's output, computed once
-        for p_idx, path in enumerate(self.paths):
-            b = [self._start] * path.n_p
-            for l in range(path.n_edges - 1, -1, -1):
-                step = self._steps[p_idx][l][1]
-                if step not in done:
-                    done[step] = step(b[l + 1], self._scaling_at(state, path, l + 1))
-                b[l] = done[step]
-            bwd.append(b)
-        return bwd
+        messages = _Messages(self, state, 1)
+        for p_idx in range(len(self.paths)):
+            messages(p_idx, 0)
+        return messages
 
     # ------------------------------------------------------------------
     # aggregates and marginals
 
-    def _path_term(self, heads: dict, p_idx: int, f: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """One path's message-domain term of a node aggregate; ``heads`` is ``_head_scalings``."""
+    def _path_term(self, messages: _Messages, frontier: _Messages, p_idx: int,
+                   pos: int) -> np.ndarray:
+        """Path ``p_idx``'s message-domain term of the aggregate at its node ``pos``."""
         dom = self.dom
+        f, b = frontier(p_idx, pos), messages(p_idx, pos)
         if self.mode == INDEPENDENT:
             return dom.mul(f, b)
         # out[t] = sum_i f[i, t] * g[i, t], g[i, t] = sum_j lam[i, j] * b[t, j]
-        return dom.sum(dom.mul(f, dom.matmul(heads[self._heads[p_idx]], b.T)), axis=0)
+        return dom.sum(dom.mul(f, dom.matmul(frontier.heads[self._heads[p_idx]], b.T)), axis=0)
 
-    def _aggregate(self, heads: dict, block, messages: list[list[np.ndarray]],
-                   frontier: _Forward) -> np.ndarray:
+    def _aggregate(self, block, messages: _Messages, frontier: _Messages) -> np.ndarray:
         """Log aggregate of one block, excluding the block's own scaling.
 
-        A joint block sums the interior chain matrices ``messages[p][0]`` of
+        A joint block sums the interior chain matrices ``messages(p, 0)`` of
         its paths, which leave Lambda out.  A node block sums its paths'
-        terms from the backward ``messages``, the ``frontier`` and the head
-        scalings ``heads``.  The terms are summed in the message domain,
-        then taken to log units.
+        terms from the backward ``messages`` and the forward ``frontier``.
+        The terms are summed in the message domain, then taken to log units.
         """
         if block in self.joints:
-            terms = [messages[p][0] for p in self.pair_paths[block]]
+            terms = [messages(p, 0) for p in self.pair_paths[block]]
         else:
-            terms = [self._path_term(heads, p, frontier(p, pos), messages[p][pos])
+            terms = [self._path_term(messages, frontier, p, pos)
                      for p, pos in self.positions[block]]
         return self.dom.to_log(reduce(self.dom.add, terms))
 
@@ -715,8 +711,7 @@ class PathSystem:
 
     def _update_block(self, state: SinkhornState, block) -> np.ndarray:
         """Project one block from one message pass of ``state``; returns its new linear scaling."""
-        agg = self._aggregate(self._head_scalings(state), block, self.compute_messages(state),
-                              _Forward(self, state))
+        agg = self._aggregate(block, self.compute_messages(state), _Messages(self, state, 0))
         state.x[self._layout[block][0]], _ = self._project(state, block, agg)
         return _exp_live(state.views[block])
 
@@ -729,27 +724,25 @@ class PathSystem:
         Returns the iteration diagnostics (E0, ET, V): each constraint's L1
         violation measured from the model marginal seen just before its own
         block update.  Every block is projected from the backward messages
-        of the entering state and a forward frontier: the backward messages
-        at a block depend only on nodes that come later in the sweep, and
-        joint blocks, which come first, read the interior chains
-        ``bwd[p][0]`` (they leave Lambda out).  Each new scaling is assigned
-        at once (Gauss-Seidel), so every block update is the exact
+        of the entering state and a forward frontier, read forward only: the
+        backward messages at a block depend only on nodes that come later in
+        the sweep, and joint blocks, which come first, read the interior
+        chains at node 0 (they leave Lambda out), so the frontier's first
+        read of the head scalings comes after them.  Each new scaling is
+        assigned at once (Gauss-Seidel), so every block update is the exact
         projection (block coordinate ascent); over a cyclic path family the
         messages are refreshed before every block.  A ``messages`` argument
         is trusted to describe the entering state.
         """
         refresh = not self._order_follows_paths
         model = np.empty(self._size)
-        heads = None  # joint blocks read no Lambda
         for i, (block, (part, _)) in enumerate(self._layout.items()):
             if i == 0 or refresh:
                 if messages is None or i:
                     messages = self.compute_messages(state)
-                frontier = _Forward(self, state)
-            if i == len(self.joints):  # node blocks share one exp of each new Lambda
-                heads = self._head_scalings(state)
+                frontier = _Messages(self, state, 0)
             state.x[part], model[part] = self._project(
-                state, block, self._aggregate(heads, block, messages, frontier))
+                state, block, self._aggregate(block, messages, frontier))
         return self.violations(model)
 
     # ------------------------------------------------------------------
@@ -759,24 +752,20 @@ class PathSystem:
         """Total model mass per path, read at the source end from the backward messages."""
         if messages is None:
             messages = self.compute_messages(state)
-        dom, heads = self.dom, self._head_scalings(state)
-        return np.array([dom.to_linear(dom.sum(dom.mul(messages[p_idx][0], heads[head])))
+        # taken afresh, not cached on ``messages``, which a solve keeps through its sweep
+        dom, heads = self.dom, _Messages(self, state, 0).heads
+        return np.array([dom.to_linear(dom.sum(dom.mul(messages(p_idx, 0), heads[head])))
                          for p_idx, head in enumerate(self._heads)])
 
-    def _edge_pair_marginal(self, state: SinkhornState, p_idx: int, l: int,
-                            f: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Linear (t_{l-1}, t_l) marginal of path ``p_idx``'s plan.
-
-        ``f`` is the path's forward message at node l-1, ``b`` its backward
-        message at node l.
-        """
+    def _edge_pair_marginal(self, messages: _Messages, frontier: _Messages, p_idx: int,
+                            l: int) -> np.ndarray:
+        """Linear (t_{l-1}, t_l) marginal of path ``p_idx``'s plan, from both directions."""
         path, dom = self.paths[p_idx], self.dom
-        s_prev = self._scaling_at(state, path, l - 1)
-        s_next = self._scaling_at(state, path, l)
+        f, b = frontier(p_idx, l - 1), messages(p_idx, l)
+        s_prev, s_next = (self._scaling_at(frontier.state, path, pos) for pos in (l - 1, l))
         kernel = self._steps[p_idx][l - 1][1].kernel
         if self.mode == COUPLED:
-            lam = dom.from_log(state.views[self._heads[p_idx]])
-            left = dom.matmul(f.T, dom.matmul(lam, b.T))  # left[s, t]
+            left = dom.matmul(f.T, dom.matmul(frontier.heads[self._heads[p_idx]], b.T))  # [s, t]
             factors = [left, s_prev[:, None], kernel, s_next[None, :]]
         else:
             factors = [dom.mul(f, s_prev)[:, None], kernel, dom.mul(s_next, b)[None, :]]
@@ -786,12 +775,11 @@ class PathSystem:
     def transport_cost(self, state: SinkhornState) -> float:
         """<c, pi> summed over paths (forbidden transitions carry no mass)."""
         messages = self.compute_messages(state)
-        frontier = _Forward(self, state)
+        frontier = _Messages(self, state, 0)
         total = 0.0
         for p_idx, path in enumerate(self.paths):
             for l in range(1, path.n_p):
-                pm = self._edge_pair_marginal(state, p_idx, l, frontier(p_idx, l - 1),
-                                              messages[p_idx][l])
+                pm = self._edge_pair_marginal(messages, frontier, p_idx, l)
                 total += float((pm * self.path_kernels[p_idx][l - 1].cost).sum())
         return total
 
@@ -877,6 +865,7 @@ class _AndersonMixer:
             self.reset()
             return None
         state.x[...] = mixed
+        messages.state = state  # which they now describe: the trial's copy of x can go
         return messages, trial_value
 
 
@@ -914,10 +903,8 @@ def flux_profile(state: SinkhornState, path_index: int, node: str) -> np.ndarray
         raise BadParamError(f"{node} not on path {path}")
     if node not in system._layout:
         raise BadParamError("boundary flux is a joint matrix in coupled mode")
-    pos = path.nodes.index(node)
-    term = system._path_term(system._head_scalings(state), path_index,
-                             _Forward(system, state)(path_index, pos),
-                             system.compute_messages(state)[path_index][pos])
+    term = system._path_term(system.compute_messages(state), _Messages(system, state, 0),
+                             path_index, path.nodes.index(node))
     return system.dom.to_linear(term)
 
 
@@ -925,12 +912,10 @@ def aggregate_marginals(state: SinkhornState) -> ModelMarginals:
     """Model marginal of every block of ``state``, from one message pass."""
     system = state.system
     messages = system.compute_messages(state)
-    frontier = _Forward(system, state)
-    heads = system._head_scalings(state)
+    frontier = _Messages(system, state, 0)
     model = np.empty(system._size)
     for block, (part, _) in system._layout.items():
-        model[part] = system._model(state, block,
-                                    system._aggregate(heads, block, messages, frontier))
+        model[part] = system._model(state, block, system._aggregate(block, messages, frontier))
     views = {block: model[part].reshape(shape) for block, (part, shape) in system._layout.items()}
     m = {b: v for b, v in views.items() if b not in system.joints}
     joint_m = {pair: views[pair] for pair in system.joints}

@@ -9,12 +9,31 @@ from scipy.sparse.csgraph import maximum_flow
 from scipy.special import logsumexp
 
 from datransport import Measure, TimeGrid
+from datransport.feasibility import FEAS_SLACK
+from datransport.grid_measures import cdf
 
 
 def integer_atoms_measure(grid: TimeGrid, rng, n_atoms: int = 40) -> tuple[Measure, np.ndarray]:
     """Random measure built from unit atoms; returns (measure, integer counts)."""
     counts = np.bincount(rng.integers(0, grid.n_t, n_atoms), minlength=grid.n_t)
     return Measure(grid, counts / n_atoms), counts
+
+
+def loop_da_feasibility(mu0: Measure, muT: Measure, k: int) -> tuple[bool, float, int]:
+    """Shifted-CDF dominance at a shift of ``k`` bins, one point at a time.
+
+    Returns the verdict, the margin and the worst departure-side point j
+    (ties toward the latest), as ``check_da_feasibility`` takes them.
+    """
+    n_t = mu0.grid.n_t
+    f0, ft = cdf(mu0), cdf(muT)
+    margin, worst_j = np.inf, 0
+    for j in range(-k, n_t):  # j < 0: arrivals before any shifted departure
+        left = f0[j] if j >= 0 else 0.0
+        right = ft[j + k] if j + k < n_t else ft[-1]
+        if left - right <= margin:
+            margin, worst_j = left - right, j
+    return margin >= -FEAS_SLACK, float(margin), worst_j
 
 
 def maxflow_da_feasible(mu_counts: np.ndarray, nu_counts: np.ndarray, k: int) -> bool:

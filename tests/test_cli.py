@@ -402,6 +402,30 @@ class TestSolveCommand:
         assert captured.out == "" and not outdir.exists()
         assert f"coupled boundary node {node} " in captured.err
 
+    def test_joint_of_an_unjoined_pair_exits_2(self, tmp_path, capsys):
+        # no path runs a1 -> b2: its 0.4 of the mass used to be dropped while
+        # the solve converged and matched the other joints, exiting 0
+        def joint(i, j, mass):
+            cells = np.zeros((8, 8))
+            cells[i, j] = mass
+            return cells.tolist()
+
+        data = dict(coupled_tiny_scenario({"epsilon": 0.3}),
+                    nodes=["a1", "m1", "b1", "a2", "m2", "b2"],
+                    edges=[["a1", "m1", 1.0], ["m1", "b1", 1.0],
+                           ["a2", "m2", 1.0], ["m2", "b2", 1.0]],
+                    sources=[{"node": "a1"}, {"node": "a2"}],
+                    sinks=[{"node": "b1"}, {"node": "b2"}],
+                    paths=[["a1", "m1", "b1"], ["a2", "m2", "b2"]],
+                    joints=[{"source": "a1", "sink": "b1", "mass": joint(0, 4, 0.3)},
+                            {"source": "a2", "sink": "b2", "mass": joint(1, 5, 0.3)},
+                            {"source": "a1", "sink": "b2", "mass": joint(2, 7, 0.4)}])
+        p = tmp_path / "unjoined.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["solve", str(p), "--output", str(tmp_path / "o"), "--check-properties"]) == 2
+        captured = capsys.readouterr()
+        assert captured == ("", "error: no path joins the joint target's pair ('a1', 'b2')\n")
+
     @pytest.mark.parametrize("command, message", [
         ("oracle", "target mass on axis 2 sits on unreachable bins"),
         ("solve", "target mass at t sits on bins with zero aggregate flux")])

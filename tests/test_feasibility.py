@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import integer_atoms_measure, lp_min_cost_coupling, maxflow_da_feasible
+from helpers import (
+    integer_atoms_measure,
+    loop_da_feasibility,
+    lp_min_cost_coupling,
+    maxflow_da_feasible,
+)
 from theory import monotone_rearrangement
 
 from datransport import (
@@ -77,6 +82,22 @@ class TestCheckDaFeasibility:
         assert shift_bins(0.05, 0.1) == 1
         assert shift_bins(0.3, 0.1) == 3  # exact multiple stays exact
         assert shift_bins(0.31, 0.1) == 4
+
+    def test_matches_the_point_loop(self):
+        # verdict, margin and violation time bit for bit against the
+        # point-by-point loop, on pairs of atoms of 1/n whose gaps tie and on
+        # shifts up to and past the grid (the loop takes them unclamped)
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            grid = TimeGrid(1.0, int(rng.integers(2, 25)))
+            mu0, _ = integer_atoms_measure(grid, rng, int(rng.integers(1, 8)))
+            muT, _ = integer_atoms_measure(grid, rng, int(rng.integers(1, 8)))
+            k = int(rng.integers(0, grid.n_t + 4))
+            feasible, margin, worst_j = loop_da_feasibility(mu0, muT, k)
+            verdict = check_da_feasibility(mu0, muT, k * grid.dt)
+            assert verdict.feasible == feasible and verdict.margin == margin
+            assert verdict.violation_time == (None if feasible
+                                              else float(grid.centers[max(worst_j, 0)]))
 
     @pytest.mark.parametrize("k_delta", [0, 1, 3])
     def test_against_maxflow_oracle(self, grid10, k_delta):

@@ -46,8 +46,8 @@ from datransport.sinkhorn_engine import (
     SolverConfig,
     _AbsorbedStep,
     _causal_windows,
-    _Forward,
     _MatrixStep,
+    _Messages,
     _lse_matmul,
     _lse_reduce,
     _lse_rows,
@@ -437,6 +437,26 @@ class TestSharedSteps:
             flux_profile(state, p_idx, path.nodes[1])
         for block in system.caps:
             capacity_update(state, block)
+
+    @pytest.mark.parametrize("kind", ["line", "shared", "coupled"])
+    def test_messages_are_those_of_the_call(self, grid16, kind):
+        # compute_messages builds every backward message at the call, so a
+        # state written afterwards changes none of them: a sweep trusts them
+        # to describe its entering state, and a benchmark times the call as
+        # the whole backward pass
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        system.sweep(state)
+        messages = system.compute_messages(state)
+        fresh = _pinning_instance(kind, grid16)
+        reference = fresh.compute_messages(SinkhornState(fresh, state.x.copy()))
+        system.sweep(state)
+        for p_idx, path in enumerate(system.paths):
+            for pos in range(path.n_p):
+                ours, ref = messages(p_idx, pos), reference(p_idx, pos)
+                live = np.isfinite(ref)
+                assert np.array_equal(np.isfinite(ours), live)
+                np.testing.assert_allclose(ours[live], ref[live], rtol=1e-12, atol=0.0)
 
 
 class TestFluxProfile:
@@ -828,7 +848,7 @@ class TestSolve:
             system.sweep(state)
 
     def test_backward_only_messages(self, grid10):
-        # compute_messages returns the backward messages only, one list per
+        # compute_messages returns the backward messages only, one chain per
         # path, each the dense log-sum-exp chain from the sink; a reader of
         # forward messages builds its own frontier
         rng = np.random.default_rng(24)
@@ -840,15 +860,15 @@ class TestSolve:
         for _ in range(3):
             system.sweep(state)
         msgs = system.compute_messages(state)
-        assert len(msgs) == 1 and len(msgs[0]) == path.n_p
+        assert len(msgs.chains) == 1 and all(m is not None for m in msgs.chains[0])
         ref = np.zeros(10)
-        assert np.array_equal(msgs[0][-1], ref)
+        assert np.array_equal(msgs(0, path.n_edges), ref)
         for l in range(path.n_edges - 1, -1, -1):
             ahead = ref + state.views[path.nodes[l + 1]]
             ref = logsumexp(system.path_kernels[0][l].logK + ahead[None, :], axis=1)
             dead = np.isneginf(ref)
-            assert np.array_equal(np.isneginf(msgs[0][l]), dead)
-            np.testing.assert_allclose(msgs[0][l][~dead], ref[~dead], rtol=1e-12)
+            assert np.array_equal(np.isneginf(msgs(0, l)), dead)
+            np.testing.assert_allclose(msgs(0, l)[~dead], ref[~dead], rtol=1e-12)
         # the path mass read at the source end is the one seen at the sink end
         at_sink = float((flux_profile(state, 0, "n2") * np.exp(state.views["n2"])).sum())
         assert system.path_masses(state, msgs)[0] == pytest.approx(at_sink, rel=1e-12)
@@ -915,6 +935,27 @@ class TestCoupledMode:
         with pytest.raises(UnreachableMassError):
             coupled_boundary_update(state, ("n0", "n2"))
 
+    def test_joint_of_an_unjoined_pair_rejected(self, grid8):
+        # no path runs a1 -> b2, so its 0.4 of the mass could never be
+        # delivered; it used to be dropped while the solve still converged
+        rng = np.random.default_rng(32)
+        joints = {("a1", "b1"): _random_joint(grid8, rng, 2, 0.3),
+                  ("a2", "b2"): _random_joint(grid8, rng, 2, 0.3),
+                  ("a1", "b2"): _random_joint(grid8, rng, 2, 0.4)}
+        sources, sinks = {}, {}
+        for (src, snk), joint in joints.items():
+            sources[src] = sources.get(src, 0.0) + joint.sum(axis=1)
+            sinks[snk] = sinks.get(snk, 0.0) + joint.sum(axis=0)
+        net = TransportNetwork(
+            grid=grid8, nodes=("a1", "m1", "b1", "a2", "m2", "b2"),
+            edges={("a1", "m1"): 1.0, ("m1", "b1"): 1.0, ("a2", "m2"): 1.0, ("m2", "b2"): 1.0},
+            sources={node: Measure(grid8, mass) for node, mass in sources.items()},
+            sinks={node: Measure(grid8, mass) for node, mass in sinks.items()})
+        paths = [Path(("a1", "m1", "b1")), Path(("a2", "m2", "b2"))]
+        with pytest.raises(BadParamError, match=r"\('a1', 'b2'\)"):
+            PathSystem(net, paths, mode="coupled",
+                       joints={pair: JointMeasure(grid8, joint) for pair, joint in joints.items()})
+
     @pytest.mark.parametrize("log_domain", [False, True])
     def test_matches_dense_coupled_oracle(self, grid8, log_domain, monkeypatch):
         rng = np.random.default_rng(31)
@@ -955,14 +996,14 @@ class TestCoupledMode:
         state = system.initial_state()
         system.sweep(state)
         msgs = system.compute_messages(state)
-        frontier = _Forward(system, state)
+        frontier = _Messages(system, state, 0)
         eye, unit = system._start, system._unit
         for p_idx, path in enumerate(system.paths):
             kernels, steps = system.path_kernels[p_idx], system._steps[p_idx]
             first = kernels[0].logK if log_domain else kernels[0].K
             last = kernels[-1].logK if log_domain else kernels[-1].K
             assert frontier(p_idx, 1) is first
-            assert msgs[p_idx][path.n_edges - 1] is last
+            assert msgs(p_idx, path.n_edges - 1) is last
             assert steps[0][0](eye, unit) is first and steps[-1][1](eye, unit) is last
             # which is exact: the products from the identity are the kernels
             product = _lse_matmul if log_domain else np.matmul
@@ -977,22 +1018,21 @@ class TestCoupledMode:
         for _ in range(3):
             system.sweep(state)
         msgs = system.compute_messages(state)
-        fwd = _Forward(system, state)
+        fwd = _Messages(system, state, 0)
         lam = np.exp(state.views[("s", "t")])  # the state holds log-scalings in either domain
-        lams = system._head_scalings(state)
-        assert np.array_equal(lams[("s", "t")], lam)
+        assert np.array_equal(fwd.heads[("s", "t")], lam)
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
-                f, b = fwd(p_idx, pos), msgs[p_idx][pos]
-                np.testing.assert_allclose(system._path_term(lams, p_idx, f, b),
+                f, b = fwd(p_idx, pos), msgs(p_idx, pos)
+                np.testing.assert_allclose(system._path_term(msgs, fwd, p_idx, pos),
                                            np.einsum("ij,it,tj->t", lam, f, b), rtol=1e-12)
             for l in range(1, path.n_p):
                 s_prev = system._scaling_at(state, path, l - 1)
                 s_next = system._scaling_at(state, path, l)
-                f, b = fwd(p_idx, l - 1), msgs[p_idx][l]
+                f, b = fwd(p_idx, l - 1), msgs(p_idx, l)
                 left = f.T @ np.einsum("ij,tj->it", lam, b)
                 ref = left * s_prev[:, None] * system.path_kernels[p_idx][l - 1].K * s_next
-                np.testing.assert_allclose(system._edge_pair_marginal(state, p_idx, l, f, b),
+                np.testing.assert_allclose(system._edge_pair_marginal(msgs, fwd, p_idx, l),
                                            ref, rtol=1e-12)
 
     def test_linear_scaling_is_the_exp(self, grid16):
@@ -1014,27 +1054,27 @@ class TestCoupledMode:
         for _ in range(3):
             system.sweep(state)
         msgs = system.compute_messages(state)
-        fwd = _Forward(system, state)
+        fwd = _Messages(system, state, 0)
         lam = state.views[("s", "t")]
         cost = 0.0
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
-                f, b = fwd(p_idx, pos), msgs[p_idx][pos]
+                f, b = fwd(p_idx, pos), msgs(p_idx, pos)
                 g = logsumexp(lam[:, None, :] + b[None, :, :], axis=2)  # g[i, t]
                 ref = logsumexp(f + g, axis=0)
-                ours = system._path_term(system._head_scalings(state), p_idx, f, b)
+                ours = system._path_term(msgs, fwd, p_idx, pos)
                 dead = np.isneginf(ref)
                 assert np.array_equal(np.isneginf(ours), dead) and dead.any()
                 np.testing.assert_allclose(ours[~dead], ref[~dead], rtol=1e-13)
             for l in range(1, path.n_p):
-                f, b = fwd(p_idx, l - 1), msgs[p_idx][l]
+                f, b = fwd(p_idx, l - 1), msgs(p_idx, l)
                 g = logsumexp(lam[:, None, :] + b[None, :, :], axis=2)
                 left = logsumexp(f[:, :, None] + g[:, None, :], axis=0)  # left[s, t]
                 s_prev = system._scaling_at(state, path, l - 1)
                 s_next = system._scaling_at(state, path, l)
                 logk = system.path_kernels[p_idx][l - 1].logK
                 ref = np.exp(left + s_prev[:, None] + logk + s_next[None, :])
-                np.testing.assert_allclose(system._edge_pair_marginal(state, p_idx, l, f, b),
+                np.testing.assert_allclose(system._edge_pair_marginal(msgs, fwd, p_idx, l),
                                            ref, rtol=1e-13, atol=0.0)
                 cost += float((ref * system.path_kernels[p_idx][l - 1].cost).sum())
         assert system.transport_cost(state) == pytest.approx(cost, rel=1e-12, abs=0.0)
@@ -1760,12 +1800,12 @@ class TestCoupledMixing:
         for _ in range(3):
             system.sweep(state)
         msgs = system.compute_messages(state)
-        fwd = _Forward(system, state)
+        fwd = _Messages(system, state, 0)
         for p_idx, path in enumerate(system.paths):
-            assert len(msgs[p_idx]) == path.n_p
-            # bwd[p][0] is the interior chain, departure to arrival: the
-            # forward message at the sink, built the other way round
-            chain, ref = msgs[p_idx][0], fwd(p_idx, path.n_edges)
+            assert all(m is not None for m in msgs.chains[p_idx])
+            # the backward message at node 0 is the interior chain, departure
+            # to arrival: the forward message at the sink, built the other way round
+            chain, ref = msgs(p_idx, 0), fwd(p_idx, path.n_edges)
             live = np.isfinite(ref)
             assert np.array_equal(np.isfinite(chain), live)
             np.testing.assert_allclose(chain[live], ref[live], rtol=1e-12, atol=0)
@@ -1775,7 +1815,7 @@ class TestCoupledMixing:
     def test_neutral_arrays_are_read_only(self, grid16, kind):
         system = _pinning_instance(kind, grid16)
         messages = system.compute_messages(system.initial_state())
-        assert messages[0][-1] is system._start
+        assert messages(0, system.paths[0].n_edges) is system._start
         for neutral in (system._unit, system._start):
             with pytest.raises(ValueError, match="read-only"):
                 neutral[0] = 1.0
