@@ -51,6 +51,7 @@ from .reference_oracle import (
     dense_sinkhorn,
     entropy,
 )
+from .plans import PlanCells, extract_plan
 from .scenarios import (
     ScenarioSpec,
     check_property,
@@ -62,14 +63,12 @@ from .scenarios import (
 from .sinkhorn_engine import (
     ConvergenceReport,
     PathSystem,
-    PlanCells,
     SinkhornState,
     SolverConfig,
     aggregate_marginals,
     boundary_update,
     capacity_update,
     coupled_boundary_update,
-    extract_plan,
     flux_profile,
     solve,
 )

@@ -28,6 +28,7 @@ from .errors import (BadParamError, NonFiniteError, ScenarioFormatError, Transpo
 from .grid_measures import TimeGrid
 from .kernels import build_pair_kernel
 from .network import path_cost_terms
+from .plans import check_plan_options, extract_plan
 from .reference_oracle import dense_sinkhorn, chain_cost_tensor
 from .scenarios import (
     GENERATORS,
@@ -37,8 +38,7 @@ from .scenarios import (
     min_travel_delta,
     precheck_feasibility,
 )
-from .sinkhorn_engine import (aggregate_marginals, check_path_index, check_plan_options,
-                              extract_plan, solve)
+from .sinkhorn_engine import aggregate_marginals, check_path_index, solve
 
 EXIT_OK = 0
 EXIT_INVALID = 2

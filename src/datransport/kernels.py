@@ -24,16 +24,41 @@ class PairKernel:
 
     ``K[s, t] = exp(-w / (eps * (t_t - t_s)))`` for index ``t > s`` and 0
     elsewhere; ``logK`` holds the exponent with -inf on and below the
-    diagonal.  ``K`` is built from ``logK`` on first use, so a solve that
-    never reads it (an independent one) never holds it.  ``cost`` is the
-    transit cost ``w / (t_t - t_s)`` above the diagonal and 0 elsewhere,
-    also built on first use.
+    diagonal.  Any block of ``logK`` is computed from the formula by
+    ``log_window``, so ``logK`` itself, ``K`` (built from it) and ``cost``
+    (the transit cost ``w / (t_t - t_s)`` above the diagonal and 0
+    elsewhere) are each built on first use: a solve that never reads them
+    (an independent one) never holds any n_t**2 array of the kernel.
     """
 
     grid: TimeGrid
     w: float
     epsilon: float
-    logK: np.ndarray
+
+    def log_window(self, rows: slice, cols: slice, out: np.ndarray | None = None) -> np.ndarray:
+        """``logK[rows, cols]`` from the formula, in ``out`` (C-contiguous) when given.
+
+        ``rows`` and ``cols`` are contiguous slices, and every entry equals
+        the one of ``logK`` bit for bit.
+        """
+        t = self.grid.centers
+        gap = np.subtract(t[None, cols], t[rows, None], out=out)
+        # t <= s only in the corner of the rows from the first column on and
+        # the columns up to the last row
+        r, c = range(self.grid.n_t)[rows], range(self.grid.n_t)[cols]
+        corner = gap[max(c.start - r.start, 0):, :max(r.stop - c.start, 0)]
+        lower = corner <= 0
+        np.multiply(self.epsilon, gap, out=gap)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(-self.w, gap, out=gap)
+        corner[lower] = -np.inf
+        return gap
+
+    @cached_property
+    def logK(self) -> np.ndarray:
+        logk = self.log_window(slice(None), slice(None))
+        logk.flags.writeable = False
+        return logk
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -56,10 +81,4 @@ def build_pair_kernel(grid: TimeGrid, w: float, epsilon: float) -> PairKernel:
         raise BadParamError(f"epsilon must be finite and positive, got {epsilon}")
     if not w >= 0:
         raise BadParamError(f"edge weight must be nonnegative, got {w}")
-    t = grid.centers
-    gap = t[None, :] - t[:, None]
-    logk = np.full((grid.n_t, grid.n_t), -np.inf)
-    upper = gap > 0
-    logk[upper] = -w / (epsilon * gap[upper])
-    logk.flags.writeable = False
-    return PairKernel(grid=grid, w=w, epsilon=epsilon, logK=logk)
+    return PairKernel(grid=grid, w=w, epsilon=epsilon)

@@ -150,11 +150,13 @@ class TransportNetwork:
         return prof.cap
 
 
-def validate_paths(net: TransportNetwork, paths) -> dict[str, tuple[int, ...]]:
-    """Check edge consistency and endpoint roles; return node incidence.
+def validate_paths(net: TransportNetwork, paths, joints=()) -> dict[str, tuple[int, ...]]:
+    """Check edge consistency, endpoint roles and that a path joins each joint pair.
 
-    The returned mapping sends each node appearing on some path to the
-    indices of the paths through it.
+    ``joints`` holds the (source, sink) pairs of the joint targets, whose
+    mass would silently go undelivered with no path between them.  The
+    returned mapping sends each node appearing on some path to the indices
+    of the paths through it.
     """
     incidence: dict[str, list[int]] = {}
     for idx, path in enumerate(paths):
@@ -170,6 +172,9 @@ def validate_paths(net: TransportNetwork, paths) -> dict[str, tuple[int, ...]]:
                 raise BrokenPathError(f"path {path} uses missing edge ({tail}, {head})")
         for node in path.nodes:
             incidence.setdefault(node, []).append(idx)
+    unjoined = [pair for pair in joints if pair not in {(p.source, p.sink) for p in paths}]
+    if unjoined:
+        raise BadParamError(f"no path joins the joint target's pair {unjoined[0]}")
     return {node: tuple(ids) for node, ids in incidence.items()}
 
 

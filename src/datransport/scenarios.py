@@ -22,6 +22,8 @@ from .errors import BadParamError, ScenarioFormatError
 from .feasibility import check_da_feasibility
 from .grid_measures import JointMeasure, Measure, TimeGrid, gaussian_mixture
 from .network import CapacityProfile, Path, TransportNetwork, validate_paths
+# perfbench's tracer wraps ``datransport.scenarios.extract_plan`` by name
+from .plans import extract_plan
 from .sinkhorn_engine import (
     ConvergenceReport,
     SinkhornState,
@@ -29,7 +31,6 @@ from .sinkhorn_engine import (
     _lse_matmul,
     _real,
     aggregate_marginals,
-    extract_plan,  # perfbench's tracer wraps ``datransport.scenarios.extract_plan`` by name
 )
 
 
@@ -118,7 +119,7 @@ class ScenarioSpec:
         net = TransportNetwork(grid=grid, nodes=nodes, edges=edges, sources=sources, sinks=sinks,
                                capacities=capacities)
         paths = [Path(tuple(_array("each path", p))) for p in _array("paths", d["paths"])]
-        validate_paths(net, paths)
+        validate_paths(net, paths, joints)
 
         solver = dict(_object(d, "solver"))
         # files written while the sweep was a choice may still name it

@@ -32,14 +32,17 @@ only.  Every path-edge has one step object per direction, shared with
 every path through the same prefix (forward) or suffix (backward): a
 message pass calls each distinct step once and hands its output to every
 path that shares it, so no reader writes into a message.  A vector step
-is one BLAS mat-vec per block of a cached kernel with its last input
-absorbed (``_AbsorbedStep``), which reads its kernel as [output, input]
-(``logK.T`` forward, ``logK`` backward); the blocks hold only the
-kernel's causal support (a particle arrives strictly after it departs), a
-little over half of its n_t**2 entries.  A step pays a full log-sum-exp
-only when it re-absorbs, after its input drifted more than
-``ABSORB_BAND`` or a bin died or revived.  A matrix step is one BLAS or
-``_lse_matmul`` product (``_MatrixStep``).
+is one BLAS mat-vec per block of a kernel with its last input absorbed
+(``_AbsorbedStep``), which reads the kernel as [output, input] (``logK.T``
+forward, ``logK`` backward).  It computes each block from the cost
+formula when it absorbs, never from a stored n_t**2 ``logK``, and on a
+grid of several blocks keeps only the input span whose normalized
+entries reach tau = eps * exp(-2 * ``ABSORB_BAND``) / width (eps the
+float epsilon, width the block's input range): what it drops moves any
+served output by less than eps, so below the mat-vec's own round-off.
+A step pays a full log-sum-exp only when it re-absorbs, after its input
+drifted more than ``ABSORB_BAND`` or a bin died or revived.  A matrix
+step is one BLAS or ``_lse_matmul`` product (``_MatrixStep``).
 
 A solve runs at the one configured epsilon.  Each sweep is one cyclic
 (Gauss-Seidel) pass over the blocks in sweep order, each projected from
@@ -67,7 +70,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadParamError, NonFiniteError, PlanTooLargeError, UnreachableMassError
+from .errors import BadParamError, NonFiniteError, UnreachableMassError
 from .grid_measures import JointMeasure
 from .kernels import PairKernel, build_pair_kernel
 from .network import Path, TransportNetwork, path_cost_terms, validate_paths
@@ -97,9 +100,6 @@ ABSORB_BAND = 50.0
 
 # Elements of the n_t**3 temporary that ``_lse_matmul`` reduces at a time.
 _LSE_MATMUL_BLOCK = 1 << 20
-
-# Cells of a path plan that ``extract_plan`` builds at a time.
-_PLAN_SLAB = 1 << 16
 
 # Output bins per block of an absorbed message step: n_t // _ABSORB_ROWS
 # blocks of equal size (within one bin), so a grid of fewer than twice this
@@ -184,41 +184,25 @@ class ConvergenceReport:
     iterations: int
 
 
-@dataclass(eq=False)
-class PlanCells:
-    """Sparse extraction of one path plan: mass descending, bit-equal masses by flat index."""
-
-    path: Path
-    indices: np.ndarray  # (N, n_p) bin indices
-    times: np.ndarray  # (N, n_p) bin centers
-    mass: np.ndarray  # (N,) cell masses, descending
-    total_mass: float  # full plan mass (before truncation)
-
-    @property
-    def extracted_mass(self) -> float:
-        return float(self.mass.sum())
-
-    def coordinate_sum(self, pos: int, n_t: int) -> np.ndarray:
-        return np.bincount(self.indices[:, pos], weights=self.mass, minlength=n_t)
-
-
-def _lse_reduce(a: np.ndarray, axis: int) -> np.ndarray:
+def _lse_reduce(a: np.ndarray, axis: int, sums: np.ndarray | None = None) -> np.ndarray:
     """Log-sum-exp along one axis of an array; +inf and NaN propagate, -inf slices stay -inf.
 
-    ``a`` is left holding exp(a - max) per slice, with max = 0 on slices whose
-    max is not finite; exp overflows only in +inf slices, and silently.
+    ``a`` is left holding exp(a - max) per slice, and ``sums``, when given,
+    its sums, with max = 0 on slices whose max is not finite; exp
+    overflows only in +inf slices, and silently.
     """
     amax = np.max(a, axis=axis, keepdims=True)
     amax[~np.isfinite(amax)] = 0.0
     a -= amax
     with np.errstate(divide="ignore", over="ignore"):
         np.exp(a, out=a)
-        return np.log(a.sum(axis=axis)) + amax.squeeze(axis)
+        return np.log(a.sum(axis=axis, out=sums)) + amax.squeeze(axis)
 
 
-def _lse_rows(logk: np.ndarray, lv: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """out[s] = LSE_t(logk[s, t] + lv[t]), in ``work`` when given."""
-    return _lse_reduce(np.add(logk, lv[None, :], out=work), axis=1)
+def _lse_rows(logk: np.ndarray, lv: np.ndarray, work: np.ndarray | None = None,
+              sums: np.ndarray | None = None) -> np.ndarray:
+    """out[s] = LSE_t(logk[s, t] + lv[t]), in ``work`` when given (see ``_lse_reduce``)."""
+    return _lse_reduce(np.add(logk, lv[None, :], out=work), 1, sums)
 
 
 def _lse_matmul(a: np.ndarray, b: np.ndarray, reduce=_lse_reduce) -> np.ndarray:
@@ -277,62 +261,82 @@ class _Linear:
         return a  # ``out``, when given, is ``a``
 
 
-def _causal_windows(kernel: np.ndarray) -> list[tuple[slice, slice]]:
-    """(output, input) ranges of the blocks of an absorbed step's ``kernel[output, input]``.
+def _causal_windows(n: int, axis: int) -> list[tuple[slice, slice]]:
+    """(output, input) ranges of the blocks of an absorbed step on ``n`` bins, forward on axis 0.
 
-    The outputs are cut into ``n_t // _ABSORB_ROWS`` equal blocks; each
-    takes the span of the kernel's finite entries on its outputs as its
-    input range, and a block with none (outputs -inf whatever the input) is
-    left out.  A single block keeps the whole kernel.
+    The outputs are cut into ``n // _ABSORB_ROWS`` equal blocks, each with
+    the inputs its outputs can reach (a particle arrives strictly after it
+    departs): [0, hi - 1) forward, [lo + 1, n) backward, for outputs
+    [lo, hi).  A single block keeps the whole kernel.
     """
-    n = kernel.shape[0]
     k = max(1, n // _ABSORB_ROWS)
     if k == 1:
-        return [(slice(0, n), slice(0, kernel.shape[1]))]
-    reach = np.isfinite(kernel)
+        return [(slice(0, n), slice(0, n))]
     bounds = [n * j // k for j in range(k + 1)]
-    windows = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        inputs = np.flatnonzero(reach[lo:hi].any(axis=0))
-        if inputs.size:
-            windows.append((slice(lo, hi), slice(inputs[0], inputs[-1] + 1)))
-    return windows
+    return [(slice(lo, hi), slice(0, hi - 1) if axis == 0 else slice(lo + 1, n))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _fit(buffers: list, j: int, size: int) -> np.ndarray:
+    """Flat ``buffers[j]``, replaced by a new one if it holds fewer than ``size`` elements."""
+    if buffers[j].size < size:
+        buffers[j] = np.empty(size)
+    return buffers[j]
 
 
 class _AbsorbedStep:
     """One log-domain vector message step across one edge, in one direction.
 
-    ``kernel[o, i]`` is the log kernel from input bin i to output bin o, and
-    the step is out[o] = LSE_i(kernel[o, i] + x[i]): the forward step takes
-    the view ``logK.T``, the backward one ``logK``.  The input x is a
-    message plus a scaling, in log units, summed by the call.
+    The step is out[o] = LSE_i(kernel[o, i] + x[i]), with ``kernel[o, i]``
+    the log kernel of ``PairKernel`` ``kernel`` from input bin i to output
+    bin o: ``logK.T`` forward (``axis`` 0), ``logK`` backward.  The input x
+    is a message plus a scaling, in log units, summed by the call.
 
-    The step keeps the kernel in blocks of output rows, each holding only
-    the input range its outputs can reach (``windows``, from
-    ``_causal_windows``).  Each block's buffer is laid out in memory like
-    its part of ``logK``, so the forward and backward steps of an edge run
-    the same reductions and BLAS calls on the same memory order.  Since the
-    kernel is -inf on and below its diagonal, the blocks hold a little over
-    half of its n_t**2 entries.
+    The step cuts its outputs into blocks (``windows``, from
+    ``_causal_windows``), each over the inputs its outputs can reach, and
+    computes a block from the cost formula (``PairKernel.log_window``) at
+    each absorb, laid out in memory like its part of ``logK``, so the
+    forward and backward steps of an edge run the same reductions and BLAS
+    calls on the same memory order.  A single block is computed in its own
+    store; several share the system's ``scratch`` and keep part of it.
 
-    Absorbing x as r runs the plain log-sum-exp of each block in place in
-    that block's own buffer and returns the outputs unchanged.  It then
-    scales every row to sum 1 and keeps the outputs as the offsets ``c``
-    (-inf on all--inf rows, which stay -inf).  A later input with exactly
-    r's dead (-inf) bins and within ``ABSORB_BAND`` of r on the live ones
-    is served by one exp and one mat-vec per block, c + log(block @
-    exp(x - r)) on the block's slice of the outputs.  Each live row then
-    sums to between exp(-band) and exp(band), so the entries that
-    underflowed in a block weigh nothing against it and the step matches
-    the log-sum-exp to round-off (Schmitzer, SIAM J. Sci. Comput. 2019).
-    Any other input re-absorbs.  A bin that dies must re-absorb too: the
-    rows it dominated may keep nothing but underflowed entries.
+    Absorbing x as r runs the plain log-sum-exp of each block in place and
+    returns the outputs unchanged.  It then scales every row to sum 1 and
+    keeps the outputs as the offsets ``c`` (-inf on all--inf rows, which
+    stay -inf).  A later input with exactly r's dead (-inf) bins and within
+    ``ABSORB_BAND`` of r on the live ones is served by one exp and one
+    mat-vec per block, c + log(block @ exp(x - r)) on the block's slice of
+    the outputs (Schmitzer, SIAM J. Sci. Comput. 2019).  Any other input
+    re-absorbs.  A bin that dies must re-absorb too: the rows it dominated
+    may keep nothing but underflowed entries.
+
+    Why the served output matches the log-sum-exp to round-off: with d =
+    x - r in [-band, band] on the live bins, a live row B[o], scaled to sum
+    1, has the served sum S = sum_i B[o, i] exp(d_i) >= exp(-band).  Of
+    several blocks, each keeps only the input span (``blocks``: outputs,
+    kept inputs, stored block) of the columns with an entry >= tau = eps *
+    exp(-2 band) / width, eps the float epsilon and width the block's
+    input range.  It tests them before the scaling, when a live row peaks
+    at exactly 1 and so sums to at least 1, so every entry >= tau of B is
+    kept, and each dropped one is below tau in B: together they add less
+    than width * tau * exp(band) = eps * exp(-band) <= eps * S, whatever
+    the drift within the band, and the output, log S, moves by less than
+    eps.  Before summing a block it leaves out, from either end of its
+    inputs, those whose entries lie below tau of every row's maximum (the
+    kernel grows with the gap, so on an input it is largest at the block's
+    farthest output and smallest at its nearest one); they add less than
+    width * tau of a row's maximum to the absorbed sum, far below its
+    round-off, and would be dropped anyway.  Entries below the smallest
+    normal float are zeroed in every block (they weigh nothing, but slow
+    the mat-vec down many times over).  A single block keeps its whole
+    kernel.
     """
 
-    def __init__(self, kernel: np.ndarray, windows: list[tuple[slice, slice]]):
-        self.kernel = kernel
-        self.windows = windows
-        self.blocks: list[np.ndarray] | None = None
+    def __init__(self, kernel: PairKernel, axis: int, windows: list[tuple[slice, slice]],
+                 scratch: list):
+        self.kernel, self.axis, self.windows, self.scratch = kernel, axis, windows, scratch
+        self.stores = [np.empty(0)] * len(windows)  # each block's flat store, reused if it fits
+        self.blocks: list | None = None  # (outputs, kept inputs, block) after an absorb
         self.r: np.ndarray | None = None  # absorbed input, 0 on dead bins; None re-absorbs
 
     def __call__(self, message: np.ndarray, scaling: np.ndarray) -> np.ndarray:
@@ -344,7 +348,7 @@ class _AbsorbedStep:
             d = x - self.r
             if (d <= self.hi).all() and (d >= self.lo).all():
                 np.exp(d, out=d)
-                for (out, inp), block in zip(self.windows, self.blocks):
+                for out, inp, block in self.blocks:
                     np.matmul(block, d[inp], out=self.y[out])
                 # y > 0 exactly on the live outputs; the others keep 0, and c
                 # is -inf there
@@ -352,21 +356,60 @@ class _AbsorbedStep:
                 return self.c + self.y
         return self._absorb(x)
 
+    def _block(self, buf: np.ndarray, out: slice, inp: slice) -> np.ndarray:
+        """The [out, inp] block in flat ``buf``, laid out like its part of ``logK``."""
+        shape = (out.stop - out.start, inp.stop - inp.start)
+        flat = buf[:shape[0] * shape[1]]
+        return flat.reshape(shape) if self.axis else flat.reshape(shape[::-1]).T
+
+    def _at(self, o: int, inp: slice) -> np.ndarray:
+        """kernel[o, inp], from the formula."""
+        one = slice(o, o + 1)
+        if self.axis:
+            return self.kernel.log_window(one, inp)[0]
+        return self.kernel.log_window(inp, one)[:, 0]
+
     def _absorb(self, x: np.ndarray) -> np.ndarray:
-        n_out = self.kernel.shape[0]
         if self.blocks is None:
-            self.blocks = [np.empty_like(self.kernel[out, inp]) for out, inp in self.windows]
             # the mat-vecs' output; outputs of no block stay 0, so -inf
-            self.y = np.zeros(n_out)
-        c = np.full(n_out, -np.inf)
-        for (out, inp), block in zip(self.windows, self.blocks):
-            c[out] = _lse_rows(self.kernel[out, inp], x[inp], block)
-            total = block.sum(axis=1)
-            scale = np.where(total > 0, total, 1.0)  # all--inf rows stay 0
-            block /= scale[:, None]
-            # subnormal entries weigh nothing against a row of sum 1, but
-            # slow the mat-vec down many times over
-            block[block < np.finfo(float).tiny] = 0.0
+            self.y = np.zeros(x.size)
+        c = np.full(x.size, -np.inf)
+        whole = len(self.windows) == 1
+        self.blocks = []
+        for j, (out, inp) in enumerate(self.windows):
+            tau = np.finfo(float).eps * np.exp(-2 * ABSORB_BAND) / (inp.stop - inp.start)
+            if not whole:
+                # the kernel grows with the gap, so on each input it lies between
+                # its values at the nearest output and the farthest: an input
+                # whose farthest entry is below tau of the largest nearest one
+                # is below tau of every row's maximum, and neither summed nor kept
+                ends = (out.stop - 1, out.start) if self.axis == 0 else (out.start, out.stop - 1)
+                far, near = (self._at(o, inp) + x[inp] for o in ends)
+                bound = near.max() + np.log(tau)
+                if np.isfinite(bound):  # NaN and +inf inputs are summed in full
+                    reach = np.flatnonzero(far >= bound)
+                    inp = slice(inp.start + reach[0], inp.start + reach[-1] + 1)
+            size = (out.stop - out.start) * (inp.stop - inp.start)
+            buf = _fit(self.stores, j, size) if whole else _fit(self.scratch, 0, size)
+            block = self._block(buf, out, inp)
+            if self.axis:
+                self.kernel.log_window(out, inp, block)
+            else:
+                self.kernel.log_window(inp, out, block.T)
+            total = np.empty(out.stop - out.start)
+            c[out] = _lse_rows(block, x[inp], block, total)
+            scale = np.where(total > 0, total, 1.0)[:, None]  # all--inf rows stay 0
+            stored = block
+            if not whole:
+                # a live row peaks at exactly 1 and sums to at least 1, so its
+                # entries >= tau once normalized lie in the columns >= tau now
+                kept = np.flatnonzero(block.max(axis=0) >= tau)
+                first, stop = (kept[0], kept[-1] + 1) if kept.size else (0, 0)
+                inp, block = slice(inp.start + first, inp.start + stop), block[:, first:stop]
+                stored = self._block(_fit(self.stores, j, block.size), out, inp)
+            np.divide(block, scale, out=stored)
+            stored[stored < np.finfo(float).tiny] = 0.0
+            self.blocks.append((out, inp, stored))
         self.c = c
         self.live = c != -np.inf
         dead = x == -np.inf
@@ -462,7 +505,7 @@ class PathSystem:
         self.paths: list[Path] = list(paths)
         if not self.paths:
             raise BadParamError("need at least one path")
-        validate_paths(net, self.paths)
+        validate_paths(net, self.paths, joints or ())
 
         missing = ((set(net.sources) - {p.source for p in self.paths})
                    | (set(net.sinks) - {p.sink for p in self.paths}))
@@ -488,9 +531,6 @@ class PathSystem:
                 if joints[pair].grid != self.grid:
                     raise BadParamError(f"joint target for {pair} lives on a different grid")
                 self.joints[pair] = joints[pair].mass
-            unjoined = [pair for pair in joints if pair not in self.joints]
-            if unjoined:  # its mass would silently go undelivered
-                raise BadParamError(f"no path joins the joint target's pair {unjoined[0]}")
         elif joints:
             raise BadParamError("joint targets are only meaningful in coupled mode")
         self.pair_paths = {pair: [i for i, p in enumerate(self.paths)
@@ -543,14 +583,14 @@ class PathSystem:
                         for pair, k in zip(p_keys, p_kernels) for key in pair}
         # neutral scaling vector and neutral message (the identity on the boundary
         # bins in coupled mode), shared by every path and state, so read-only.
-        # Vector steps read the kernel as [output, input] and take their block
-        # windows once per kernel and direction
+        # Vector steps take their block windows once per direction, and share
+        # one scratch to absorb in
         self._unit = np.full(self.n_t, dom.one)
         if mode == INDEPENDENT:
             self._start = self._unit
-            sides = {w: [(kern, _causal_windows(kern)) for kern in (k.logK.T, k.logK)]
-                     for w, k in self._kernel_cache.items()}
-            steps = {key: _AbsorbedStep(*sides[k.w][key[0]]) for key, k in step_kernels.items()}
+            sides, scratch = [_causal_windows(self.n_t, axis) for axis in (0, 1)], [np.empty(0)]
+            steps = {key: _AbsorbedStep(k, key[0], sides[key[0]], scratch)
+                     for key, k in step_kernels.items()}
         else:
             start = np.full((self.n_t, self.n_t), -np.inf)
             np.fill_diagonal(start, 0.0)
@@ -763,7 +803,7 @@ class PathSystem:
         path, dom = self.paths[p_idx], self.dom
         f, b = frontier(p_idx, l - 1), messages(p_idx, l)
         s_prev, s_next = (self._scaling_at(frontier.state, path, pos) for pos in (l - 1, l))
-        kernel = self._steps[p_idx][l - 1][1].kernel
+        kernel = dom.kernel(self.path_kernels[p_idx][l - 1])
         if self.mode == COUPLED:
             left = dom.matmul(f.T, dom.matmul(frontier.heads[self._heads[p_idx]], b.T))  # [s, t]
             factors = [left, s_prev[:, None], kernel, s_next[None, :]]
@@ -881,20 +921,6 @@ def check_path_index(path_index, n_paths: int) -> int:
     return index
 
 
-def check_plan_options(max_cells, top_k, min_mass) -> None:
-    """``extract_plan``'s options, checked; a bad one raises ``BadParamError``.
-
-    ``max_cells`` is an integer >= 1, ``top_k`` an integer >= 0 or None and
-    ``min_mass`` a finite real >= 0.
-    """
-    if _integer("max_cells", max_cells) < 1:
-        raise BadParamError(f"max_cells must be positive, got {max_cells}")
-    if top_k is not None and _integer("top_k", top_k) < 0:
-        raise BadParamError(f"top_k must be nonnegative, got {top_k}")
-    if not 0 <= _real("min_mass", min_mass) < np.inf:
-        raise BadParamError(f"min_mass must be finite and nonnegative, got {min_mass}")
-
-
 def flux_profile(state: SinkhornState, path_index: int, node: str) -> np.ndarray:
     """Linear partial contraction at ``node`` for one path, excluding its own scaling."""
     system = state.system
@@ -903,7 +929,7 @@ def flux_profile(state: SinkhornState, path_index: int, node: str) -> np.ndarray
         raise BadParamError(f"{node} not on path {path}")
     if node not in system._layout:
         raise BadParamError("boundary flux is a joint matrix in coupled mode")
-    term = system._path_term(system.compute_messages(state), _Messages(system, state, 0),
+    term = system._path_term(_Messages(system, state, 1), _Messages(system, state, 0),
                              path_index, path.nodes.index(node))
     return system.dom.to_linear(term)
 
@@ -1016,79 +1042,3 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
         e0=np.array(e0s), et=np.array(ets), v=np.array(vs),
         objective=np.array(objs), converged=converged, iterations=len(e0s))
     return state, report
-
-
-def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_000,
-                 top_k: int | None = None, min_mass: float = 0.0) -> PlanCells:
-    """Enumerate one path plan's cells above ``min_mass``, heaviest first.
-
-    ``max_cells`` bounds the ``n_t ** n_p`` cells visited.  The plan is
-    built a slab of departure bins at a time in one buffer of about
-    ``_PLAN_SLAB`` cells, so memory is one slab plus the kept cells; with
-    ``top_k``, only the ``top_k`` heaviest are kept.  Cells are ranked by
-    mass descending, then flat index ascending, also at the ``top_k`` cut.
-    The index breaks bit-equal masses only: masses equal in exact arithmetic
-    (by a symmetry of the network) may differ in round-off, which then
-    ranks them.
-    """
-    check_plan_options(max_cells, top_k, min_mass)
-    system = state.system
-    path = system.paths[check_path_index(path_index, len(system.paths))]
-    n_t = system.n_t
-    n_cells = n_t ** path.n_p
-    if n_cells > max_cells:
-        raise PlanTooLargeError(f"{n_cells} cells exceed max_cells={max_cells}")
-    shape = (n_t,) * path.n_p
-    m = path.n_edges
-    dom = system.dom
-
-    def view(arr: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-        return arr.reshape([n_t if axis in axes else 1 for axis in range(path.n_p)])
-
-    scalings = [system._scaling_at(state, path, pos) for pos in range(m + 1)]
-    factors = [view(s, (pos,)) for pos, s in enumerate(scalings) if s is not system._unit]
-    factors += [view(step.kernel, (l, l + 1))
-                for l, (_, step) in enumerate(system._steps[path_index])]
-    head = system._heads[path_index]
-    if head in system.joints:
-        factors.append(view(dom.from_log(state.views[head]), (0, m)))
-
-    row = n_cells // n_t
-    rows = max(1, _PLAN_SLAB // row)
-    buf = np.empty(rows * row)
-    total_mass = 0.0
-    kept = []  # (flat indices, masses), indices ascending
-    # once top_k cells are kept, the k-th mass: a later cell equal to it loses the tie
-    floor = min_mass
-    for lo in range(0, n_t, rows):
-        slab = buf[:min(rows, n_t - lo) * row].reshape((-1,) + shape[1:])
-        slab.fill(dom.one)
-        for f in factors:
-            dom.mul(slab, f[lo:lo + rows] if f.shape[0] == n_t else f, out=slab)
-        flat = dom.to_linear(slab, out=slab).ravel()
-        total_mass += float(flat.sum())
-        local = np.flatnonzero(flat > floor)
-        kept.append((local + lo * row, flat[local]))
-        if top_k is not None:
-            kept = [_heaviest(*map(np.concatenate, zip(*kept)), top_k)]
-            if kept[0][1].size == top_k:
-                floor = kept[0][1].min(initial=np.inf)
-    keep, mass = map(np.concatenate, zip(*kept))
-    order = np.lexsort((keep, -mass))
-    keep, mass = keep[order], mass[order]
-    indices = np.stack(np.unravel_index(keep, shape), axis=1).astype(np.int64)
-    times = system.grid.centers[indices]
-    return PlanCells(path=path, indices=indices, times=times,
-                     mass=mass, total_mass=total_mass)
-
-
-def _heaviest(keep: np.ndarray, mass: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``k`` heaviest cells, ties to the lower index; ``keep`` ascends and stays in order."""
-    if mass.size <= k:
-        return keep, mass
-    cut = np.partition(mass, mass.size - k)[mass.size - k] if k > 0 else np.inf  # k-th largest
-    chosen = mass > cut
-    ties = np.flatnonzero(mass == cut)
-    chosen[ties[:k - np.count_nonzero(chosen)]] = True
-    return keep[chosen], mass[chosen]
-

@@ -53,6 +53,28 @@ class TestScenarioCommand:
         assert main(["scenario", "bogus"]) == 2
 
 
+def _unjoined_pair_file(tmp_path):
+    """A coupled file with a joint target for a1 -> b2, which no path runs."""
+    def joint(i, j, mass):
+        cells = np.zeros((8, 8))
+        cells[i, j] = mass
+        return cells.tolist()
+
+    data = dict(coupled_tiny_scenario({"epsilon": 0.3}),
+                nodes=["a1", "m1", "b1", "a2", "m2", "b2"],
+                edges=[["a1", "m1", 1.0], ["m1", "b1", 1.0],
+                       ["a2", "m2", 1.0], ["m2", "b2", 1.0]],
+                sources=[{"node": "a1"}, {"node": "a2"}],
+                sinks=[{"node": "b1"}, {"node": "b2"}],
+                paths=[["a1", "m1", "b1"], ["a2", "m2", "b2"]],
+                joints=[{"source": "a1", "sink": "b1", "mass": joint(0, 4, 0.3)},
+                        {"source": "a2", "sink": "b2", "mass": joint(1, 5, 0.3)},
+                        {"source": "a1", "sink": "b2", "mass": joint(2, 7, 0.4)}])
+    p = tmp_path / "unjoined.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    return p
+
+
 class TestFeasibilityCommand:
     def test_feasible_scenario(self, tiny_scenario, capsys):
         assert main(["feasibility", str(tiny_scenario)]) == 0
@@ -103,6 +125,16 @@ class TestFeasibilityCommand:
         argv = ["feasibility", str(path)] + (["--delta", delta] if delta else [])
         assert main(argv) == code
         assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+
+    def test_unjoined_pair_exits_2(self, tmp_path, capsys):
+        # the scenario build rejects the pair, so every command does: the
+        # feasibility check used to call a1 -> m1 -> b1 feasible and exit 0
+        p = _unjoined_pair_file(tmp_path)
+        for command in (["feasibility"], ["extract-plan", "--top-k", "5"], ["oracle"]):
+            assert main([command[0], str(p), *command[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured == ("", f"error: invalid scenario {p}: "
+                                    "no path joins the joint target's pair ('a1', 'b2')\n")
 
 
 class TestSolveCommand:
@@ -405,26 +437,11 @@ class TestSolveCommand:
     def test_joint_of_an_unjoined_pair_exits_2(self, tmp_path, capsys):
         # no path runs a1 -> b2: its 0.4 of the mass used to be dropped while
         # the solve converged and matched the other joints, exiting 0
-        def joint(i, j, mass):
-            cells = np.zeros((8, 8))
-            cells[i, j] = mass
-            return cells.tolist()
-
-        data = dict(coupled_tiny_scenario({"epsilon": 0.3}),
-                    nodes=["a1", "m1", "b1", "a2", "m2", "b2"],
-                    edges=[["a1", "m1", 1.0], ["m1", "b1", 1.0],
-                           ["a2", "m2", 1.0], ["m2", "b2", 1.0]],
-                    sources=[{"node": "a1"}, {"node": "a2"}],
-                    sinks=[{"node": "b1"}, {"node": "b2"}],
-                    paths=[["a1", "m1", "b1"], ["a2", "m2", "b2"]],
-                    joints=[{"source": "a1", "sink": "b1", "mass": joint(0, 4, 0.3)},
-                            {"source": "a2", "sink": "b2", "mass": joint(1, 5, 0.3)},
-                            {"source": "a1", "sink": "b2", "mass": joint(2, 7, 0.4)}])
-        p = tmp_path / "unjoined.json"
-        p.write_text(json.dumps(data), encoding="utf-8")
+        p = _unjoined_pair_file(tmp_path)
         assert main(["solve", str(p), "--output", str(tmp_path / "o"), "--check-properties"]) == 2
         captured = capsys.readouterr()
-        assert captured == ("", "error: no path joins the joint target's pair ('a1', 'b2')\n")
+        assert captured == ("", f"error: invalid scenario {p}: "
+                                "no path joins the joint target's pair ('a1', 'b2')\n")
 
     @pytest.mark.parametrize("command, message", [
         ("oracle", "target mass on axis 2 sits on unreachable bins"),

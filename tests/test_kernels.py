@@ -56,6 +56,28 @@ class TestPairKernel:
         assert k.K is k.K
         assert not k.K.flags.writeable and not k.logK.flags.writeable
 
+    def test_log_kernel_built_on_first_use_from_the_formula(self):
+        # logK is the formula's exponent with -inf at t <= s, built only when
+        # read; log_window gives any block of it bit for bit, without it
+        grid = TimeGrid(t_f=1.3, n_t=37)
+        for w in (0.0, 0.8):
+            k = build_pair_kernel(grid, w, 0.11)
+            rng = np.random.default_rng(5)
+            t = grid.centers
+            windows = [(slice(None), slice(None))] + [
+                tuple(slice(*sorted(rng.integers(0, 38, 2))) for _ in range(2)) for _ in range(40)]
+            for rows, cols in windows:
+                ours = k.log_window(rows, cols)
+                gap = t[None, cols] - t[rows, None]
+                ref = np.full(gap.shape, -np.inf)
+                ref[gap > 0] = -w / (0.11 * gap[gap > 0])
+                assert ours.tobytes() == ref.tobytes()
+                buf = np.empty(ref.shape)
+                assert k.log_window(rows, cols, buf) is buf and buf.tobytes() == ref.tobytes()
+            assert "logK" not in vars(k)
+            assert k.logK.tobytes() == k.log_window(slice(None), slice(None)).tobytes()
+            assert k.logK is k.logK and not k.logK.flags.writeable
+
     def test_transit_cost_built_on_first_use(self, grid10):
         k = build_pair_kernel(grid10, 1.7, 0.3)
         assert "cost" not in vars(k)
