@@ -4,7 +4,13 @@ Boundary laws prescribe when mass may leave sources and reach sinks;
 interior nodes meter throughput with per-time flow-rate caps.  The solver
 couples all admissible paths through shared nodal multipliers and runs
 entropic scaling sweeps over chain messages.
+
+The dense reference oracle and the feasibility check are loaded on first
+use of one of their names (PEP 562), so that importing the package or its
+CLI, which solves without them, does not pay for them.
 """
+
+import importlib
 
 from .errors import (
     BadEndpointError,
@@ -22,12 +28,6 @@ from .errors import (
     TransportError,
     UnreachableMassError,
 )
-from .feasibility import (
-    FeasibilityVerdict,
-    TripletWitness,
-    check_da_feasibility,
-    quantile_coupling_witness,
-)
 from .grid_measures import (
     JointMeasure,
     Measure,
@@ -43,13 +43,6 @@ from .network import (
     TransportNetwork,
     path_cost_terms,
     validate_paths,
-)
-from .reference_oracle import (
-    DenseTensor,
-    chain_cost_tensor,
-    dense_coupled_sinkhorn,
-    dense_sinkhorn,
-    entropy,
 )
 from .plans import PlanCells, extract_plan
 from .scenarios import (
@@ -74,6 +67,26 @@ from .sinkhorn_engine import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, imported on the name's first use
+_LAZY = {
+    **dict.fromkeys(["FeasibilityVerdict", "TripletWitness", "check_da_feasibility",
+                     "quantile_coupling_witness"], "feasibility"),
+    **dict.fromkeys(["DenseTensor", "chain_cost_tensor", "dense_coupled_sinkhorn",
+                     "dense_sinkhorn", "entropy"], "reference_oracle"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
 
 __all__ = [
     "TimeGrid", "Measure", "JointMeasure", "cdf", "quantile", "gaussian_mixture",

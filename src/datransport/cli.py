@@ -29,7 +29,6 @@ from .grid_measures import TimeGrid
 from .kernels import build_pair_kernel
 from .network import path_cost_terms
 from .plans import check_plan_options, extract_plan
-from .reference_oracle import dense_sinkhorn, chain_cost_tensor
 from .scenarios import (
     GENERATORS,
     BuiltScenario,
@@ -218,6 +217,8 @@ def _cmd_plotdata(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .reference_oracle import chain_cost_tensor, dense_sinkhorn  # loaded on first use only
+
     built = _load_scenario(args.scenario)
     path = built.paths[check_path_index(args.path_index, len(built.paths))]
     net = built.net

@@ -25,10 +25,12 @@ class PairKernel:
     ``K[s, t] = exp(-w / (eps * (t_t - t_s)))`` for index ``t > s`` and 0
     elsewhere; ``logK`` holds the exponent with -inf on and below the
     diagonal.  Any block of ``logK`` is computed from the formula by
-    ``log_window``, so ``logK`` itself, ``K`` (built from it) and ``cost``
-    (the transit cost ``w / (t_t - t_s)`` above the diagonal and 0
-    elsewhere) are each built on first use: a solve that never reads them
-    (an independent one) never holds any n_t**2 array of the kernel.
+    ``log_window``, so ``logK`` itself, ``K`` (the exp of the whole window,
+    taken in place) and ``cost`` (the transit cost ``w / (t_t - t_s)``
+    above the diagonal and 0 elsewhere) are each built on first use and
+    independently: a solve that never reads them (an independent one)
+    never holds any n_t**2 array of the kernel, and a linear one never
+    holds ``logK``.
     """
 
     grid: TimeGrid
@@ -62,7 +64,8 @@ class PairKernel:
 
     @cached_property
     def K(self) -> np.ndarray:
-        k = np.exp(self.logK)
+        k = self.log_window(slice(None), slice(None))
+        np.exp(k, out=k)
         k.flags.writeable = False
         return k
 

@@ -1,9 +1,12 @@
 """Plan extraction: the heaviest cells of one path's entropic plan.
 
 A path plan is the product of its scalings and edge kernels over one bin
-per path node, ``n_t ** n_p`` cells in all; ``extract_plan`` enumerates
-them a slab at a time in the messages' arithmetic (``PathSystem.dom``)
-and keeps the heaviest.
+per path node, ``n_t ** n_p`` cells in all.  Only strictly time-ordered
+cells can carry mass: an edge kernel is 0 wherever a bin does not follow
+the one before it.  ``extract_plan`` enumerates the plan a slab of
+departure bins at a time, in the messages' arithmetic (``PathSystem.dom``),
+over the later bins that follow the slab's first departure bin only, and
+keeps the heaviest.
 """
 
 from __future__ import annotations
@@ -56,14 +59,18 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
                  top_k: int | None = None, min_mass: float = 0.0) -> PlanCells:
     """Enumerate one path plan's cells above ``min_mass``, heaviest first.
 
-    ``max_cells`` bounds the ``n_t ** n_p`` cells visited.  The plan is
-    built a slab of departure bins at a time in one buffer of about
-    ``_PLAN_SLAB`` cells, so memory is one slab plus the kept cells; with
-    ``top_k``, only the ``top_k`` heaviest are kept.  Cells are ranked by
-    mass descending, then flat index ascending, also at the ``top_k`` cut.
-    The index breaks bit-equal masses only: masses equal in exact arithmetic
-    (by a symmetry of the network) may differ in round-off, which then
-    ranks them.
+    ``max_cells`` bounds the ``n_t ** n_p`` cells of the plan.  The plan
+    is built a slab of departure bins at a time in one buffer of about
+    ``_PLAN_SLAB`` cells (or one departure bin's, if more), so memory is
+    one slab plus the kept cells; with ``top_k``, only the ``top_k``
+    heaviest are kept.  A slab from departure bin lo spans only the bins
+    after lo on every later axis, and so holds more departure bins the
+    later it starts: every cell it leaves out is exactly 0 by the time
+    order, so the cells, their masses and their ranks are those of the
+    whole plan.  Cells are ranked by mass descending, then flat index
+    ascending, also at the ``top_k`` cut.  The index breaks bit-equal
+    masses only: masses equal in exact arithmetic (by a symmetry of the
+    network) may differ in round-off, which then ranks them.
     """
     check_plan_options(max_cells, top_k, min_mass)
     system = state.system
@@ -85,28 +92,36 @@ def extract_plan(state: SinkhornState, path_index: int, max_cells: int = 4_000_0
                 for l, kern in enumerate(system.path_kernels[path_index])]
     head = system._heads[path_index]
     if head in system.joints:
-        factors.append(view(dom.from_log(state.views[head]), (0, m)))
+        factors.append(view(system.dense(head, dom.from_log(state.views[head]), dom), (0, m)))
 
-    row = n_cells // n_t
-    rows = max(1, _PLAN_SLAB // row)
-    buf = np.empty(rows * row)
+    buf = np.empty(min(n_cells, max(_PLAN_SLAB, (n_t - 1) ** m)))
     total_mass = 0.0
     kept = []  # (flat indices, masses), indices ascending
     # once top_k cells are kept, the k-th mass: a later cell equal to it loses the tie
     floor = min_mass
-    for lo in range(0, n_t, rows):
-        slab = buf[:min(rows, n_t - lo) * row].reshape((-1,) + shape[1:])
+    lo = 0
+    while lo < n_t - 1:  # no cell departs from the last bin
+        # departure bins [lo, lo + rows), and the bins after lo on every later axis
+        width = n_t - lo - 1
+        rows = min(width + 1, max(1, _PLAN_SLAB // width ** m))
+        part = (slice(lo, lo + rows),) + (slice(lo + 1, None),) * m
+        slab_shape = (rows,) + (width,) * m
+        slab = buf[:rows * width ** m].reshape(slab_shape)
         slab.fill(dom.one)
         for f in factors:
-            dom.mul(slab, f[lo:lo + rows] if f.shape[0] == n_t else f, out=slab)
+            dom.mul(slab, f[tuple(p if n == n_t else slice(None)
+                                  for p, n in zip(part, f.shape))], out=slab)
         flat = dom.to_linear(slab, out=slab).ravel()
         total_mass += float(flat.sum())
-        local = np.flatnonzero(flat > floor)
-        kept.append((local + lo * row, flat[local]))
+        hit = np.flatnonzero(flat > floor)
+        local = np.unravel_index(hit, slab_shape)
+        cells = (local[0] + lo, *(i + lo + 1 for i in local[1:]))
+        kept.append((np.ravel_multi_index(cells, shape), flat[hit]))
         if top_k is not None:
             kept = [_heaviest(*map(np.concatenate, zip(*kept)), top_k)]
             if kept[0][1].size == top_k:
                 floor = kept[0][1].min(initial=np.inf)
+        lo += rows
     keep, mass = map(np.concatenate, zip(*kept))
     order = np.lexsort((keep, -mass))
     keep, mass = keep[order], mass[order]

@@ -19,7 +19,6 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import BadParamError, ScenarioFormatError
-from .feasibility import check_da_feasibility
 from .grid_measures import JointMeasure, Measure, TimeGrid, gaussian_mixture
 from .network import CapacityProfile, Path, TransportNetwork, validate_paths
 # perfbench's tracer wraps ``datransport.scenarios.extract_plan`` by name
@@ -28,6 +27,7 @@ from .sinkhorn_engine import (
     ConvergenceReport,
     SinkhornState,
     SolverConfig,
+    _Log,
     _lse_matmul,
     _real,
     aggregate_marginals,
@@ -202,6 +202,8 @@ def min_travel_delta(built: BuiltScenario, path: Path) -> float:
 
 def precheck_feasibility(built: BuiltScenario) -> list[tuple[Path, object]]:
     """Advisory shift-dominance verdicts per path (normalized boundary laws)."""
+    from .feasibility import check_da_feasibility  # loaded on first use only
+
     out = []
     for path in built.paths:
         mu0 = built.net.sources[path.source].normalized()
@@ -415,7 +417,7 @@ def plan_ridge(state: SinkhornState, path_index: int, floor_frac: float = 0.01) 
     path, head = system.paths[path_index], system._heads[path_index]
     logk = [kern.logK for kern in system.path_kernels[path_index]]
     # best[pos][t0, t]: the heaviest chain from node pos at bin t on, with its scaling and ends[t0]
-    best = {path.n_edges: views[head] if head in system.joints
+    best = {path.n_edges: system.dense(head, views[head], _Log) if head in system.joints
             else np.add.outer(views[path.source], views[path.sink])}
     for pos in range(path.n_edges - 1, 0, -1):
         best[pos] = _lse_matmul(best[pos + 1], logk[pos].T, reduce=np.max) + views[path.nodes[pos]]

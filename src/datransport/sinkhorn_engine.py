@@ -5,7 +5,12 @@ v, and every interior node one capacity multiplier w in (0, 1] shared by
 all paths through it.  In coupled mode the boundary pair (source, sink)
 carries a joint matrix Lambda instead of u and v.  A solve's state is one
 flat array of log-scalings, the blocks stacked in sweep order (0 neutral,
--inf dead).  Model marginals are assembled per path from backward chain
+-inf dead).  A joint block holds only the cells of Lambda where its target
+has mass (``PathSystem._support``): any other cell is dead from the first
+update on, so the state, the bounds, the projections, the violations, the
+dual and the mixing leave it out, and ``PathSystem.dense`` scatters the
+block onto its n_t x n_t matrix where a matrix product or a plan needs
+it.  Model marginals are assembled per path from backward chain
 messages and forward ones built on demand; each block update is the exact
 projection for its constraint, computed from an aggregate that excludes
 the block's own scaling (so the constraint holds to round-off immediately
@@ -146,10 +151,12 @@ class SolverConfig:
 class SinkhornState:
     """Log-scalings of one solve, in one flat array ``x``.
 
-    The blocks are stacked in sweep order, each raveled at the slice the
-    system's layout (``PathSystem._layout``) gives it; 0 is neutral and
-    -inf is dead.  ``views``, read-only and in sweep order, maps each block
-    to its view into ``x``, so ``x`` is only ever written in place.
+    The blocks are stacked in sweep order, each at the slice the system's
+    layout (``PathSystem._layout``) gives it; 0 is neutral and -inf is
+    dead.  ``views``, read-only and in sweep order, maps each block to its
+    view into ``x``, so ``x`` is only ever written in place.  Every view is
+    flat: a joint block's holds its support's cells (``PathSystem.dense``
+    gives the matrix).
     """
 
     system: "PathSystem"
@@ -157,16 +164,18 @@ class SinkhornState:
     iteration: int = 0
 
     def __post_init__(self):
-        self.views = MappingProxyType({block: self.x[part].reshape(shape)
-                                       for block, (part, shape) in self.system._layout.items()})
+        self.views = MappingProxyType({block: self.x[part]
+                                       for block, part in self.system._layout.items()})
 
 
 @dataclass(eq=False)
 class ModelMarginals:
     """Model marginal of every block, flat in the state's layout, and of every path node.
 
-    ``joint_m`` and ``m`` view ``model``, but a coupled source or sink has no
-    block: ``m`` adds its pairs' joint row or column sums, in ``joints`` order.
+    ``m`` views ``model``, but a coupled source or sink has no block: ``m``
+    adds its pairs' joint row or column sums, in ``joints`` order.
+    ``joint_m`` holds each pair's marginal as a dense n_t x n_t matrix, 0
+    off the target's support.
     """
 
     model: np.ndarray
@@ -233,7 +242,7 @@ def _exp_live(logs: np.ndarray) -> np.ndarray:
 class _Log:
     """Message arithmetic in log units: a product adds, a sum is a log-sum-exp."""
 
-    one = 0.0
+    one, zero = 0.0, -np.inf
     mul, add, matmul, to_linear = np.add, np.logaddexp, staticmethod(_lse_matmul), np.exp
     kernel = operator.attrgetter("logK")
     from_log = to_log = staticmethod(np.asarray)  # returns the array itself
@@ -247,7 +256,7 @@ class _Log:
 class _Linear:
     """Message arithmetic on linear values: plain products and sums, BLAS matrix products."""
 
-    one = 1.0
+    one, zero = 1.0, 0.0
     mul, add, matmul, sum = np.multiply, np.add, np.matmul, staticmethod(np.sum)
     kernel = operator.attrgetter("K")
     from_log = staticmethod(_exp_live)
@@ -344,9 +353,10 @@ class _AbsorbedStep:
         if self.r is not None:
             # x - r lies within [lo, hi] on every bin only if x is dead
             # exactly where r is and within the band of it elsewhere; a bin
-            # that died or revived, NaN and +inf all fail
+            # that died or revived, NaN and +inf all fail.  One fused mask
+            # and a C-level reduction, with no Python-level wrapper
             d = x - self.r
-            if (d <= self.hi).all() and (d >= self.lo).all():
+            if np.logical_and.reduce((d <= self.hi) & (d >= self.lo)):
                 np.exp(d, out=d)
                 for out, inp, block in self.blocks:
                     np.matmul(block, d[inp], out=self.y[out])
@@ -481,8 +491,9 @@ class _Messages:
 
     @cached_property
     def heads(self) -> dict:
-        dom, views = self.system.dom, self.state.views
-        return {head: dom.from_log(views[head]) for head in set(self.system._heads)}
+        system, views = self.system, self.state.views
+        return {head: system.dense(head, system.dom.from_log(views[head]), system.dom)
+                for head in set(system._heads)}
 
 
 class PathSystem:
@@ -533,6 +544,8 @@ class PathSystem:
                 self.joints[pair] = joints[pair].mass
         elif joints:
             raise BadParamError("joint targets are only meaningful in coupled mode")
+        # each joint block's cells: its target's support, flat indices ascending
+        self._support = {pair: np.flatnonzero(mass > 0) for pair, mass in self.joints.items()}
         self.pair_paths = {pair: [i for i, p in enumerate(self.paths)
                                   if (p.source, p.sink) == pair]
                            for pair in self.joints}
@@ -540,20 +553,21 @@ class PathSystem:
         self._heads = [(p.source, p.sink) if (p.source, p.sink) in self.joints else p.source
                        for p in self.paths]
         # the state's layout, in sweep order: each block's slice of the flat
-        # log-scalings and its shape.  Sources (or pairs), caps and sinks are
-        # contiguous, so E0, V and ET are three slices of any flat marginal
-        first, last = (self.joints, {}) if mode == COUPLED else (self.mu0, self.muT)
+        # log-scalings.  Sources (or pairs), caps and sinks are contiguous, so
+        # E0, V and ET are three slices of any flat marginal
+        packed = {pair: mass.ravel()[self._support[pair]] for pair, mass in self.joints.items()}
+        first, last = (packed, {}) if mode == COUPLED else (self.mu0, self.muT)
         bounds = {**first, **self.caps, **last}
         self._layout: dict = {}
         size = 0
         for block, bound in bounds.items():
-            self._layout[block] = (slice(size, size + bound.size), bound.shape)
+            self._layout[block] = slice(size, size + bound.size)
             size += bound.size
         self._size = size
         n_first = sum(bound.size for bound in first.values())
         self._caps_part = slice(n_first, n_first + self.n_t * len(self.caps))
         # each block's target (or cap) and its log, flat in the layout
-        self.bound = np.concatenate([bound.ravel() for bound in bounds.values()])
+        self.bound = np.concatenate(list(bounds.values()))
         with np.errstate(divide="ignore"):
             self.log_bound = np.log(self.bound)
         # the bins of the dual's <log scaling, bound> term.  Sub-threshold
@@ -645,6 +659,18 @@ class PathSystem:
     def initial_state(self) -> SinkhornState:
         return SinkhornState(self, np.zeros(self._size))
 
+    def dense(self, block, values: np.ndarray, dom) -> np.ndarray:
+        """A joint block's packed ``values``, in ``dom``'s units, on its n_t x n_t matrix.
+
+        Cells off the target's support hold ``dom.zero``: -inf in ``_Log``,
+        0 in ``_Linear``.  Any other block's ``values`` are returned as they are.
+        """
+        if block not in self.joints:
+            return values
+        out = np.full((self.n_t, self.n_t), dom.zero)
+        out.ravel()[self._support[block]] = values
+        return out
+
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Message-domain scaling of the node at ``pos``; neutral on a node without a block."""
         node = path.nodes[pos]
@@ -681,15 +707,15 @@ class PathSystem:
         """Log aggregate of one block, excluding the block's own scaling.
 
         A joint block sums the interior chain matrices ``messages(p, 0)`` of
-        its paths, which leave Lambda out.  A node block sums its paths'
-        terms from the backward ``messages`` and the forward ``frontier``.
-        The terms are summed in the message domain, then taken to log units.
+        its paths, which leave Lambda out, and gathers the sum on its
+        support.  A node block sums its paths' terms from the backward
+        ``messages`` and the forward ``frontier``.  The terms are summed in
+        the message domain, then taken to log units.
         """
         if block in self.joints:
-            terms = [messages(p, 0) for p in self.pair_paths[block]]
-        else:
-            terms = [self._path_term(messages, frontier, p, pos)
-                     for p, pos in self.positions[block]]
+            chain = reduce(self.dom.add, [messages(p, 0) for p in self.pair_paths[block]])
+            return self.dom.to_log(chain.ravel()[self._support[block]])
+        terms = [self._path_term(messages, frontier, p, pos) for p, pos in self.positions[block]]
         return self.dom.to_log(reduce(self.dom.add, terms))
 
     def violations(self, model: np.ndarray) -> tuple[float, float, float]:
@@ -731,7 +757,7 @@ class PathSystem:
 
     def _model(self, state: SinkhornState, block, agg: np.ndarray) -> np.ndarray:
         """Model marginal of one block from its log aggregate."""
-        return _exp_live(state.x[self._layout[block][0]] + agg.ravel())
+        return _exp_live(state.x[self._layout[block]] + agg)
 
     def _project(self, state: SinkhornState, block,
                  agg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -740,8 +766,7 @@ class PathSystem:
         Returns the block's new log-scaling and its model marginal before
         the update.
         """
-        part = self._layout[block][0]
-        agg = agg.ravel()
+        part = self._layout[block]
         model = self._model(state, block, agg)
         if block in self.caps:
             return self._cap_over_aggregate(self.log_bound[part], agg), model
@@ -750,9 +775,12 @@ class PathSystem:
                                            agg, label), model
 
     def _update_block(self, state: SinkhornState, block) -> np.ndarray:
-        """Project one block from one message pass of ``state``; returns its new linear scaling."""
+        """Project one block from one message pass of ``state``; returns its new linear scaling.
+
+        The scaling is flat like the block's view: a joint block's is packed.
+        """
         agg = self._aggregate(block, self.compute_messages(state), _Messages(self, state, 0))
-        state.x[self._layout[block][0]], _ = self._project(state, block, agg)
+        state.x[self._layout[block]], _ = self._project(state, block, agg)
         return _exp_live(state.views[block])
 
     # ------------------------------------------------------------------
@@ -776,7 +804,7 @@ class PathSystem:
         """
         refresh = not self._order_follows_paths
         model = np.empty(self._size)
-        for i, (block, (part, _)) in enumerate(self._layout.items()):
+        for i, (block, part) in enumerate(self._layout.items()):
             if i == 0 or refresh:
                 if messages is None or i:
                     messages = self.compute_messages(state)
@@ -845,8 +873,8 @@ class _AndersonMixer:
     sweep started from, already traced; otherwise the plain point stands
     and the history restarts.  So a step costs one message pass, the
     trial's, and none when the mixed point is the plain one bit for bit.
-    Dead bins (log-scaling -inf, such as a Lambda cell of zero target) take
-    no part in the mixing and stay dead.
+    Dead bins (log-scaling -inf, such as a zero-cap bin or a Lambda cell of
+    negligible target) take no part in the mixing and stay dead.
     """
 
     def __init__(self, system: PathSystem):
@@ -940,11 +968,11 @@ def aggregate_marginals(state: SinkhornState) -> ModelMarginals:
     messages = system.compute_messages(state)
     frontier = _Messages(system, state, 0)
     model = np.empty(system._size)
-    for block, (part, _) in system._layout.items():
+    for block, part in system._layout.items():
         model[part] = system._model(state, block, system._aggregate(block, messages, frontier))
-    views = {block: model[part].reshape(shape) for block, (part, shape) in system._layout.items()}
-    m = {b: v for b, v in views.items() if b not in system.joints}
-    joint_m = {pair: views[pair] for pair in system.joints}
+    m = {block: model[part] for block, part in system._layout.items() if block not in system.joints}
+    joint_m = {pair: system.dense(pair, model[system._layout[pair]], _Linear)
+               for pair in system.joints}
     for (src, snk), mat in joint_m.items():  # coupled mode's boundary nodes
         m[src] = m.get(src, 0.0) + mat.sum(axis=1)
         m[snk] = m.get(snk, 0.0) + mat.sum(axis=0)
@@ -969,10 +997,11 @@ def capacity_update(state: SinkhornState, node: str) -> np.ndarray:
 
 
 def coupled_boundary_update(state: SinkhornState, pair: tuple[str, str]) -> np.ndarray:
-    """Match the joint boundary law exactly; returns the new linear Lambda."""
-    if state.system.mode != COUPLED:
+    """Match the joint boundary law exactly; returns the new linear Lambda, n_t x n_t."""
+    system = state.system
+    if system.mode != COUPLED:
         raise BadParamError("coupled_boundary_update requires coupled mode")
-    return state.system._update_block(state, pair)
+    return system.dense(pair, system._update_block(state, pair), _Linear)
 
 
 def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,

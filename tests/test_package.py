@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import datransport
@@ -40,3 +43,18 @@ def test_no_unread_imports():
              for path in Path(datransport.__file__).parent.glob("*.py")
              for name in _unread_imports(path.read_text(encoding="utf-8"))}
     assert found == UNREAD_IMPORTS
+
+
+def test_cli_import_loads_no_oracle_or_feasibility():
+    # both modules load on first use of one of their names: the package and
+    # its CLI import without them, and the package still exports their names
+    code = ("import sys, datransport.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('datransport.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(datransport.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60)
+    loaded = ast.literal_eval(out.stdout)
+    assert "datransport.scenarios" in loaded and "datransport.plans" in loaded
+    assert not {"datransport.reference_oracle", "datransport.feasibility"} & set(loaded)
+    assert datransport.dense_sinkhorn.__module__ == "datransport.reference_oracle"
+    assert datransport.check_da_feasibility.__module__ == "datransport.feasibility"

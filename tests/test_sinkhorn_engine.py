@@ -46,6 +46,7 @@ from datransport.sinkhorn_engine import (
     SolverConfig,
     _AbsorbedStep,
     _causal_windows,
+    _Log,
     _MatrixStep,
     _Messages,
     _lse_matmul,
@@ -266,6 +267,36 @@ class TestAbsorbedStep:
             assert np.isfinite(ours[out])
             assert ours[out] == pytest.approx(ref[out], rel=1e-13)
             assert ours[out] < -1000.0
+
+    def test_revived_nan_and_inf_inputs_reabsorb(self, monkeypatch):
+        # an input that revives a dead bin of the absorbed one, or holds NaN
+        # or +inf on a live or a dead bin, is never served from the cache,
+        # though it stays within the band everywhere else; the revived
+        # bin's mass is then summed like any other
+        n = 24
+        kern = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.02)
+        counts = _count_absorptions(monkeypatch)
+        for rows, axis in itertools.product(ABSORB_ROWS, (0, 1)):
+            monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
+            x = np.random.default_rng(44).normal(scale=5.0, size=n)
+            x[[3, 11, 18]] = -np.inf
+            # bin 11 is dead and bin 5 live; the last input is served
+            for k, value in [(11, 2.0), (11, -700.0), (5, np.nan), (11, np.nan),
+                             (5, np.inf), (11, np.inf), (5, x[5] + 1.0)]:
+                step = _absorbed_step(kern, axis)
+                step(x, 0.0)
+                y = x.copy()
+                y[k] = value
+                counts[:] = [0, 0]
+                with np.errstate(all="ignore"):
+                    ours = step(y, 0.0)
+                revived = k == 11 and np.isfinite(value)
+                assert counts == [1, int(revived or not np.isfinite(value))]
+                if revived:
+                    ref = _absorbed_reference(kern.logK, y, axis)
+                    dead = np.isneginf(ref)
+                    assert np.array_equal(np.isneginf(ours), dead)
+                    np.testing.assert_allclose(ours[~dead], ref[~dead], rtol=1e-13)
 
     def test_fine_grid_survives_adversarial_drift(self, monkeypatch):
         # n_t 400 at epsilon 0.05: six blocks a step, each keeping only the
@@ -1081,6 +1112,22 @@ class TestCoupledMode:
             assert np.array_equal(first, product(combine(eye, unit[None, :]), first))
             assert np.array_equal(last, product(combine(last, unit[None, :]), eye))
 
+    def test_linear_domain_builds_no_log_matrices(self, grid16):
+        # the linear kernel is the exp of the formula's window, taken in
+        # place: a linear coupled solve and its plans build no n_t**2 logK
+        system = _pinning_instance("coupled", grid16)
+        assert not system.log_domain
+        joints = {pair: JointMeasure(grid16, mass) for pair, mass in system.joints.items()}
+        state, _ = solve(system.net, system.paths, mode="coupled", joints=joints,
+                         config=SolverConfig(epsilon=system.epsilon, **fixed_sweeps(5)))
+        for p_idx in range(len(system.paths)):
+            extract_plan(state, p_idx, top_k=10)
+        kernels = state.system._kernel_cache.values()
+        assert all("K" in vars(k) for k in kernels)
+        assert not any("logK" in vars(k) for k in kernels)
+        for k in kernels:
+            assert np.array_equal(k.K, np.exp(k.logK))
+
     def test_linear_contractions_match_einsum(self, grid16):
         system = _pinning_instance("coupled", grid16)
         assert not system.log_domain  # the rule's pick at epsilon 0.3
@@ -1089,7 +1136,7 @@ class TestCoupledMode:
             system.sweep(state)
         msgs = system.compute_messages(state)
         fwd = _Messages(system, state, 0)
-        lam = np.exp(state.views[("s", "t")])  # the state holds log-scalings in either domain
+        lam = np.exp(_log_lambda(state, ("s", "t")))  # the state holds log-scalings in either domain
         assert np.array_equal(fwd.heads[("s", "t")], lam)
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
@@ -1125,7 +1172,7 @@ class TestCoupledMode:
             system.sweep(state)
         msgs = system.compute_messages(state)
         fwd = _Messages(system, state, 0)
-        lam = state.views[("s", "t")]
+        lam = _log_lambda(state, ("s", "t"))
         cost = 0.0
         for p_idx, path in enumerate(system.paths):
             for pos in range(1, path.n_edges):
@@ -1242,6 +1289,52 @@ class TestExtractPlan:
                 assert np.array_equal(np.ravel_multi_index(cells.indices.T, plan.shape), keep[:k])
                 assert np.array_equal(cells.mass, mass[:k])
                 assert cells.total_mass == pytest.approx(masses[p_idx], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mode, log_domain", [
+        ("independent", True), ("coupled", False), ("coupled", True)])
+    def test_random_instances_match_the_brute_force_plan(self, mode, log_domain, monkeypatch):
+        # a slab visits only the bins after its first departure bin on its
+        # later axes; on random lines of 2-4 nodes, at random slab sizes,
+        # every cut (top_k and min_mass inside a tie of bit-equal masses
+        # too) keeps the cells, masses and order of the whole dense plan
+        _pick_domain(monkeypatch, log_domain)
+        rng = np.random.default_rng(71)
+        for trial in range(8):
+            n_t, n_edges = int(rng.integers(7, 11)), 1 + trial % 3
+            grid = TimeGrid(t_f=1.0, n_t=n_t)
+            # equal weights at the neutral start tie many cells
+            weights = [1.0] * n_edges if trial % 2 else rng.uniform(0.5, 1.5, n_edges)
+            joints = None
+            if mode == "coupled":
+                joint = _random_joint(grid, rng, n_edges)
+                mu0, muT = joint.sum(axis=1), joint.sum(axis=0)
+            else:
+                mu0, muT = ordered_random_pair(grid, rng, n_edges, slack=1)
+            caps = {f"n{k}": np.full(n_t, 0.3) for k in range(1, n_edges)}
+            net, path = make_line_net(grid, weights, mu0, muT, caps=caps)
+            if mode == "coupled":
+                joints = {(path.source, path.sink): JointMeasure(grid, joint)}
+            system = PathSystem(net, [path], mode=mode, config=SolverConfig(epsilon=0.3),
+                                joints=joints)
+            state = system.initial_state()
+            for _ in range(trial % 4 // 2 * 3):
+                system.sweep(state)
+            monkeypatch.setattr(plans, "_PLAN_SLAB", int(rng.integers(1, n_t ** path.n_p)))
+            plan = _dense_plan(state, 0)
+            keep, mass = _dense_cells(plan)
+            ties = np.flatnonzero(mass[1:] == mass[:-1])  # mass[i] == mass[i + 1]
+            tie = int(ties[len(ties) // 2]) if ties.size else keep.size // 2
+            cuts = [{}, {"top_k": tie + 1}, {"min_mass": mass[tie]},
+                    {"top_k": keep.size // 3, "min_mass": mass[keep.size // 2]},
+                    {"top_k": keep.size + 3}]
+            for kwargs in cuts:
+                cells = extract_plan(state, 0, **kwargs)
+                want, want_mass = _dense_cells(plan, kwargs.get("min_mass", 0.0))
+                k = kwargs.get("top_k", want.size)
+                assert np.array_equal(np.ravel_multi_index(cells.indices.T, plan.shape), want[:k])
+                assert np.array_equal(cells.mass, want_mass[:k])
+                assert cells.total_mass == pytest.approx(plan.sum(), rel=1e-14, abs=0.0)
+            assert ties.size or trial % 4 != 1  # the equal-weight neutral starts tie
 
     def test_top_k_breaks_ties_by_index(self, grid16, monkeypatch):
         # neutral scalings on an equal-weight line: a cell's mass depends
@@ -1419,6 +1512,11 @@ def _count_message_passes(monkeypatch):
     return calls
 
 
+def _log_lambda(state, pair):
+    """A pair's log-Lambda on its n_t x n_t matrix, through the dense reader: -inf off the support."""
+    return state.system.dense(pair, state.views[pair], _Log)
+
+
 def _dense_plan(state, p_idx):
     """Whole plan tensor of one path, its factors combined in the engine's order."""
     system = state.system
@@ -1440,7 +1538,8 @@ def _dense_plan(state, p_idx):
     for l, kern in enumerate(system.path_kernels[p_idx]):
         plan = combine(plan, view(kern.logK if log else kern.K, (l, l + 1)))
     if system.mode == "coupled":
-        plan = combine(plan, view(scaling(state.views[(path.source, path.sink)]), (0, n_p - 1)))
+        plan = combine(plan, view(scaling(_log_lambda(state, (path.source, path.sink))),
+                                  (0, n_p - 1)))
     return np.exp(plan) if log else plan
 
 
@@ -1609,9 +1708,9 @@ class TestFlatState:
             accepted += not np.array_equal(state.x, plain)
         assert accepted and state.x is x
         views = state.views
-        for block, (part, shape) in system._layout.items():
+        for block, part in system._layout.items():
             assert np.shares_memory(views[block], x)
-            assert np.array_equal(views[block], x[part].reshape(shape))
+            assert np.array_equal(views[block], x[part])
 
 
 def _layout_instance(kind, grid):
@@ -1654,7 +1753,7 @@ def _reference_bounds(system):
 
 def _reference_dual(system, state):
     """The dual summed block by block, each over its live-bound bins."""
-    views = state.views
+    views = {block: system.dense(block, view, _Log) for block, view in state.views.items()}
     total = 0.0
     for block, bound in _reference_bounds(system).items():
         if block in system.caps:
@@ -1702,12 +1801,16 @@ class TestFlatLayout:
         assert list(system._layout) == ([*system.joints, *system.caps]
                                          if kind == "coupled" else
                                          [*system.mu0, *system.caps, *system.muT])
-        for block, (part, shape) in system._layout.items():
-            assert np.array_equal(system.bound[part].reshape(shape), bounds[block])
+        for block, part in system._layout.items():
+            # a joint block holds its target's cells with mass, flat indices ascending
+            support = system._support.get(block, slice(None))
+            if block in system.joints:
+                assert np.array_equal(support, np.flatnonzero(bounds[block] > 0))
+            bound = bounds[block].ravel()[support]
+            assert np.array_equal(system.bound[part], bound)
             with np.errstate(divide="ignore"):
-                assert np.array_equal(system.log_bound[part].reshape(shape),
-                                      np.log(bounds[block]))
-        caps = [system._layout[node][0] for node in system.caps]
+                assert np.array_equal(system.log_bound[part], np.log(bound))
+        caps = [system._layout[node] for node in system.caps]
         assert system._caps_part == slice(caps[0].start, caps[-1].stop)
 
         state = system.initial_state()
@@ -1716,10 +1819,9 @@ class TestFlatLayout:
         tiny = (system.bound > 0) & (system.bound <= sinkhorn_engine.NEGLIGIBLE_MASS)
         assert np.any(tiny) and np.any(system.bound[system._caps_part] == 0)
         assert np.any(np.isinf(system.bound))
-        views = state.views
         for block, bound in bounds.items():
             live = bound > 0 if block in system.caps else bound > sinkhorn_engine.NEGLIGIBLE_MASS
-            assert np.all(views[block][~live] == -np.inf)
+            assert np.all(system.dense(block, state.views[block], _Log)[~live] == -np.inf)
         for _ in range(2):
             np.testing.assert_allclose(system.dual_objective(state),
                                        _reference_dual(system, state), rtol=1e-12)
@@ -1851,7 +1953,7 @@ class TestCoupledMixing:
         assert np.all(np.diff(report.objective) >= -1e-12)
         # zero-target joint cells stay dead, and capacity multipliers stay <= 1
         system = state.system
-        lam, target = state.views[("s", "t")], system.joints[("s", "t")]
+        lam, target = _log_lambda(state, ("s", "t")), system.joints[("s", "t")]
         assert (target == 0).any() and np.all(lam[target == 0] == -np.inf)
         for node in system.caps:
             assert np.all(np.exp(state.views[node]) <= 1.0)
