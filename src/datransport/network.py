@@ -88,10 +88,6 @@ class CapacityProfile:
         d = np.broadcast_to(np.asarray(density, dtype=float), (grid.n_t,))
         return cls(grid, d * grid.dt)
 
-    @classmethod
-    def unbounded(cls, grid: TimeGrid) -> "CapacityProfile":
-        return cls(grid, np.full(grid.n_t, np.inf))
-
 
 @dataclass(eq=False)
 class TransportNetwork:

@@ -37,9 +37,6 @@ class PlanCells:
     def extracted_mass(self) -> float:
         return float(self.mass.sum())
 
-    def coordinate_sum(self, pos: int, n_t: int) -> np.ndarray:
-        return np.bincount(self.indices[:, pos], weights=self.mass, minlength=n_t)
-
 
 def check_plan_options(max_cells, top_k, min_mass) -> None:
     """``extract_plan``'s options, checked; a bad one raises ``BadParamError``.

@@ -97,6 +97,8 @@ class ScenarioSpec:
         joints: dict[tuple[str, str], JointMeasure] = {}
         for j in d.get("joints", []):
             pair = (str(j["source"]), str(j["sink"]))
+            if pair in joints:
+                raise ScenarioFormatError(f"joint target for pair {pair} is given twice")
             joints[pair] = JointMeasure(grid, np.asarray(j["mass"], dtype=float))
 
         sources = self._boundary_measures(d["sources"], grid, joints, mode, axis=0)
@@ -106,7 +108,10 @@ class ScenarioSpec:
         for e in d["edges"]:
             if len(e) != 3:
                 raise ScenarioFormatError(f"edge entries are [tail, head, weight], got {e!r}")
-            edges[(str(e[0]), str(e[1]))] = _real(f"weight of edge {e[0]}->{e[1]}", e[2])
+            edge = (str(e[0]), str(e[1]))
+            if edge in edges:
+                raise ScenarioFormatError(f"edge {e[0]}->{e[1]} is given twice")
+            edges[edge] = _real(f"weight of edge {e[0]}->{e[1]}", e[2])
 
         capacities = {}
         for node, density in _object(d, "capacities").items():
@@ -155,6 +160,9 @@ class ScenarioSpec:
         out: dict[str, Measure] = {}
         for entry in entries:
             node = str(entry["node"])
+            if node in out:
+                raise ScenarioFormatError(f"boundary node {node} is given twice in "
+                                          f"{'sinks' if axis else 'sources'}")
             marg = entry.get("marginal")
             if marg is not None and mode == "coupled":
                 # the engine matches the joints only, so a second law could only contradict them

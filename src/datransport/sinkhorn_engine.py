@@ -8,13 +8,14 @@ flat array of log-scalings, the blocks stacked in sweep order (0 neutral,
 -inf dead).  A joint block holds only the cells of Lambda where its target
 has mass (``PathSystem._support``): any other cell is dead from the first
 update on, so the state, the bounds, the projections, the violations, the
-dual and the mixing leave it out, and ``PathSystem.dense`` scatters the
+dual and the mixing leave it out.  ``PathSystem.dense`` scatters the
 block onto its n_t x n_t matrix where a matrix product or a plan needs
-it.  Model marginals are assembled per path from backward chain
-messages and forward ones built on demand; each block update is the exact
-projection for its constraint, computed from an aggregate that excludes
-the block's own scaling (so the constraint holds to round-off immediately
-after the update).
+it, and ``PathSystem.packed`` reads a matrix back on the support.
+Model marginals are assembled per path from backward chain messages and
+forward ones built on demand; each block update is the exact projection
+for its constraint, computed from an aggregate that excludes the block's
+own scaling (so the constraint holds to round-off immediately after the
+update).
 
 Each block's target, or its cap for a capacity block, sits at the same
 place in one flat vector ``PathSystem.bound``, and a sweep or
@@ -40,11 +41,11 @@ path that shares it, so no reader writes into a message.  A vector step
 is one BLAS mat-vec per block of a kernel with its last input absorbed
 (``_AbsorbedStep``), which reads the kernel as [output, input] (``logK.T``
 forward, ``logK`` backward).  It computes each block from the cost
-formula when it absorbs, never from a stored n_t**2 ``logK``, and on a
-grid of several blocks keeps only the input span whose normalized
-entries reach tau = eps * exp(-2 * ``ABSORB_BAND``) / width (eps the
-float epsilon, width the block's input range): what it drops moves any
-served output by less than eps, so below the mat-vec's own round-off.
+formula when it absorbs, never from a stored n_t**2 ``logK``, and keeps
+only the input span whose normalized entries reach tau = eps * exp(-2 *
+``ABSORB_BAND``) / width (eps the float epsilon, width the block's input
+range): what it drops moves any served output by less than eps, so below
+the mat-vec's own round-off.
 A step pays a full log-sum-exp only when it re-absorbs, after its input
 drifted more than ``ABSORB_BAND`` or a bin died or revived.  A matrix
 step is one BLAS or ``_lse_matmul`` product (``_MatrixStep``).
@@ -228,29 +229,14 @@ def _lse_matmul(a: np.ndarray, b: np.ndarray, reduce=_lse_reduce) -> np.ndarray:
     return out
 
 
-def _exp_live(logs: np.ndarray) -> np.ndarray:
-    """exp of an array, taken on its entries above -inf only (numpy's exp is slow on -inf).
-
-    NaN and overflow propagate.
-    """
-    out, live = np.zeros(logs.shape), np.flatnonzero(logs != -np.inf)
-    with np.errstate(over="ignore"):
-        out.ravel()[live] = np.exp(logs.ravel()[live])
-    return out
-
-
 class _Log:
     """Message arithmetic in log units: a product adds, a sum is a log-sum-exp."""
 
     one, zero = 0.0, -np.inf
     mul, add, matmul, to_linear = np.add, np.logaddexp, staticmethod(_lse_matmul), np.exp
+    sum = staticmethod(_lse_reduce)  # overwrites its argument, so never a message
     kernel = operator.attrgetter("logK")
     from_log = to_log = staticmethod(np.asarray)  # returns the array itself
-
-    @staticmethod
-    def sum(a: np.ndarray, axis: int | None = None) -> np.ndarray:
-        """Log-sum-exp along ``axis`` (all entries when None); overwrites ``a``, never a message."""
-        return _lse_reduce(a.ravel(), 0) if axis is None else _lse_reduce(a, axis)
 
 
 class _Linear:
@@ -259,7 +245,12 @@ class _Linear:
     one, zero = 1.0, 0.0
     mul, add, matmul, sum = np.multiply, np.add, np.matmul, staticmethod(np.sum)
     kernel = operator.attrgetter("K")
-    from_log = staticmethod(_exp_live)
+
+    @staticmethod
+    def from_log(a: np.ndarray) -> np.ndarray:
+        """exp of ``a``; NaN and overflow propagate silently."""
+        with np.errstate(over="ignore"):
+            return np.exp(a)
 
     @staticmethod
     def to_log(a: np.ndarray) -> np.ndarray:
@@ -273,14 +264,12 @@ class _Linear:
 def _causal_windows(n: int, axis: int) -> list[tuple[slice, slice]]:
     """(output, input) ranges of the blocks of an absorbed step on ``n`` bins, forward on axis 0.
 
-    The outputs are cut into ``n // _ABSORB_ROWS`` equal blocks, each with
-    the inputs its outputs can reach (a particle arrives strictly after it
-    departs): [0, hi - 1) forward, [lo + 1, n) backward, for outputs
-    [lo, hi).  A single block keeps the whole kernel.
+    The outputs are cut into ``n // _ABSORB_ROWS`` equal blocks (one on a
+    grid of fewer than twice that many bins), each with the inputs its
+    outputs can reach (a particle arrives strictly after it departs): [0,
+    hi - 1) forward, [lo + 1, n) backward, for outputs [lo, hi).
     """
     k = max(1, n // _ABSORB_ROWS)
-    if k == 1:
-        return [(slice(0, n), slice(0, n))]
     bounds = [n * j // k for j in range(k + 1)]
     return [(slice(lo, hi), slice(0, hi - 1) if axis == 0 else slice(lo + 1, n))
             for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -306,8 +295,8 @@ class _AbsorbedStep:
     computes a block from the cost formula (``PairKernel.log_window``) at
     each absorb, laid out in memory like its part of ``logK``, so the
     forward and backward steps of an edge run the same reductions and BLAS
-    calls on the same memory order.  A single block is computed in its own
-    store; several share the system's ``scratch`` and keep part of it.
+    calls on the same memory order.  Every block is computed in the
+    system's ``scratch``, and its store keeps part of it.
 
     Absorbing x as r runs the plain log-sum-exp of each block in place and
     returns the outputs unchanged.  It then scales every row to sum 1 and
@@ -321,24 +310,22 @@ class _AbsorbedStep:
 
     Why the served output matches the log-sum-exp to round-off: with d =
     x - r in [-band, band] on the live bins, a live row B[o], scaled to sum
-    1, has the served sum S = sum_i B[o, i] exp(d_i) >= exp(-band).  Of
-    several blocks, each keeps only the input span (``blocks``: outputs,
-    kept inputs, stored block) of the columns with an entry >= tau = eps *
-    exp(-2 band) / width, eps the float epsilon and width the block's
-    input range.  It tests them before the scaling, when a live row peaks
-    at exactly 1 and so sums to at least 1, so every entry >= tau of B is
-    kept, and each dropped one is below tau in B: together they add less
-    than width * tau * exp(band) = eps * exp(-band) <= eps * S, whatever
-    the drift within the band, and the output, log S, moves by less than
-    eps.  Before summing a block it leaves out, from either end of its
+    1, has the served sum S = sum_i B[o, i] exp(d_i) >= exp(-band).  Each
+    block keeps only the input span (``blocks``: outputs, kept inputs,
+    stored block) of the columns with an entry >= tau = eps * exp(-2 band)
+    / width, eps the float epsilon and width the block's input range.  It
+    tests them before the scaling, when a live row peaks at exactly 1 and
+    so sums to at least 1, so every entry >= tau of B is kept, and each
+    dropped one is below tau in B: together they add less than width * tau
+    * exp(band) = eps * exp(-band) <= eps * S, whatever the drift within
+    the band, and the output, log S, moves by less than eps.  Before summing a block it leaves out, from either end of its
     inputs, those whose entries lie below tau of every row's maximum (the
     kernel grows with the gap, so on an input it is largest at the block's
     farthest output and smallest at its nearest one); they add less than
     width * tau of a row's maximum to the absorbed sum, far below its
     round-off, and would be dropped anyway.  Entries below the smallest
     normal float are zeroed in every block (they weigh nothing, but slow
-    the mat-vec down many times over).  A single block keeps its whole
-    kernel.
+    the mat-vec down many times over).
     """
 
     def __init__(self, kernel: PairKernel, axis: int, windows: list[tuple[slice, slice]],
@@ -384,24 +371,21 @@ class _AbsorbedStep:
             # the mat-vecs' output; outputs of no block stay 0, so -inf
             self.y = np.zeros(x.size)
         c = np.full(x.size, -np.inf)
-        whole = len(self.windows) == 1
         self.blocks = []
         for j, (out, inp) in enumerate(self.windows):
             tau = np.finfo(float).eps * np.exp(-2 * ABSORB_BAND) / (inp.stop - inp.start)
-            if not whole:
-                # the kernel grows with the gap, so on each input it lies between
-                # its values at the nearest output and the farthest: an input
-                # whose farthest entry is below tau of the largest nearest one
-                # is below tau of every row's maximum, and neither summed nor kept
-                ends = (out.stop - 1, out.start) if self.axis == 0 else (out.start, out.stop - 1)
-                far, near = (self._at(o, inp) + x[inp] for o in ends)
-                bound = near.max() + np.log(tau)
-                if np.isfinite(bound):  # NaN and +inf inputs are summed in full
-                    reach = np.flatnonzero(far >= bound)
-                    inp = slice(inp.start + reach[0], inp.start + reach[-1] + 1)
+            # the kernel grows with the gap, so on each input it lies between
+            # its values at the nearest output and the farthest: an input
+            # whose farthest entry is below tau of the largest nearest one
+            # is below tau of every row's maximum, and neither summed nor kept
+            ends = (out.stop - 1, out.start) if self.axis == 0 else (out.start, out.stop - 1)
+            far, near = (self._at(o, inp) + x[inp] for o in ends)
+            bound = near.max() + np.log(tau)
+            if np.isfinite(bound):  # NaN and +inf inputs are summed in full
+                reach = np.flatnonzero(far >= bound)
+                inp = slice(inp.start + reach[0], inp.start + reach[-1] + 1)
             size = (out.stop - out.start) * (inp.stop - inp.start)
-            buf = _fit(self.stores, j, size) if whole else _fit(self.scratch, 0, size)
-            block = self._block(buf, out, inp)
+            block = self._block(_fit(self.scratch, 0, size), out, inp)
             if self.axis:
                 self.kernel.log_window(out, inp, block)
             else:
@@ -409,14 +393,12 @@ class _AbsorbedStep:
             total = np.empty(out.stop - out.start)
             c[out] = _lse_rows(block, x[inp], block, total)
             scale = np.where(total > 0, total, 1.0)[:, None]  # all--inf rows stay 0
-            stored = block
-            if not whole:
-                # a live row peaks at exactly 1 and sums to at least 1, so its
-                # entries >= tau once normalized lie in the columns >= tau now
-                kept = np.flatnonzero(block.max(axis=0) >= tau)
-                first, stop = (kept[0], kept[-1] + 1) if kept.size else (0, 0)
-                inp, block = slice(inp.start + first, inp.start + stop), block[:, first:stop]
-                stored = self._block(_fit(self.stores, j, block.size), out, inp)
+            # a live row peaks at exactly 1 and sums to at least 1, so its
+            # entries >= tau once normalized lie in the columns >= tau now
+            kept = np.flatnonzero(block.max(axis=0) >= tau)
+            first, stop = (kept[0], kept[-1] + 1) if kept.size else (0, 0)
+            inp, block = slice(inp.start + first, inp.start + stop), block[:, first:stop]
+            stored = self._block(_fit(self.stores, j, block.size), out, inp)
             np.divide(block, scale, out=stored)
             stored[stored < np.finfo(float).tiny] = 0.0
             self.blocks.append((out, inp, stored))
@@ -468,7 +450,8 @@ class _Messages:
     mass.  Coupled mode: forward is a matrix [i, t] from departure bin i to
     node l at bin t, backward [t, j] from node l at bin t to arrival bin j,
     and backward at node 0 is the interior chain, with no Lambda.  ``heads``
-    is the message-domain scaling of each head block (``PathSystem._heads``).
+    holds each joint pair's Lambda in the message domain, on its n_t x n_t
+    matrix (none in independent mode).
     """
 
     def __init__(self, system: "PathSystem", state: SinkhornState, axis: int):
@@ -492,8 +475,8 @@ class _Messages:
     @cached_property
     def heads(self) -> dict:
         system, views = self.system, self.state.views
-        return {head: system.dense(head, system.dom.from_log(views[head]), system.dom)
-                for head in set(system._heads)}
+        return {pair: system.dense(pair, system.dom.from_log(views[pair]), system.dom)
+                for pair in system.joints}
 
 
 class PathSystem:
@@ -555,7 +538,7 @@ class PathSystem:
         # the state's layout, in sweep order: each block's slice of the flat
         # log-scalings.  Sources (or pairs), caps and sinks are contiguous, so
         # E0, V and ET are three slices of any flat marginal
-        packed = {pair: mass.ravel()[self._support[pair]] for pair, mass in self.joints.items()}
+        packed = {pair: self.packed(pair, mass) for pair, mass in self.joints.items()}
         first, last = (packed, {}) if mode == COUPLED else (self.mu0, self.muT)
         bounds = {**first, **self.caps, **last}
         self._layout: dict = {}
@@ -659,17 +642,23 @@ class PathSystem:
     def initial_state(self) -> SinkhornState:
         return SinkhornState(self, np.zeros(self._size))
 
-    def dense(self, block, values: np.ndarray, dom) -> np.ndarray:
+    def dense(self, pair, values: np.ndarray, dom) -> np.ndarray:
         """A joint block's packed ``values``, in ``dom``'s units, on its n_t x n_t matrix.
 
         Cells off the target's support hold ``dom.zero``: -inf in ``_Log``,
-        0 in ``_Linear``.  Any other block's ``values`` are returned as they are.
+        0 in ``_Linear``.
         """
-        if block not in self.joints:
-            return values
         out = np.full((self.n_t, self.n_t), dom.zero)
-        out.ravel()[self._support[block]] = values
+        out.ravel()[self._support[pair]] = values
         return out
+
+    def packed(self, block, values: np.ndarray) -> np.ndarray:
+        """``values`` on ``block``'s cells, the inverse of ``dense``.
+
+        A joint block reads its n_t x n_t matrix on its support; any other
+        block's vector is its own.
+        """
+        return values.ravel()[self._support[block]] if block in self.joints else values
 
     def _scaling_at(self, state: SinkhornState, path: Path, pos: int) -> np.ndarray:
         """Message-domain scaling of the node at ``pos``; neutral on a node without a block."""
@@ -714,7 +703,7 @@ class PathSystem:
         """
         if block in self.joints:
             chain = reduce(self.dom.add, [messages(p, 0) for p in self.pair_paths[block]])
-            return self.dom.to_log(chain.ravel()[self._support[block]])
+            return self.dom.to_log(self.packed(block, chain))
         terms = [self._path_term(messages, frontier, p, pos) for p, pos in self.positions[block]]
         return self.dom.to_log(reduce(self.dom.add, terms))
 
@@ -757,7 +746,8 @@ class PathSystem:
 
     def _model(self, state: SinkhornState, block, agg: np.ndarray) -> np.ndarray:
         """Model marginal of one block from its log aggregate."""
-        return _exp_live(state.x[self._layout[block]] + agg)
+        with np.errstate(over="ignore"):
+            return np.exp(state.x[self._layout[block]] + agg)
 
     def _project(self, state: SinkhornState, block,
                  agg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -781,7 +771,8 @@ class PathSystem:
         """
         agg = self._aggregate(block, self.compute_messages(state), _Messages(self, state, 0))
         state.x[self._layout[block]], _ = self._project(state, block, agg)
-        return _exp_live(state.views[block])
+        with np.errstate(over="ignore"):
+            return np.exp(state.views[block])
 
     # ------------------------------------------------------------------
     # sweeps
@@ -817,12 +808,16 @@ class PathSystem:
     # diagnostics
 
     def path_masses(self, state: SinkhornState, messages=None) -> np.ndarray:
-        """Total model mass per path, read at the source end from the backward messages."""
+        """Total model mass per path, read at the source end from the backward messages.
+
+        A path's message at node 0 is read on its head block's cells and
+        weighed by that block's scaling, so a joint pair sums its support only.
+        """
         if messages is None:
             messages = self.compute_messages(state)
-        # taken afresh, not cached on ``messages``, which a solve keeps through its sweep
-        dom, heads = self.dom, _Messages(self, state, 0).heads
-        return np.array([dom.to_linear(dom.sum(dom.mul(messages(p_idx, 0), heads[head])))
+        dom, views = self.dom, state.views
+        return np.array([dom.to_linear(dom.sum(dom.mul(self.packed(head, messages(p_idx, 0)),
+                                                       dom.from_log(views[head])), 0))
                          for p_idx, head in enumerate(self._heads)])
 
     def _edge_pair_marginal(self, messages: _Messages, frontier: _Messages, p_idx: int,

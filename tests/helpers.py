@@ -8,9 +8,19 @@ from scipy.optimize import linprog
 from scipy.sparse.csgraph import maximum_flow
 from scipy.special import logsumexp
 
-from datransport import Measure, TimeGrid
+from datransport import CapacityProfile, Measure, PlanCells, TimeGrid
 from datransport.feasibility import FEAS_SLACK
 from datransport.grid_measures import cdf
+
+
+def unbounded(grid: TimeGrid) -> CapacityProfile:
+    """A capacity profile of +inf on every bin."""
+    return CapacityProfile(grid, np.full(grid.n_t, np.inf))
+
+
+def coordinate_sum(cells: PlanCells, pos: int, n_t: int) -> np.ndarray:
+    """The extracted cells' mass per bin at path node ``pos``."""
+    return np.bincount(cells.indices[:, pos], weights=cells.mass, minlength=n_t)
 
 
 def integer_atoms_measure(grid: TimeGrid, rng, n_atoms: int = 40) -> tuple[Measure, np.ndarray]:

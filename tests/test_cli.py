@@ -402,10 +402,13 @@ class TestSolveCommand:
         ({"nodes": "smt"}, "nodes must be a JSON array, got 'smt'"),
         ({"paths": "smt"}, "paths must be a JSON array, got 'smt'"),
         ({"paths": ["smt"]}, "each path must be a JSON array, got 'smt'"),
+        # a later entry used to replace the earlier one silently
+        ({"edges": [["s", "m", 1.0], ["m", "t", 1.0], ["s", "m", 5.0]]},
+         "edge s->m is given twice"),
     ], ids=["capacities-list", "fractional-n_t", "string-n_t", "bool-n_t", "string-delta",
             "bool-delta", "solver-list", "string-t_f", "bool-t_f", "string-weight", "bool-weight",
             "string-density", "bool-density-bin", "string-nodes", "string-paths",
-            "string-path"])
+            "string-path", "repeated-edge"])
     def test_malformed_file_exits_2(self, tmp_path, capsys, change, message):
         # each value is rejected where it enters: a message, no traceback, no output
         p = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from helpers import unbounded
+
 from datransport import (
     CapacityProfile,
     Measure,
@@ -132,7 +134,7 @@ class TestNetworkValidation:
                              edges={("a", "b"): 1.0},
                              sources={"a": Measure(grid8, mu)},
                              sinks={"b": Measure(grid8, nu)},
-                             capacities={"a": CapacityProfile.unbounded(grid8)})
+                             capacities={"a": unbounded(grid8)})
 
     def test_capacity_from_density(self, grid8):
         prof = CapacityProfile.from_density(grid8, 2.0)

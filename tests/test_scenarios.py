@@ -214,6 +214,30 @@ class TestScenarioPlumbing:
         with pytest.raises(ScenarioFormatError, match="the engine picks the numeric domain"):
             spec.build()
 
+    @pytest.mark.parametrize("repeat, message", [
+        (lambda d: d["edges"].append(["v0", "v1", 5.0]), "edge v0->v1 is given twice"),
+        (lambda d: d["sources"].append({"node": "v0", "marginal": [0.01] * 100}),
+         "boundary node v0 is given twice in sources"),
+        (lambda d: d["sinks"].insert(0, dict(d["sinks"][0])),
+         "boundary node vT is given twice in sinks"),
+    ], ids=["edge", "source", "sink"])
+    def test_repeated_entry_rejected(self, repeat, message):
+        # a later entry used to replace the earlier one silently, and solve ran on it
+        spec = scenario_61()
+        repeat(spec.data)
+        with pytest.raises(ScenarioFormatError, match=message):
+            spec.build()
+
+    def test_repeated_joint_rejected(self):
+        # the second joint for a pair used to replace the first, keeping 0.5 of 1.0 mass
+        data = coupled_tiny_scenario({})
+        half = np.zeros((8, 8))
+        half[0, 4] = 0.5
+        data["joints"].append({"source": "a", "sink": "b", "mass": half.tolist()})
+        with pytest.raises(ScenarioFormatError,
+                           match=r"joint target for pair \('a', 'b'\) is given twice"):
+            ScenarioSpec.from_dict(data).build()
+
     def test_numpy_integer_budget_accepted(self):
         config = SolverConfig(max_iter=np.int64(7))
         assert config.max_iter == 7 and type(config.max_iter) is int

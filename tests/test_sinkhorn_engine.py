@@ -8,7 +8,7 @@ import pytest
 from scipy.special import logsumexp
 
 from conftest import make_line_net, ordered_random_pair
-from helpers import path_node_marginals
+from helpers import coordinate_sum, path_node_marginals
 
 from datransport import (
     CapacityProfile,
@@ -182,6 +182,20 @@ def _count_absorptions(monkeypatch):
 
 
 class TestAbsorbedStep:
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_windows_are_causal_at_every_size(self, axis):
+        # outputs [lo, hi) read only inputs that can reach them: [0, hi - 1)
+        # forward, [lo + 1, n) backward, on a grid of one block too
+        for n in range(2, 3 * sinkhorn_engine._ABSORB_ROWS):
+            windows = _causal_windows(n, axis)
+            assert len(windows) == max(1, n // sinkhorn_engine._ABSORB_ROWS)
+            assert [out.start for out, _ in windows] == [0] + [out.stop for out, _ in windows[:-1]]
+            assert windows[-1][0].stop == n
+            for out, inp in windows:
+                assert out.stop > out.start
+                want = slice(0, out.stop - 1) if axis == 0 else slice(out.start + 1, n)
+                assert inp == want
+
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_scipy(self, axis, monkeypatch):
         # random walks of the input: drift up to the band, bins dying and
@@ -1153,7 +1167,7 @@ class TestCoupledMode:
                                            ref, rtol=1e-12)
 
     def test_linear_scaling_is_the_exp(self, grid16):
-        # the exp skips -inf entries, yet NaN and overflow still propagate
+        # NaN and overflow propagate, and overflow warns of nothing
         system = _pinning_instance("coupled", grid16)
         logs = np.array([[0.0, -np.inf, np.nan], [1000.0, -2.0, -np.inf]])
         with np.errstate(over="ignore"):
@@ -1209,7 +1223,7 @@ class TestExtractPlan:
         assert len(cells.mass) <= 8 ** 3
         mm = aggregate_marginals(state)
         for pos, node in enumerate(path.nodes):
-            assert np.abs(cells.coordinate_sum(pos, 8) - mm.m[node]).max() <= 1e-12
+            assert np.abs(coordinate_sum(cells, pos, 8) - mm.m[node]).max() <= 1e-12
 
     def test_truncation_bookkeeping(self, grid8):
         rng = np.random.default_rng(3)
@@ -1753,7 +1767,7 @@ def _reference_bounds(system):
 
 def _reference_dual(system, state):
     """The dual summed block by block, each over its live-bound bins."""
-    views = {block: system.dense(block, view, _Log) for block, view in state.views.items()}
+    views = _matrix_views(state)
     total = 0.0
     for block, bound in _reference_bounds(system).items():
         if block in system.caps:
@@ -1762,6 +1776,13 @@ def _reference_dual(system, state):
             keep = bound > sinkhorn_engine.NEGLIGIBLE_MASS
         total += float(np.dot(views[block][keep], bound[keep]))
     return system.epsilon * (total - float(system.path_masses(state).sum()))
+
+
+def _matrix_views(state):
+    """Each block's log-scaling: a joint pair's on its n_t x n_t matrix, any other's its view."""
+    system = state.system
+    return {block: system.dense(block, view, _Log) if block in system.joints else view
+            for block, view in state.views.items()}
 
 
 def _reference_violations(system, marginals):
@@ -1819,9 +1840,10 @@ class TestFlatLayout:
         tiny = (system.bound > 0) & (system.bound <= sinkhorn_engine.NEGLIGIBLE_MASS)
         assert np.any(tiny) and np.any(system.bound[system._caps_part] == 0)
         assert np.any(np.isinf(system.bound))
+        views = _matrix_views(state)
         for block, bound in bounds.items():
             live = bound > 0 if block in system.caps else bound > sinkhorn_engine.NEGLIGIBLE_MASS
-            assert np.all(system.dense(block, state.views[block], _Log)[~live] == -np.inf)
+            assert np.all(views[block][~live] == -np.inf)
         for _ in range(2):
             np.testing.assert_allclose(system.dual_objective(state),
                                        _reference_dual(system, state), rtol=1e-12)
@@ -1831,6 +1853,47 @@ class TestFlatLayout:
             reference = SinkhornState(system, state.x.copy())
             np.testing.assert_allclose(system.sweep(state),
                                        _reference_sweep(system, reference), rtol=1e-12)
+
+
+class TestPathMasses:
+    @pytest.mark.parametrize("log_domain", [False, True])
+    @pytest.mark.parametrize("kind", ["coupled", "coupled_shared"])
+    def test_coupled_masses_sum_the_support(self, grid16, kind, log_domain, monkeypatch):
+        # a coupled path's mass is its interior chain times Lambda, summed;
+        # read on the support, the dual scatters no Lambda onto its matrix
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        msgs = system.compute_messages(state)
+        ref = []
+        for p_idx, path in enumerate(system.paths):
+            lam, chain = _log_lambda(state, (path.source, path.sink)), msgs(p_idx, 0)
+            ref.append(np.exp(logsumexp(lam + chain)) if log_domain
+                       else float((np.exp(lam) * chain).sum()))
+        scattered = []
+        dense = PathSystem.dense
+
+        def counted(self, pair, values, dom):
+            scattered.append(pair)
+            return dense(self, pair, values, dom)
+
+        monkeypatch.setattr(PathSystem, "dense", counted)
+        np.testing.assert_allclose(system.path_masses(state, msgs), ref, rtol=1e-13, atol=0.0)
+        system.dual_objective(state)
+        assert scattered == []
+
+    @pytest.mark.parametrize("kind", ["line", "shared"])
+    def test_independent_masses_are_the_source_end_sum(self, grid16, kind):
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        msgs = system.compute_messages(state)
+        ref = [np.exp(_lse_reduce(msgs(p_idx, 0) + state.views[path.source], 0))
+               for p_idx, path in enumerate(system.paths)]
+        assert np.array_equal(system.path_masses(state, msgs), ref)
 
 
 class TestSweepPinning:
