@@ -392,15 +392,19 @@ class PropertyResult:
 
 
 def _log_linear_fit(values: np.ndarray, start: int) -> tuple[float, float]:
-    """Least-squares slope and R^2 of log10(values) from iteration ``start``."""
+    """Least-squares slope and R^2 of log10(values) from iteration ``start``.
+
+    In closed form on the centred data, slope = sum(dx * dy) / sum(dx**2):
+    numpy's LAPACK line fit would map about 1 MB of LAPACK code into the process.
+    """
     y = np.log10(np.maximum(values[start:], 1e-300))
-    x = np.arange(start, start + y.size, dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    dx = np.arange(y.size) - (y.size - 1) / 2
+    dy = y - y.mean()
+    slope = float(dx @ dy) / float(dx @ dx)
+    residual = dy - slope * dx
+    ss_res, ss_tot = float(residual @ residual), float(dy @ dy)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return float(slope), r2
+    return slope, r2
 
 
 def _pairwise_comonotone(cells: np.ndarray) -> bool:

@@ -35,9 +35,11 @@ below ``LINEAR_CHAIN_FLOOR`` on a target cell
 (``PathSystem._neutral_chain_underflows``), and then ``_Log``.  Every
 log-sum-exp is one reduction, ``_lse_reduce``, so the engine needs numpy
 only.  Every path-edge has one step object per direction, shared with
-every path through the same prefix (forward) or suffix (backward): a
-message pass calls each distinct step once and hands its output to every
-path that shares it, so no reader writes into a message.  A vector step
+every path-edge of the same weight and the same start side, the nodes
+before it (forward) or after it (backward), whose message and scaling
+are the step's input: a message pass calls each distinct step once and
+hands its output to every path that shares it, so no reader writes into
+a message.  A vector step
 is one BLAS mat-vec per block of a kernel with its last input absorbed
 (``_AbsorbedStep``), which reads the kernel as [output, input] (``logK.T``
 forward, ``logK`` backward).  It computes each block from the cost
@@ -57,8 +59,10 @@ the backward messages of the sweep's entering state
 each direction one ``_Messages`` object.  A sweep costs one message pass
 in either mode; only a sweep over a cyclic path family refreshes the
 messages before each block.  Past a warm-up, both modes mix the sweeps
-(safeguarded Anderson mixing, ``_AndersonMixer``).  The primal transport
-cost is computed on demand, never per sweep.
+(safeguarded Anderson mixing, ``_AndersonMixer``), whose small Gram
+system is a pivoted Cholesky in Python floats (``_gram_solve``): no solve
+calls LAPACK.  The primal transport cost is computed on demand, never
+per sweep.
 
 Each operation is written once.  A public block update checks its block
 and projects it through ``PathSystem._update_block``.  Only ``sweep``,
@@ -68,6 +72,7 @@ and projects it through ``PathSystem._update_block``.  Only ``sweep``,
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -572,12 +577,12 @@ class PathSystem:
         self.log_domain = mode == INDEPENDENT or self._neutral_chain_underflows()
         self.dom = dom = _Log if self.log_domain else _Linear
         # the (forward, backward) steps per path and edge, one object per axis and
-        # distinct prefix or suffix: a forward step's output depends only on the
-        # nodes up to the edge's head, a backward one's on those from its tail
-        keys = [[((0, p.nodes[:l + 2]), (1, p.nodes[l:])) for l in range(p.n_edges)]
-                for p in self.paths]
-        step_kernels = {key: k for p_keys, p_kernels in zip(keys, self.path_kernels)
-                        for pair, k in zip(p_keys, p_kernels) for key in pair}
+        # what it computes: its kernel's weight and the nodes on its start side,
+        # whose message and scaling are its input (its far end does not enter)
+        keys = [[((0, p.nodes[:l + 1], w), (1, p.nodes[l + 1:], w)) for l, w in enumerate(ws)]
+                for p, ws in zip(self.paths, path_weights)]
+        step_kernels = {key: self._kernel_cache[key[2]]
+                        for p_keys in keys for pair in p_keys for key in pair}
         # neutral scaling vector and neutral message (the identity on the boundary
         # bins in coupled mode), shared by every path and state, so read-only.
         # Vector steps take their block windows once per direction, and share
@@ -852,6 +857,43 @@ class PathSystem:
         return self.epsilon * (float(state.x[self._dual_bins] @ self._dual_bound) - mass)
 
 
+def _gram_solve(gram: np.ndarray, rhs: list) -> np.ndarray:
+    """Solve gram @ c = rhs, gram symmetric positive semidefinite, by pivoted Cholesky.
+
+    Each pivot is the remaining index with the largest current diagonal
+    entry (the first on ties); the factorization stops once that entry is
+    not above m * eps * the largest diagonal entry, the cut of ``lstsq``'s
+    default rcond, and the dropped directions get 0.  Python floats and
+    numpy dot products only: a LAPACK routine maps about 1 MB into the process.
+    The mixer's accept decisions follow the weights' last bits, so the
+    order of operations here is part of its behaviour.
+    """
+    a, m = gram.tolist(), len(rhs)
+    cut = m * np.finfo(float).eps * max(a[i][i] for i in range(m))
+    rest, piv = list(range(m)), []
+    while rest:
+        j = max(rest, key=lambda i: a[i][i])
+        if not a[j][j] > cut:
+            break
+        s = math.sqrt(a[j][j])
+        for i in rest:  # the pivot's own entry too: L[j, j] = a[j][j] / s
+            a[i][j] /= s
+        rest.remove(j)
+        piv.append(j)
+        for i in rest:
+            for h in rest:
+                a[i][h] -= a[i][j] * a[h][j]
+    low = np.tril([[a[i][j] for j in piv] for i in piv])
+    y = np.zeros(len(piv))
+    for i in range(len(piv)):
+        y[i] = (rhs[piv[i]] - low[i, :i] @ y[:i]) / low[i, i]
+    for i in reversed(range(len(piv))):
+        y[i] = (y[i] - low[i + 1:, i] @ y[i + 1:]) / low[i, i]
+    c = np.zeros(m)
+    c[piv] = y
+    return c
+
+
 class _AndersonMixer:
     """Safeguarded Anderson mixing of the Gauss-Seidel sweep, in either mode.
 
@@ -862,14 +904,16 @@ class _AndersonMixer:
     G(x) - x in the target-weighted norm sum(target * r**2), the diagonal
     of the dual's curvature in the log-scalings: m x m normal equations
     (m <= ``ANDERSON_MEMORY``) whose Gram matrix of weighted residual
-    differences gains one row of dot products a step.  Capacity multipliers
-    are clipped back to w <= 1.  A mixed point replaces the plain one only
-    if it is finite and its dual value is at least that of the point the
-    sweep started from, already traced; otherwise the plain point stands
-    and the history restarts.  So a step costs one message pass, the
-    trial's, and none when the mixed point is the plain one bit for bit.
-    Dead bins (log-scaling -inf, such as a zero-cap bin or a Lambda cell of
-    negligible target) take no part in the mixing and stay dead.
+    differences gains one row of dot products a step, solved by
+    ``_gram_solve`` with the cut of ``lstsq``'s default rcond.  Capacity
+    multipliers are clipped back to w <= 1.  A mixed point replaces the
+    plain one only if it is finite and its dual value is at least that of
+    the point the sweep started from, already traced; otherwise the plain
+    point stands and the history restarts.  So a step costs one message
+    pass, the trial's, and none when the mixed point is the plain one bit
+    for bit.  Dead bins (log-scaling -inf, such as a zero-cap bin or a
+    Lambda cell of negligible target) take no part in the mixing and stay
+    dead.
     """
 
     def __init__(self, system: PathSystem):
@@ -910,7 +954,7 @@ class _AndersonMixer:
         self._dg.append(g_live - last[1])
         n = len(self._df)
         self._gram[n - 1, :n] = self._gram[:n, n - 1] = [d @ self._df[-1] for d in self._df]
-        gamma = np.linalg.lstsq(self._gram[:n, :n], [d @ f for d in self._df], rcond=None)[0]
+        gamma = _gram_solve(self._gram[:n, :n], [d @ f for d in self._df])
         mixed_live = g_live - sum(c * d for c, d in zip(gamma, self._dg))
         if not np.all(np.isfinite(mixed_live)):
             self.reset()

@@ -37,7 +37,7 @@ from datransport.errors import (
 from datransport.kernels import build_pair_kernel
 from datransport.reference_oracle import dense_coupled_sinkhorn
 from datransport.reference_oracle import transport_cost as dense_transport_cost
-from datransport.scenarios import scenario_61, scenario_63_network
+from datransport.scenarios import check_property, scenario_61, scenario_63_network
 from datransport.sinkhorn_engine import (
     ABSORB_BAND,
     ANDERSON_WARMUP,
@@ -465,17 +465,20 @@ class TestMessageSteps:
 
 class TestSharedSteps:
     def test_one_step_per_prefix_and_suffix(self, grid16, monkeypatch):
-        # the three routes of scenario_63's topology cross 15 path-edges, with
-        # 12 distinct prefixes and 12 distinct suffixes among them
+        # the three routes of scenario_63's topology cross 15 path-edges of one
+        # weight.  A step is keyed by its weight and the nodes on its start
+        # side: 10 distinct prefixes before an edge, 10 distinct suffixes after
+        # it (v0->v1 and v0->v2 share a forward step, v5->vT and v6->vT a
+        # backward one)
         system = _pinning_instance("shared", grid16)
         assert sum(path.n_edges for path in system.paths) == 15
         counts = _count_absorptions(monkeypatch)
         state = system.initial_state()
         messages = system.compute_messages(state)
-        assert counts[0] == 12
+        assert counts[0] == 10
         counts[:] = [0, 0]
         system.sweep(state, messages)  # forward steps only, on the given messages
-        assert counts[0] == 12
+        assert counts[0] == 10
 
     @pytest.mark.parametrize("routes", [
         [("v0", "v1", "v3", "v4"), ("v0", "v2", "v3", "v4")],  # v3->v4 and its suffix
@@ -2184,3 +2187,78 @@ class TestAndersonStep:
         assert evaluated
         for w in evaluated + [[np.exp(state.views[node]) for node in system.caps]]:
             assert max(arr.max() for arr in w) <= 1.0
+
+
+def _gram_instance(rng, m, dependent=False):
+    """Gram matrix of m random residual differences of mixed scales, and a right-hand side."""
+    d = rng.normal(size=(m, 40)) * rng.uniform(0.1, 10.0, size=(m, 1))
+    if dependent:  # a repeated difference and a zero one
+        d[4], d[1] = d[2], 0.0
+    f = rng.normal(size=40)
+    return d @ d.T, [row @ f for row in d]
+
+
+class TestGramSolve:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_full_rank_matches_lstsq(self, m):
+        rng = np.random.default_rng(320 + m)
+        gram, rhs = _gram_instance(rng, m)
+        ours = sinkhorn_engine._gram_solve(gram, rhs)
+        ref = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+        assert np.linalg.norm(ours - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("m", [6, 7, 8])
+    def test_rank_deficient_drops_dependent_directions(self, m):
+        # the zero difference and the second of the two equal ones carry no
+        # new direction: the pivoted factorization drops them (weight 0),
+        # and the normal equations hold as well as lstsq's minimum-norm
+        # weights make them, up to a round-off slack
+        rng = np.random.default_rng(330 + m)
+        for _ in range(20):
+            gram, rhs = _gram_instance(rng, m, dependent=True)
+            ours = sinkhorn_engine._gram_solve(gram, rhs)
+            ref = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            assert ours[1] == 0.0 and ours[4] == 0.0 and ours[2] != 0.0
+            assert np.count_nonzero(ours) == m - 2
+            slack = 64 * np.finfo(float).eps * np.linalg.norm(gram) * np.linalg.norm(ours)
+            assert (np.linalg.norm(gram @ ours - rhs)
+                    <= np.linalg.norm(gram @ ref - rhs) + slack)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_zero_gram_gives_zero_weights(self, m):
+        # so a zero residual history mixes to the plain point and the mixer
+        # evaluates nothing (test_exact_fixed_point_is_evaluated_once)
+        weights = sinkhorn_engine._gram_solve(np.zeros((m, m)), [0.0] * m)
+        assert weights.shape == (m,) and not weights.any()
+
+
+# the numpy.linalg functions that call LAPACK
+_LAPACK_FUNCTIONS = ("solve", "tensorsolve", "tensorinv", "inv", "cholesky", "eigvals",
+                     "eigvalsh", "pinv", "slogdet", "det", "svd", "svdvals", "eig", "eigh",
+                     "lstsq", "qr", "cond", "matrix_rank")
+
+
+def test_solves_and_convergence_check_call_no_lapack(grid16, monkeypatch):
+    # each LAPACK routine maps about 1 MB into the process that first calls
+    # it: past the warm-up the mixer solves its Gram block, and the
+    # linear_convergence property fits its line, without one
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    coupled = _pinning_instance("coupled", grid16)
+    for name in _LAPACK_FUNCTIONS:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "polyfit", refuse)
+    steps = []
+    step = sinkhorn_engine._AndersonMixer.step
+    monkeypatch.setattr(sinkhorn_engine._AndersonMixer, "step",
+                        lambda self, *args: steps.append(None) or step(self, *args))
+    built = scenario_61().build()
+    state, report = solve(built.net, built.paths, mode=built.mode, config=built.config)
+    assert report.converged and report.iterations > ANDERSON_WARMUP + 10
+    prop = {"kind": "linear_convergence", "start": ANDERSON_WARMUP, "min_r2": 0.0}
+    result = check_property(prop, built, state, report)
+    assert np.isfinite(result.value) and "slopes" in result.detail
+    _, report = _solve_system(coupled, **fixed_sweeps(ANDERSON_WARMUP + 10))
+    assert report.iterations == ANDERSON_WARMUP + 10
+    assert len(steps) > 2 * 10
