@@ -138,22 +138,24 @@ def gaussian_mixture(grid: TimeGrid, components) -> Measure:
     ``components`` is an iterable of ``(weight, mean, stddev)`` triples.  The
     mixture density is evaluated pointwise at the bin centers and then
     renormalized to total mass one, so the result is deterministic for fixed
-    inputs.
+    inputs.  A density that overflows (a far grid, a subnormal stddev) raises
+    ``MixtureError`` like one that vanishes, without a numpy warning.
     """
     t = grid.centers
     density = np.zeros(grid.n_t)
     n_comp = 0
-    for weight, mean, stddev in components:
-        if weight < 0:
-            raise MixtureError(f"negative mixture weight {weight}")
-        if not stddev > 0:
-            raise MixtureError(f"stddev must be positive, got {stddev}")
-        z = (t - mean) / stddev
-        density += weight / (stddev * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
-        n_comp += 1
-    if n_comp == 0:
-        raise MixtureError("mixture needs at least one component")
-    s = density.sum()
-    if not s > 0:
-        raise MixtureError("mixture mass vanishes everywhere on the grid")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for weight, mean, stddev in components:
+            if weight < 0:
+                raise MixtureError(f"negative mixture weight {weight}")
+            if not stddev > 0:
+                raise MixtureError(f"stddev must be positive, got {stddev}")
+            z = (t - mean) / stddev
+            density += weight / (stddev * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
+            n_comp += 1
+        if n_comp == 0:
+            raise MixtureError("mixture needs at least one component")
+        s = density.sum()
+    if not 0 < s < math.inf:
+        raise MixtureError(f"mixture mass on the grid must be finite and positive, got {s}")
     return Measure(grid, density / s)

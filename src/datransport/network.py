@@ -22,6 +22,10 @@ from .grid_measures import Measure, TimeGrid
 
 BALANCE_TOL = 1e-9
 
+# the two path-family modes: one law per boundary node, or one joint law per (source, sink) pair
+INDEPENDENT = "independent"
+COUPLED = "coupled"
+
 
 @dataclass(frozen=True)
 class Path:
@@ -146,15 +150,23 @@ class TransportNetwork:
         return prof.cap
 
 
-def validate_paths(net: TransportNetwork, paths, joints=()) -> dict[str, tuple[int, ...]]:
-    """Check edge consistency, endpoint roles and that a path joins each joint pair.
+def validate_paths(net: TransportNetwork, paths, joints=None,
+                   mode: str = INDEPENDENT) -> dict[str, list[tuple[int, int]]]:
+    """Check a path family for ``mode``; map each path node to its (path, position) pairs.
 
-    ``joints`` holds the (source, sink) pairs of the joint targets, whose
-    mass would silently go undelivered with no path between them.  The
-    returned mapping sends each node appearing on some path to the indices
-    of the paths through it.
+    Every rule on a family is here: at least one path; each runs from a
+    source to a sink over network edges, crossing no other boundary node;
+    every source and sink lies on a path; and ``joints``, the joint targets
+    by (source, sink) pair, are given in coupled mode only, one on the
+    network's grid for each pair a path joins, and none for a pair no path
+    joins, whose mass would silently go undelivered.  The pairs of each
+    node are in path order.
     """
-    incidence: dict[str, list[int]] = {}
+    if mode not in (INDEPENDENT, COUPLED):
+        raise BadParamError(f"mode must be {INDEPENDENT!r} or {COUPLED!r}")
+    if not paths:
+        raise BadParamError("need at least one path")
+    positions: dict[str, list[tuple[int, int]]] = {}
     for idx, path in enumerate(paths):
         if path.source not in net.sources:
             raise BadEndpointError(f"path {path} does not start at a source node")
@@ -166,12 +178,25 @@ def validate_paths(net: TransportNetwork, paths, joints=()) -> dict[str, tuple[i
         for tail, head in zip(path.nodes[:-1], path.nodes[1:]):
             if (tail, head) not in net.edges:
                 raise BrokenPathError(f"path {path} uses missing edge ({tail}, {head})")
-        for node in path.nodes:
-            incidence.setdefault(node, []).append(idx)
-    unjoined = [pair for pair in joints if pair not in {(p.source, p.sink) for p in paths}]
+        for pos, node in enumerate(path.nodes):
+            positions.setdefault(node, []).append((idx, pos))
+    joints = joints or {}
+    pairs = dict.fromkeys((p.source, p.sink) for p in paths)
+    unjoined = [pair for pair in joints if pair not in pairs]
     if unjoined:
         raise BadParamError(f"no path joins the joint target's pair {unjoined[0]}")
-    return {node: tuple(ids) for node, ids in incidence.items()}
+    missing = (set(net.sources) | set(net.sinks)) - set(positions)
+    if missing:
+        raise BadParamError(f"boundary nodes without any path: {sorted(missing)}")
+    if mode == COUPLED:
+        for pair in pairs:
+            if pair not in joints:
+                raise BadParamError(f"coupled mode needs a joint target for pair {pair}")
+            if joints[pair].grid != net.grid:
+                raise BadParamError(f"joint target for {pair} lives on a different grid")
+    elif joints:
+        raise BadParamError("joint targets are only meaningful in coupled mode")
+    return positions
 
 
 def path_cost_terms(net: TransportNetwork, path: Path) -> np.ndarray:

@@ -124,7 +124,7 @@ class ScenarioSpec:
         net = TransportNetwork(grid=grid, nodes=nodes, edges=edges, sources=sources, sinks=sinks,
                                capacities=capacities)
         paths = [Path(tuple(_array("each path", p))) for p in _array("paths", d["paths"])]
-        validate_paths(net, paths, joints)
+        validate_paths(net, paths, joints, mode)
 
         solver = dict(_object(d, "solver"))
         # files written while the sweep was a choice may still name it

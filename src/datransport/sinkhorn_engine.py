@@ -84,7 +84,7 @@ import numpy as np
 from .errors import BadParamError, NonFiniteError, UnreachableMassError
 from .grid_measures import JointMeasure
 from .kernels import PairKernel, build_pair_kernel
-from .network import Path, TransportNetwork, path_cost_terms, validate_paths
+from .network import COUPLED, INDEPENDENT, Path, TransportNetwork, path_cost_terms, validate_paths
 
 # Target mass on structurally unreachable bins below this threshold is
 # dropped (scaling zero); above it, the instance is reported infeasible.
@@ -95,9 +95,6 @@ NEGLIGIBLE_MASS = 1e-12
 # this on the cells that carry target mass: its scalings then keep about
 # 100 decades before a chain product leaves the normal range.
 LINEAR_CHAIN_FLOOR = 1e-200
-
-INDEPENDENT = "independent"
-COUPLED = "coupled"
 
 # Anderson mixing of the Gauss-Seidel fixed point (see ``solve``): plain
 # sweeps before the first mixing step, and past iterates kept for mixing.
@@ -445,10 +442,12 @@ class _MatrixStep:
 class _Messages:
     """Chain messages of one state in one direction (``axis`` 0 forward, 1 backward).
 
-    ``messages(p_idx, pos)`` extends path ``p_idx``'s chain from its start
-    end to node ``pos`` on first read, with the scalings current at each
-    step and each step shared by several paths run once, and returns the
-    message there.  Independent mode: at node l the forward message sums
+    ``messages(p_idx, pos)`` returns path ``p_idx``'s message at node
+    ``pos``: the neutral ``_start`` at the path's start end, else the output
+    of the step from the neighbour toward the start, run once per pass, on
+    first read, with the scalings current then.  ``done`` keeps one output
+    per distinct step for every path that shares it; there is no chain per
+    path.  Independent mode: at node l the forward message sums
     kernel chains over the prefixes ending at l, with the scalings of nodes
     0..l-1, and the backward one over the suffixes from l, with those of
     nodes l+1 on; with l's own scaling their product sums to the path's
@@ -461,21 +460,17 @@ class _Messages:
 
     def __init__(self, system: "PathSystem", state: SinkhornState, axis: int):
         self.system, self.state, self.axis = system, state, axis
-        self.chains = [[None] * p.n_p for p in system.paths]  # by node, None until read
-        for chain in self.chains:
-            chain[-axis] = system._start  # the neutral message at the start end
-        self.done: dict = {}  # each shared step's output, computed once
+        self.done: dict = {}  # each step's output, computed once
 
     def __call__(self, p_idx: int, pos: int) -> np.ndarray:
-        chain = self.chains[p_idx]
-        if chain[pos] is None:
-            prev = pos + 1 if self.axis else pos - 1  # the neighbour toward the start end
-            step = self.system._steps[p_idx][min(pos, prev)][self.axis]
-            if step not in self.done:  # it steps from that neighbour's message and scaling
-                scaling = self.system._scaling_at(self.state, self.system.paths[p_idx], prev)
-                self.done[step] = step(self(p_idx, prev), scaling)
-            chain[pos] = self.done[step]
-        return chain[pos]
+        system, path = self.system, self.system.paths[p_idx]
+        if pos == (path.n_p - 1) * self.axis:
+            return system._start  # the neutral message at the start end
+        prev = pos + 1 if self.axis else pos - 1  # the neighbour toward the start end
+        step = system._steps[p_idx][min(pos, prev)][self.axis]
+        if step not in self.done:  # it steps from that neighbour's message and scaling
+            self.done[step] = step(self(p_idx, prev), system._scaling_at(self.state, path, prev))
+        return self.done[step]
 
     @cached_property
     def heads(self) -> dict:
@@ -495,43 +490,21 @@ class PathSystem:
                  config: SolverConfig | None = None,
                  joints: dict[tuple[str, str], JointMeasure] | None = None):
         config = config or SolverConfig()
-        if mode not in (INDEPENDENT, COUPLED):
-            raise BadParamError(f"mode must be {INDEPENDENT!r} or {COUPLED!r}")
         self.net = net
         self.grid = net.grid
         self.n_t = net.grid.n_t
         self.mode = mode
         self.paths: list[Path] = list(paths)
-        if not self.paths:
-            raise BadParamError("need at least one path")
-        validate_paths(net, self.paths, joints or ())
-
-        missing = ((set(net.sources) - {p.source for p in self.paths})
-                   | (set(net.sinks) - {p.sink for p in self.paths}))
-        if missing:
-            raise BadParamError(f"boundary nodes without any path: {sorted(missing)}")
+        # node -> [(path index, position)], once the family passes every rule for its mode
+        self.positions = validate_paths(net, self.paths, joints, mode)
         interior, self._order_follows_paths = self._interior_topo_order()
-
-        # node -> [(path index, position)]
-        self.positions: dict[str, list[tuple[int, int]]] = {}
-        for p_idx, p in enumerate(self.paths):
-            for pos, node in enumerate(p.nodes):
-                self.positions.setdefault(node, []).append((p_idx, pos))
 
         self.mu0 = {s: m.mass for s, m in net.sources.items()}
         self.muT = {s: m.mass for s, m in net.sinks.items()}
         self.caps = {v: net.capacity_for(v) for v in interior}
-        self.joints: dict[tuple[str, str], np.ndarray] = {}
-        if mode == COUPLED:
-            joints = joints or {}
-            for pair in dict.fromkeys((p.source, p.sink) for p in self.paths):  # path order
-                if pair not in joints:
-                    raise BadParamError(f"coupled mode needs a joint target for pair {pair}")
-                if joints[pair].grid != self.grid:
-                    raise BadParamError(f"joint target for {pair} lives on a different grid")
-                self.joints[pair] = joints[pair].mass
-        elif joints:
-            raise BadParamError("joint targets are only meaningful in coupled mode")
+        # validated joints come in coupled mode only, one per joined pair, kept in path order
+        pairs = dict.fromkeys((p.source, p.sink) for p in self.paths)
+        self.joints = {pair: joints[pair].mass for pair in pairs} if joints else {}
         # each joint block's cells: its target's support, flat indices ascending
         self._support = {pair: np.flatnonzero(mass > 0) for pair, mass in self.joints.items()}
         self.pair_paths = {pair: [i for i, p in enumerate(self.paths)

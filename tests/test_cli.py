@@ -55,12 +55,19 @@ class TestScenarioCommand:
 
 def _unjoined_pair_file(tmp_path):
     """A coupled file with a joint target for a1 -> b2, which no path runs."""
+    p = tmp_path / "unjoined.json"
+    p.write_text(json.dumps(_unjoined_pair()), encoding="utf-8")
+    return p
+
+
+def _unjoined_pair():
+    """Paths a1 -> m1 -> b1 and a2 -> m2 -> b2, with a third joint target for a1 -> b2."""
     def joint(i, j, mass):
         cells = np.zeros((8, 8))
         cells[i, j] = mass
         return cells.tolist()
 
-    data = dict(coupled_tiny_scenario({"epsilon": 0.3}),
+    return dict(coupled_tiny_scenario({"epsilon": 0.3}),
                 nodes=["a1", "m1", "b1", "a2", "m2", "b2"],
                 edges=[["a1", "m1", 1.0], ["m1", "b1", 1.0],
                        ["a2", "m2", 1.0], ["m2", "b2", 1.0]],
@@ -70,9 +77,47 @@ def _unjoined_pair_file(tmp_path):
                 joints=[{"source": "a1", "sink": "b1", "mass": joint(0, 4, 0.3)},
                         {"source": "a2", "sink": "b2", "mass": joint(1, 5, 0.3)},
                         {"source": "a1", "sink": "b2", "mass": joint(2, 7, 0.4)}])
-    p = tmp_path / "unjoined.json"
-    p.write_text(json.dumps(data), encoding="utf-8")
-    return p
+
+
+def _pair_without_joint():
+    """A coupled file whose path a2 -> m2 -> b1 joins a pair without a joint target."""
+    data = _unjoined_pair()
+    data["edges"].append(["m2", "b1", 1.0])
+    data["paths"].append(["a2", "m2", "b1"])
+    del data["joints"][2]
+    return data
+
+
+# each file breaks one rule on its path family: (scenario, the rule's message)
+FAMILY_FAULTS = {
+    "no-path": (lambda: dict(TINY, paths=[]), "need at least one path"),
+    "sink-without-path": (
+        lambda: dict(TINY, nodes=["s", "m", "t", "u"],
+                     sinks=TINY["sinks"] + [{"node": "u", "marginal": {"mass": [0.0] * 16}}]),
+        "boundary nodes without any path: ['u']"),
+    "joints-in-independent-mode": (
+        lambda: dict(TINY, joints=[{"source": "s", "sink": "t", "mass": [[0.0] * 16] * 16}]),
+        "joint targets are only meaningful in coupled mode"),
+    "pair-without-joint": (_pair_without_joint,
+                           "coupled mode needs a joint target for pair ('a2', 'b1')"),
+}
+
+
+class TestFamilyRules:
+    @pytest.mark.parametrize("command", ["feasibility", "solve", "extract-plan"])
+    @pytest.mark.parametrize("fault", FAMILY_FAULTS)
+    def test_bad_family_exits_2_at_load(self, tmp_path, capsys, fault, command):
+        # the scenario build applies every family rule, so every command exits 2
+        # before any output directory exists: feasibility used to exit 0 on
+        # these files, and solve to exit 2 after making its output directory
+        scenario, message = FAMILY_FAULTS[fault]
+        p = tmp_path / "family.json"
+        p.write_text(json.dumps(scenario()), encoding="utf-8")
+        outdir = tmp_path / "o"
+        extra = [] if command == "feasibility" else ["--output", str(outdir)]
+        assert main([command, str(p), *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: invalid scenario {p}: {message}\n")
+        assert not outdir.exists()
 
 
 class TestFeasibilityCommand:
@@ -418,6 +463,24 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and not outdir.exists()
         assert captured.err.startswith(f"error: invalid scenario {p}: ") and message in captured.err
+
+    @pytest.mark.parametrize("change", [
+        {"grid": {"t_f": 1e300, "n_t": 16}},
+        {"sources": [{"node": "s", "marginal": {"mixture": [[1.0, 0.25, 1e-320]]}}]},
+    ], ids=["far-grid", "subnormal-stddev"])
+    @pytest.mark.parametrize("command", ["feasibility", "solve"])
+    def test_overflowing_mixture_exits_2_with_one_line(self, tmp_path, capsys, command, change):
+        # the mixture's density overflows: numpy's overflow warnings used to
+        # precede the error line, and to raise out of main under -W error
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(TINY, **change)), encoding="utf-8")
+        extra = [] if command == "feasibility" else ["--output", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, str(p), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: invalid scenario {p}: mixture mass on the grid ")
 
     @pytest.mark.parametrize("node", ["a", "b"])
     @pytest.mark.parametrize("command", ["feasibility", "solve"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ class TestGaussianMixture:
             gaussian_mixture(grid8, [(1.0, 0.5, 0.0)])
         with pytest.raises(MixtureError):
             gaussian_mixture(grid8, [])
+
+    @pytest.mark.parametrize("grid, components", [
+        (TimeGrid(t_f=1e300, n_t=8), [(1.0, 0.5, 0.1)]),
+        (TimeGrid(t_f=1.0, n_t=8), [(1.0, 0.5625, 1e-320)]),  # its mean on a bin center
+    ], ids=["far-grid", "subnormal-stddev"])
+    def test_overflowing_mixture(self, grid, components):
+        # the density overflows to 0 or to inf and nan: an error, and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MixtureError, match="must be finite and positive"):
+                gaussian_mixture(grid, components)
 
 
 @st.composite

@@ -114,8 +114,8 @@ class TestScenario63:
         from datransport import validate_paths
 
         inc = validate_paths(built.net, built.paths)
-        assert inc["v3"] == (0, 1, 2)
-        assert inc["v4"] == (0, 1, 2)
+        assert inc["v3"] == [(0, 2), (1, 2), (2, 2)]
+        assert inc["v4"] == [(0, 3), (1, 3), (2, 3)]
 
     def test_uniform_cap_density(self):
         built = scenario_63_network().build()

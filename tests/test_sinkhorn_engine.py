@@ -966,9 +966,9 @@ class TestSolve:
             system.sweep(state)
 
     def test_backward_only_messages(self, grid10):
-        # compute_messages returns the backward messages only, one chain per
-        # path, each the dense log-sum-exp chain from the sink; a reader of
-        # forward messages builds its own frontier
+        # compute_messages returns the backward messages only, every step of
+        # the path built, each the dense log-sum-exp chain from the sink; a
+        # reader of forward messages builds its own frontier
         rng = np.random.default_rng(24)
         mu0, muT = ordered_random_pair(grid10, rng, 2)
         net, path = make_line_net(grid10, [1.0, 2.0], mu0, muT,
@@ -978,7 +978,7 @@ class TestSolve:
         for _ in range(3):
             system.sweep(state)
         msgs = system.compute_messages(state)
-        assert len(msgs.chains) == 1 and all(m is not None for m in msgs.chains[0])
+        assert set(msgs.done) == {backward for _, backward in system._steps[0]}
         ref = np.zeros(10)
         assert np.array_equal(msgs(0, path.n_edges), ref)
         for l in range(path.n_edges - 1, -1, -1):
@@ -2039,8 +2039,8 @@ class TestCoupledMixing:
             system.sweep(state)
         msgs = system.compute_messages(state)
         fwd = _Messages(system, state, 0)
+        assert set(msgs.done) == {backward for steps in system._steps for _, backward in steps}
         for p_idx, path in enumerate(system.paths):
-            assert all(m is not None for m in msgs.chains[p_idx])
             # the backward message at node 0 is the interior chain, departure
             # to arrival: the forward message at the sink, built the other way round
             chain, ref = msgs(p_idx, 0), fwd(p_idx, path.n_edges)
