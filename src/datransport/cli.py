@@ -97,9 +97,10 @@ def _run_solver(built: BuiltScenario):
                  joints=built.joints or None)
 
 
-def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float) -> dict:
+def _write_run(outdir: FsPath, built: BuiltScenario, state, report, wall: float,
+               marginals: dict) -> dict:
+    """Write the run dir: each path node's marginal (from ``ModelMarginals.m``), trace, summary."""
     centers = built.net.grid.centers
-    marginals = aggregate_marginals(state).m
     nodes_manifest = {}
     path_nodes = {n for p in built.paths for n in p.nodes}
     for node in sorted(path_nodes):
@@ -163,14 +164,16 @@ def _cmd_solve(args) -> int:
     start = time.perf_counter()
     state, report = _run_solver(built)
     wall = time.perf_counter() - start
-    _write_run(outdir, built, state, report, wall)
+    # one marginal pass serves the node files and every marginal property
+    marginals = aggregate_marginals(state)
+    _write_run(outdir, built, state, report, wall, marginals.m)
     final = report.e0[-1] + report.et[-1] + report.v[-1]
     print(f"{built.name}: iterations={report.iterations} E0+ET+V={final:.3e} "
           f"converged={report.converged} -> {outdir}")
     if args.check_properties:
         ok = True
         for prop in built.expected_properties:
-            result = check_property(prop, built, state, report)
+            result = check_property(prop, built, state, report, marginals)
             print(f"  [{'PASS' if result.passed else 'FAIL'}] {result.kind}: {result.detail}")
             ok &= result.passed
         if not ok:

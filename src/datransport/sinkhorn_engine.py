@@ -110,8 +110,8 @@ ABSORB_BAND = 50.0
 _LSE_MATMUL_BLOCK = 1 << 20
 
 # Output bins per block of an absorbed message step: n_t // _ABSORB_ROWS
-# blocks of equal size (within one bin), so a grid of fewer than twice this
-# many bins is one block (see ``_causal_windows``).
+# blocks of equal size (within one bin), but at least three, so a grid of
+# fewer than four times this many bins is three blocks (see ``_causal_windows``).
 _ABSORB_ROWS = 64
 
 
@@ -266,12 +266,16 @@ class _Linear:
 def _causal_windows(n: int, axis: int) -> list[tuple[slice, slice]]:
     """(output, input) ranges of the blocks of an absorbed step on ``n`` bins, forward on axis 0.
 
-    The outputs are cut into ``n // _ABSORB_ROWS`` equal blocks (one on a
-    grid of fewer than twice that many bins), each with the inputs its
-    outputs can reach (a particle arrives strictly after it departs): [0,
-    hi - 1) forward, [lo + 1, n) backward, for outputs [lo, hi).
+    The outputs are cut into ``n // _ABSORB_ROWS`` equal blocks (within one
+    bin), but into at least three (n on a grid of fewer bins), each with
+    the inputs its outputs can reach (a particle arrives strictly after it
+    departs): [0, hi - 1) forward, [lo + 1, n) backward, for outputs [lo,
+    hi).  A block of m outputs still holds the m (m - 1) / 2 causal zeros
+    of its last inputs, about 1 / (k + 1) of k blocks' cells, so at most a
+    quarter.  The first output forward, and the last backward, may get a
+    block of no inputs.
     """
-    k = max(1, n // _ABSORB_ROWS)
+    k = max(min(n, 3), n // _ABSORB_ROWS)
     bounds = [n * j // k for j in range(k + 1)]
     return [(slice(lo, hi), slice(0, hi - 1) if axis == 0 else slice(lo + 1, n))
             for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -344,11 +348,11 @@ class _AbsorbedStep:
             # exactly where r is and within the band of it elsewhere; a bin
             # that died or revived, NaN and +inf all fail.  One fused mask
             # and a C-level reduction, with no Python-level wrapper
-            d = x - self.r
+            d = np.subtract(x, self.r, out=self.d)
             if np.logical_and.reduce((d <= self.hi) & (d >= self.lo)):
                 np.exp(d, out=d)
-                for out, inp, block in self.blocks:
-                    np.matmul(block, d[inp], out=self.y[out])
+                for y, d_in, block in self.served:
+                    np.matmul(block, d_in, out=y)
                 # y > 0 exactly on the live outputs; the others keep 0, and c
                 # is -inf there
                 np.log(self.y, out=self.y, where=self.live)
@@ -370,11 +374,15 @@ class _AbsorbedStep:
 
     def _absorb(self, x: np.ndarray) -> np.ndarray:
         if self.blocks is None:
-            # the mat-vecs' output; outputs of no block stay 0, so -inf
-            self.y = np.zeros(x.size)
+            # the mat-vecs' input and output; outputs of no block stay 0, so -inf
+            self.d, self.y = np.empty(x.size), np.zeros(x.size)
         c = np.full(x.size, -np.inf)
-        self.blocks = []
+        # each block, and its views of the mat-vecs' output and input; the old
+        # ones go now, so that a store that grows is not held twice
+        self.blocks, self.served = [], []
         for j, (out, inp) in enumerate(self.windows):
+            if inp.stop == inp.start:  # no input reaches these outputs: -inf, in no block
+                continue
             tau = np.finfo(float).eps * np.exp(-2 * ABSORB_BAND) / (inp.stop - inp.start)
             # the kernel grows with the gap, so on each input it lies between
             # its values at the nearest output and the farthest: an input
@@ -404,6 +412,7 @@ class _AbsorbedStep:
             np.divide(block, scale, out=stored)
             stored[stored < np.finfo(float).tiny] = 0.0
             self.blocks.append((out, inp, stored))
+            self.served.append((self.y[out], self.d[inp], stored))
         self.c = c
         self.live = c != -np.inf
         dead = x == -np.inf
@@ -445,7 +454,9 @@ class _Messages:
     ``messages(p_idx, pos)`` returns path ``p_idx``'s message at node
     ``pos``: the neutral ``_start`` at the path's start end, else the output
     of the step from the neighbour toward the start, run once per pass, on
-    first read, with the scalings current then.  ``done`` keeps one output
+    first read, with the scalings current then; which step, neighbour and
+    scaling block a read takes is looked up in ``PathSystem._reads``, built
+    once per system.  ``done`` keeps one output
     per distinct step for every path that shares it; there is no chain per
     path.  Independent mode: at node l the forward message sums
     kernel chains over the prefixes ending at l, with the scalings of nodes
@@ -459,17 +470,18 @@ class _Messages:
     """
 
     def __init__(self, system: "PathSystem", state: SinkhornState, axis: int):
-        self.system, self.state, self.axis = system, state, axis
+        self.system, self.state, self.reads = system, state, system._reads[axis]
         self.done: dict = {}  # each step's output, computed once
 
     def __call__(self, p_idx: int, pos: int) -> np.ndarray:
-        system, path = self.system, self.system.paths[p_idx]
-        if pos == (path.n_p - 1) * self.axis:
-            return system._start  # the neutral message at the start end
-        prev = pos + 1 if self.axis else pos - 1  # the neighbour toward the start end
-        step = system._steps[p_idx][min(pos, prev)][self.axis]
+        read = self.reads[p_idx][pos]
+        if read is None:
+            return self.system._start  # the neutral message at the start end
+        step, prev, block = read
         if step not in self.done:  # it steps from that neighbour's message and scaling
-            self.done[step] = step(self(p_idx, prev), system._scaling_at(self.state, path, prev))
+            scaling = (self.system._unit if block is None
+                       else self.system.dom.from_log(self.state.views[block]))
+            self.done[step] = step(self(p_idx, prev), scaling)
         return self.done[step]
 
     @cached_property
@@ -573,6 +585,14 @@ class PathSystem:
             steps = {key: _MatrixStep(dom.kernel(k), key[0], dom, self._start, self._unit)
                      for key, k in step_kernels.items()}
         self._steps = [[tuple(steps[key] for key in pair) for pair in p_keys] for p_keys in keys]
+        # what ``_Messages`` reads per direction, path and position: None at the start
+        # end, else the step, the neighbour toward the start and its block (None if none)
+        self._reads = [[], []]
+        for p_steps, p in zip(self._steps, self.paths):
+            blocks = [node if node in self._layout else None for node in p.nodes]
+            forward, backward = zip(*p_steps)
+            self._reads[0].append([None, *zip(forward, range(p.n_p), blocks)])
+            self._reads[1].append([*zip(backward, range(1, p.n_p), blocks[1:]), None])
         self._unit.flags.writeable = False
         self._start.flags.writeable = False
 
@@ -707,7 +727,7 @@ class PathSystem:
         Material target mass on zero-aggregate bins means the ordering
         structure cannot place it there at all: hard infeasibility.
         """
-        dead = np.isneginf(agg)
+        dead = agg == -np.inf
         if np.any(dead & (target > NEGLIGIBLE_MASS)):
             raise UnreachableMassError(f"target mass at {label} sits on bins with zero aggregate flux")
         return np.subtract(log_target, agg, out=np.full_like(agg, -np.inf), where=~dead)
@@ -719,7 +739,7 @@ class PathSystem:
         The difference is taken on live bins only, so a zero cap's -inf
         meets no -inf aggregate.
         """
-        live = ~np.isneginf(agg)
+        live = agg != -np.inf
         return np.minimum(np.subtract(log_cap, agg, out=np.zeros_like(agg), where=live), 0.0)
 
     def _model(self, state: SinkhornState, block, agg: np.ndarray) -> np.ndarray:
@@ -1050,10 +1070,7 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
     system = PathSystem(net, paths, mode=mode, config=config, joints=joints)
     state = system.initial_state()
     mixer = _AndersonMixer(system)
-    e0s: list[float] = []
-    ets: list[float] = []
-    vs: list[float] = []
-    objs: list[float] = []
+    e0s, ets, vs, objs = [], [], [], []
     converged = False
     next_point = None
     for _ in range(config.max_iter):

@@ -342,6 +342,30 @@ class TestSolveCommand:
         masses = (tmp_path / "out" / "a.csv").read_text().splitlines()[1:]
         assert sum(float(row.split(",")[1]) for row in masses) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_check_properties_read_the_run_files_marginal_pass(self, tmp_path, capsys,
+                                                                monkeypatch, coupled):
+        # the node files and every marginal property read one marginal pass
+        solver = {"epsilon": 0.3, "tol": 0.0, "max_iter": 3}
+        data = coupled_tiny_scenario(solver) if coupled else {**TINY, "solver": solver}
+        data["expected_properties"] = [
+            {"kind": kind} for kind in ("capacity_satisfied", "boundary_match", "mass_delivered")]
+        data["expected_properties"].append({"kind": "trace_length", "length": 3})
+        p = tmp_path / "props.json"
+        p.write_text(json.dumps(data), encoding="utf-8")
+        calls = []
+        compute_messages = PathSystem.compute_messages
+
+        def counted(self, state):
+            calls.append(state)
+            return compute_messages(self, state)
+
+        monkeypatch.setattr(PathSystem, "compute_messages", counted)
+        assert main(["solve", str(p), "--output", str(tmp_path / "o"), "--check-properties"]) == 3
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") + out.count("[FAIL]") == 4
+        assert len(calls) == 3 + 1  # one per sweep, one for the files and the properties
+
     def test_check_properties_flag(self, tmp_path, capsys):
         data = dict(TINY)
         data["expected_properties"] = [

@@ -158,8 +158,8 @@ def _absorbed_entry(step, o, i):
     raise AssertionError(f"no block holds output {o}")
 
 
-# rows per block: the default (one block on these small grids) and a few
-# rows, so that every test runs across several blocks as well
+# rows per block: the default (three blocks on these small grids) and a
+# few rows, so that every test runs across many blocks as well
 ABSORB_ROWS = [sinkhorn_engine._ABSORB_ROWS, 5]
 
 
@@ -185,16 +185,47 @@ class TestAbsorbedStep:
     @pytest.mark.parametrize("axis", [0, 1])
     def test_windows_are_causal_at_every_size(self, axis):
         # outputs [lo, hi) read only inputs that can reach them: [0, hi - 1)
-        # forward, [lo + 1, n) backward, on a grid of one block too
+        # forward, [lo + 1, n) backward, on a grid of one-bin blocks too
         for n in range(2, 3 * sinkhorn_engine._ABSORB_ROWS):
             windows = _causal_windows(n, axis)
-            assert len(windows) == max(1, n // sinkhorn_engine._ABSORB_ROWS)
+            assert len(windows) == max(min(n, 3), n // sinkhorn_engine._ABSORB_ROWS)
             assert [out.start for out, _ in windows] == [0] + [out.stop for out, _ in windows[:-1]]
             assert windows[-1][0].stop == n
             for out, inp in windows:
                 assert out.stop > out.start
                 want = slice(0, out.stop - 1) if axis == 0 else slice(out.start + 1, n)
                 assert inp == want
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_block_rule_bounds_the_stored_causal_zeros(self, axis):
+        # at least three blocks, n on a grid of fewer bins, so that the
+        # cells whose input cannot reach their output (input not strictly
+        # before it forward, not strictly after it backward) are at most a
+        # quarter of the windows' cells once n >= 3
+        rows = sinkhorn_engine._ABSORB_ROWS
+        worst = 0.0
+        for n in range(1, 3 * rows + 1):
+            windows = _causal_windows(n, axis)
+            assert len(windows) == max(min(n, 3), n // rows)
+            cells = zeros = 0
+            for out, inp in windows:
+                o, i = np.arange(n)[out, None], np.arange(n)[None, inp]
+                cells += o.size * i.size
+                zeros += np.count_nonzero(i >= o if axis == 0 else i <= o)
+            if n >= 3:
+                worst = max(worst, zeros / cells)
+        assert 0.24 < worst <= 0.25  # 0.248: the bound is close to tight
+
+    def test_scenario_63_stores_under_a_megabyte(self):
+        # the absorbed stores a solve leaves behind: 1,536,800 bytes when a
+        # grid under 128 bins was one block a step, 902,616 with three
+        built = scenario_63_network().build()
+        state, report = solve(built.net, built.paths, config=built.config)
+        assert report.converged
+        steps = {step for pairs in state.system._steps for pair in pairs for step in pair}
+        assert len(steps) == 20
+        assert all(len(step.windows) == 3 for step in steps)
+        assert sum(store.nbytes for step in steps for store in step.stores) < 1_000_000
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_scipy(self, axis, monkeypatch):
@@ -205,7 +236,7 @@ class TestAbsorbedStep:
         kern = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.01)
         logk = kern.logK
         counts = _count_absorptions(monkeypatch)
-        for rows, blocks in zip(ABSORB_ROWS, (1, 8)):
+        for rows, blocks in zip(ABSORB_ROWS, (3, 8)):
             monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
             rng = np.random.default_rng(41)
             counts[:] = [0, 0]
@@ -233,6 +264,23 @@ class TestAbsorbedStep:
             assert min(changed.values()) >= 5
             # most calls are served from the cache, and some re-absorb
             assert 0 < counts[1] < counts[0] / 2
+
+    def test_tiny_grids_match_scipy(self, monkeypatch):
+        # on 2-5 bins a block may be one output that no input reaches (bin 0
+        # forward, n - 1 backward): it stays -inf, absorbed and served
+        counts = _count_absorptions(monkeypatch)
+        for n, axis in itertools.product(range(2, 6), (0, 1)):
+            kern = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.3)
+            step = _absorbed_step(kern, axis)
+            x = np.random.default_rng(n).normal(size=n)
+            counts[:] = [0, 0]
+            for drift in (0.0, 1.0):
+                ours = step(x, drift)
+                ref = _absorbed_reference(kern.logK, x + drift, axis)
+                dead = np.isneginf(ref)
+                assert dead.sum() == 1 and np.array_equal(np.isneginf(ours), dead)
+                np.testing.assert_allclose(ours[~dead], ref[~dead], rtol=1e-13)
+            assert counts == [2, 1]
 
     def test_band_edge_is_served(self, monkeypatch):
         n = 24
