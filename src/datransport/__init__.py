@@ -12,6 +12,13 @@ CLI, which solves without them, does not pay for them.
 
 import importlib
 
+from .driver import (
+    boundary_update,
+    capacity_update,
+    coupled_boundary_update,
+    flux_profile,
+    solve,
+)
 from .errors import (
     BadEndpointError,
     BadParamError,
@@ -59,11 +66,6 @@ from .sinkhorn_engine import (
     SinkhornState,
     SolverConfig,
     aggregate_marginals,
-    boundary_update,
-    capacity_update,
-    coupled_boundary_update,
-    flux_profile,
-    solve,
 )
 
 __version__ = "0.1.0"

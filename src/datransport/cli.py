@@ -23,6 +23,7 @@ import time
 from dataclasses import replace
 from pathlib import Path as FsPath
 
+from .driver import check_path_index, solve
 from .errors import (BadParamError, NonFiniteError, ScenarioFormatError, TransportError,
                      UnreachableMassError)
 from .grid_measures import TimeGrid
@@ -37,7 +38,7 @@ from .scenarios import (
     min_travel_delta,
     precheck_feasibility,
 )
-from .sinkhorn_engine import aggregate_marginals, check_path_index, solve
+from .sinkhorn_engine import aggregate_marginals
 
 EXIT_OK = 0
 EXIT_INVALID = 2

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .driver import check_path_index
 from .errors import BadParamError, PlanTooLargeError
 from .network import Path
-from .sinkhorn_engine import SinkhornState, _integer, _real, check_path_index
+from .sinkhorn_engine import SinkhornState, _integer, _real
 
 # Cells of a path plan that ``extract_plan`` builds at a time.
 _PLAN_SLAB = 1 << 16

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import BadParamError, ScenarioFormatError
 from .grid_measures import JointMeasure, Measure, TimeGrid, gaussian_mixture
+from .messages import _Log, _lse_matmul
 from .network import CapacityProfile, Path, TransportNetwork, validate_paths
 # perfbench's tracer wraps ``datransport.scenarios.extract_plan`` by name
 from .plans import extract_plan
@@ -28,8 +29,6 @@ from .sinkhorn_engine import (
     ModelMarginals,
     SinkhornState,
     SolverConfig,
-    _Log,
-    _lse_matmul,
     _real,
     aggregate_marginals,
 )

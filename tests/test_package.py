@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -102,3 +104,23 @@ def test_cli_import_loads_no_oracle_or_feasibility():
     assert not {"datransport.reference_oracle", "datransport.feasibility"} & set(loaded)
     assert datransport.dense_sinkhorn.__module__ == "datransport.reference_oracle"
     assert datransport.check_da_feasibility.__module__ == "datransport.feasibility"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracing.py wraps each (module, attribute path) of its TARGETS;
+    # a name the package moved or lost shows there only as "names not found"
+    # in a full traced benchmark run
+    tracing = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    targets = next(ast.literal_eval(node.value)
+                   for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    missing = []
+    for module_name, attr_path, _ in targets:
+        owner = importlib.import_module(module_name)
+        try:
+            for part in attr_path.split("."):
+                owner = inspect.getattr_static(owner, part)
+        except AttributeError:
+            missing.append(f"{module_name}.{attr_path}")
+    assert targets and missing == []

@@ -21,7 +21,8 @@ from datransport.scenarios import (
     scenario_63_network,
     scenario_64_convergence,
 )
-from datransport.sinkhorn_engine import PathSystem, SolverConfig, solve
+from datransport.driver import solve
+from datransport.sinkhorn_engine import PathSystem, SolverConfig
 
 
 def _scenario_61_at_24() -> ScenarioSpec:

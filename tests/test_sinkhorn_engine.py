@@ -27,7 +27,8 @@ from datransport import (
     flux_profile,
     solve,
 )
-from datransport import plans, sinkhorn_engine
+from datransport import driver, plans, sinkhorn_engine
+from datransport.driver import ANDERSON_WARMUP
 from datransport.errors import (
     BadParamError,
     NonFiniteError,
@@ -35,17 +36,12 @@ from datransport.errors import (
     UnreachableMassError,
 )
 from datransport.kernels import build_pair_kernel
-from datransport.reference_oracle import dense_coupled_sinkhorn
-from datransport.reference_oracle import transport_cost as dense_transport_cost
-from datransport.scenarios import check_property, scenario_61, scenario_63_network
-from datransport.sinkhorn_engine import (
+from datransport.messages import (
     ABSORB_BAND,
-    ANDERSON_WARMUP,
-    PathSystem,
-    SinkhornState,
-    SolverConfig,
+    _ABSORB_ROWS,
     _AbsorbedStep,
     _causal_windows,
+    _Linear,
     _Log,
     _MatrixStep,
     _Messages,
@@ -53,6 +49,10 @@ from datransport.sinkhorn_engine import (
     _lse_reduce,
     _lse_rows,
 )
+from datransport.reference_oracle import dense_coupled_sinkhorn
+from datransport.reference_oracle import transport_cost as dense_transport_cost
+from datransport.scenarios import check_property, scenario_61, scenario_63_network
+from datransport.sinkhorn_engine import PathSystem, SinkhornState, SolverConfig
 
 
 def fixed_sweeps(n):
@@ -97,13 +97,20 @@ class TestLogSumExp:
         a[2, :] = -np.inf
         b[:, 4] = -np.inf
         # a block above the array's size: one reduction over the whole array
-        monkeypatch.setattr(sinkhorn_engine, "_LSE_MATMUL_BLOCK", a.size * b.size)
+        monkeypatch.setattr("datransport.messages._LSE_MATMUL_BLOCK", a.size * b.size)
         ref = _lse_matmul(a, b)
         assert np.isneginf(ref).any() and np.isfinite(ref).any()
         # 3 rows per block: blocks of 3, 3 and 1 rows, then one block
-        for block in (3 * 13 * 11, 2 ** 20):
-            monkeypatch.setattr(sinkhorn_engine, "_LSE_MATMUL_BLOCK", block)
-            assert np.array_equal(_lse_matmul(a, b), ref)
+        for block, rows in ((3 * 13 * 11, [3, 3, 1]), (2 ** 20, [7])):
+            monkeypatch.setattr("datransport.messages._LSE_MATMUL_BLOCK", block)
+            reduced = []
+
+            def counted(temp, axis):
+                reduced.append(temp.shape[0])
+                return _lse_reduce(temp, axis)
+
+            assert np.array_equal(_lse_matmul(a, b, reduce=counted), ref)
+            assert reduced == rows
         # and the one reduction is the standard log-sum-exp
         sci = logsumexp(a[:, :, None] + b[None, :, :], axis=1)
         dead = np.isneginf(sci)
@@ -160,7 +167,7 @@ def _absorbed_entry(step, o, i):
 
 # rows per block: the default (three blocks on these small grids) and a
 # few rows, so that every test runs across many blocks as well
-ABSORB_ROWS = [sinkhorn_engine._ABSORB_ROWS, 5]
+ABSORB_ROWS = [_ABSORB_ROWS, 5]
 
 
 def _count_absorptions(monkeypatch):
@@ -186,9 +193,9 @@ class TestAbsorbedStep:
     def test_windows_are_causal_at_every_size(self, axis):
         # outputs [lo, hi) read only inputs that can reach them: [0, hi - 1)
         # forward, [lo + 1, n) backward, on a grid of one-bin blocks too
-        for n in range(2, 3 * sinkhorn_engine._ABSORB_ROWS):
+        for n in range(2, 3 * _ABSORB_ROWS):
             windows = _causal_windows(n, axis)
-            assert len(windows) == max(min(n, 3), n // sinkhorn_engine._ABSORB_ROWS)
+            assert len(windows) == max(min(n, 3), n // _ABSORB_ROWS)
             assert [out.start for out, _ in windows] == [0] + [out.stop for out, _ in windows[:-1]]
             assert windows[-1][0].stop == n
             for out, inp in windows:
@@ -202,7 +209,7 @@ class TestAbsorbedStep:
         # cells whose input cannot reach their output (input not strictly
         # before it forward, not strictly after it backward) are at most a
         # quarter of the windows' cells once n >= 3
-        rows = sinkhorn_engine._ABSORB_ROWS
+        rows = _ABSORB_ROWS
         worst = 0.0
         for n in range(1, 3 * rows + 1):
             windows = _causal_windows(n, axis)
@@ -237,7 +244,7 @@ class TestAbsorbedStep:
         logk = kern.logK
         counts = _count_absorptions(monkeypatch)
         for rows, blocks in zip(ABSORB_ROWS, (3, 8)):
-            monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
+            monkeypatch.setattr("datransport.messages._ABSORB_ROWS", rows)
             rng = np.random.default_rng(41)
             counts[:] = [0, 0]
             step = _absorbed_step(kern, axis)
@@ -287,11 +294,12 @@ class TestAbsorbedStep:
         kern = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.02)
         logk = kern.logK
         counts = _count_absorptions(monkeypatch)
-        for rows, axis in itertools.product(ABSORB_ROWS, (0, 1)):
-            monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
+        for (rows, blocks), axis in itertools.product(zip(ABSORB_ROWS, (3, 4)), (0, 1)):
+            monkeypatch.setattr("datransport.messages._ABSORB_ROWS", rows)
             rng = np.random.default_rng(42)
             counts[:] = [0, 0]
             step = _absorbed_step(kern, axis)
+            assert len(step.windows) == blocks
             x = rng.normal(scale=5.0, size=n)
             step(x, 0.0)
             # every live bin drifts to just inside the band, then just past it
@@ -314,10 +322,11 @@ class TestAbsorbedStep:
         n = 32
         kern = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.01)
         logk = kern.logK
-        for rows, axis in itertools.product(ABSORB_ROWS, (0, 1)):
-            monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
+        for (rows, blocks), axis in itertools.product(zip(ABSORB_ROWS, (3, 6)), (0, 1)):
+            monkeypatch.setattr("datransport.messages._ABSORB_ROWS", rows)
             mirror = (lambda k: k) if axis == 0 else (lambda k: n - 1 - k)
             step = _absorbed_step(kern, axis)
+            assert len(step.windows) == blocks
             x = np.full(n, -np.inf)
             x[[mirror(k) for k in range(20, 26)]] = 0.0
             step(x, 0.0)
@@ -338,14 +347,15 @@ class TestAbsorbedStep:
         n = 24
         kern = build_pair_kernel(TimeGrid(t_f=1.0, n_t=n), 1.0, 0.02)
         counts = _count_absorptions(monkeypatch)
-        for rows, axis in itertools.product(ABSORB_ROWS, (0, 1)):
-            monkeypatch.setattr(sinkhorn_engine, "_ABSORB_ROWS", rows)
+        for (rows, blocks), axis in itertools.product(zip(ABSORB_ROWS, (3, 4)), (0, 1)):
+            monkeypatch.setattr("datransport.messages._ABSORB_ROWS", rows)
             x = np.random.default_rng(44).normal(scale=5.0, size=n)
             x[[3, 11, 18]] = -np.inf
             # bin 11 is dead and bin 5 live; the last input is served
             for k, value in [(11, 2.0), (11, -700.0), (5, np.nan), (11, np.nan),
                              (5, np.inf), (11, np.inf), (5, x[5] + 1.0)]:
                 step = _absorbed_step(kern, axis)
+                assert len(step.windows) == blocks
                 step(x, 0.0)
                 y = x.copy()
                 y[k] = value
@@ -1697,7 +1707,7 @@ class TestDomainArithmetic:
         for log_domain in (False, True):
             _pick_domain(monkeypatch, log_domain)
             system = _pinning_instance("coupled_shared", grid16)
-            assert system.dom is (sinkhorn_engine._Log if log_domain else sinkhorn_engine._Linear)
+            assert system.dom is (_Log if log_domain else _Linear)
             state = system.initial_state()
             for _ in range(20):
                 _, _, v = system.sweep(state)
@@ -1763,7 +1773,7 @@ class TestFlatState:
         system = _pinning_instance(kind, grid16)
         state = system.initial_state()
         x = state.x
-        mixer = sinkhorn_engine._AndersonMixer(system)
+        mixer = driver._AndersonMixer(system)
         accepted = 0
         for _ in range(10):
             x_prev, value = state.x.copy(), system.dual_objective(state)
@@ -1984,7 +1994,7 @@ class TestSweepPinning:
 
         with monkeypatch.context() as patch:
             if log_domain:
-                patch.setattr(sinkhorn_engine, "ABSORB_BAND", -1.0)
+                patch.setattr("datransport.messages.ABSORB_BAND", -1.0)
             for ours, ref in sweeps_and_block_updates():
                 assert np.array_equal(ours, ref)
         for ours, ref in sweeps_and_block_updates():
@@ -2141,7 +2151,7 @@ class TestAndersonStep:
         system = _pinning_instance("coupled", grid16)
         passes = _count_message_passes(monkeypatch)
         trials = []  # (trial evaluated, trial kept) per step
-        step = sinkhorn_engine._AndersonMixer.step
+        step = driver._AndersonMixer.step
 
         def counted(self, state, x_prev, value):
             before = len(passes)
@@ -2149,7 +2159,7 @@ class TestAndersonStep:
             trials.append((len(passes) > before, point is not None))
             return point
 
-        monkeypatch.setattr(sinkhorn_engine._AndersonMixer, "step", counted)
+        monkeypatch.setattr(driver._AndersonMixer, "step", counted)
         _, report = _solve_system(system, **fixed_sweeps(ANDERSON_WARMUP + 30))
         assert report.iterations == ANDERSON_WARMUP + 30
         assert len(trials) == 29 and (True, True) in trials
@@ -2167,7 +2177,7 @@ class TestAndersonStep:
         state = system.initial_state()
         for _ in range(5):
             system.sweep(state)
-        mixer = sinkhorn_engine._AndersonMixer(system)
+        mixer = driver._AndersonMixer(system)
         x = state.x.copy()
         value = system.dual_objective(state)
         assert mixer.step(state, x, value) is None
@@ -2191,7 +2201,7 @@ class TestAndersonStep:
             system.sweep(start)
         for offset, kept in ((0.5, True), (-1.0, False)):
             state = SinkhornState(system, start.x.copy())
-            mixer = sinkhorn_engine._AndersonMixer(system)
+            mixer = driver._AndersonMixer(system)
             for first in (True, False):
                 entering, x_prev = system.dual_objective(state), state.x.copy()
                 system.sweep(state)
@@ -2222,7 +2232,7 @@ class TestAndersonStep:
         state = system.initial_state()
         for _ in range(5):
             system.sweep(state)
-        mixer = sinkhorn_engine._AndersonMixer(system)
+        mixer = driver._AndersonMixer(system)
         x = state.x.copy()
         up = np.zeros_like(x)
         up[system._caps_part] = 1.0
@@ -2251,7 +2261,7 @@ class TestGramSolve:
     def test_full_rank_matches_lstsq(self, m):
         rng = np.random.default_rng(320 + m)
         gram, rhs = _gram_instance(rng, m)
-        ours = sinkhorn_engine._gram_solve(gram, rhs)
+        ours = driver._gram_solve(gram, rhs)
         ref = np.linalg.lstsq(gram, rhs, rcond=None)[0]
         assert np.linalg.norm(ours - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -2264,7 +2274,7 @@ class TestGramSolve:
         rng = np.random.default_rng(330 + m)
         for _ in range(20):
             gram, rhs = _gram_instance(rng, m, dependent=True)
-            ours = sinkhorn_engine._gram_solve(gram, rhs)
+            ours = driver._gram_solve(gram, rhs)
             ref = np.linalg.lstsq(gram, rhs, rcond=None)[0]
             assert ours[1] == 0.0 and ours[4] == 0.0 and ours[2] != 0.0
             assert np.count_nonzero(ours) == m - 2
@@ -2276,7 +2286,7 @@ class TestGramSolve:
     def test_zero_gram_gives_zero_weights(self, m):
         # so a zero residual history mixes to the plain point and the mixer
         # evaluates nothing (test_exact_fixed_point_is_evaluated_once)
-        weights = sinkhorn_engine._gram_solve(np.zeros((m, m)), [0.0] * m)
+        weights = driver._gram_solve(np.zeros((m, m)), [0.0] * m)
         assert weights.shape == (m,) and not weights.any()
 
 
@@ -2298,8 +2308,8 @@ def test_solves_and_convergence_check_call_no_lapack(grid16, monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
     monkeypatch.setattr(np, "polyfit", refuse)
     steps = []
-    step = sinkhorn_engine._AndersonMixer.step
-    monkeypatch.setattr(sinkhorn_engine._AndersonMixer, "step",
+    step = driver._AndersonMixer.step
+    monkeypatch.setattr(driver._AndersonMixer, "step",
                         lambda self, *args: steps.append(None) or step(self, *args))
     built = scenario_61().build()
     state, report = solve(built.net, built.paths, mode=built.mode, config=built.config)
