@@ -13,7 +13,8 @@ calls LAPACK.  The primal transport cost is computed on demand, never
 per sweep.
 
 Each operation is written once.  A public block update checks its block
-and projects it through ``PathSystem._update_block``.  Only ``sweep``,
+and projects it by a pass over that block alone (``PathSystem._pass``,
+the loop a sweep runs over every block).  Only ``sweep``,
 ``dual_objective`` and ``path_masses`` take ``messages``, so that
 ``solve`` and the mixer share one pass; every other reader runs its own.
 """

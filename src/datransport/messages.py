@@ -135,13 +135,6 @@ def _causal_windows(n: int, axis: int) -> list[tuple[slice, slice]]:
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _fit(buffers: list, j: int, size: int) -> np.ndarray:
-    """Flat ``buffers[j]``, replaced by a new one if it holds fewer than ``size`` elements."""
-    if buffers[j].size < size:
-        buffers[j] = np.empty(size)
-    return buffers[j]
-
-
 class _AbsorbedStep:
     """One log-domain vector message step across one edge, in one direction.
 
@@ -155,8 +148,8 @@ class _AbsorbedStep:
     computes a block from the cost formula (``PairKernel.log_window``) at
     each absorb, laid out in memory like its part of ``logK``, so the
     forward and backward steps of an edge run the same reductions and BLAS
-    calls on the same memory order.  Every block is computed in the
-    system's ``scratch``, and its store keeps part of it.
+    calls on the same memory order.  Each absorb allocates every block
+    anew, and stores a new array of its kept span.
 
     Absorbing x as r runs the plain log-sum-exp of each block in place and
     returns the outputs unchanged.  It then scales every row to sum 1 and
@@ -188,10 +181,8 @@ class _AbsorbedStep:
     the mat-vec down many times over).
     """
 
-    def __init__(self, kernel: PairKernel, axis: int, windows: list[tuple[slice, slice]],
-                 scratch: list):
-        self.kernel, self.axis, self.windows, self.scratch = kernel, axis, windows, scratch
-        self.stores = [np.empty(0)] * len(windows)  # each block's flat store, reused if it fits
+    def __init__(self, kernel: PairKernel, axis: int, windows: list[tuple[slice, slice]]):
+        self.kernel, self.axis, self.windows = kernel, axis, windows
         self.blocks: list | None = None  # (outputs, kept inputs, block) after an absorb
         self.r: np.ndarray | None = None  # absorbed input, 0 on dead bins; None re-absorbs
 
@@ -213,11 +204,10 @@ class _AbsorbedStep:
                 return self.c + self.y
         return self._absorb(x)
 
-    def _block(self, buf: np.ndarray, out: slice, inp: slice) -> np.ndarray:
-        """The [out, inp] block in flat ``buf``, laid out like its part of ``logK``."""
+    def _block(self, out: slice, inp: slice) -> np.ndarray:
+        """A new [out, inp] block, laid out like its part of ``logK``."""
         shape = (out.stop - out.start, inp.stop - inp.start)
-        flat = buf[:shape[0] * shape[1]]
-        return flat.reshape(shape) if self.axis else flat.reshape(shape[::-1]).T
+        return np.empty(shape) if self.axis else np.empty(shape[::-1]).T
 
     def _at(self, o: int, inp: slice) -> np.ndarray:
         """kernel[o, inp], from the formula."""
@@ -232,9 +222,9 @@ class _AbsorbedStep:
             self.d, self.y = np.empty(x.size), np.zeros(x.size)
         c = np.full(x.size, -np.inf)
         # each block, and its views of the mat-vecs' output and input; the old
-        # ones go now, so that a store that grows is not held twice
+        # ones go now, so that the old and the new stores are not held together
         self.blocks, self.served = [], []
-        for j, (out, inp) in enumerate(self.windows):
+        for out, inp in self.windows:
             if inp.stop == inp.start:  # no input reaches these outputs: -inf, in no block
                 continue
             tau = np.finfo(float).eps * np.exp(-2 * ABSORB_BAND) / (inp.stop - inp.start)
@@ -248,8 +238,7 @@ class _AbsorbedStep:
             if np.isfinite(bound):  # NaN and +inf inputs are summed in full
                 reach = np.flatnonzero(far >= bound)
                 inp = slice(inp.start + reach[0], inp.start + reach[-1] + 1)
-            size = (out.stop - out.start) * (inp.stop - inp.start)
-            block = self._block(_fit(self.scratch, 0, size), out, inp)
+            block = self._block(out, inp)
             if self.axis:
                 self.kernel.log_window(out, inp, block)
             else:
@@ -262,8 +251,7 @@ class _AbsorbedStep:
             kept = np.flatnonzero(block.max(axis=0) >= tau)
             first, stop = (kept[0], kept[-1] + 1) if kept.size else (0, 0)
             inp, block = slice(inp.start + first, inp.start + stop), block[:, first:stop]
-            stored = self._block(_fit(self.stores, j, block.size), out, inp)
-            np.divide(block, scale, out=stored)
+            stored = np.divide(block, scale, out=self._block(out, inp))
             stored[stored < np.finfo(float).tiny] = 0.0
             self.blocks.append((out, inp, stored))
             self.served.append((self.y[out], self.d[inp], stored))

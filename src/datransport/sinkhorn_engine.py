@@ -11,15 +11,17 @@ update on, so the state, the bounds, the projections, the violations, the
 dual and the mixing leave it out.  ``PathSystem.dense`` scatters the
 block onto its n_t x n_t matrix where a matrix product or a plan needs
 it, and ``PathSystem.packed`` reads a matrix back on the support.
-Model marginals are assembled per path from backward chain messages and
-forward ones built on demand; each block update is the exact projection
-for its constraint, computed from an aggregate that excludes the block's
-own scaling (so the constraint holds to round-off immediately after the
-update).
+One loop, ``PathSystem._pass``, reads blocks: each block's model marginal
+is assembled per path from backward chain messages and forward ones built
+on demand, and a projecting pass updates the block at once by the exact
+projection for its constraint, computed from an aggregate that excludes
+the block's own scaling (so the constraint holds to round-off immediately
+after the update).  A sweep, ``aggregate_marginals`` and a public block
+update are each one such pass.
 
 Each block's target, or its cap for a capacity block, sits at the same
-place in one flat vector ``PathSystem.bound``, and a sweep or
-``aggregate_marginals`` fills one flat model marginal the same way.
+place in one flat vector ``PathSystem.bound``, and a pass over every
+block returns one flat model marginal laid out the same way.
 Sources (or joint pairs) come first, then caps, then sinks, so E0, V and
 ET are three slices of model - bound (``PathSystem.violations``), and the
 dual's scaling term is one dot of the state with the bound on its live
@@ -216,13 +218,12 @@ class PathSystem:
                         for p_keys in keys for pair in p_keys for key in pair}
         # neutral scaling vector and neutral message (the identity on the boundary
         # bins in coupled mode), shared by every path and state, so read-only.
-        # Vector steps take their block windows once per direction, and share
-        # one scratch to absorb in
+        # Vector steps take their block windows once per direction
         self._unit = np.full(self.n_t, dom.one)
         if mode == INDEPENDENT:
             self._start = self._unit
-            sides, scratch = [_causal_windows(self.n_t, axis) for axis in (0, 1)], [np.empty(0)]
-            steps = {key: _AbsorbedStep(k, key[0], sides[key[0]], scratch)
+            sides = [_causal_windows(self.n_t, axis) for axis in (0, 1)]
+            steps = {key: _AbsorbedStep(k, key[0], sides[key[0]])
                      for key, k in step_kernels.items()}
         else:
             start = np.full((self.n_t, self.n_t), -np.inf)
@@ -363,90 +364,71 @@ class PathSystem:
                 float(np.maximum(gap[caps], 0.0).sum()))
 
     # ------------------------------------------------------------------
-    # block updates
+    # block passes
 
-    @staticmethod
-    def _target_over_aggregate(target: np.ndarray, log_target: np.ndarray, agg: np.ndarray,
-                               label: str) -> np.ndarray:
-        """Exact equality projection, log target minus log aggregate, with 0/0 = 0.
+    def _pass(self, state: SinkhornState, blocks, project: bool, messages=None) -> np.ndarray:
+        """Flat model marginal, laid out like ``bound``, of ``blocks``, each read before its update.
 
-        Material target mass on zero-aggregate bins means the ordering
-        structure cannot place it there at all: hard infeasibility.
-        """
-        dead = agg == -np.inf
-        if np.any(dead & (target > NEGLIGIBLE_MASS)):
-            raise UnreachableMassError(f"target mass at {label} sits on bins with zero aggregate flux")
-        return np.subtract(log_target, agg, out=np.full_like(agg, -np.inf), where=~dead)
+        A block's model marginal is the exp of its log-scaling plus its log
+        aggregate, from the backward messages of the entering state and a
+        forward frontier read forward only; the slices of other blocks are
+        not written.  With ``project`` each block is then projected exactly
+        for its constraint and assigned at once (Gauss-Seidel), so the
+        constraint holds to round-off right after its update; over a cyclic
+        path family the messages are refreshed before every block.  A
+        ``messages`` argument is trusted to describe the entering state.
 
-    @staticmethod
-    def _cap_over_aggregate(log_cap: np.ndarray, agg: np.ndarray) -> np.ndarray:
-        """Clipped capacity projection min(log cap - log aggregate, 0); slack bins get 0.
-
-        The difference is taken on live bins only, so a zero cap's -inf
+        An equality block takes log target minus log aggregate, with 0/0 =
+        0; material target mass on zero-aggregate bins means the ordering
+        structure cannot place it there at all: hard infeasibility.  A
+        capacity block takes min(log cap - log aggregate, 0), 0 on slack
+        bins, the difference taken on live bins only, so a zero cap's -inf
         meets no -inf aggregate.
         """
-        live = agg != -np.inf
-        return np.minimum(np.subtract(log_cap, agg, out=np.zeros_like(agg), where=live), 0.0)
-
-    def _model(self, state: SinkhornState, block, agg: np.ndarray) -> np.ndarray:
-        """Model marginal of one block from its log aggregate."""
-        with np.errstate(over="ignore"):
-            return np.exp(state.x[self._layout[block]] + agg)
-
-    def _project(self, state: SinkhornState, block,
-                 agg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact projection of one block from its log aggregate, flat in the block's slice.
-
-        Returns the block's new log-scaling and its model marginal before
-        the update.
-        """
-        part = self._layout[block]
-        model = self._model(state, block, agg)
-        if block in self.caps:
-            return self._cap_over_aggregate(self.log_bound[part], agg), model
-        label = f"pair {block}" if block in self.joints else block
-        return self._target_over_aggregate(self.bound[part], self.log_bound[part],
-                                           agg, label), model
-
-    def _update_block(self, state: SinkhornState, block) -> np.ndarray:
-        """Project one block from one message pass of ``state``; returns its new linear scaling.
-
-        The scaling is flat like the block's view: a joint block's is packed.
-        """
-        agg = self._aggregate(block, self.compute_messages(state), _Messages(self, state, 0))
-        state.x[self._layout[block]], _ = self._project(state, block, agg)
-        with np.errstate(over="ignore"):
-            return np.exp(state.views[block])
-
-    # ------------------------------------------------------------------
-    # sweeps
-
-    def sweep(self, state: SinkhornState, messages=None) -> tuple[float, float, float]:
-        """One pass over the blocks: sources (or joint pairs), interior nodes, sinks.
-
-        Returns the iteration diagnostics (E0, ET, V): each constraint's L1
-        violation measured from the model marginal seen just before its own
-        block update.  Every block is projected from the backward messages
-        of the entering state and a forward frontier, read forward only: the
-        backward messages at a block depend only on nodes that come later in
-        the sweep, and joint blocks, which come first, read the interior
-        chains at node 0 (they leave Lambda out), so the frontier's first
-        read of the head scalings comes after them.  Each new scaling is
-        assigned at once (Gauss-Seidel), so every block update is the exact
-        projection (block coordinate ascent); over a cyclic path family the
-        messages are refreshed before every block.  A ``messages`` argument
-        is trusted to describe the entering state.
-        """
-        refresh = not self._order_follows_paths
+        refresh = project and not self._order_follows_paths
         model = np.empty(self._size)
-        for i, (block, part) in enumerate(self._layout.items()):
+        for i, block in enumerate(blocks):
             if i == 0 or refresh:
                 if messages is None or i:
                     messages = self.compute_messages(state)
                 frontier = _Messages(self, state, 0)
-            state.x[part], model[part] = self._project(
-                state, block, self._aggregate(block, messages, frontier))
-        return self.violations(model)
+            part = self._layout[block]
+            agg = self._aggregate(block, messages, frontier)
+            with np.errstate(over="ignore"):
+                model[part] = np.exp(state.x[part] + agg)
+            if not project:
+                continue
+            dead, log_bound = agg == -np.inf, self.log_bound[part]
+            if block in self.caps:
+                state.x[part] = np.minimum(np.subtract(log_bound, agg, out=np.zeros_like(agg),
+                                                       where=~dead), 0.0)
+            elif np.any(dead & (self.bound[part] > NEGLIGIBLE_MASS)):
+                label = f"pair {block}" if block in self.joints else block
+                raise UnreachableMassError(f"target mass at {label} sits on bins with zero aggregate flux")
+            else:
+                state.x[part] = np.subtract(log_bound, agg, out=np.full_like(agg, -np.inf),
+                                            where=~dead)
+        return model
+
+    def _update_block(self, state: SinkhornState, block) -> np.ndarray:
+        """Project one block by its own pass; returns its new linear scaling, flat like its view."""
+        self._pass(state, [block], True)
+        with np.errstate(over="ignore"):
+            return np.exp(state.views[block])
+
+    def sweep(self, state: SinkhornState, messages=None) -> tuple[float, float, float]:
+        """One projecting pass over the blocks: sources (or joint pairs), interior nodes, sinks.
+
+        Returns the iteration diagnostics (E0, ET, V): each constraint's L1
+        violation measured from the model marginal seen just before its own
+        block update (``_pass``).  One message pass serves the sweep: the
+        backward messages at a block depend only on nodes that come later
+        in the sweep, and joint blocks, which come first, read the interior
+        chains at node 0 (they leave Lambda out), so the frontier's first
+        read of the head scalings comes after them.  Every block update is
+        the exact projection (block coordinate ascent).
+        """
+        return self.violations(self._pass(state, self._layout, True, messages))
 
     # ------------------------------------------------------------------
     # diagnostics
@@ -499,11 +481,7 @@ class PathSystem:
 def aggregate_marginals(state: SinkhornState) -> ModelMarginals:
     """Model marginal of every block of ``state``, from one message pass."""
     system = state.system
-    messages = system.compute_messages(state)
-    frontier = _Messages(system, state, 0)
-    model = np.empty(system._size)
-    for block, part in system._layout.items():
-        model[part] = system._model(state, block, system._aggregate(block, messages, frontier))
+    model = system._pass(state, system._layout, False)
     m = {block: model[part] for block, part in system._layout.items() if block not in system.joints}
     joint_m = {pair: system.dense(pair, model[system._layout[pair]], _Linear)
                for pair in system.joints}

@@ -90,6 +90,61 @@ def lp_min_cost_coupling(mu: np.ndarray, nu: np.ndarray, cost: np.ndarray) -> np
     return res.x.reshape(n, m)
 
 
+def lp_edge_plan_optimum(net, paths) -> float:
+    """Unregularized optimum of an independent path family: a sparse HiGHS LP over edge plans.
+
+    Each path-edge has one plan over the grid cells s < t, of cost
+    w / (t - s) on the bin centers.  At each interior node of a path the
+    mass that arrives at a bin leaves at that bin; the first edges'
+    departures, summed over the paths from a source, equal its law, and
+    the last edges' arrivals, summed over the paths into a sink, equal its
+    law; each capped node's arrivals, summed over its paths, stay within
+    the cap on every bin.  Consistent edge plans on a chain glue into one
+    path plan, so this equals the LP over every time-ordered path cell,
+    with n_t * (n_t - 1) / 2 variables per path-edge instead of n_t ** n_p
+    per path.
+    """
+    n, centers = net.grid.n_t, net.grid.centers
+    s_idx, t_idx = np.triu_indices(n, 1)
+    edges = [(p, l) for p, path in enumerate(paths) for l in range(path.n_edges)]
+    offset = {edge: k * s_idx.size for k, edge in enumerate(edges)}
+    cost = np.concatenate([net.weight(*paths[p].nodes[l:l + 2]) / (centers[t_idx] - centers[s_idx])
+                           for p, l in edges])
+
+    def rows(groups):
+        """Sparse rows and right-hand side of groups of (terms, bound), one row per group and bin.
+
+        A term (edge, axis, sign) adds sign times the edge plan's
+        departures (axis 0) or arrivals (axis 1) at each bin.
+        """
+        r, c, v = [], [], []
+        for g, (terms, _) in enumerate(groups):
+            for edge, axis, sign in terms:
+                r.append(g * n + (s_idx, t_idx)[axis])
+                c.append(offset[edge] + np.arange(s_idx.size))
+                v.append(np.full(s_idx.size, sign))
+        a = sp.csr_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                          shape=(len(groups) * n, cost.size))
+        b = np.concatenate([bound for _, bound in groups])
+        finite = np.isfinite(b)  # an uncapped bin is no row
+        return a[finite], b[finite]
+
+    equal = [([((p, l - 1), 1, 1.0), ((p, l), 0, -1.0)], np.zeros(n))
+             for p, path in enumerate(paths) for l in range(1, path.n_edges)]
+    equal += [([((p, 0), 0, 1.0) for p, path in enumerate(paths) if path.source == node], law.mass)
+              for node, law in net.sources.items()]
+    equal += [([((p, path.n_edges - 1), 1, 1.0) for p, path in enumerate(paths)
+                if path.sink == node], law.mass) for node, law in net.sinks.items()]
+    capped = [([((p, path.nodes.index(node) - 1), 1, 1.0) for p, path in enumerate(paths)
+                if node in path.interior], net.capacity_for(node)) for node in net.capacities]
+    a_eq, b_eq = rows(equal)
+    a_ub, b_ub = rows(capped) if capped else (None, None)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    assert res.success, res.message
+    return float(res.fun)
+
+
 def log_linear_fit(values: np.ndarray, start: int) -> tuple[float, float]:
     """Slope and R^2 of a straight-line fit to log10(values) from ``start``."""
     y = np.log10(np.maximum(values[start:], 1e-300))

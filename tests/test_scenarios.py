@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import coupled_tiny_scenario, make_line_net
-from helpers import enumerated_ridge
+from helpers import enumerated_ridge, lp_edge_plan_optimum, lp_min_cost_coupling
 
 from datransport import TimeGrid, check_da_feasibility, extract_plan, gaussian_mixture
 from datransport.errors import BadParamError, ScenarioFormatError
@@ -353,3 +354,46 @@ class TestPlanRidge:
         elapsed = time.perf_counter() - start
         assert result.passed and result.value >= 30
         assert elapsed <= 2.0
+
+
+# scenario_61's unregularized optimum, with its cap
+SCENARIO_61_LP = 7.492296
+
+
+class TestEdgePlanLP:
+    def test_stock_optima(self):
+        # the exact optima the entropic solves approach as epsilon shrinks
+        built = scenario_61().build()
+        assert lp_edge_plan_optimum(built.net, built.paths) == pytest.approx(SCENARIO_61_LP,
+                                                                             abs=1e-6)
+        uncapped = dataclasses.replace(built.net, capacities={})
+        assert lp_edge_plan_optimum(uncapped, built.paths) == pytest.approx(6.666816, abs=1e-6)
+        line = scenario_62_line().build()
+        assert lp_edge_plan_optimum(line.net, line.paths) == pytest.approx(83.128150, abs=1e-6)
+
+    def test_solved_cost_is_not_below_the_optimum(self):
+        # a converged plan meets every constraint, so it costs at least the
+        # optimum (about 7.508 at scenario_61's epsilon)
+        built = scenario_61().build()
+        state, report = solve(built.net, built.paths, config=built.config)
+        assert report.converged
+        assert state.system.transport_cost(state) >= SCENARIO_61_LP
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_edge_matches_the_dense_lp(self, seed):
+        # laws drawn as the marginals of a random plan on the cells s < t,
+        # so some departures and arrivals share bins; the dense LP prices
+        # the cells t <= s out
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(t_f=1.0, n_t=int(rng.integers(6, 11)))
+        plan = np.triu(rng.uniform(0.0, 1.0, (grid.n_t,) * 2), 1)
+        plan[rng.uniform(size=plan.shape) < 0.5] = 0.0
+        plan /= plan.sum()
+        w = rng.uniform(0.5, 2.0)
+        net, path = make_line_net(grid, [w], plan.sum(axis=1), plan.sum(axis=0))
+        gap = grid.centers[None, :] - grid.centers[:, None]
+        cost = np.where(gap > 0, w / np.where(gap > 0, gap, 1.0), 1e9)
+        dense = lp_min_cost_coupling(plan.sum(axis=1), plan.sum(axis=0), cost)
+        assert np.all(dense[gap <= 0] == 0)
+        assert lp_edge_plan_optimum(net, [path]) == pytest.approx(float((dense * cost).sum()),
+                                                                  abs=1e-9)
