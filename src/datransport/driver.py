@@ -4,13 +4,14 @@ A solve runs at the one configured epsilon.  Each sweep is one cyclic
 (Gauss-Seidel) pass over the blocks in sweep order, each projected from
 the backward messages of the sweep's entering state
 (``PathSystem.compute_messages``) and forward ones read block by block,
-each direction one ``_Messages`` object.  A sweep costs one message pass
-in either mode; only a sweep over a cyclic path family refreshes the
-messages before each block.  Past a warm-up, both modes mix the sweeps
-(safeguarded Anderson mixing, ``_AndersonMixer``), whose small Gram
-system is a pivoted Cholesky in Python floats (``_gram_solve``): no solve
-calls LAPACK.  The primal transport cost is computed on demand, never
-per sweep.
+each direction one ``_Messages`` object.  A block update drops the
+message steps whose start side holds the block, and a later read
+recomputes them, so a sweep builds one message object per direction in
+either mode and on every path family.  Past a warm-up, both modes mix
+the sweeps (safeguarded Anderson mixing, ``_AndersonMixer``), whose
+small Gram system is a pivoted Cholesky in Python floats
+(``_gram_solve``): no solve calls LAPACK.  The primal transport cost is
+computed on demand, never per sweep.
 
 Each operation is written once.  A public block update checks its block
 and projects it by a pass over that block alone (``PathSystem._pass``,

@@ -295,16 +295,16 @@ class _Messages:
 
     ``messages(p_idx, pos)`` returns path ``p_idx``'s message at node
     ``pos``: the neutral ``_start`` at the path's start end, else the output
-    of the step from the neighbour toward the start, run once per pass, on
-    first read, with the scalings current then; which step, neighbour and
-    scaling block a read takes is looked up in ``PathSystem._reads``, built
-    once per system.  ``done`` keeps one output
-    per distinct step for every path that shares it; there is no chain per
-    path.  Independent mode: at node l the forward message sums
-    kernel chains over the prefixes ending at l, with the scalings of nodes
-    0..l-1, and the backward one over the suffixes from l, with those of
-    nodes l+1 on; with l's own scaling their product sums to the path's
-    mass.  Coupled mode: forward is a matrix [i, t] from departure bin i to
+    of the step from the neighbour toward the start, run on first read with
+    the scalings current then and kept until a block update drops it
+    (``PathSystem._pass``); which step, neighbour and scaling block a read
+    takes is looked up in ``PathSystem._reads``, built once per system.
+    ``done`` keeps one output per distinct step for every path that shares
+    it; there is no chain per path.  Independent mode: at node l the
+    forward message sums kernel chains over the prefixes ending at l, with
+    the scalings of nodes 0..l-1, and the backward one over the suffixes
+    from l, with those of nodes l+1 on; with l's own scaling their product
+    sums to the path's mass.  Coupled mode: forward is a matrix [i, t] from departure bin i to
     node l at bin t, backward [t, j] from node l at bin t to arrival bin j,
     and backward at node 0 is the interior chain, with no Lambda.  ``heads``
     holds each joint pair's Lambda in the message domain, on its n_t x n_t

@@ -6,7 +6,8 @@ cells can carry mass: an edge kernel is 0 wherever a bin does not follow
 the one before it.  ``extract_plan`` enumerates the plan a slab of
 departure bins at a time, in the messages' arithmetic (``PathSystem.dom``),
 over the later bins that follow the slab's first departure bin only, and
-keeps the heaviest.
+keeps the heaviest.  ``plan_ridge`` reads a plan's strand, each crossing
+time's heaviest cell, by a max-product pass without building the plan.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from .driver import check_path_index
 from .errors import BadParamError, PlanTooLargeError
+from .messages import _Log, _lse_matmul
 from .network import Path
 from .sinkhorn_engine import SinkhornState, _integer, _real
 
@@ -138,3 +140,32 @@ def _heaviest(keep: np.ndarray, mass: np.ndarray, k: int) -> tuple[np.ndarray, n
     ties = np.flatnonzero(mass == cut)
     chosen[ties[:k - np.count_nonzero(chosen)]] = True
     return keep[chosen], mass[chosen]
+
+
+def plan_ridge(state: SinkhornState, path_index: int, floor_frac: float = 0.01) -> np.ndarray:
+    """Heaviest cell per crossing-time column (the path's second node): the strand of the plan.
+
+    An entropic plan's top cells always include blur pairs that cross, so
+    the strand is read off each column's heaviest cell.  In log units a cell
+    sums its interior scalings, its edges' logK and ends[t0, tn] (the pair's
+    Lambda, or the source plus the sink scaling), so a backward max-product
+    pass (Viterbi) gives each column's maximum without building the plan,
+    and argmax reads the cell back, t0 first: of equal cells, the lowest in
+    flat order.  Columns without mass, or below ``floor_frac`` of the
+    heaviest, are dropped, so a path without mass has an empty ridge.
+    """
+    system, views = state.system, state.views
+    path, head = system.paths[path_index], system._heads[path_index]
+    logk = [kern.logK for kern in system.path_kernels[path_index]]
+    # best[pos][t0, t]: the heaviest chain from node pos at bin t on, with its scaling and ends[t0]
+    best = {path.n_edges: system.dense(head, views[head], _Log) if head in system.joints
+            else np.add.outer(views[path.source], views[path.sink])}
+    for pos in range(path.n_edges - 1, 0, -1):
+        best[pos] = _lse_matmul(best[pos + 1], logk[pos].T, reduce=np.max) + views[path.nodes[pos]]
+    first = logk[0] + best[1]  # [t0, t1]
+    cells = np.empty((system.n_t, path.n_p), dtype=np.int64)
+    cells[:, 0], cells[:, 1] = first.argmax(axis=0), np.arange(system.n_t)
+    for pos in range(1, path.n_edges):
+        cells[:, pos + 1] = (logk[pos][cells[:, pos]] + best[pos + 1][cells[:, 0]]).argmax(axis=1)
+    mass = np.exp(first.max(axis=0))
+    return cells[(mass > 0) & (mass >= floor_frac * mass.max())]

@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import BadParamError, ScenarioFormatError
 from .grid_measures import JointMeasure, Measure, TimeGrid, gaussian_mixture
-from .messages import _Log, _lse_matmul
 from .network import CapacityProfile, Path, TransportNetwork, validate_paths
 # perfbench's tracer wraps ``datransport.scenarios.extract_plan`` by name
-from .plans import extract_plan
+from .plans import extract_plan, plan_ridge
 from .sinkhorn_engine import (
     ConvergenceReport,
     ModelMarginals,
@@ -411,35 +410,6 @@ def _pairwise_comonotone(cells: np.ndarray) -> bool:
     """No crossing pair in any consecutive coordinate projection."""
     return not any(np.any(np.subtract.outer(x, x) * np.subtract.outer(y, y) < 0)
                    for x, y in zip(cells.T[:-1], cells.T[1:]))
-
-
-def plan_ridge(state: SinkhornState, path_index: int, floor_frac: float = 0.01) -> np.ndarray:
-    """Heaviest cell per crossing-time column (the path's second node): the strand of the plan.
-
-    An entropic plan's top cells always include blur pairs that cross, so
-    the strand is read off each column's heaviest cell.  In log units a cell
-    sums its interior scalings, its edges' logK and ends[t0, tn] (the pair's
-    Lambda, or the source plus the sink scaling), so a backward max-product
-    pass (Viterbi) gives each column's maximum without building the plan,
-    and argmax reads the cell back, t0 first: of equal cells, the lowest in
-    flat order.  Columns without mass, or below ``floor_frac`` of the
-    heaviest, are dropped, so a path without mass has an empty ridge.
-    """
-    system, views = state.system, state.views
-    path, head = system.paths[path_index], system._heads[path_index]
-    logk = [kern.logK for kern in system.path_kernels[path_index]]
-    # best[pos][t0, t]: the heaviest chain from node pos at bin t on, with its scaling and ends[t0]
-    best = {path.n_edges: system.dense(head, views[head], _Log) if head in system.joints
-            else np.add.outer(views[path.source], views[path.sink])}
-    for pos in range(path.n_edges - 1, 0, -1):
-        best[pos] = _lse_matmul(best[pos + 1], logk[pos].T, reduce=np.max) + views[path.nodes[pos]]
-    first = logk[0] + best[1]  # [t0, t1]
-    cells = np.empty((system.n_t, path.n_p), dtype=np.int64)
-    cells[:, 0], cells[:, 1] = first.argmax(axis=0), np.arange(system.n_t)
-    for pos in range(1, path.n_edges):
-        cells[:, pos + 1] = (logk[pos][cells[:, pos]] + best[pos + 1][cells[:, 0]]).argmax(axis=1)
-    mass = np.exp(first.max(axis=0))
-    return cells[(mass > 0) & (mass >= floor_frac * mass.max())]
 
 
 def check_property(prop: dict, built: BuiltScenario, state: SinkhornState,

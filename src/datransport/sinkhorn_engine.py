@@ -157,7 +157,7 @@ class PathSystem:
         self.paths: list[Path] = list(paths)
         # node -> [(path index, position)], once the family passes every rule for its mode
         self.positions = validate_paths(net, self.paths, joints, mode)
-        interior, self._order_follows_paths = self._interior_topo_order()
+        interior = self._interior_topo_order()
 
         self.mu0 = {s: m.mass for s, m in net.sources.items()}
         self.muT = {s: m.mass for s, m in net.sinks.items()}
@@ -240,6 +240,11 @@ class PathSystem:
             forward, backward = zip(*p_steps)
             self._reads[0].append([None, *zip(forward, range(p.n_p), blocks)])
             self._reads[1].append([*zip(backward, range(1, p.n_p), blocks[1:]), None])
+        # the (forward, backward) steps each block's update makes stale: those whose
+        # start side holds it, so every step downstream of a stale one too
+        self._stale = {block: tuple([step for key, step in steps.items()
+                                     if key[0] == axis and block in key[1]] for axis in (0, 1))
+                       for block in self._layout}
         self._unit.flags.writeable = False
         self._start.flags.writeable = False
 
@@ -258,15 +263,15 @@ class PathSystem:
                 return True
         return False
 
-    def _interior_topo_order(self) -> tuple[list[str], bool]:
+    def _interior_topo_order(self) -> list[str]:
         """Interior sweep order: topological in path precedence, first-appearance ties.
 
         Each step places the first node, in first-appearance order, whose
         predecessors on the paths are all placed.  For an acyclic precedence
         relation (any DAG-like path family) this visits each path's interior
-        in path order, which allows the single-pass exact sweep.  A cyclic
-        one falls back to first-appearance order, and Gauss-Seidel then
-        refreshes the messages before every block.
+        in path order, so no message step a block update makes stale is read
+        again in the same sweep.  A cyclic one falls back to first-appearance
+        order.
         """
         preds: dict[str, set[str]] = {}  # first-appearance order
         for p in self.paths:
@@ -277,9 +282,9 @@ class PathSystem:
             done = set(order)
             node = next((n for n in preds if n not in done and preds[n] <= done), None)
             if node is None:
-                return list(preds), False
+                return list(preds)
             order.append(node)
-        return order, True
+        return order
 
     # ------------------------------------------------------------------
     # state
@@ -370,13 +375,16 @@ class PathSystem:
         """Flat model marginal, laid out like ``bound``, of ``blocks``, each read before its update.
 
         A block's model marginal is the exp of its log-scaling plus its log
-        aggregate, from the backward messages of the entering state and a
-        forward frontier read forward only; the slices of other blocks are
-        not written.  With ``project`` each block is then projected exactly
-        for its constraint and assigned at once (Gauss-Seidel), so the
-        constraint holds to round-off right after its update; over a cyclic
-        path family the messages are refreshed before every block.  A
-        ``messages`` argument is trusted to describe the entering state.
+        aggregate, from one backward ``_Messages`` (``messages``, else built
+        now) and one forward frontier, read forward; the slices of other
+        blocks are not written.  With ``project`` each block is then
+        projected exactly for its constraint and assigned at once
+        (Gauss-Seidel), so the constraint holds to round-off right after its
+        update, and both objects drop the steps whose start side holds the
+        block (``_stale``): a later read recomputes them from the scalings
+        current then, so the pass is exact on every path family.  A
+        ``messages`` argument belongs to ``state``: it reads through
+        ``messages.state``.
 
         An equality block takes log target minus log aggregate, with 0/0 =
         0; material target mass on zero-aggregate bins means the ordering
@@ -385,13 +393,11 @@ class PathSystem:
         bins, the difference taken on live bins only, so a zero cap's -inf
         meets no -inf aggregate.
         """
-        refresh = project and not self._order_follows_paths
+        if messages is None:
+            messages = self.compute_messages(state)
+        frontier = _Messages(self, state, 0)
         model = np.empty(self._size)
-        for i, block in enumerate(blocks):
-            if i == 0 or refresh:
-                if messages is None or i:
-                    messages = self.compute_messages(state)
-                frontier = _Messages(self, state, 0)
+        for block in blocks:
             part = self._layout[block]
             agg = self._aggregate(block, messages, frontier)
             with np.errstate(over="ignore"):
@@ -408,6 +414,9 @@ class PathSystem:
             else:
                 state.x[part] = np.subtract(log_bound, agg, out=np.full_like(agg, -np.inf),
                                             where=~dead)
+            for done, stale in zip((frontier.done, messages.done), self._stale[block]):
+                for step in stale:
+                    done.pop(step, None)
         return model
 
     def _update_block(self, state: SinkhornState, block) -> np.ndarray:
@@ -421,10 +430,14 @@ class PathSystem:
 
         Returns the iteration diagnostics (E0, ET, V): each constraint's L1
         violation measured from the model marginal seen just before its own
-        block update (``_pass``).  One message pass serves the sweep: the
-        backward messages at a block depend only on nodes that come later
-        in the sweep, and joint blocks, which come first, read the interior
-        chains at node 0 (they leave Lambda out), so the frontier's first
+        block update (``_pass``).  One backward and one forward message
+        object serve the sweep on every path family.  Where the interior
+        order follows every path, the backward messages at a block depend
+        only on nodes that come later in the sweep, so no step a block
+        update drops is read again and each distinct step runs once; over a
+        cyclic family a dropped step runs again on its next read.  Joint
+        blocks, which come first, read the interior chains at node 0 (they
+        leave Lambda out) and make no step stale, so the frontier's first
         read of the head scalings comes after them.  Every block update is
         the exact projection (block coordinate ascent).
         """

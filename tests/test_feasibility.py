@@ -83,6 +83,17 @@ class TestCheckDaFeasibility:
         assert shift_bins(0.3, 0.1) == 3  # exact multiple stays exact
         assert shift_bins(0.31, 0.1) == 4
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda mu: shift_bins(-0.1, 0.1), "delta must be nonnegative, got -0.1"),
+        (lambda mu: quantile_coupling_witness(mu, mu, 0.1, 0.05, 10.0, 0),
+         "n_samples must be at least 1"),
+        (lambda mu: quantile_coupling_witness(mu, mu, 0.1, 0.05, 0.0, 4),
+         "rate bound must be positive, got 0.0"),
+    ], ids=["negative delta", "no samples", "zero rate"])
+    def test_bad_argument_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(dirac(TimeGrid(1.0, 10), 0.5))
+
     def test_matches_the_point_loop(self):
         # verdict, margin and violation time bit for bit against the
         # point-by-point loop, on pairs of atoms of 1/n whose gaps tie and on

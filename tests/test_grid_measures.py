@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from theory import measure_from_csv, measure_to_csv
 
-from datransport import Measure, TimeGrid, cdf, gaussian_mixture, quantile
+from datransport import JointMeasure, Measure, TimeGrid, cdf, gaussian_mixture, quantile
 from datransport.errors import MixtureError, NonProbabilityError
 
 
@@ -159,6 +159,31 @@ def test_measure_validation(grid8):
         Measure(grid8, np.full(7, 0.1))
     with pytest.raises(ValueError):
         Measure(grid8, np.array([1.0, -0.1] + [0.0] * 6))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda g: JointMeasure(g, np.ones((8, 7))), ValueError,
+     r"mass must have shape \(8, 8\), got \(8, 7\)"),
+    (lambda g: JointMeasure(g, -np.eye(8)), ValueError,
+     "mass entries must be finite and nonnegative"),
+    (lambda g: JointMeasure(g, np.full((8, 8), np.nan)), ValueError,
+     "mass entries must be finite and nonnegative"),
+    (lambda g: Measure(g, np.zeros(8)).normalized(), NonProbabilityError,
+     "cannot normalize a zero measure"),
+    (lambda g: quantile(Measure(g, np.full(8, 0.125)), 0.0), ValueError,
+     r"u must lie in \(0, 1\], got 0.0"),
+    (lambda g: quantile(Measure(g, np.full(8, 0.125)), [0.5, 1.5]), ValueError,
+     r"u must lie in \(0, 1\], got \[0.5, 1.5\]"),
+], ids=["joint shape", "joint sign", "joint nan", "normalize zero", "quantile at 0",
+        "quantile above 1"])
+def test_rule_raises(grid8, build, error, message):
+    with pytest.raises(error, match=message):
+        build(grid8)
+
+
+def test_joint_total(grid8):
+    joint = JointMeasure(grid8, np.triu(np.full((8, 8), 0.5)))
+    assert joint.total == 18.0  # 36 cells on or above the diagonal
 
 
 def test_measure_csv_roundtrip(grid10):

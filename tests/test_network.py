@@ -20,6 +20,7 @@ from datransport.errors import (
     BadEndpointError,
     BadParamError,
     BrokenPathError,
+    GridMismatchError,
     MassMismatchError,
 )
 
@@ -186,7 +187,56 @@ class TestPathCostTerms:
             assert np.allclose(path_cost_terms(net, p), expect)
 
 
+def _line_network(grid, **changes):
+    """The network a -> m -> b with a Dirac at each end, with ``changes`` to its fields."""
+    fields = dict(grid=grid, nodes=("a", "m", "b"), edges={("a", "m"): 1.0, ("m", "b"): 1.0},
+                  sources={"a": Measure(grid, np.eye(grid.n_t)[0])},
+                  sinks={"b": Measure(grid, np.eye(grid.n_t)[-1])})
+    return TransportNetwork(**{**fields, **changes})
+
+
+def _dirac(grid, k, mass=1.0):
+    return Measure(grid, mass * np.eye(grid.n_t)[k])
+
+
+_OTHER_GRID = TimeGrid(2.0, 8)
+
+
 class TestNetworkValidation:
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda g: CapacityProfile(g, np.ones(9)), BadParamError,
+         r"cap must have shape \(8,\), got \(9,\)"),
+        (lambda g: CapacityProfile(g, np.full(8, -1.0)), BadParamError,
+         "finite cap entries must be nonnegative"),
+        (lambda g: _line_network(g, nodes=("a", "m", "m", "b")), BadParamError,
+         "duplicate node ids"),
+        (lambda g: _line_network(g, edges={("a", "x"): 1.0}), BadParamError,
+         r"edge \(a, x\) references unknown node"),
+        (lambda g: _line_network(g, sources={}), BadParamError,
+         "need at least one source and one sink"),
+        (lambda g: _line_network(g, sinks={"a": _dirac(g, 7, 0.5), "b": _dirac(g, 7, 0.5)}),
+         BadEndpointError, r"nodes cannot be both source and sink: \['a'\]"),
+        (lambda g: _line_network(g, sources={"x": _dirac(g, 0)}), BadParamError,
+         "boundary node x not in node list"),
+        (lambda g: _line_network(g, sources={"a": _dirac(_OTHER_GRID, 0)}), GridMismatchError,
+         "marginal at a lives on a different grid"),
+        (lambda g: _line_network(g, capacities={"x": CapacityProfile(g, np.ones(8))}),
+         BadParamError, "capacity references unknown node x"),
+        (lambda g: _line_network(g, capacities={"m": CapacityProfile(_OTHER_GRID, np.ones(8))}),
+         GridMismatchError, "capacity at m lives on a different grid"),
+        (lambda g: _line_network(g).weight("m", "a"), BrokenPathError,
+         r"edge \(m, a\) not in network"),
+        (lambda g: validate_paths(_line_network(g, sinks={"m": _dirac(g, 7, 0.5),
+                                                          "b": _dirac(g, 7, 0.5)}),
+                                  [Path(("a", "m", "b"))]),
+         BadEndpointError, "path a->m->b crosses boundary node m at an interior position"),
+    ], ids=["cap shape", "cap sign", "duplicate node", "edge to unknown node", "no source",
+            "source and sink", "unknown boundary node", "boundary grid", "unknown capped node",
+            "capacity grid", "missing edge", "interior boundary node"])
+    def test_rule_raises(self, grid8, build, error, message):
+        with pytest.raises(error, match=message):
+            build(grid8)
+
     def test_positive_weights_required(self, grid8):
         mu = np.eye(8)[0]
         with pytest.raises(BadParamError):

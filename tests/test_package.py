@@ -91,6 +91,13 @@ def test_no_test_only_definitions():
     assert found == set(UNREAD_DEFINITIONS)
 
 
+def test_dir_lists_the_lazy_names():
+    # dir() lists the names loaded on first use as well, sorted
+    names = dir(datransport)
+    assert names == sorted(names)
+    assert set(datransport.__all__) <= set(names)
+
+
 def test_cli_import_loads_no_oracle_or_feasibility():
     # both modules load on first use of one of their names: the package and
     # its CLI import without them, and the package still exports their names

@@ -60,6 +60,13 @@ def _coupled_two_routes(epsilon: float) -> ScenarioSpec:
     })
 
 
+def _edited_61(edit):
+    """scenario_61 with ``edit`` applied to its dict, read back from JSON and built."""
+    d = scenario_61().data
+    edit(d)
+    return ScenarioSpec.from_json(json.dumps(d)).build()
+
+
 def _small_scenario(mode: str) -> ScenarioSpec:
     """scenario_61 in independent mode, the tiny coupled line in coupled mode."""
     if mode == "independent":
@@ -161,6 +168,21 @@ class TestScenarioPlumbing:
             ScenarioSpec.from_json("{not json")
         with pytest.raises(ScenarioFormatError):
             ScenarioSpec.from_dict({"grid": {"t_f": 1, "n_t": 4}})
+
+    @pytest.mark.parametrize("load, message", [
+        (lambda: ScenarioSpec.from_json("[1, 2]"), "scenario must be a JSON object"),
+        (lambda: _edited_61(lambda d: d.update(mode="joint")),
+         "mode must be independent or coupled, got 'joint'"),
+        (lambda: _edited_61(lambda d: d["edges"].append(["v0", "vT"])),
+         r"edge entries are \[tail, head, weight\], got \['v0', 'vT'\]"),
+        (lambda: _edited_61(lambda d: d["sources"][0].pop("marginal")),
+         "no marginal and no joint law for node v0"),
+        (lambda: _edited_61(lambda d: d["sinks"][0].update(marginal="uniform")),
+         "unrecognized marginal spec for node vT: 'uniform'"),
+    ], ids=["not an object", "mode", "short edge", "no law", "unrecognized marginal"])
+    def test_bad_field_rejected(self, load, message):
+        with pytest.raises(ScenarioFormatError, match=message):
+            load()
 
     @pytest.mark.parametrize("key, value", [
         ("max_iters", 3), ("anneal_every", 300), ("epsilon_min", 1e-3), ("jacobi", True)])

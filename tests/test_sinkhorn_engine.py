@@ -1,3 +1,4 @@
+import collections
 import itertools
 import tracemalloc
 import warnings
@@ -727,8 +728,8 @@ class TestAggregation:
     @pytest.mark.parametrize("kind", ["line", "shared", "cyclic", "coupled", "coupled_shared"])
     def test_one_message_pass_and_no_update(self, grid16, kind, monkeypatch):
         # the marginals share the sweep's block pass but project nothing, so
-        # they leave the state bit for bit and need one message pass even on
-        # a cyclic family, whose sweep refreshes the messages before each block
+        # they leave the state bit for bit and need one message pass, on a
+        # cyclic family too
         system = _pinning_instance(kind, grid16)
         state = system.initial_state()
         system.sweep(state)
@@ -822,6 +823,23 @@ class TestBlockUpdates:
             capacity_update(state, "n0")
         with pytest.raises(BadParamError):
             boundary_update(state, "n1")
+
+    @pytest.mark.parametrize("kind, operation, message", [
+        ("line", lambda state: flux_profile(state, 0, "zz"), "zz not on path n0->n1->n2->n3"),
+        ("coupled", lambda state: flux_profile(state, 0, "s"),
+         "boundary flux is a joint matrix in coupled mode"),
+        ("coupled", lambda state: boundary_update(state, "s"),
+         "coupled mode updates the joint via coupled_boundary_update"),
+        ("line", lambda state: coupled_boundary_update(state, ("n0", "n3")),
+         "coupled_boundary_update requires coupled mode"),
+    ], ids=["flux off the path", "coupled boundary flux", "coupled boundary update",
+            "independent joint update"])
+    def test_operation_on_the_wrong_block_raises(self, grid16, kind, operation, message):
+        state = _pinning_instance(kind, grid16).initial_state()
+        x = state.x.copy()
+        with pytest.raises(BadParamError, match=message):
+            operation(state)
+        assert np.array_equal(state.x, x)
 
 
 class TestClassicReduction:
@@ -1533,6 +1551,12 @@ def _pinning_instance(kind, grid):
     if kind == "cyclic":
         net, paths = _cyclic_family(grid, rng)
         return PathSystem(net, paths, config=cfg)
+    if kind == "coupled_cyclic":
+        # every unit of mass crosses both a and b, so a lower cap binds (10 bins each)
+        joint = _random_joint(grid, rng, 4)
+        net, paths = _cyclic_family(grid, rng, joint, cap=0.09)
+        return PathSystem(net, paths, mode="coupled", config=cfg,
+                          joints={("s", "t"): JointMeasure(grid, joint)})
     if kind == "coupled_shared":
         # two pairs whose routes share the capped node c, which binds
         joints = {("s1", "t"): _random_joint(grid, rng, 4, 0.5),
@@ -1578,17 +1602,33 @@ def _three_route_network(grid, mu0, muT, cap):
     return net, paths
 
 
-def _cyclic_family(grid, rng):
-    """Two routes that cross a and b in opposite orders, both capped: no path-compatible order."""
-    mu0, muT = ordered_random_pair(grid, rng, 3)
-    cap = CapacityProfile(grid, np.full(grid.n_t, 0.12))
+def _crossing(grid, routes, mu0, muT, cap=0.12):
+    """Routes from s to t over interior nodes capped at ``cap`` a bin, every edge of weight 1."""
+    interior = tuple(dict.fromkeys(n for route in routes for n in route[1:-1]))
+    profile = CapacityProfile(grid, np.full(grid.n_t, cap))
     net = TransportNetwork(
-        grid=grid, nodes=("s", "a", "b", "t"),
-        edges={("s", "a"): 1.0, ("a", "b"): 1.0, ("b", "t"): 1.0,
-               ("s", "b"): 1.0, ("b", "a"): 1.0, ("a", "t"): 1.0},
+        grid=grid, nodes=("s", *interior, "t"),
+        edges={edge: 1.0 for route in routes for edge in zip(route[:-1], route[1:])},
         sources={"s": Measure(grid, mu0)}, sinks={"t": Measure(grid, muT)},
-        capacities={"a": cap, "b": cap})
-    return net, [Path(("s", "a", "b", "t")), Path(("s", "b", "a", "t"))]
+        capacities={node: profile for node in interior})
+    return net, [Path(route) for route in routes]
+
+
+def _cyclic_family(grid, rng, joint=None, cap=0.12):
+    """Two routes that cross a and b in opposite orders, both capped: no path-compatible order.
+
+    With ``joint`` the boundary laws are its marginals, else random.
+    """
+    mu0, muT = (ordered_random_pair(grid, rng, 3) if joint is None
+                else (joint.sum(axis=1), joint.sum(axis=0)))
+    return _crossing(grid, [("s", "a", "b", "t"), ("s", "b", "a", "t")], mu0, muT, cap)
+
+
+def _three_route_crossing(grid, rng):
+    """Three routes that cross a, b and c in three orders, all capped: no path-compatible order."""
+    mu0, muT = ordered_random_pair(grid, rng, 3)
+    routes = [("s", "a", "b", "c", "t"), ("s", "c", "b", "a", "t"), ("s", "b", "a", "c", "t")]
+    return _crossing(grid, routes, mu0, muT)
 
 
 def _count_message_passes(monkeypatch):
@@ -1601,6 +1641,17 @@ def _count_message_passes(monkeypatch):
         return compute_messages(self, state)
 
     monkeypatch.setattr(PathSystem, "compute_messages", counted)
+    return calls
+
+
+def _count_step_calls(monkeypatch):
+    """Count the calls of every message step, ``_AbsorbedStep`` or ``_MatrixStep``, per step."""
+    calls = collections.Counter()
+    for step_type in (_AbsorbedStep, _MatrixStep):
+        def counted(self, message, scaling, call=step_type.__call__):
+            calls[self] += 1
+            return call(self, message, scaling)
+        monkeypatch.setattr(step_type, "__call__", counted)
     return calls
 
 
@@ -1977,7 +2028,8 @@ class TestPathMasses:
 class TestSweepPinning:
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("shared", True), ("cyclic", True), ("coupled", False), ("coupled", True),
-        ("coupled_shared", False), ("coupled_shared", True)])
+        ("coupled_shared", False), ("coupled_shared", True),
+        ("coupled_cyclic", False), ("coupled_cyclic", True)])
     def test_sweep_is_exact_gauss_seidel(self, grid16, kind, log_domain, monkeypatch):
         # a sweep is, bit for bit, the public block updates in sweep order,
         # each of them computed from full messages of the current state.
@@ -2030,31 +2082,63 @@ class TestSweepPinning:
         assert len(calls) == 20
 
     def test_cyclic_family_converges(self, grid16, monkeypatch):
-        # the cyclic family has no path-compatible order, so its sweeps
-        # refresh the messages before every block
+        # the cyclic family has no path-compatible order, yet its sweep
+        # builds one message pass: a block update drops the steps it makes
+        # stale, and a later read recomputes them
         net, paths = _cyclic_family(grid16, np.random.default_rng(51))
         cfg = SolverConfig(epsilon=0.3, tol=1e-9, max_iter=3000)
         system = PathSystem(net, paths, config=cfg)
         calls = _count_message_passes(monkeypatch)
         system.sweep(system.initial_state())
         monkeypatch.undo()
-        assert len(calls) == len([*system.mu0, *system.caps, *system.muT]) == 4
+        assert len(calls) == 1
         state, report = solve(net, paths, config=cfg)
         assert report.converged
         assert np.all(np.diff(report.objective) >= -1e-9)
         mm = aggregate_marginals(state)
         assert max(np.max(mm.m[n] - 0.12) for n in ("a", "b")) <= 1e-9
 
+    @pytest.mark.parametrize("family", [_cyclic_family, _three_route_crossing])
+    def test_cyclic_sweep_reruns_only_stale_steps(self, grid16, family, monkeypatch):
+        # a block update drops only the steps whose start side holds the
+        # block, so a sweep over a cyclic family stays within twice the
+        # distinct steps (12 calls for 10 steps, 25 for 19)
+        net, paths = family(grid16, np.random.default_rng(51))
+        system = PathSystem(net, paths, config=SolverConfig(epsilon=0.3))
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        assert all(state.views[node].min() < 0 for node in system.caps)  # every cap binds
+        calls = _count_step_calls(monkeypatch)
+        system.sweep(state)
+        distinct = {step for steps in system._steps for pair in steps for step in pair}
+        assert set(calls) == distinct
+        assert sum(calls.values()) <= 2 * len(distinct)
+
+    @pytest.mark.parametrize("kind", ["line", "shared", "coupled", "coupled_shared"])
+    def test_path_compatible_sweep_runs_each_step_once(self, grid16, kind, monkeypatch):
+        # where the interior order follows every path, no step a block
+        # update drops is read again in the same sweep
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        calls = _count_step_calls(monkeypatch)
+        system.sweep(state)
+        # a coupled sink has no block, so no forward step into it is read
+        assert set(calls) <= {step for steps in system._steps for pair in steps for step in pair}
+        assert set(calls.values()) == {1}
+
     def test_interior_order(self, grid16):
         # each step places the first node, in first-appearance order, whose
         # predecessors on the paths are all placed; v3 waits for v1
         built = scenario_63_network().build()
         system = PathSystem(built.net, built.paths, config=built.config)
-        assert system._interior_topo_order() == (["v2", "v1", "v3", "v4", "v6", "v5"], True)
+        assert system._interior_topo_order() == ["v2", "v1", "v3", "v4", "v6", "v5"]
         assert list(system.caps) == ["v2", "v1", "v3", "v4", "v6", "v5"]
-        # a and b precede each other: first-appearance order, and no single-pass sweep
+        # a and b precede each other: first-appearance order
         net, paths = _cyclic_family(grid16, np.random.default_rng(51))
-        assert PathSystem(net, paths)._interior_topo_order() == (["a", "b"], False)
+        assert PathSystem(net, paths)._interior_topo_order() == ["a", "b"]
 
 
 def _solve_system(system, **config):
@@ -2237,6 +2321,31 @@ class TestAndersonStep:
             else:
                 assert point is None and np.array_equal(state.x, plain_x)
                 assert mixer._last is None and mixer._df == []
+
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("coupled", False), ("coupled", True)])
+    def test_non_finite_weights_keep_the_plain_point(self, grid16, kind, log_domain,
+                                                     monkeypatch):
+        # weights that mix to a non-finite point are dropped before any
+        # trial: the plain point stands bit for bit and the history restarts
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        mixer = driver._AndersonMixer(system)
+        for first in (True, False):
+            x_prev, value = state.x.copy(), system.dual_objective(state)
+            system.sweep(state)
+            plain_x = state.x.copy()
+            if not first:
+                monkeypatch.setattr(driver, "_gram_solve",
+                                    lambda gram, rhs: np.full(len(rhs), np.nan))
+                seen = _record_dual_evaluations(monkeypatch, lambda st: None)
+            assert mixer.step(state, x_prev, value) is None
+        assert np.array_equal(state.x, plain_x)
+        assert seen == []
+        assert mixer._last is None and mixer._df == [] and mixer._dg == []
 
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
