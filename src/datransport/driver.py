@@ -13,9 +13,11 @@ small Gram system is a pivoted Cholesky in Python floats
 (``_gram_solve``): no solve calls LAPACK.  The primal transport cost is
 computed on demand, never per sweep.
 
-Each operation is written once.  A public block update checks its block
-and projects it by a pass over that block alone (``PathSystem._pass``,
-the loop a sweep runs over every block).  Only ``sweep``,
+Each operation is written once, and none reads the mode, which
+``PathSystem`` compiled into its blocks.  A public block update checks
+its block's kind before any pass, then projects it by a pass over it
+alone (``PathSystem._pass``, the loop a sweep runs over every block)
+that builds its backward messages on read, so only its paths' steps run.  Only ``sweep``,
 ``dual_objective`` and ``path_masses`` take ``messages``, so that
 ``solve`` and the mixer share one pass; every other reader runs its own.
 """
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import BadParamError, NonFiniteError
 from .grid_measures import JointMeasure
 from .messages import _Linear, _Messages
-from .network import COUPLED, INDEPENDENT, TransportNetwork
+from .network import INDEPENDENT, TransportNetwork
 from .sinkhorn_engine import ConvergenceReport, PathSystem, SinkhornState, SolverConfig, _integer
 
 # Anderson mixing of the Gauss-Seidel fixed point (see ``solve``): plain
@@ -187,10 +189,10 @@ def flux_profile(state: SinkhornState, path_index: int, node: str) -> np.ndarray
 def boundary_update(state: SinkhornState, node: str) -> np.ndarray:
     """Match the node's marginal target exactly; returns the new linear scaling."""
     system = state.system
-    if system.mode == COUPLED:
-        raise BadParamError("coupled mode updates the joint via coupled_boundary_update")
     if node not in system.mu0 and node not in system.muT:
         raise BadParamError(f"{node} is not a boundary node")
+    if node not in system._layout:
+        raise BadParamError("coupled mode updates the joint via coupled_boundary_update")
     return system._update_block(state, node)
 
 
@@ -204,8 +206,9 @@ def capacity_update(state: SinkhornState, node: str) -> np.ndarray:
 def coupled_boundary_update(state: SinkhornState, pair: tuple[str, str]) -> np.ndarray:
     """Match the joint boundary law exactly; returns the new linear Lambda, n_t x n_t."""
     system = state.system
-    if system.mode != COUPLED:
-        raise BadParamError("coupled_boundary_update requires coupled mode")
+    if pair not in system.joints:
+        raise BadParamError(f"coupled_boundary_update requires coupled mode and one of its "
+                            f"joint pairs, got {pair!r}")
     return system.dense(pair, system._update_block(state, pair), _Linear)
 
 
@@ -218,10 +221,10 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
     Each iteration computes the messages of its entering state and their
     dual objective, unless the previous Anderson step already did, runs one
     exact sweep on them, tests the stopping rule and, past the warm-up,
-    takes an Anderson step.  Its E0/ET/V row records every constraint's
-    violation as seen just before its own block update, so all three stay
-    informative.  The returned state is the final sweep's output; a
-    non-finite E0+ET+V row raises ``NonFiniteError``.
+    takes an Anderson step.  Its row, (E0, ET, V, dual), holds every
+    constraint's violation as seen just before its own block update, so
+    all three stay informative, and the entering state's dual.  The final
+    sweep's output is returned; a non-finite E0+ET+V raises ``NonFiniteError``.
 
     Both modes are Anderson-accelerated once ``ANDERSON_WARMUP`` plain
     sweeps have run.  Contract:
@@ -243,33 +246,28 @@ def solve(net: TransportNetwork, paths, mode: str = INDEPENDENT,
     system = PathSystem(net, paths, mode=mode, config=config, joints=joints)
     state = system.initial_state()
     mixer = _AndersonMixer(system)
-    e0s, ets, vs, objs = [], [], [], []
-    converged = False
-    next_point = None
-    for _ in range(config.max_iter):
+    rows, point = [], None  # (E0, ET, V, dual) per sweep; (messages, dual) of the entering state
+    while state.iteration < config.max_iter:
         # the previous iteration's messages stay referenced until replaced:
         # freeing them first lets the allocator hand the pages back and
         # fault them in again on every iteration
-        if next_point is None:
+        if point is None:
             messages = system.compute_messages(state)
-            next_point = messages, system.dual_objective(state, messages)
-        (messages, value), next_point = next_point, None
-        objs.append(value)
+            point = messages, system.dual_objective(state, messages)
+        messages, value = point
         mixing = state.iteration >= ANDERSON_WARMUP
         x_prev = state.x.copy() if mixing else None
-        e0, et, v = system.sweep(state, messages)
+        violations = system.sweep(state, messages)
         state.iteration += 1
-        e0s.append(e0)
-        ets.append(et)
-        vs.append(v)
-        if not np.isfinite(e0 + et + v):
+        rows.append((*violations, value))
+        residual = sum(violations)
+        if not np.isfinite(residual):
             raise NonFiniteError(f"E0+ET+V is not finite at sweep {state.iteration}")
-        if e0 + et + v <= config.tol:
-            converged = True
+        if residual <= config.tol:
             break
-        if mixing and state.iteration < config.max_iter:
-            next_point = mixer.step(state, x_prev, value)
-    report = ConvergenceReport(
-        e0=np.array(e0s), et=np.array(ets), v=np.array(vs),
-        objective=np.array(objs), converged=converged, iterations=len(e0s))
+        point = (mixer.step(state, x_prev, value)
+                 if mixing and state.iteration < config.max_iter else None)
+    e0, et, v, objective = map(np.array, zip(*rows))
+    report = ConvergenceReport(e0=e0, et=et, v=v, objective=objective,
+                               converged=residual <= config.tol, iterations=len(rows))
     return state, report

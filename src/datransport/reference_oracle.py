@@ -15,7 +15,6 @@ from .errors import BadParamError, SizeCapError, UnreachableMassError
 
 MAX_MARGINALS = 4
 MAX_POINTS = 16
-MAX_CELLS = 10 ** 6
 
 _NEGLIGIBLE = 1e-12
 
@@ -47,8 +46,6 @@ def _check_shape(shape) -> None:
         raise SizeCapError(f"at most {MAX_MARGINALS} marginals, got {len(shape)}")
     if any(n > MAX_POINTS for n in shape):
         raise SizeCapError(f"at most {MAX_POINTS} points per marginal, got {shape}")
-    if int(np.prod(shape)) > MAX_CELLS:
-        raise SizeCapError(f"tensor of {int(np.prod(shape))} cells exceeds cap {MAX_CELLS}")
 
 
 def _check_run(epsilon: float, iters: int) -> None:

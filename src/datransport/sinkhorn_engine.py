@@ -144,6 +144,9 @@ class PathSystem:
 
     ``mu0``, ``muT``, ``caps`` and ``joints`` hold each block's target or cap in
     sweep order; in coupled mode the pairs replace sources and sinks as blocks.
+    The mode is compiled once, here, into the layout's end blocks, the message
+    domain, the neutral arrays and the step class; past the constructor only
+    ``_path_term`` and ``_edge_pair_marginal`` read it, where a Lambda enters.
     """
 
     def __init__(self, net: TransportNetwork, paths, mode: str = INDEPENDENT,
@@ -173,11 +176,45 @@ class PathSystem:
         # the block that scales each path's source end: its pair in coupled mode, else its source
         self._heads = [(p.source, p.sink) if (p.source, p.sink) in self.joints else p.source
                        for p in self.paths]
+
+        self.epsilon = config.epsilon
+        path_weights = [[float(w) for w in path_cost_terms(net, p)] for p in self.paths]
+        self._kernel_cache: dict[float, PairKernel] = {  # one kernel per distinct weight
+            w: build_pair_kernel(self.grid, w, self.epsilon)
+            for w in dict.fromkeys(w for weights in path_weights for w in weights)}
+        self.path_kernels = [[self._kernel_cache[w] for w in weights] for weights in path_weights]
+        # the (forward, backward) steps per path and edge, one object per axis and
+        # what it computes: its kernel's weight and the nodes on its start side,
+        # whose message and scaling are its input (its far end does not enter)
+        keys = [[((0, p.nodes[:l + 1], w), (1, p.nodes[l + 1:], w)) for l, w in enumerate(ws)]
+                for p, ws in zip(self.paths, path_weights)]
+        step_kernels = {key: self._kernel_cache[key[2]]
+                        for p_keys in keys for pair in p_keys for key in pair}
+
+        # the one mode branch.  The neutral scaling and message (the identity on the
+        # boundary bins in coupled mode) are shared by every path and state, so
+        # read-only.  Vector steps take their block windows once per direction
+        if mode == INDEPENDENT:
+            first, last, dom = self.mu0, self.muT, _Log
+            self._unit = self._start = np.full(self.n_t, dom.one)
+            sides = [_causal_windows(self.n_t, axis) for axis in (0, 1)]
+            steps = {key: _AbsorbedStep(k, key[0], sides[key[0]])
+                     for key, k in step_kernels.items()}
+        else:
+            first = {pair: self.packed(pair, mass) for pair, mass in self.joints.items()}
+            last, dom = {}, _Log if self._neutral_chain_underflows() else _Linear
+            self._unit = np.full(self.n_t, dom.one)
+            start = np.full((self.n_t, self.n_t), -np.inf)
+            np.fill_diagonal(start, 0.0)
+            self._start = dom.from_log(start)
+            steps = {key: _MatrixStep(dom.kernel(k), key[0], dom, self._start, self._unit)
+                     for key, k in step_kernels.items()}
+        self.dom = dom  # the messages' arithmetic; the state is in log units either way
+        self.log_domain = dom is _Log
+
         # the state's layout, in sweep order: each block's slice of the flat
         # log-scalings.  Sources (or pairs), caps and sinks are contiguous, so
         # E0, V and ET are three slices of any flat marginal
-        packed = {pair: self.packed(pair, mass) for pair, mass in self.joints.items()}
-        first, last = (packed, {}) if mode == COUPLED else (self.mu0, self.muT)
         bounds = {**first, **self.caps, **last}
         self._layout: dict = {}
         size = 0
@@ -198,39 +235,6 @@ class PathSystem:
         caps = self.bound[self._caps_part]
         self._dual_bins[self._caps_part] = np.isfinite(caps) & (caps > 0)
         self._dual_bound = self.bound[self._dual_bins]
-
-        self.epsilon = config.epsilon
-        path_weights = [[float(w) for w in path_cost_terms(net, p)] for p in self.paths]
-        self._kernel_cache: dict[float, PairKernel] = {  # one kernel per distinct weight
-            w: build_pair_kernel(self.grid, w, self.epsilon)
-            for w in dict.fromkeys(w for weights in path_weights for w in weights)}
-        self.path_kernels = [[self._kernel_cache[w] for w in weights] for weights in path_weights]
-
-        # the messages' domain and arithmetic; the state is in log units either way
-        self.log_domain = mode == INDEPENDENT or self._neutral_chain_underflows()
-        self.dom = dom = _Log if self.log_domain else _Linear
-        # the (forward, backward) steps per path and edge, one object per axis and
-        # what it computes: its kernel's weight and the nodes on its start side,
-        # whose message and scaling are its input (its far end does not enter)
-        keys = [[((0, p.nodes[:l + 1], w), (1, p.nodes[l + 1:], w)) for l, w in enumerate(ws)]
-                for p, ws in zip(self.paths, path_weights)]
-        step_kernels = {key: self._kernel_cache[key[2]]
-                        for p_keys in keys for pair in p_keys for key in pair}
-        # neutral scaling vector and neutral message (the identity on the boundary
-        # bins in coupled mode), shared by every path and state, so read-only.
-        # Vector steps take their block windows once per direction
-        self._unit = np.full(self.n_t, dom.one)
-        if mode == INDEPENDENT:
-            self._start = self._unit
-            sides = [_causal_windows(self.n_t, axis) for axis in (0, 1)]
-            steps = {key: _AbsorbedStep(k, key[0], sides[key[0]])
-                     for key, k in step_kernels.items()}
-        else:
-            start = np.full((self.n_t, self.n_t), -np.inf)
-            np.fill_diagonal(start, 0.0)
-            self._start = dom.from_log(start)
-            steps = {key: _MatrixStep(dom.kernel(k), key[0], dom, self._start, self._unit)
-                     for key, k in step_kernels.items()}
         self._steps = [[tuple(steps[key] for key in pair) for pair in p_keys] for p_keys in keys]
         # what ``_Messages`` reads per direction, path and position: None at the start
         # end, else the step, the neighbour toward the start and its block (None if none)
@@ -420,8 +424,8 @@ class PathSystem:
         return model
 
     def _update_block(self, state: SinkhornState, block) -> np.ndarray:
-        """Project one block by its own pass; returns its new linear scaling, flat like its view."""
-        self._pass(state, [block], True)
+        """Project one block by a pass over its own paths' messages; returns its flat linear scaling."""
+        self._pass(state, [block], True, _Messages(self, state, 1))
         with np.errstate(over="ignore"):
             return np.exp(state.views[block])
 

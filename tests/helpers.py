@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
@@ -137,6 +139,52 @@ def lp_edge_plan_optimum(net, paths) -> float:
                 if path.sink == node], law.mass) for node, law in net.sinks.items()]
     capped = [([((p, path.nodes.index(node) - 1), 1, 1.0) for p, path in enumerate(paths)
                 if node in path.interior], net.capacity_for(node)) for node in net.capacities]
+    a_eq, b_eq = rows(equal)
+    a_ub, b_ub = rows(capped) if capped else (None, None)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def lp_path_cell_optimum(net, paths) -> float:
+    """Unregularized optimum of an independent path family: a dense HiGHS LP over path cells.
+
+    Each path has one variable per strictly time-ordered cell t_0 < t_1 <
+    ... of its nodes' bins, of cost sum_l w_l / (t_{l+1} - t_l) on the bin
+    centers.  Each source's law is matched by the departures of its paths,
+    each sink's by their arrivals, and each capped node's coordinate
+    sums stay within the cap on every bin.  It has n_t choose n_p variables
+    per path, so it is the reference for ``lp_edge_plan_optimum`` on small
+    grids only.
+    """
+    n, centers = net.grid.n_t, net.grid.centers
+    cells = [np.array(list(itertools.combinations(range(n), path.n_p))) for path in paths]
+    cost = np.concatenate([
+        sum(net.weight(*path.nodes[l:l + 2]) / (centers[c[:, l + 1]] - centers[c[:, l]])
+            for l in range(path.n_edges)) for path, c in zip(paths, cells)])
+    offsets = np.cumsum([0] + [len(c) for c in cells])
+
+    def rows(groups):
+        """Dense rows and right-hand side of groups of (sites, bound), one row per group and bin.
+
+        A site (p, pos) adds path p's cells by their bin at node ``pos``.
+        """
+        a = np.zeros((len(groups) * n, cost.size))
+        for g, (sites, _) in enumerate(groups):
+            for p, pos in sites:
+                a[g * n + cells[p][:, pos], offsets[p] + np.arange(len(cells[p]))] += 1.0
+        b = np.concatenate([bound for _, bound in groups])
+        finite = np.isfinite(b)  # an uncapped bin is no row
+        return a[finite], b[finite]
+
+    def sites(node, pos=None):
+        return [(p, path.nodes.index(node) if pos is None else pos)
+                for p, path in enumerate(paths) if node in path.nodes]
+
+    equal = [(sites(node, 0), law.mass) for node, law in net.sources.items()]
+    equal += [(sites(node, -1), law.mass) for node, law in net.sinks.items()]
+    capped = [(sites(node), net.capacity_for(node)) for node in net.capacities]
     a_eq, b_eq = rows(equal)
     a_ub, b_ub = rows(capped) if capped else (None, None)
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),

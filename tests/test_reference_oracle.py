@@ -167,6 +167,22 @@ class TestDenseSinkhorn:
         with pytest.raises(BadParamError):
             dense_coupled_sinkhorn(cost, np.full((4, 4), 1 / 16), [np.ones(4)], epsilon, iters)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: DenseTensor(np.array([[0.5, -0.1], [0.0, 0.6]])),
+         "plan values must be nonnegative"),
+        (lambda: dense_sinkhorn(np.ones((4, 4, 4)), [("free", None)] * 2, 0.5, 1),
+         "need 3 targets, got 2"),
+        (lambda: dense_sinkhorn(np.ones((4, 4)), [("le", np.ones(4)), ("free", None)], 0.5, 1),
+         "unknown target kind 'le'"),
+        (lambda: dense_coupled_sinkhorn(np.ones((4, 4)), np.full((4, 4), 1 / 16), [], 0.5, 1),
+         "coupled oracle needs at least one interior axis"),
+        (lambda: dense_coupled_sinkhorn(np.ones((4, 4, 4)), np.full((4, 4), 1 / 16), [], 0.5, 1),
+         "need 1 interior caps, got 0"),
+    ], ids=["negative plan", "target count", "target kind", "no interior axis", "cap count"])
+    def test_bad_input_rejected(self, call, message):
+        with pytest.raises(BadParamError, match=message):
+            call()
+
 
 class TestDenseCoupled:
     def test_joint_matched_exactly(self):

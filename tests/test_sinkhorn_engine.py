@@ -832,14 +832,53 @@ class TestBlockUpdates:
          "coupled mode updates the joint via coupled_boundary_update"),
         ("line", lambda state: coupled_boundary_update(state, ("n0", "n3")),
          "coupled_boundary_update requires coupled mode"),
+        ("coupled", lambda state: coupled_boundary_update(state, "a"),
+         "coupled_boundary_update requires coupled mode"),
+        ("coupled", lambda state: coupled_boundary_update(state, ("s", "nope")),
+         "coupled_boundary_update requires coupled mode"),
+        ("line", lambda state: boundary_update(state, "n1"), "n1 is not a boundary node"),
+        ("line", lambda state: capacity_update(state, "n0"), "n0 is not an interior node"),
     ], ids=["flux off the path", "coupled boundary flux", "coupled boundary update",
-            "independent joint update"])
+            "independent joint update", "joint update on a cap", "joint update on an unknown pair",
+            "boundary update on a cap", "capacity update on a source"])
     def test_operation_on_the_wrong_block_raises(self, grid16, kind, operation, message):
+        # each public update checks the block it is given, not the mode,
+        # before any pass: a joint update on a cap node used to project the
+        # cap, which binds under a large Lambda, and then fail on a KeyError
         state = _pinning_instance(kind, grid16).initial_state()
+        for pair in state.system.joints:
+            state.views[pair][:] = 20.0  # Lambda e^20: the caps bind
         x = state.x.copy()
         with pytest.raises(BadParamError, match=message):
             operation(state)
         assert np.array_equal(state.x, x)
+
+    @pytest.mark.parametrize("kind", ["scenario_63", "coupled_shared"])
+    def test_update_runs_only_its_paths_steps(self, grid16, kind, monkeypatch):
+        # a public update reads its block's paths alone: the forward steps
+        # before the block and the backward ones after it, each once.  On
+        # scenario_63's family v1 calls 5 steps, v5 8 and vT 10, where a
+        # full backward pass first made it 11, 17 and 20
+        if kind == "scenario_63":
+            built = scenario_63_network().build()
+            system = PathSystem(built.net, built.paths, config=built.config)
+        else:
+            system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        for _ in range(3):
+            system.sweep(state)
+        calls = _count_step_calls(monkeypatch)
+        for block in system._layout:
+            sites = ([(p, 0) for p in system.pair_paths[block]] if block in system.joints
+                     else system.positions[block])
+            wanted = {system._steps[p][l][int(l >= pos)]
+                      for p, pos in sites for l in range(system.paths[p].n_edges)}
+            calls.clear()
+            update = (coupled_boundary_update if block in system.joints
+                      else capacity_update if block in system.caps else boundary_update)
+            update(state, block)
+            assert set(calls) == wanted
+            assert set(calls.values()) == {1}
 
 
 class TestClassicReduction:
