@@ -90,14 +90,15 @@ class _AndersonMixer:
     (m <= ``ANDERSON_MEMORY``) whose Gram matrix of weighted residual
     differences gains one row of dot products a step, solved by
     ``_gram_solve`` with the cut of ``lstsq``'s default rcond.  Capacity
-    multipliers are clipped back to w <= 1.  A mixed point replaces the
-    plain one only if it is finite and its dual value is at least that of
-    the point the sweep started from, already traced; otherwise the plain
-    point stands and the history restarts.  So a step costs one message
-    pass, the trial's, and none when the mixed point is the plain one bit
-    for bit.  Dead bins (log-scaling -inf, such as a zero-cap bin or a
-    Lambda cell of negligible target) take no part in the mixing and stay
-    dead.
+    multipliers are clipped back to w <= 1.  A finite mixed point is
+    written into the state and tried there: it stays only if its dual
+    value is at least that of the point the sweep started from, already
+    traced; otherwise the plain point is written back bit for bit and the
+    history restarts (as it does on a non-finite one).  So a step costs
+    one message pass, the trial's, and none when the mixed point is the
+    plain one bit for bit.  Dead bins (log-scaling -inf, such as a zero-cap
+    bin or a Lambda cell of negligible target) take no part in the mixing
+    and stay dead.
     """
 
     def __init__(self, system: PathSystem):
@@ -116,8 +117,8 @@ class _AndersonMixer:
         """Mix after the plain sweep that took the log-scalings ``x_prev`` to ``state``.
 
         ``value`` is the dual value of ``x_prev``.  Returns the messages
-        and the dual value of the mixed point when it replaces the
-        plain one, else None.
+        and the dual value of the mixed point, now in ``state``, when it
+        replaces the plain one, else None with ``state`` left plain.
         """
         system = self.system
         g = state.x
@@ -143,20 +144,19 @@ class _AndersonMixer:
         if not np.all(np.isfinite(mixed_live)):
             self.reset()
             return None
-        mixed = g.copy()
-        mixed[self._index] = mixed_live
-        np.minimum(mixed[system._caps_part], 0.0, out=mixed[system._caps_part])
-        if np.array_equal(mixed, g):  # nothing was mixed: no trial to evaluate
+        plain = g.copy()  # the trial runs on the state itself: g is state.x
+        g[self._index] = mixed_live
+        caps = g[system._caps_part]
+        np.minimum(caps, 0.0, out=caps)
+        if np.array_equal(g, plain):  # nothing was mixed: no trial to evaluate
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            trial = SinkhornState(system, mixed)
-            messages = system.compute_messages(trial)
-            trial_value = system.dual_objective(trial, messages)
+            messages = system.compute_messages(state)
+            trial_value = system.dual_objective(state, messages)
         if not trial_value >= value:
+            g[...] = plain
             self.reset()
             return None
-        state.x[...] = mixed
-        messages.state = state  # which they now describe: the trial's copy of x can go
         return messages, trial_value
 
 
@@ -189,7 +189,9 @@ def flux_profile(state: SinkhornState, path_index: int, node: str) -> np.ndarray
 def boundary_update(state: SinkhornState, node: str) -> np.ndarray:
     """Match the node's marginal target exactly; returns the new linear scaling."""
     system = state.system
-    if node not in system.mu0 and node not in system.muT:
+    # each guard looks its block up in a list, which compares by == and hashes
+    # nothing: a list given as a block is rejected like any unknown block
+    if node not in [*system.mu0, *system.muT]:
         raise BadParamError(f"{node} is not a boundary node")
     if node not in system._layout:
         raise BadParamError("coupled mode updates the joint via coupled_boundary_update")
@@ -198,7 +200,7 @@ def boundary_update(state: SinkhornState, node: str) -> np.ndarray:
 
 def capacity_update(state: SinkhornState, node: str) -> np.ndarray:
     """Clip the node's marginal to its cap; returns the new linear scaling."""
-    if node not in state.system.caps:
+    if node not in [*state.system.caps]:
         raise BadParamError(f"{node} is not an interior node")
     return state.system._update_block(state, node)
 
@@ -206,7 +208,7 @@ def capacity_update(state: SinkhornState, node: str) -> np.ndarray:
 def coupled_boundary_update(state: SinkhornState, pair: tuple[str, str]) -> np.ndarray:
     """Match the joint boundary law exactly; returns the new linear Lambda, n_t x n_t."""
     system = state.system
-    if pair not in system.joints:
+    if pair not in [*system.joints]:
         raise BadParamError(f"coupled_boundary_update requires coupled mode and one of its "
                             f"joint pairs, got {pair!r}")
     return system.dense(pair, system._update_block(state, pair), _Linear)

@@ -171,14 +171,9 @@ class _AbsorbedStep:
     so sums to at least 1, so every entry >= tau of B is kept, and each
     dropped one is below tau in B: together they add less than width * tau
     * exp(band) = eps * exp(-band) <= eps * S, whatever the drift within
-    the band, and the output, log S, moves by less than eps.  Before summing a block it leaves out, from either end of its
-    inputs, those whose entries lie below tau of every row's maximum (the
-    kernel grows with the gap, so on an input it is largest at the block's
-    farthest output and smallest at its nearest one); they add less than
-    width * tau of a row's maximum to the absorbed sum, far below its
-    round-off, and would be dropped anyway.  Entries below the smallest
-    normal float are zeroed in every block (they weigh nothing, but slow
-    the mat-vec down many times over).
+    the band, and the output, log S, moves by less than eps.  Entries below
+    the smallest normal float are zeroed in every block (they weigh
+    nothing, but slow the mat-vec down many times over).
     """
 
     def __init__(self, kernel: PairKernel, axis: int, windows: list[tuple[slice, slice]]):
@@ -209,13 +204,6 @@ class _AbsorbedStep:
         shape = (out.stop - out.start, inp.stop - inp.start)
         return np.empty(shape) if self.axis else np.empty(shape[::-1]).T
 
-    def _at(self, o: int, inp: slice) -> np.ndarray:
-        """kernel[o, inp], from the formula."""
-        one = slice(o, o + 1)
-        if self.axis:
-            return self.kernel.log_window(one, inp)[0]
-        return self.kernel.log_window(inp, one)[:, 0]
-
     def _absorb(self, x: np.ndarray) -> np.ndarray:
         if self.blocks is None:
             # the mat-vecs' input and output; outputs of no block stay 0, so -inf
@@ -228,27 +216,17 @@ class _AbsorbedStep:
             if inp.stop == inp.start:  # no input reaches these outputs: -inf, in no block
                 continue
             tau = np.finfo(float).eps * np.exp(-2 * ABSORB_BAND) / (inp.stop - inp.start)
-            # the kernel grows with the gap, so on each input it lies between
-            # its values at the nearest output and the farthest: an input
-            # whose farthest entry is below tau of the largest nearest one
-            # is below tau of every row's maximum, and neither summed nor kept
-            ends = (out.stop - 1, out.start) if self.axis == 0 else (out.start, out.stop - 1)
-            far, near = (self._at(o, inp) + x[inp] for o in ends)
-            bound = near.max() + np.log(tau)
-            if np.isfinite(bound):  # NaN and +inf inputs are summed in full
-                reach = np.flatnonzero(far >= bound)
-                inp = slice(inp.start + reach[0], inp.start + reach[-1] + 1)
             block = self._block(out, inp)
             if self.axis:
                 self.kernel.log_window(out, inp, block)
             else:
                 self.kernel.log_window(inp, out, block.T)
-            total = np.empty(out.stop - out.start)
+            total = np.empty(len(block))
             c[out] = _lse_rows(block, x[inp], block, total)
             scale = np.where(total > 0, total, 1.0)[:, None]  # all--inf rows stay 0
             # a live row peaks at exactly 1 and sums to at least 1, so its
             # entries >= tau once normalized lie in the columns >= tau now
-            kept = np.flatnonzero(block.max(axis=0) >= tau)
+            kept = np.flatnonzero(block.max(0) >= tau)
             first, stop = (kept[0], kept[-1] + 1) if kept.size else (0, 0)
             inp, block = slice(inp.start + first, inp.start + stop), block[:, first:stop]
             stored = np.divide(block, scale, out=self._block(out, inp))

@@ -119,6 +119,9 @@ def dense_sinkhorn(cost: np.ndarray, targets, epsilon: float, iters: int) -> Den
     _check_run(epsilon, iters)
     if len(targets) != cost.ndim:
         raise BadParamError(f"need {cost.ndim} targets, got {len(targets)}")
+    for kind, _ in targets:  # every kind, before the first update
+        if kind not in ("eq", "ub", "free"):
+            raise BadParamError(f"unknown target kind {kind!r}")
     kernel = np.exp(-cost / epsilon)
     scalings = [np.ones(n) for n in cost.shape]
     for _ in range(iters):
@@ -133,13 +136,11 @@ def dense_sinkhorn(cost: np.ndarray, targets, epsilon: float, iters: int) -> Den
                 u = np.zeros_like(a)
                 np.divide(t, a, out=u, where=a > 0)
                 scalings[axis] = u
-            elif kind == "ub":
+            else:  # "ub"
                 capv = np.asarray(target, dtype=float)
                 ratio = np.full_like(a, np.inf)
                 np.divide(capv, a, out=ratio, where=a > 0)
                 scalings[axis] = np.minimum(ratio, 1.0)
-            else:
-                raise BadParamError(f"unknown target kind {kind!r}")
     plan = _scaled_plan(kernel, scalings)
     marginals = [DenseTensor(plan).marginal(axis) for axis in range(cost.ndim)]
     return DenseResult(plan=DenseTensor(plan), scalings=scalings, marginals=marginals)

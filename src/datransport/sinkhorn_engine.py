@@ -344,7 +344,7 @@ class PathSystem:
         if self.mode == INDEPENDENT:
             return dom.mul(f, b)
         # out[t] = sum_i f[i, t] * g[i, t], g[i, t] = sum_j lam[i, j] * b[t, j]
-        return dom.sum(dom.mul(f, dom.matmul(frontier.heads[self._heads[p_idx]], b.T)), axis=0)
+        return dom.sum(dom.mul(f, dom.matmul(frontier.heads[self._heads[p_idx]], b.T)), 0)
 
     def _aggregate(self, block, messages: _Messages, frontier: _Messages) -> np.ndarray:
         """Log aggregate of one block, excluding the block's own scaling.
@@ -387,8 +387,7 @@ class PathSystem:
         update, and both objects drop the steps whose start side holds the
         block (``_stale``): a later read recomputes them from the scalings
         current then, so the pass is exact on every path family.  A
-        ``messages`` argument belongs to ``state``: it reads through
-        ``messages.state``.
+        ``messages`` argument must be ``state``'s own.
 
         An equality block takes log target minus log aggregate, with 0/0 =
         0; material target mass on zero-aggregate bins means the ordering

@@ -174,11 +174,20 @@ class TestDenseSinkhorn:
          "need 3 targets, got 2"),
         (lambda: dense_sinkhorn(np.ones((4, 4)), [("le", np.ones(4)), ("free", None)], 0.5, 1),
          "unknown target kind 'le'"),
+        # every kind is checked before any update: with no iteration at all,
+        # and before the first axis, whose target an all-inf cost leaves
+        # unreachable, is updated (that update raises UnreachableMassError)
+        (lambda: dense_sinkhorn(np.ones((4, 4)), [("free", None), ("le", np.ones(4))], 0.5, 0),
+         "unknown target kind 'le'"),
+        (lambda: dense_sinkhorn(np.full((4, 4), np.inf), [("eq", np.full(4, 0.25)),
+                                                          ("le", np.ones(4))], 0.5, 1),
+         "unknown target kind 'le'"),
         (lambda: dense_coupled_sinkhorn(np.ones((4, 4)), np.full((4, 4), 1 / 16), [], 0.5, 1),
          "coupled oracle needs at least one interior axis"),
         (lambda: dense_coupled_sinkhorn(np.ones((4, 4, 4)), np.full((4, 4), 1 / 16), [], 0.5, 1),
          "need 1 interior caps, got 0"),
-    ], ids=["negative plan", "target count", "target kind", "no interior axis", "cap count"])
+    ], ids=["negative plan", "target count", "target kind", "target kind with no iteration",
+            "target kind before an update", "no interior axis", "cap count"])
     def test_bad_input_rejected(self, call, message):
         with pytest.raises(BadParamError, match=message):
             call()

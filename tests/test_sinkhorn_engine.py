@@ -411,7 +411,10 @@ class TestAbsorbedStep:
         # normalized row, tau = eps * exp(-2 band) / width, in under 0.48
         # n_t**2 entries a step (0.389-0.473 on this instance, where the
         # causal support is 0.58), store no input slice that lies wholly at
-        # t <= s, and are laid out in memory like logK
+        # t <= s, and are laid out in memory like logK.  Each stored span is
+        # tight: its first and last columns each hold an entry >= tau of a
+        # row scaled to peak at 1, the entries the kept-column rule tests (a
+        # peaked row sums to at least 1, so its normalized entries are smaller)
         grid = TimeGrid(t_f=1.0, n_t=400)
         mu0, muT = ordered_random_pair(grid, np.random.default_rng(7), 3)
         net, path = make_line_net(grid, [1.0, 0.5, 1.0], mu0, muT)
@@ -436,15 +439,22 @@ class TestAbsorbedStep:
                 x = np.where(np.isneginf(step.hi), -np.inf, step.r)
                 kernel, kept = (kern.logK.T, stored.T) if axis == 0 else (kern.logK, stored)
                 live = np.isfinite(step.c)
-                weight = np.zeros((n, n))
-                weight[live] = np.exp(kernel[live] + x[None, :] - step.c[live, None])
+                logits = kernel[live] + x[None, :]
+                weight, peaked = np.zeros((n, n)), np.zeros((n, n))
+                weight[live] = np.exp(logits - step.c[live, None])
+                peaked[live] = np.exp(logits - logits.max(axis=1, keepdims=True))
                 heavy = 0
+                spans = {out.start: inp for out, inp, _ in step.blocks}
                 for out, inp in step.windows:
                     width = inp.stop - inp.start
                     tau = np.finfo(float).eps * np.exp(-2 * ABSORB_BAND) / width
                     mass = weight[out, inp] >= tau
                     assert np.all(kept[out, inp][mass] == 1)
                     heavy += mass.sum()
+                    span = spans[out.start]
+                    assert span.stop > span.start
+                    for col in (span.start, span.stop - 1):
+                        assert peaked[out, col].max() >= tau
                 assert heavy > 0.25 * n ** 2  # 0.29: the check is not vacuous
 
     def test_log_domain_builds_no_linear_matrices(self, grid16):
@@ -838,13 +848,19 @@ class TestBlockUpdates:
          "coupled_boundary_update requires coupled mode"),
         ("line", lambda state: boundary_update(state, "n1"), "n1 is not a boundary node"),
         ("line", lambda state: capacity_update(state, "n0"), "n0 is not an interior node"),
+        ("line", lambda state: boundary_update(state, ["n0"]), "is not a boundary node"),
+        ("line", lambda state: capacity_update(state, ["n1"]), "is not an interior node"),
+        ("coupled", lambda state: coupled_boundary_update(state, ["s", "t"]),
+         "coupled_boundary_update requires coupled mode"),
     ], ids=["flux off the path", "coupled boundary flux", "coupled boundary update",
             "independent joint update", "joint update on a cap", "joint update on an unknown pair",
-            "boundary update on a cap", "capacity update on a source"])
+            "boundary update on a cap", "capacity update on a source",
+            "boundary update on a list", "capacity update on a list", "joint update on a list"])
     def test_operation_on_the_wrong_block_raises(self, grid16, kind, operation, message):
         # each public update checks the block it is given, not the mode,
         # before any pass: a joint update on a cap node used to project the
-        # cap, which binds under a large Lambda, and then fail on a KeyError
+        # cap, which binds under a large Lambda, and then fail on a KeyError.
+        # A list given as a block is rejected too, not hashed into a TypeError
         state = _pinning_instance(kind, grid16).initial_state()
         for pair in state.system.joints:
             state.views[pair][:] = 20.0  # Lambda e^20: the caps bind
@@ -2360,6 +2376,36 @@ class TestAndersonStep:
             else:
                 assert point is None and np.array_equal(state.x, plain_x)
                 assert mixer._last is None and mixer._df == []
+
+    @pytest.mark.parametrize("kind, log_domain", [
+        ("line", True), ("coupled", False), ("coupled", True)])
+    def test_rejected_trial_restores_the_plain_point(self, grid16, kind, log_domain,
+                                                     monkeypatch):
+        # the mixed point is tried on the state itself, not on a copy: a
+        # trial whose dual loses leaves the plain sweep's output in the same
+        # array, bit for bit, and the history restarts
+        _pick_domain(monkeypatch, log_domain)
+        system = _pinning_instance(kind, grid16)
+        state = system.initial_state()
+        x = state.x
+        mixer = driver._AndersonMixer(system)
+        tried = []  # (the state itself, holding the plain point) per dual evaluation
+
+        def losing(self, st, messages=None):
+            tried.append((st is state, st.x.tobytes() == plain.tobytes()))
+            return -np.inf
+
+        for _ in range(2):  # a first step only records
+            x_prev, value = state.x.copy(), system.dual_objective(state)
+            assert np.isfinite(value)
+            system.sweep(state)
+            plain = state.x.copy()
+            with monkeypatch.context() as patch:
+                patch.setattr(PathSystem, "dual_objective", losing)
+                assert mixer.step(state, x_prev, value) is None
+        assert tried == [(True, False)]
+        assert state.x is x and state.x.tobytes() == plain.tobytes()
+        assert mixer._last is None and mixer._df == [] and mixer._dg == []
 
     @pytest.mark.parametrize("kind, log_domain", [
         ("line", True), ("coupled", False), ("coupled", True)])
